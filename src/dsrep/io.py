@@ -30,6 +30,7 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -64,10 +65,43 @@ def _parse_algebra(value: Any) -> Algebra:
 
 
 def _parse_half(value: Any, context: str) -> HalfInt:
+    if isinstance(value, bool):
+        raise DocumentError(f"bad half-integer for {context}: {value!r}")
     try:
         return HalfInt.parse(value)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad half-integer for {context}: {value!r} ({exc})") from exc
+
+
+def _index(value: Any, context: str) -> int:
+    """A JSON integer used as an index or a size; floats and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{context} must be an integer, got {value!r}")
+    return value
+
+
+def _pair(value: Any, context: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise DocumentError(f"{context} must be a pair of block indices, got {value!r}")
+    return _index(value[0], context), _index(value[1], context)
+
+
+def _finite(value: Any, context: str) -> float:
+    """A JSON number that is finite as a float; NaN and infinities are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise DocumentError(f"{context} must be a finite number, got {value!r}")
+
+
+def _list(value: Any, context: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{context} must be a list")
+    return value
 
 
 def backbone_to_doc(g: BackboneGraph, algebra: Algebra = Algebra.DE_SITTER) -> dict:
@@ -100,11 +134,7 @@ def backbone_from_doc(doc: Any) -> tuple[BackboneGraph, Algebra]:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise DocumentError("'edges' must be a list of index pairs")
-    edges = []
-    for pos, pair in enumerate(raw_edges):
-        if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-            raise DocumentError(f"edge {pos} must be a pair of block indices")
-        edges.append((int(pair[0]), int(pair[1])))
+    edges = [_pair(pair, f"edge {pos}") for pos, pair in enumerate(raw_edges)]
     algebra = _parse_algebra(doc.get("algebra"))
     try:
         graph = BackboneGraph.make(blocks, edges)
@@ -155,34 +185,52 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
     dim = backbone.dim
 
     t_map: dict[tuple[int, int], float] = {}
-    for entry in doc.get("t", []):
+    for entry in _list(doc.get("t", []), "'t'"):
         if not isinstance(entry, dict) or "edge" not in entry:
             raise DocumentError("each t entry needs an 'edge'")
-        i, j = (int(x) for x in entry["edge"])
+        i, j = _pair(entry["edge"], "t edge")
         if entry.get("forward") is not None:
-            t_map[(i, j)] = float(entry["forward"])
+            t_map[(i, j)] = _finite(entry["forward"], f"t forward on edge {[i, j]}")
         if entry.get("reverse") is not None:
-            t_map[(j, i)] = float(entry["reverse"])
+            t_map[(j, i)] = _finite(entry["reverse"], f"t reverse on edge {[i, j]}")
 
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list):
         raise DocumentError("generator document missing 'generators' list")
     matrices: dict[str, np.ndarray] = {}
-    for entry in raw_gens:
+    for pos, entry in enumerate(raw_gens):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"generator {pos} must be a JSON object")
         name = entry.get("name")
         if name not in GENERATOR_NAMES:
             raise DocumentError(f"unknown generator name {name!r}")
-        rows, cols = int(entry["rows"]), int(entry["cols"])
+        if "rows" not in entry or "cols" not in entry:
+            raise DocumentError(f"{name} needs 'rows' and 'cols'")
+        rows, cols = _index(entry["rows"], f"{name} rows"), _index(entry["cols"], f"{name} cols")
         if rows != dim or cols != dim:
             raise DocumentError(
                 f"{name} is {rows}x{cols} but the backbone implies {dim}x{dim}"
             )
         m = np.zeros((rows, cols), dtype=complex)
-        for item in entry.get("entries", []):
-            r, c, re, im = int(item[0]), int(item[1]), float(item[2]), float(item[3])
+        # type() tests keep booleans out and keep this loop, which runs
+        # once per entry, cheap
+        for item in _list(entry.get("entries", []), f"{name} entries"):
+            if type(item) is not list or len(item) != 4:
+                raise DocumentError(f"{name} entry {item!r} must be [row, col, re, im]")
+            r, c, re, im = item
+            if type(r) is not int or type(c) is not int:
+                raise DocumentError(f"{name} entry position ({r!r}, {c!r}) must be integers")
             if not (0 <= r < rows and 0 <= c < cols):
                 raise DocumentError(f"{name} entry ({r}, {c}) out of range")
-            m[r, c] = complex(re, im)
+            if type(re) not in (int, float) or type(im) not in (int, float):
+                raise DocumentError(f"{name} entry ({r}, {c}) must hold two numbers")
+            try:
+                m[r, c] = complex(re, im)
+            except OverflowError:
+                m[r, c] = math.inf
+        if not np.isfinite(m).all():
+            r, c = np.argwhere(~np.isfinite(m))[0]
+            raise DocumentError(f"{name} entry ({r}, {c}) must be a finite number")
         matrices[name] = m
     missing = [n for n in GENERATOR_NAMES if n not in matrices]
     if missing:
@@ -204,7 +252,7 @@ def load_json(path) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 

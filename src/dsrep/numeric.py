@@ -1,9 +1,10 @@
-"""Exact scalar arithmetic and a minimal dense complex-matrix kernel.
+"""Exact scalar arithmetic and a minimal complex-matrix kernel.
 
 Half-integers (the spins and magnetic indices used everywhere else) are
 stored exactly as twice their value.  Rational work uses
-``fractions.Fraction``.  Matrices are plain numpy ``complex128`` arrays;
-the few operations needed elsewhere (commutator, conjugate transpose,
+``fractions.Fraction``.  Matrices are plain numpy ``complex128`` arrays,
+or `Sparse` views of their non-zeros for the verification products; the
+few operations needed elsewhere (commutator, conjugate transpose,
 residual norm, exact rational elimination) live here so that every
 tolerance decision in the package flows through one place.
 """
@@ -19,6 +20,7 @@ import numpy as np
 __all__ = [
     "HalfInt",
     "half_int_range",
+    "Sparse",
     "commutator",
     "dagger",
     "max_abs",
@@ -130,14 +132,156 @@ def half_int_range(low: HalfInt, high: HalfInt) -> list[HalfInt]:
 
 
 # ---------------------------------------------------------------------------
-# Dense complex matrices
+# Complex matrices: dense arrays and their non-zeros
 # ---------------------------------------------------------------------------
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] = x @ y - y @ x for square matrices of equal dimension."""
-    x = np.asarray(x)
-    y = np.asarray(y)
+class Sparse:
+    """A square complex matrix held as its non-zero entries.
+
+    Entries are kept as flat keys ``row * n + col`` with their values.  The
+    class supports the arithmetic the relation and Casimir formulas use:
+    ``+``, ``-``, ``@``, multiplication and division by a scalar, and
+    `to_dense`; `dagger` and `max_abs` below accept it.  A sum only
+    concatenates entries; entries with the same key add up when the matrix
+    is next reduced (sorted by key, duplicates summed, exact zeros
+    dropped), which happens before it is a factor of a product and in
+    `max_abs`.  So a residual such as ``x @ y - y @ x - c`` is summed by
+    one sort.  A product gathers, for each entry (i, k) of the left
+    factor, row k of the right one, padded to the right factor's widest
+    row: O(nnz x row width) work and memory, never dim x dim.  NaN entries
+    are non-zero, so they survive every step and reach `max_abs`.
+    """
+
+    __slots__ = ("n", "keys", "vals", "_reduced", "_padded", "_split")
+    ndim = 2
+    # numpy operators defer to this class instead of broadcasting over it
+    __array_ufunc__ = None
+
+    def __init__(self, n: int, keys: np.ndarray, vals: np.ndarray, reduced: bool = False):
+        self.n = n
+        self.keys = keys
+        self.vals = vals
+        self._reduced = reduced
+        self._padded = None  # (cols, vals) of each row, as a right factor
+        self._split = None  # (row * n, col) of each entry, as a left factor
+
+    @classmethod
+    def from_dense(cls, m) -> "Sparse":
+        """The non-zeros of a square matrix."""
+        m = np.asarray(m, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"Sparse needs a square matrix, got shape {m.shape}")
+        # comparing first is several times faster than np.nonzero on complex
+        keys = np.flatnonzero(m != 0)
+        return cls(m.shape[0], keys, m.ravel()[keys], reduced=True)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def _summed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, values): the distinct keys in order, each with its summed value."""
+        if self._reduced or not self.keys.size:
+            return self.keys, self.vals
+        order = np.argsort(self.keys)
+        keys = self.keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        return keys[starts], np.add.reduceat(self.vals[order], starts)
+
+    def reduced(self) -> "Sparse":
+        """Entries sorted by key, one per key, exact zeros dropped."""
+        if self._reduced:
+            return self
+        keys, sums = self._summed()
+        keep = sums != 0
+        return Sparse(self.n, keys[keep], sums[keep], reduced=True)
+
+    def _padded_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, vals), both n x (widest row): each row's entries, zero-padded."""
+        if self._padded is None:
+            m = self.reduced()
+            row = m.keys // self.n
+            counts = np.bincount(row, minlength=self.n)
+            slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+            width = int(counts.max(initial=0))
+            cols = np.zeros((self.n, width), dtype=m.keys.dtype)
+            vals = np.zeros((self.n, width), dtype=complex)
+            cols[row, slot] = m.keys % self.n
+            vals[row, slot] = m.vals
+            self._padded = (cols, vals)
+        return self._padded
+
+    def to_dense(self) -> np.ndarray:
+        m = self.reduced()
+        out = np.zeros(self.n * self.n, dtype=complex)
+        out[m.keys] = m.vals
+        return out.reshape(self.n, self.n)
+
+    def _pairs_with(self, other) -> bool:
+        if not isinstance(other, Sparse):
+            return False
+        if other.n != self.n:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return True
+
+    def __add__(self, other):
+        if not self._pairs_with(other):
+            return NotImplemented
+        return Sparse(
+            self.n,
+            np.concatenate((self.keys, other.keys)),
+            np.concatenate((self.vals, other.vals)),
+        )
+
+    def __sub__(self, other):
+        if not self._pairs_with(other):
+            return NotImplemented
+        return Sparse(
+            self.n,
+            np.concatenate((self.keys, other.keys)),
+            np.concatenate((self.vals, -other.vals)),
+        )
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, float, complex, np.number)):
+            return NotImplemented
+        return Sparse(self.n, self.keys, self.vals * scalar, self._reduced)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not isinstance(scalar, (int, float, complex, np.number)):
+            return NotImplemented
+        return Sparse(self.n, self.keys, self.vals / scalar, self._reduced)
+
+    def __matmul__(self, other):
+        if not self._pairs_with(other):
+            return NotImplemented
+        left = self.reduced()
+        if left._split is None:
+            col = left.keys % self.n
+            left._split = ((left.keys - col)[:, None], col)
+        row_start, inner = left._split
+        cols, vals = other._padded_rows()
+        # padding adds zero terms, which the next reduction drops (a NaN
+        # factor makes them NaN, as it would in a dense product)
+        return Sparse(
+            self.n,
+            (row_start + cols[inner]).ravel(),
+            (left.vals[:, None] * vals[inner]).ravel(),
+        )
+
+
+def commutator(x, y):
+    """[x, y] = x @ y - y @ x for square matrices of equal dimension.
+
+    The operands are dense arrays or `Sparse` matrices (both the same).
+    """
+    if not isinstance(x, Sparse):
+        x, y = np.asarray(x), np.asarray(y)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"commutator needs square matrices, got shape {x.shape}")
     if x.shape != y.shape:
@@ -145,17 +289,20 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def dagger(x: np.ndarray) -> np.ndarray:
+def dagger(x):
     """Conjugate transpose."""
+    if isinstance(x, Sparse):
+        row, col = np.divmod(x.keys, x.n)
+        return Sparse(x.n, col * x.n + row, x.vals.conj())
     return np.asarray(x).conj().T
 
 
-def max_abs(x: np.ndarray) -> float:
-    """Largest entry magnitude; 0.0 for an empty matrix."""
-    x = np.asarray(x)
-    if x.size == 0:
+def max_abs(x) -> float:
+    """Largest entry magnitude; 0.0 for an empty matrix; NaN if any entry is NaN."""
+    values = x._summed()[1] if isinstance(x, Sparse) else np.asarray(x)
+    if values.size == 0:
         return 0.0
-    return float(np.max(np.abs(x)))
+    return float(np.max(np.abs(values)))
 
 
 # ---------------------------------------------------------------------------

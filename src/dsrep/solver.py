@@ -59,7 +59,7 @@ from .representation import (
     assemble,
     classify_canonical_chain,
 )
-from .verify import check_all_crs, check_hermiticity
+from .verify import check_all_crs, check_hermiticity, worst_residual
 
 __all__ = [
     "WitnessKind",
@@ -473,7 +473,7 @@ def solve_and_verify(
         patterns = [{e: 1 for e in system.edges}]
     has_cycle = len(g.edges) > g.nblocks - len(components)
 
-    best_residual = math.inf
+    best_residual = math.nan
     for pattern in patterns:
         t_map = {}
         for e, x in x_values.items():
@@ -481,12 +481,12 @@ def solve_and_verify(
             backward = system.required_sign[e] * forward
             t_map[e] = (forward, backward)
         gens = assemble(g, t_map, algebra)
-        residual = max(
-            max(check_all_crs(gens).values()),
-            max(check_hermiticity(gens).values()),
+        residual = worst_residual(
+            [*check_all_crs(gens).values(), *check_hermiticity(gens).values()]
         )
-        if residual >= tolerance:
-            best_residual = min(best_residual, residual)
+        if not residual < tolerance:  # written so that NaN fails
+            if math.isnan(best_residual) or residual < best_residual:
+                best_residual = residual
             continue
         noncanonical = [c for c in components if not c.is_canonical]
         if noncanonical and not allow_noncanonical:

@@ -5,17 +5,23 @@ algebra (one per cyclic component of each vector identity), the
 Hermitian/anti-Hermitian pattern of the generators, and the two Casimir
 operators, whose values on each irrep are reported both as matrices and
 as the closed-form scalars they must equal.
+
+Every check takes the generators' non-zeros once (`numeric.Sparse`) and
+evaluates its formulas on them, so a check costs O(nnz x row width)
+rather than O(dim^3); only the Casimir matrices are returned dense.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .numeric import HalfInt, commutator, dagger, max_abs
+from .numeric import HalfInt, Sparse, commutator, dagger, max_abs
 from .representation import (
     Algebra,
     CanonicalSpec,
@@ -42,7 +48,14 @@ __all__ = [
 _CYCLIC = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
 
 
-def _component_maps(g: GeneratorSet):
+def _nonzeros(g: GeneratorSet) -> SimpleNamespace:
+    """The ten generators as `Sparse` matrices, under GeneratorSet's attribute names."""
+    return SimpleNamespace(
+        **{name.lower(): Sparse.from_dense(m) for name, m in g.generators().items()}
+    )
+
+
+def _component_maps(g):
     j = {"x": g.jx, "y": g.jy, "z": g.jz}
     k = {"x": g.kx, "y": g.ky, "z": g.kz}
     v = {"x": g.vx, "y": g.vy, "z": g.vz}
@@ -56,7 +69,8 @@ def check_all_crs(g: GeneratorSet) -> dict[str, float]:
     algebra: [Vi, Vj] = +i eps Jk and [Vt, Vi] = +i Ki for de Sitter,
     both right-hand sides negated for anti-de Sitter.
     """
-    j, k, v = _component_maps(g)
+    nz = _nonzeros(g)
+    j, k, v = _component_maps(nz)
     s = 1.0 if g.algebra is Algebra.DE_SITTER else -1.0
     sign = "" if s > 0 else "-"
     out: dict[str, float] = {}
@@ -69,11 +83,11 @@ def check_all_crs(g: GeneratorSet) -> dict[str, float]:
             commutator(v[p], v[q]) - s * 1j * j[r]
         )
     for p in ("x", "y", "z"):
-        out[f"[K{p},V{p}] = -i Vt"] = max_abs(commutator(k[p], v[p]) + 1j * g.vt)
-        out[f"[J{p},Vt] = 0"] = max_abs(commutator(j[p], g.vt))
-        out[f"[K{p},Vt] = -i V{p}"] = max_abs(commutator(k[p], g.vt) + 1j * v[p])
+        out[f"[K{p},V{p}] = -i Vt"] = max_abs(commutator(k[p], v[p]) + 1j * nz.vt)
+        out[f"[J{p},Vt] = 0"] = max_abs(commutator(j[p], nz.vt))
+        out[f"[K{p},Vt] = -i V{p}"] = max_abs(commutator(k[p], nz.vt) + 1j * v[p])
         out[f"[Vt,V{p}] = {sign}i K{p}"] = max_abs(
-            commutator(g.vt, v[p]) - s * 1j * k[p]
+            commutator(nz.vt, v[p]) - s * 1j * k[p]
         )
     return out
 
@@ -91,10 +105,11 @@ def hermitian_signs(algebra: Algebra) -> dict[str, int]:
 def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
     """max |dagger(X) -+ X| per generator, per the required H/AH pattern."""
     signs = hermitian_signs(g.algebra)
-    return {
-        name: max_abs(dagger(mat) - signs[name] * mat)
-        for name, mat in g.generators().items()
-    }
+    out = {}
+    for name, mat in g.generators().items():
+        m = Sparse.from_dense(mat)
+        out[name] = max_abs(dagger(m) - signs[name] * m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +117,7 @@ def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _ladders(g: GeneratorSet):
+def _ladders(g):
     jp = g.jx + 1j * g.jy
     jm = g.jx - 1j * g.jy
     kp = g.kx + 1j * g.ky
@@ -120,32 +135,34 @@ def casimir1_matrix(g: GeneratorSet) -> np.ndarray:
     C1 = Kz^2 - Jz^2 + ((K+K- + K-K+) - (J+J- + J-J+))/2
          - 2 (V+V- + V-V+ + W+W- + W-W+)
     """
+    g = _nonzeros(g)
     jp, jm, kp, km, vp, vm, wp, wm = _ladders(g)
     return (
         g.kz @ g.kz
         - g.jz @ g.jz
         + 0.5 * ((kp @ km + km @ kp) - (jp @ jm + jm @ jp))
         - 2.0 * ((vp @ vm + vm @ vp) + (wp @ wm + wm @ wp))
-    )
+    ).to_dense()
 
 
 def casimir1_cartesian(g: GeneratorSet) -> np.ndarray:
     """Quadratic Casimir directly from Cartesian components:
     C1 = Vt^2 + K.K - J.J - V.V."""
+    g = _nonzeros(g)
     sq = lambda m: m @ m
     return (
         sq(g.vt)
         + sq(g.kx) + sq(g.ky) + sq(g.kz)
         - sq(g.jx) - sq(g.jy) - sq(g.jz)
         - sq(g.vx) - sq(g.vy) - sq(g.vz)
-    )
+    ).to_dense()
 
 
-def _dot(ax, ay, az, bx, by, bz) -> np.ndarray:
+def _dot(ax, ay, az, bx, by, bz) -> Sparse:
     return ax @ bx + ay @ by + az @ bz
 
 
-def _aux_vector(g: GeneratorSet, k_left: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _aux_vector(g, k_left: bool) -> tuple[Sparse, Sparse, Sparse]:
     """Q_i = Vt Ji + (K x V)_i, or with the cross product taken V-first."""
     j = (g.jx, g.jy, g.jz)
     k = (g.kx, g.ky, g.kz)
@@ -160,7 +177,8 @@ def _aux_vector(g: GeneratorSet, k_left: bool) -> tuple[np.ndarray, np.ndarray, 
     return tuple(out)
 
 
-def _c2_candidate(g: GeneratorSet, last_term: str, k_left: bool) -> np.ndarray:
+def _c2_candidate(g: GeneratorSet, last_term: str, k_left: bool) -> Sparse:
+    g = _nonzeros(g)
     kj = _dot(g.kx, g.ky, g.kz, g.jx, g.jy, g.jz)
     vj = _dot(g.vx, g.vy, g.vz, g.jx, g.jy, g.jz)
     qx, qy, qz = _aux_vector(g, k_left)
@@ -190,9 +208,10 @@ def casimir2_interpretations() -> dict[str, Callable[[GeneratorSet], np.ndarray]
         for last in ("qq", "-qq", "qj", "jq"):
             name = f"{last}_{tag}"
             out[name] = (
-                lambda g, last=last, k_left=k_left: _c2_candidate(g, last, k_left)
+                lambda g, last=last, k_left=k_left:
+                _c2_candidate(g, last, k_left).to_dense()
             )
-    out["jj_literal"] = lambda g: _c2_candidate(g, "jj", True)
+    out["jj_literal"] = lambda g: _c2_candidate(g, "jj", True).to_dense()
     return out
 
 
@@ -278,6 +297,14 @@ def select_casimir2_interpretation(tol: float = 1e-8) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
+def worst_residual(residuals: Iterable[float]) -> float:
+    """The largest residual, or NaN if any is NaN (Python's max may drop it)."""
+    values = list(residuals)
+    if any(math.isnan(r) for r in values):
+        return math.nan
+    return max(values)
+
+
 @dataclass
 class VerificationReport:
     algebra: Algebra
@@ -295,21 +322,22 @@ class VerificationReport:
 
     @property
     def max_cr_residual(self) -> float:
-        return max(self.cr_residuals.values())
+        return worst_residual(self.cr_residuals.values())
 
     @property
     def max_hermiticity_residual(self) -> float:
-        return max(self.hermiticity_residuals.values())
+        return worst_residual(self.hermiticity_residuals.values())
 
     @property
     def failing_crs(self) -> list[str]:
-        return [n for n, r in self.cr_residuals.items() if r >= self.cr_tolerance]
+        # "not r < tol" rather than "r >= tol", so that NaN fails
+        return [n for n, r in self.cr_residuals.items() if not r < self.cr_tolerance]
 
     @property
     def failing_hermiticity(self) -> list[str]:
         return [
             n for n, r in self.hermiticity_residuals.items()
-            if r >= self.hermiticity_tolerance
+            if not r < self.hermiticity_tolerance
         ]
 
     @property

@@ -147,6 +147,69 @@ class TestVerify:
         assert "error" in capsys.readouterr().err
 
 
+def _generated_doc(tmp_path, capsys, family="a", n="3"):
+    path = tmp_path / "rep.json"
+    assert main(["generate", family, n, "--out", str(path)]) == 0
+    capsys.readouterr()
+    return load_json(path)
+
+
+def _set_first_entry(doc, name, value):
+    gen = next(g for g in doc["generators"] if g["name"] == name)
+    gen["entries"][0][2] = value
+
+
+class TestMalformedDocuments:
+    """Bad documents exit 2 with an error line; nothing raises, nothing is coerced."""
+
+    B3_BLOCKS = [{"A": 1, "B": 0}, {"A": "1/2", "B": "1/2"}, {"A": 0, "B": 1}]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"blocks": B3_BLOCKS, "edges": [["a", 1], [1, 2]]},
+            {"blocks": B3_BLOCKS, "edges": [[0, 1.7], [1, 2]]},
+            {"blocks": [{"A": True, "B": 0}] + B3_BLOCKS[1:], "edges": [[0, 1], [1, 2]]},
+        ],
+        ids=["string-edge-index", "float-edge-index", "boolean-label"],
+    )
+    def test_backbone(self, tmp_path, capsys, doc):
+        path = tmp_path / "backbone.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            lambda doc: doc["generators"].__setitem__(0, 5),
+            lambda doc: doc["generators"][0].pop("rows"),
+            lambda doc: doc["t"][0].__setitem__("edge", [0]),
+            lambda doc: _set_first_entry(doc, "Vx", float("nan")),
+            lambda doc: _set_first_entry(doc, "Kz", float("inf")),
+            lambda doc: doc["t"][0].__setitem__("forward", float("nan")),
+        ],
+        ids=[
+            "non-object-generator", "missing-rows", "short-t-edge",
+            "nan-entry", "infinite-entry", "nan-coupling",
+        ],
+    )
+    def test_generator_document(self, tmp_path, capsys, breakage):
+        doc = _generated_doc(tmp_path, capsys)
+        breakage(doc)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))  # writes NaN and Infinity tokens
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "PASS" not in captured.out
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"blocks": "\xe9"}')
+        assert main(["validate", str(path)]) == 2
+
+
 class TestTables:
     def test_matches_golden(self, capsys):
         assert main(["tables"]) == 0

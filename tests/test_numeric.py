@@ -1,5 +1,6 @@
 """Exact arithmetic and matrix-kernel tests."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dsrep.numeric import (
     HalfInt,
+    Sparse,
     commutator,
     dagger,
     half_int_range,
@@ -112,6 +114,77 @@ class TestMatrixKernel:
         assert max_abs(np.zeros((3, 3))) == 0.0
         assert max_abs(np.eye(2)) == 1.0
         assert max_abs(np.zeros((0, 0))) == 0.0
+
+
+def sparse_matrices(n):
+    """Square complex matrices with most entries zero, entries of modulus <= 10."""
+    small = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+    entry = st.one_of(st.just(0j), st.just(0j), st.just(0j), small)
+    return st.lists(entry, min_size=n * n, max_size=n * n).map(
+        lambda flat: np.array(flat, dtype=complex).reshape(n, n)
+    )
+
+
+class TestSparse:
+    """The non-zero kernel against the same expressions on dense arrays."""
+
+    @given(sparse_matrices(5))
+    def test_dense_round_trip_bitwise(self, m):
+        assert np.array_equal(Sparse.from_dense(m).to_dense(), m)
+
+    @settings(max_examples=50)
+    @given(sparse_matrices(5), sparse_matrices(5), sparse_matrices(5))
+    def test_expressions_match_dense(self, x, y, z):
+        sx, sy, sz = (Sparse.from_dense(m) for m in (x, y, z))
+        # rounding bound for a product of `degree` factors of 5 x 5 matrices
+        top = 5 * max(max_abs(x), max_abs(y), max_abs(z), 1.0)
+        for ours, dense, degree in (
+            (sx @ sy, x @ y, 2),
+            (commutator(sx, sy) - 1j * sz, commutator(x, y) - 1j * z, 2),
+            ((sx + 2 * sy) @ (sz - sx / 4), (x + 2 * y) @ (z - x / 4), 2),
+            (dagger(sx) - sx, dagger(x) - x, 1),
+            (sx @ sx @ sy, x @ x @ y, 3),
+        ):
+            tolerance = 1e-13 * top**degree
+            assert max_abs(ours.to_dense() - dense) <= tolerance
+            assert abs(max_abs(ours) - max_abs(dense)) <= tolerance
+
+    def test_cancellation_leaves_no_entries(self):
+        m = Sparse.from_dense(np.array([[0, 1j], [2, 0]]))
+        difference = (m @ m - m @ m).reduced()
+        assert difference.keys.size == 0
+        assert max_abs(difference) == 0.0
+
+    def test_empty_matrix(self):
+        zero = Sparse.from_dense(np.zeros((3, 3)))
+        assert max_abs(zero) == 0.0
+        assert max_abs(zero @ zero - zero) == 0.0
+        assert max_abs(Sparse.from_dense(np.zeros((0, 0)))) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_reach_max_abs(self, bad):
+        x = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        x[0, 2] = bad
+        sx, eye = Sparse.from_dense(x), Sparse.from_dense(np.eye(3))
+        assert not math.isfinite(max_abs(sx @ eye))
+        assert not math.isfinite(max_abs((sx @ eye + sx) @ eye))
+        assert not np.isfinite((sx @ eye).to_dense()).all()
+        assert not math.isfinite(max_abs(commutator(eye, sx) - sx))
+        assert not math.isfinite(max_abs(dagger(sx) - sx))
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError):
+            Sparse.from_dense(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            Sparse.from_dense(np.eye(2)) @ Sparse.from_dense(np.eye(3))
+        with pytest.raises(ValueError):
+            commutator(Sparse.from_dense(np.eye(2)), Sparse.from_dense(np.eye(3)))
+
+    def test_dense_operands_are_refused(self):
+        with pytest.raises(TypeError):
+            Sparse.from_dense(np.eye(2)) - np.eye(2)
+        with pytest.raises(TypeError):
+            np.eye(2) @ Sparse.from_dense(np.eye(2))
 
 
 class TestRationalSolve:

@@ -230,6 +230,23 @@ class TestSolveAndVerify:
         assert max(check_hermiticity(out.generators).values()) < 1e-11
 
 
+class TestNonFiniteResidual:
+    def test_nan_residual_is_a_failure(self, monkeypatch):
+        # a residual of NaN must not pass the tolerance test, wherever it
+        # sits among the finite ones
+        import dsrep.solver as solver
+
+        real = solver.check_hermiticity
+        monkeypatch.setattr(
+            solver, "check_hermiticity",
+            lambda gens: {**real(gens), "Vt": float("nan")},
+        )
+        out = solve_and_verify(canonical_backbone(CanonicalSpec(Family.TYPE_B, 3)))
+        assert out.verdict is Verdict.INVALID
+        assert out.witness.kind is WitnessKind.CR_FAILURE
+        assert "best residual nan" in out.witness.message
+
+
 class TestCyclicStructures:
     """The smallest cycle carries a representation outside the chain family."""
 

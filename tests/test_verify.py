@@ -1,14 +1,28 @@
 """Commutation-relation suite, Hermiticity pattern, and Casimir operators."""
 
+import dataclasses
+import functools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (
+    dense_casimir1,
+    dense_casimir1_cartesian,
+    dense_casimir2,
+    dense_crs,
+    dense_hermiticity,
+)
+from dsrep.blocks import BlockLabel
 from dsrep.numeric import HalfInt, commutator, max_abs
 from dsrep.representation import (
     Algebra,
+    BackboneGraph,
     CanonicalSpec,
     Family,
     assemble,
@@ -18,6 +32,7 @@ from dsrep.representation import (
     canonical_t_squared,
     first_ten_specs,
 )
+from dsrep.solver import Verdict, solve_and_verify
 from dsrep.verify import (
     DEFAULT_C2_INTERPRETATION,
     build_report,
@@ -29,6 +44,7 @@ from dsrep.verify import (
     check_hermiticity,
     scalar_check,
     select_casimir2_interpretation,
+    worst_residual,
 )
 
 H = HalfInt
@@ -280,3 +296,184 @@ class TestReport:
         assert any(name.startswith("[Vx,Vy]") for name in report.failing_crs)
         # vector-transformation relations still hold
         assert not any(name.startswith("[Jx,Vy]") for name in report.failing_crs)
+
+
+class TestNonFinite:
+    """A NaN anywhere in the generators must never verify."""
+
+    @pytest.mark.parametrize("everywhere", [False, True], ids=["one-entry", "all-of-vx"])
+    def test_nan_generator_fails_report(self, everywhere):
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
+        vx = gens.vx.copy()
+        if everywhere:
+            vx[:] = np.nan
+        else:
+            r, c = np.argwhere(vx != 0)[0]
+            vx[r, c] = np.nan
+        report = build_report(dataclasses.replace(gens, vx=vx))
+        assert not report.passed
+        assert math.isnan(report.max_cr_residual)
+        assert math.isnan(report.max_hermiticity_residual)
+        assert "Vx" in report.failing_hermiticity
+        assert "[Jz,Vx] = i Vy" in report.failing_crs
+        assert report.casimir1_scalar is None and report.casimir2_scalar is None
+        assert np.isnan(report.casimir1).any()
+
+    def test_nan_reaches_every_relation_naming_the_generator(self):
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_B, 3))
+        vt = gens.vt.copy()
+        r, c = np.argwhere(vt != 0)[0]
+        vt[r, c] = np.nan
+        residuals = check_all_crs(dataclasses.replace(gens, vt=vt))
+        for name, value in residuals.items():
+            if "Vt" in name:
+                assert math.isnan(value), name
+
+    @pytest.mark.parametrize("values", [[math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 2.0]])
+    def test_worst_residual_keeps_nan_in_any_order(self, values):
+        assert math.isnan(worst_residual(values))
+
+    def test_worst_residual_of_finite_values(self):
+        assert worst_residual([1e-15, 3.0, 2.0]) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# The non-zero kernel against the dense oracle in conftest
+# ---------------------------------------------------------------------------
+
+
+def gelfand_tsetlin_backbone(twice_m1: int, twice_m2: int) -> BackboneGraph:
+    """so(5) > so(4) branching of highest weight (m1, m2), every compatible pair joined.
+
+    Blocks are (A, B) = ((k1+k2)/2, (k1-k2)/2) for m1 >= k1 >= m2 >= |k2|,
+    with k1, k2 stepping by one; here in twice-values.
+    """
+    labels = [
+        BlockLabel(HalfInt((k1 + k2) // 2), HalfInt((k1 - k2) // 2))
+        for k1 in range(twice_m1, twice_m2 - 1, -2)
+        for k2 in range(twice_m2, -twice_m2 - 1, -2)
+    ]
+    edges = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if abs(labels[i].a.twice - labels[j].a.twice) == 1
+        and abs(labels[i].b.twice - labels[j].b.twice) == 1
+    ]
+    return BackboneGraph.make(labels, edges)
+
+
+# twice (m1, m2): the diamond (3/2, 1/2) and its larger cyclic relatives
+GT_WEIGHTS = [(3, 1), (4, 2), (5, 1), (5, 3), (6, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def gelfand_tsetlin_generators(weight, algebra):
+    outcome = solve_and_verify(
+        gelfand_tsetlin_backbone(*weight), algebra, allow_noncanonical=True
+    )
+    assert outcome.verdict is Verdict.VALID, weight
+    return outcome.generators
+
+
+@functools.lru_cache(maxsize=None)
+def chain_generators(family, n, algebra):
+    return assemble_canonical(CanonicalSpec(family, n), algebra)
+
+
+def _rescaled(gens, factors):
+    t = {
+        (i, j): (f * gens.t[(i, j)], f * gens.t[(j, i)])
+        for (i, j), f in zip(sorted(gens.backbone.edges), factors)
+    }
+    return assemble(gens.backbone, t, gens.algebra)
+
+
+def _off_pattern(gens, name):
+    """Off-diagonal positions outside the generator's block pattern: the
+    diagonal blocks for J and K, the edge rectangles for V."""
+    offsets = gens.block_offsets()
+    owner = np.repeat(np.arange(gens.backbone.nblocks), np.diff(offsets))
+    same = owner[:, None] == owner[None, :]
+    if name[0] in "JK":
+        allowed = same
+    else:
+        joined = np.zeros((gens.backbone.nblocks,) * 2, dtype=bool)
+        for i, j in gens.backbone.edges:
+            joined[i, j] = joined[j, i] = True
+        allowed = joined[owner[:, None], owner[None, :]]
+    return np.argwhere(~allowed & ~np.eye(gens.dim, dtype=bool))
+
+
+@st.composite
+def generator_sets(draw):
+    """Canonical chains (both families, both algebras) and so(5) cyclic
+    backbones, as built or with couplings rescaled or one stray entry.
+    Returns the set and whether it must fail."""
+    algebra = draw(st.sampled_from(list(Algebra)))
+    if draw(st.booleans()):
+        gens = chain_generators(
+            draw(st.sampled_from(list(Family))), draw(st.integers(2, 6)), algebra
+        )
+    else:
+        gens = gelfand_tsetlin_generators(draw(st.sampled_from(GT_WEIGHTS)), algebra)
+    change = draw(st.sampled_from(["none", "rescale", "stray"]))
+    if change == "rescale":
+        factors = draw(st.lists(
+            st.floats(0.5, 2.0), min_size=len(gens.backbone.edges),
+            max_size=len(gens.backbone.edges),
+        ))
+        return _rescaled(gens, factors), False
+    if change == "stray":
+        name = draw(st.sampled_from(list(gens.generators())))
+        spots = _off_pattern(gens, name)
+        r, c = spots[draw(st.integers(0, len(spots) - 1))]
+        matrix = gens.generators()[name].copy()
+        matrix[r, c] = draw(st.sampled_from([0.25, -1.0, 0.5j, 3.0]))
+        return dataclasses.replace(gens, **{name.lower(): matrix}), True
+    return gens, False
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestDenseOracle:
+    """Residuals, Casimir matrices and verdicts equal the dense formulas'."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets())
+    def test_agrees_with_dense_products(self, case):
+        gens, must_fail = case
+        crs, want_crs = check_all_crs(gens), dense_crs(gens)
+        herm, want_herm = check_hermiticity(gens), dense_hermiticity(gens)
+        assert crs.keys() == want_crs.keys()
+        for name, value in [*crs.items(), *herm.items()]:
+            want = want_crs[name] if name in want_crs else want_herm[name]
+            assert _close(value, want), (name, value, want)
+
+        def verdict(cr_values, herm_values):
+            return max(cr_values) < 1e-10 and max(herm_values) < 1e-11
+
+        passed = verdict(crs.values(), herm.values())
+        assert passed == verdict(want_crs.values(), want_herm.values())
+        if must_fail:
+            assert not passed
+
+        for ours, dense, tol in (
+            (casimir1_matrix(gens), dense_casimir1(gens), 1e-9),
+            (casimir1_cartesian(gens), dense_casimir1_cartesian(gens), 1e-9),
+            (casimir2_matrix(gens), dense_casimir2(gens), 1e-8),
+        ):
+            assert max_abs(ours - dense) <= 1e-12 * max(1.0, max_abs(dense))
+            lam, want = scalar_check(ours, tol), scalar_check(dense, tol)
+            assert (lam is None) == (want is None)
+            if lam is not None:
+                assert _close(lam, want)
+
+    def test_cyclic_backbones_are_valid_with_weyl_dimension(self):
+        for twice_m1, twice_m2 in GT_WEIGHTS:
+            gens = gelfand_tsetlin_generators((twice_m1, twice_m2), Algebra.DE_SITTER)
+            m1, m2 = Fraction(twice_m1, 2), Fraction(twice_m2, 2)
+            weyl = (2 * m1 + 3) * (2 * m2 + 1) * (m1 + m2 + 2) * (m1 - m2 + 1) / 6
+            assert gens.dim == weyl
