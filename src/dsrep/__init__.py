@@ -3,28 +3,12 @@ anti-de Sitter Lie algebras.
 
 Construct every canonical irrep, verify the commutation relations,
 Hermiticity pattern and Casimir invariants, and validate or decompose
-arbitrary proposed backbone structures.
+arbitrary proposed backbone structures.  The names below are the stable
+API; each submodule keeps its own.
 """
 
-from .blocks import BlockLabel, block_dim, check_hla_crs, hla_generators
-from .coupling import (
-    PairCase,
-    UBlockSet,
-    compatibility,
-    path_is_monotonic,
-    t_sign_relation,
-    u_blocks,
-    z_linear,
-)
-from .numeric import (
-    HalfInt,
-    RationalSolution,
-    commutator,
-    dagger,
-    half_int_range,
-    max_abs,
-    solve_rational_linear,
-)
+from .blocks import BlockLabel
+from .numeric import HalfInt
 from .representation import (
     Algebra,
     BackboneGraph,
@@ -33,31 +17,15 @@ from .representation import (
     GeneratorSet,
     assemble,
     assemble_canonical,
-    canonical_backbone,
-    canonical_dimension,
-    canonical_t,
-    first_ten_specs,
 )
-from .solver import (
-    SolverOutcome,
-    Verdict,
-    Witness,
-    WitnessKind,
-    decompose,
-    solve_and_verify,
-    structural_checks,
-    unique_nonmonotonic_paths,
-)
-from .su2 import ladder_r, ladder_s, su2_generators
+from .solver import SolverOutcome, Verdict, Witness, WitnessKind, solve_and_verify
 from .verify import (
     VerificationReport,
     build_report,
     casimir1_matrix,
     casimir2_matrix,
-    casimir_invariants_closed_form,
     check_all_crs,
     check_hermiticity,
-    scalar_check,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import HalfInt, commutator, max_abs
+from .numeric import HalfInt
 from .su2 import ladder_r, ladder_s, spin_indices
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "HlaGenerators",
     "hla_generators",
     "hla_cartesian",
-    "check_hla_crs",
 ]
 
 
@@ -136,19 +135,3 @@ def hla_cartesian(block: BlockLabel) -> tuple[np.ndarray, ...]:
     ky = -0.5j * (g.kplus - g.kminus)
     return jx, jy, g.jz, kx, ky, g.kz
 
-
-def check_hla_crs(block: BlockLabel) -> float:
-    """Max residual over the nine Lorentz commutation relations.
-
-    [Ji, Jj] = i eps Jk, [Ki, Kj] = -i eps Jk, [Ji, Kj] = i eps Kk,
-    one relation per cyclic component triple.
-    """
-    jx, jy, jz, kx, ky, kz = hla_cartesian(block)
-    j = {"x": jx, "y": jy, "z": jz}
-    k = {"x": kx, "y": ky, "z": kz}
-    residual = 0.0
-    for p, q, r in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-        residual = max(residual, max_abs(commutator(j[p], j[q]) - 1j * j[r]))
-        residual = max(residual, max_abs(commutator(k[p], k[q]) + 1j * j[r]))
-        residual = max(residual, max_abs(commutator(j[p], k[q]) - 1j * k[r]))
-    return residual

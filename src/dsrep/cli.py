@@ -27,7 +27,7 @@ from .io import (
 from .representation import Algebra, CanonicalSpec, Family, assemble_canonical
 from .solver import Verdict, solve_and_verify
 from .tables import all_tables
-from .verify import build_report
+from .verify import CR_TOLERANCE, build_report
 
 __all__ = ["main"]
 
@@ -38,11 +38,11 @@ def _algebra(value: str) -> Algebra:
 
 def _cmd_generate(args) -> int:
     try:
-        spec = CanonicalSpec(Family(args.family), args.n)
+        gens = assemble_canonical(CanonicalSpec(Family(args.family), args.n),
+                                  _algebra(args.algebra))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    gens = assemble_canonical(spec, _algebra(args.algebra))
     doc = generators_to_doc(gens)
     if args.out:
         save_json(doc, args.out)
@@ -63,7 +63,6 @@ def _render_report(report, fmt: str) -> str:
             "casimir1_scalar": None
             if report.casimir1_scalar is None
             else [report.casimir1_scalar.real, report.casimir1_scalar.imag],
-            "casimir1_agreement": report.casimir1_agreement,
             "casimir2_scalar": None
             if report.casimir2_scalar is None
             else [report.casimir2_scalar.real, report.casimir2_scalar.imag],
@@ -86,7 +85,6 @@ def _render_report(report, fmt: str) -> str:
         lines.append(f"-C1 = {-report.casimir1_scalar.real:.12g}")
     else:
         lines.append("C1 is not a multiple of the identity (reducible or broken)")
-    lines.append(f"C1 ladder/Cartesian agreement: {report.casimir1_agreement:.3e}")
     if report.casimir2_scalar is not None:
         lines.append(f"-C2 = {-report.casimir2_scalar.real:.12g}")
     else:
@@ -183,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="verify a generator document")
     p_ver.add_argument("input", help="generator document path")
-    p_ver.add_argument("--tolerance", type=float, default=1e-10,
-                       help="commutator residual tolerance (default 1e-10)")
+    p_ver.add_argument("--tolerance", type=float, default=CR_TOLERANCE,
+                       help=f"commutator residual tolerance (default {CR_TOLERANCE:g})")
     p_ver.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p_ver.set_defaults(func=_cmd_verify)
 

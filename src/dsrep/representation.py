@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .coupling import cartesian_from_ladders, compatibility, t_sign_relation, u_
 from .numeric import HalfInt
 
 __all__ = [
+    "MAX_DIM",
     "Family",
     "Algebra",
     "CanonicalSpec",
@@ -69,6 +70,23 @@ class CanonicalSpec:
 
 Edge = tuple[int, int]
 
+# Largest representation dimension a backbone may have.  Assembly holds 14
+# dense complex dim x dim arrays (224 dim^2 bytes), so 3000 needs ~2 GB.
+MAX_DIM = 3000
+
+
+def _bounded(blocks: Iterable[BlockLabel]) -> Iterator[BlockLabel]:
+    """The blocks, refused as soon as their dimensions add up past MAX_DIM."""
+    dim = 0
+    for block in blocks:
+        dim += block.dim
+        if dim > MAX_DIM:
+            raise ValueError(
+                f"the blocks add up to more than {MAX_DIM} dimensions, "
+                "the largest representation assembled here"
+            )
+        yield block
+
 
 def _normalize_edge(edge: Sequence[int], nblocks: int) -> Edge:
     i, j = int(edge[0]), int(edge[1])
@@ -88,7 +106,7 @@ class BackboneGraph:
 
     @classmethod
     def make(cls, blocks: Iterable[BlockLabel], edges: Iterable[Sequence[int]]) -> "BackboneGraph":
-        blocks = tuple(blocks)
+        blocks = tuple(_bounded(blocks))
         normalized = frozenset(_normalize_edge(e, len(blocks)) for e in edges)
         return cls(blocks, normalized)
 
@@ -134,10 +152,11 @@ def canonical_backbone(spec: CanonicalSpec) -> BackboneGraph:
     """The canonical chain for the given family and block count."""
     n = spec.n
     if spec.family is Family.TYPE_A:
-        labels = [BlockLabel(HalfInt(k), HalfInt(k)) for k in range(n - 1, -1, -1)]
+        labels = (BlockLabel(HalfInt(k), HalfInt(k)) for k in range(n - 1, -1, -1))
     else:
-        labels = [BlockLabel(HalfInt(n - 1 - m), HalfInt(m)) for m in range(n)]
-    edges = [(i, i + 1) for i in range(n - 1)]
+        labels = (BlockLabel(HalfInt(n - 1 - m), HalfInt(m)) for m in range(n))
+    # generators, so that a chain past MAX_DIM stops after a few blocks
+    edges = ((i, i + 1) for i in range(n - 1))
     return BackboneGraph.make(labels, edges)
 
 
@@ -244,10 +263,6 @@ class GeneratorSet:
         for b in self.backbone.blocks:
             offsets.append(offsets[-1] + b.dim)
         return offsets
-
-    def block_slice(self, i: int) -> slice:
-        offsets = self.block_offsets()
-        return slice(offsets[i], offsets[i + 1])
 
 
 def _as_pair_map(

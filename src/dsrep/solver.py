@@ -47,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .coupling import compatibility, path_is_monotonic, t_sign_relation, z_linear
 from .numeric import HalfInt, solve_rational_linear
@@ -59,7 +59,7 @@ from .representation import (
     assemble,
     classify_canonical_chain,
 )
-from .verify import check_all_crs, check_hermiticity, worst_residual
+from .verify import CR_TOLERANCE, check_all_crs, check_hermiticity, worst_residual
 
 __all__ = [
     "WitnessKind",
@@ -371,12 +371,13 @@ def decompose(g: BackboneGraph) -> list[Component]:
 # ---------------------------------------------------------------------------
 
 
-def _gauge_patterns(g: BackboneGraph) -> list[dict[tuple[int, int], int]]:
+def _gauge_patterns(g: BackboneGraph) -> Iterator[dict[tuple[int, int], int]]:
     """Chord-sign assignments covering all inequivalent coupling gauges.
 
     On a forest every sign assignment is gauge-equivalent, so one pattern
     suffices; each independent cycle contributes a chord whose sign is
-    physical and must be searched.
+    physical and must be searched.  Patterns are yielded one at a time,
+    all-plus first, in `itertools.product` order over the chords.
     """
     edges = sorted(g.edges)
     parent = list(range(g.nblocks))
@@ -395,18 +396,15 @@ def _gauge_patterns(g: BackboneGraph) -> list[dict[tuple[int, int], int]]:
         else:
             parent[ra] = rb
             tree.append(e)
-    patterns = []
     for signs in itertools.product((1, -1), repeat=len(chords)):
         pattern = {e: 1 for e in tree}
-        pattern.update(dict(zip(chords, signs)))
-        patterns.append(pattern)
-    return patterns
+        pattern.update(zip(chords, signs))
+        yield pattern
 
 
 def solve_and_verify(
     g: BackboneGraph,
     algebra: Algebra = Algebra.DE_SITTER,
-    tolerance: float = 1e-10,
     allow_noncanonical: bool = False,
 ) -> SolverOutcome:
     """Run the full validation pipeline on a proposed backbone.
@@ -484,7 +482,7 @@ def solve_and_verify(
         residual = worst_residual(
             [*check_all_crs(gens).values(), *check_hermiticity(gens).values()]
         )
-        if not residual < tolerance:  # written so that NaN fails
+        if not residual < CR_TOLERANCE:  # written so that NaN fails
             if math.isnan(best_residual) or residual < best_residual:
                 best_residual = residual
             continue

@@ -4,12 +4,18 @@
 - `dense_*`: the commutation relations, Hermiticity pattern and Casimir
   formulas evaluated with dense dim x dim products, the reference for
   `dsrep.verify`, which evaluates the same formulas on the non-zeros.
+  `dense_casimir1` is the ladder form of C1, a second derivation of the
+  Cartesian form that `dsrep.verify` ships.
+- `casimir2_interpretations` and `select_casimir2_interpretation`: the
+  candidate readings of the quartic Casimir and the disambiguation over
+  the ten canonical chains that picks the one `dsrep.verify` ships.
 """
 
 import numpy as np
 
 from dsrep.blocks import BlockLabel, hla_cartesian
-from dsrep.representation import Algebra
+from dsrep.representation import Algebra, assemble_canonical, first_ten_specs
+from dsrep.verify import casimir_invariants_closed_form, scalar_check
 
 
 def coupling_null_space_dim(p: BlockLabel, q: BlockLabel, tol: float = 1e-8) -> int:
@@ -161,15 +167,68 @@ def dense_casimir1_cartesian(g) -> np.ndarray:
     )
 
 
-def dense_casimir2(g) -> np.ndarray:
-    """The shipped quartic Casimir: (K.J)^2 - (V.J)^2 + Q.Q, Q_i = Vt Ji + (K x V)_i."""
+def _dense_dot(a, b):
+    return sum(x @ y for x, y in zip(a, b))
+
+
+def _dense_c2_candidate(g, last_term: str, k_left: bool) -> np.ndarray:
+    """(K.J)^2 - (V.J)^2 plus a last term built from J and the auxiliary
+    vector Q_i = Vt Ji + (K x V)_i, or with the cross product taken V-first."""
     j = (g.jx, g.jy, g.jz)
     k = (g.kx, g.ky, g.kz)
     v = (g.vx, g.vy, g.vz)
-    kj = sum(a @ b for a, b in zip(k, j))
-    vj = sum(a @ b for a, b in zip(v, j))
+    kj, vj = _dense_dot(k, j), _dense_dot(v, j)
     q = [
-        g.vt @ j[p] + k[a] @ v[b] - k[b] @ v[a]
+        g.vt @ j[p] + (k[a] @ v[b] - k[b] @ v[a] if k_left else v[a] @ k[b] - v[b] @ k[a])
         for p, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     ]
-    return kj @ kj - vj @ vj + sum(x @ x for x in q)
+    last = {
+        "qq": lambda: _dense_dot(q, q),
+        "-qq": lambda: -_dense_dot(q, q),
+        "qj": lambda: _dense_dot(q, j),
+        "jq": lambda: _dense_dot(j, q),
+        "jj": lambda: _dense_dot(j, j),
+    }[last_term]
+    return kj @ kj - vj @ vj + last()
+
+
+def casimir2_interpretations():
+    """The nine candidate readings of the quartic Casimir, by name.
+
+    All share the leading (K.J)^2 - (V.J)^2; they differ in the final term
+    built from Q (or its V-first ordering) and in its sign.
+    """
+    out = {}
+    for k_left, tag in ((True, "k_first"), (False, "v_first")):
+        for last in ("qq", "-qq", "qj", "jq"):
+            out[f"{last}_{tag}"] = (
+                lambda g, last=last, k_left=k_left: _dense_c2_candidate(g, last, k_left)
+            )
+    out["jj_literal"] = lambda g: _dense_c2_candidate(g, "jj", True)
+    return out
+
+
+# The reading `dsrep.verify.casimir2_matrix` evaluates: the auxiliary-vector
+# square with the boost to the left of the displacement in the cross product.
+DEFAULT_C2_INTERPRETATION = "qq_k_first"
+
+
+def select_casimir2_interpretation(tol: float = 1e-8):
+    """The unique candidate that is scalar with the closed-form value on all
+    ten canonical de Sitter irreps, or None when none or several survive."""
+    reps = [(spec, assemble_canonical(spec)) for _, spec in first_ten_specs()]
+    survivors = []
+    for name, candidate in casimir2_interpretations().items():
+        for spec, g in reps:
+            neg_c2 = casimir_invariants_closed_form(spec)[1]
+            lam = scalar_check(candidate(g), tol)
+            if lam is None or abs(lam - complex(-float(neg_c2))) > tol:
+                break
+        else:
+            survivors.append(name)
+    return survivors[0] if len(survivors) == 1 else None
+
+
+def dense_casimir2(g) -> np.ndarray:
+    """The shipped quartic Casimir: (K.J)^2 - (V.J)^2 + Q.Q, Q_i = Vt Ji + (K x V)_i."""
+    return _dense_c2_candidate(g, "qq", k_left=True)

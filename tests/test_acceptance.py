@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import coupling_null_space_dim
+from conftest import coupling_null_space_dim, dense_casimir1
 
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
@@ -37,7 +37,6 @@ from dsrep.representation import (
 )
 from dsrep.solver import Verdict, solve_and_verify
 from dsrep.verify import (
-    casimir1_cartesian,
     casimir1_matrix,
     casimir2_matrix,
     check_all_crs,
@@ -147,7 +146,7 @@ def test_criterion_5_quadratic_casimir(assembled):
         lam = scalar_check(c1, 1e-9)
         assert lam is not None, f"rep {ref}"
         assert abs(lam - (-float(expected[ref]))) < 1e-9
-        assert max_abs(c1 - casimir1_cartesian(gens)) < 1e-10
+        assert max_abs(c1 - dense_casimir1(gens)) < 1e-10
     note("5 PASS: quadratic Casimir scalar on all ten irreps at the table values")
 
 

@@ -7,13 +7,14 @@ from dsrep.blocks import (
     BlockLabel,
     block_dim,
     block_grid,
-    check_hla_crs,
     flat_index,
     hla_cartesian,
     hla_generators,
 )
 from dsrep.numeric import HalfInt, commutator, dagger, max_abs
+from dsrep.representation import BackboneGraph, assemble
 from dsrep.su2 import su2_generators
+from dsrep.verify import check_all_crs, worst_residual
 
 H = HalfInt
 
@@ -83,19 +84,27 @@ def test_matches_direct_product_route(block):
     assert max_abs(gens.kz + 1j * (np.kron(az, ib) - np.kron(ia, bz))) < 1e-13
 
 
+def lorentz_residual(block):
+    """Worst of the nine J/K relations `check_all_crs` reports on one block."""
+    residuals = check_all_crs(assemble(BackboneGraph.make([block], []), {}))
+    lorentz = [r for name, r in residuals.items() if "V" not in name]
+    assert len(lorentz) == 9
+    return worst_residual(lorentz)
+
+
 class TestCommutationRelations:
     def test_trivial(self):
-        assert check_hla_crs(L(0, 0)) == 0.0
+        assert lorentz_residual(L(0, 0)) == 0.0
 
     def test_pauli_block(self):
-        assert check_hla_crs(L(1, 0)) < 1e-12
+        assert lorentz_residual(L(1, 0)) < 1e-12
 
     def test_mixed_block(self):
-        assert check_hla_crs(L(3, 2)) < 1e-12
+        assert lorentz_residual(L(3, 2)) < 1e-12
 
     @pytest.mark.parametrize("block", SMALL_BLOCKS, ids=str)
     def test_all_small_blocks(self, block):
-        assert check_hla_crs(block) < 1e-11
+        assert lorentz_residual(block) < 1e-11
 
     def test_boost_rotation_cross_relation(self):
         # [Kx, Ky] = -i Jz checked against an independently built Jz

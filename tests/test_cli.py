@@ -17,6 +17,7 @@ from dsrep.io import (
     save_json,
 )
 from dsrep.representation import (
+    MAX_DIM,
     Algebra,
     CanonicalSpec,
     Family,
@@ -91,6 +92,12 @@ class TestGenerate:
     def test_generate_one_block_fails(self, capsys):
         assert main(["generate", "a", "1"]) == 2
         assert "two blocks" in capsys.readouterr().err
+
+    def test_generate_over_the_dimension_bound(self, capsys):
+        # dim ~3.3e14: refused before anything is allocated
+        assert main(["generate", "a", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(MAX_DIM) in err and "Traceback" not in err
 
     def test_generate_stdout(self, capsys):
         assert main(["generate", "b", "2"]) == 0
@@ -203,6 +210,16 @@ class TestMalformedDocuments:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "PASS" not in captured.out
+
+    def test_documents_over_the_dimension_bound(self, tmp_path, capsys):
+        # one 61 x 61 block; neither document holds anything that would be
+        # allocated at that size: a one-block backbone, no matrices
+        backbone = {"blocks": [{"A": 30, "B": 30}], "edges": []}
+        for command, doc in (("validate", backbone), ("verify", {"backbone": backbone})):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(doc))
+            assert main([command, str(path)]) == 2
+            assert str(MAX_DIM) in capsys.readouterr().err
 
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

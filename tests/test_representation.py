@@ -9,6 +9,7 @@ import pytest
 from dsrep.blocks import BlockLabel
 from dsrep.numeric import HalfInt, max_abs
 from dsrep.representation import (
+    MAX_DIM,
     Algebra,
     BackboneGraph,
     CanonicalSpec,
@@ -131,6 +132,19 @@ class TestBackboneGraph:
         g = BackboneGraph.make([L(2, 0), L(1, 1), L(0, 2)], [(0, 1), (1, 2)])
         assert g.neighbors(1) == [0, 2]
         assert g.neighbors(0) == [1]
+
+    def test_dimension_bound(self):
+        # L(2, 0) is three-dimensional; MAX_DIM is a multiple of three
+        assert BackboneGraph.make([L(2, 0)] * (MAX_DIM // 3), []).dim == MAX_DIM
+        with pytest.raises(ValueError, match=str(MAX_DIM)):
+            BackboneGraph.make([L(2, 0)] * (MAX_DIM // 3 + 1), [])
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_canonical_chain_over_the_bound_is_refused(self, family):
+        n = next(n for n in range(2, 100) if canonical_dimension(CanonicalSpec(family, n)) > MAX_DIM)
+        canonical_backbone(CanonicalSpec(family, n - 1))
+        with pytest.raises(ValueError, match=str(MAX_DIM)):
+            canonical_backbone(CanonicalSpec(family, n))
 
 
 class TestAssembly:

@@ -287,6 +287,29 @@ class TestCyclicStructures:
         assert component.family is None
 
 
+class TestGaugePatterns:
+    def test_lazy_in_product_order(self):
+        import dsrep.solver as solver
+
+        # two triangles sharing block 2: union-find over the sorted edges
+        # keeps (0, 1), (0, 2), (2, 3), (2, 4) as the tree and makes
+        # (1, 2) and (3, 4) the chords
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
+        patterns = solver._gauge_patterns(BackboneGraph.make([L(0, 0)] * 5, edges))
+        assert iter(patterns) is patterns
+        tree = {(0, 1): 1, (0, 2): 1, (2, 3): 1, (2, 4): 1}
+        assert list(patterns) == [
+            {**tree, (1, 2): s12, (3, 4): s34}
+            for s12, s34 in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        ]
+
+    def test_forest_has_one_pattern(self):
+        import dsrep.solver as solver
+
+        g = canonical_backbone(CanonicalSpec(Family.TYPE_A, 4))
+        assert list(solver._gauge_patterns(g)) == [{(0, 1): 1, (1, 2): 1, (2, 3): 1}]
+
+
 class TestDecompose:
     def test_partition(self):
         g = load_fixture("valid_three_chain_crossing")
