@@ -15,12 +15,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .numeric import HalfInt
-from .su2 import ladder_r, ladder_s, spin_indices
+from .su2 import spin_indices
 
 __all__ = [
     "BlockLabel",
     "block_dim",
     "block_grid",
+    "grid_twice",
     "flat_index",
     "HlaGenerators",
     "hla_generators",
@@ -62,6 +63,13 @@ def block_grid(block: BlockLabel) -> list[tuple[HalfInt, HalfInt]]:
     return [(a, b) for a in spin_indices(block.a) for b in spin_indices(block.b)]
 
 
+def grid_twice(block: BlockLabel) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the indices (a, b) at every flat position, as integer arrays."""
+    width = block.b.twice + 1
+    flat = np.arange(block.dim)
+    return block.a.twice - 2 * (flat // width), block.b.twice - 2 * (flat % width)
+
+
 def flat_index(block: BlockLabel, a: HalfInt, b: HalfInt) -> int:
     """Position of (a, b) in the flat ordering."""
     row_a = (block.a.twice - a.twice) // 2
@@ -86,42 +94,27 @@ def hla_generators(block: BlockLabel) -> HlaGenerators:
     coefficients, i K+ is the same with the B term negated, Jz is diagonal
     a + b and i Kz diagonal a - b.  K matrices come out anti-Hermitian.
     """
-    grid = block_grid(block)
-    n = len(grid)
-    pos = {(a.twice, b.twice): i for i, (a, b) in enumerate(grid)}
+    n = block.dim
+    a2, b2 = grid_twice(block)
+    cols = np.arange(n)
+    jplus, jminus, jz, kplus, kminus, kz = (np.zeros((n, n), dtype=complex) for _ in range(6))
+    jz[cols, cols] = a2 / 2.0 + b2 / 2.0
+    kz[cols, cols] = -1j * (a2 / 2.0 - b2 / 2.0)
 
-    jplus = np.zeros((n, n), dtype=complex)
-    jminus = np.zeros((n, n), dtype=complex)
-    jz = np.zeros((n, n), dtype=complex)
-    kplus = np.zeros((n, n), dtype=complex)
-    kminus = np.zeros((n, n), dtype=complex)
-    kz = np.zeros((n, n), dtype=complex)
-
-    for col, (a2, b2) in enumerate(grid):
-        jz[col, col] = float(a2) + float(b2)
-        kz[col, col] = -1j * (float(a2) - float(b2))
-
-        up_a = (a2.twice + 2, b2.twice)
-        if up_a in pos:
-            coeff = ladder_r(block.a, a2)
-            jplus[pos[up_a], col] += coeff
-            kplus[pos[up_a], col] += -1j * coeff
-        up_b = (a2.twice, b2.twice + 2)
-        if up_b in pos:
-            coeff = ladder_r(block.b, b2)
-            jplus[pos[up_b], col] += coeff
-            kplus[pos[up_b], col] += 1j * coeff
-
-        down_a = (a2.twice - 2, b2.twice)
-        if down_a in pos:
-            coeff = ladder_s(block.a, a2)
-            jminus[pos[down_a], col] += coeff
-            kminus[pos[down_a], col] += -1j * coeff
-        down_b = (a2.twice, b2.twice - 2)
-        if down_b in pos:
-            coeff = ladder_s(block.b, b2)
-            jminus[pos[down_b], col] += coeff
-            kminus[pos[down_b], col] += 1j * coeff
+    # A move of a shifts the flat index by the row width, a move of b by one.
+    for spin2, index2, stride, k_unit in (
+        (block.a.twice, a2, block.b.twice + 1, -1j),
+        (block.b.twice, b2, 1, 1j),
+    ):
+        for step, j_mat, k_mat in ((1, jplus, kplus), (-1, jminus, kminus)):
+            # (J - m)(J + m + 1) raising, (J + m)(J - m + 1) lowering, in
+            # twice-values an integer product divided by 4
+            moves = step * index2 < spin2
+            radicand = (spin2 - step * index2[moves]) * (spin2 + step * index2[moves] + 2)
+            coeff = np.sqrt(radicand / 4.0)
+            rows = cols[moves] - step * stride
+            j_mat[rows, cols[moves]] = coeff
+            k_mat[rows, cols[moves]] = k_unit * coeff
 
     return HlaGenerators(jplus, jminus, jz, kplus, kminus, kz)
 

@@ -13,6 +13,7 @@ document errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,6 +24,7 @@ from .io import (
     generators_to_doc,
     load_json,
     save_json,
+    write_json,
 )
 from .representation import Algebra, CanonicalSpec, Family, assemble_canonical
 from .solver import Verdict, solve_and_verify
@@ -48,8 +50,7 @@ def _cmd_generate(args) -> int:
         save_json(doc, args.out)
         print(f"wrote {gens.dim}-dimensional representation to {args.out}")
     else:
-        json.dump(doc, sys.stdout, indent=1)
-        print()
+        write_json(doc, sys.stdout)
     return 0
 
 
@@ -164,7 +165,14 @@ def _cmd_validate(args) -> int:
     return 0 if outcome.verdict is Verdict.VALID else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    parse_args keeps no state between calls, and building the parser costs
+    over ten times as much as parsing: a large share of a short in-process
+    `validate`.
+    """
     parser = argparse.ArgumentParser(
         prog="dsrep",
         description="Finite Hermitian/anti-Hermitian representations of the "

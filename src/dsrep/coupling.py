@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockLabel, block_grid
+from .blocks import BlockLabel, grid_twice
 from .numeric import HalfInt
 
 __all__ = [
@@ -153,53 +153,41 @@ def _directed_rectangles(p: BlockLabel, q: BlockLabel) -> tuple[np.ndarray, ...]
     if case is None:
         raise ValueError(f"blocks {p} and {q} are not compatible")
     s_a, s_b = case.s_a, case.s_b
-    s_minus = -s_a * s_b
 
-    a12 = max(p.a.as_fraction, q.a.as_fraction)
-    b12 = max(p.b.as_fraction, q.b.as_fraction)
+    # twice-values throughout: A12, B12, the column indices (a2, b2) and,
+    # for each entry, the row indices (a1, b1)
+    big_a = max(p.a.twice, q.a.twice)
+    big_b = max(p.b.twice, q.b.twice)
     a_from_p = p.a.twice > q.a.twice
     b_from_p = p.b.twice > q.b.twice
+    a2, b2 = grid_twice(q)
+    cols = np.arange(q.dim)
+    width = p.b.twice + 1
 
-    rows = block_grid(p)
-    cols = block_grid(q)
-    row_pos = {(a.twice, b.twice): i for i, (a, b) in enumerate(rows)}
-    shape = (len(rows), len(cols))
-    uplus = np.zeros(shape, dtype=complex)
-    uminus = np.zeros(shape, dtype=complex)
-    wplus = np.zeros(shape, dtype=complex)
-    wminus = np.zeros(shape, dtype=complex)
-
-    def value(sign_a: int, sign_b: int, a1, a2, b1, b2) -> float:
-        a_idx = a1 if a_from_p else a2
-        b_idx = b1 if b_from_p else b2
-        radicand = (a12 + sign_a * s_a * a_idx.as_fraction) * (
-            b12 + sign_b * s_b * b_idx.as_fraction
-        )
-        if radicand < 0:
+    def rectangle(d_a: int, d_b: int, sign: int) -> np.ndarray:
+        """sign * sqrt((A12 + d_a S_A a12)(B12 + d_b S_B b12)) from each column
+        (a2, b2) to the row (a2 + d_a/2, b2 + d_b/2), where that row exists."""
+        a1, b1 = a2 + d_a, b2 + d_b
+        keep = (np.abs(a1) <= p.a.twice) & (np.abs(b1) <= p.b.twice)
+        a1, b1 = a1[keep], b1[keep]
+        a_idx = a1 if a_from_p else a2[keep]
+        b_idx = b1 if b_from_p else b2[keep]
+        # an integer product of twice-values, so radicand / 4 is exact
+        radicand = (big_a + d_a * s_a * a_idx) * (big_b + d_b * s_b * b_idx)
+        if (radicand < 0).any():
             raise ArithmeticError("negative radicand in coupling rectangle")
-        return float(np.sqrt(float(radicand)))
+        rows = (p.a.twice - a1) // 2 * width + (p.b.twice - b1) // 2
+        m = np.zeros((p.dim, q.dim), dtype=complex)
+        m[rows, cols[keep]] = sign * np.sqrt(radicand / 4.0)
+        return m
 
-    for col, (a2, b2) in enumerate(cols):
-        # V-side: both indices shift together.
-        target = (a2.twice + 1, b2.twice + 1)
-        if target in row_pos:
-            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
-            uplus[row_pos[target], col] = value(+1, +1, a1, a2, b1, b2)
-        target = (a2.twice - 1, b2.twice - 1)
-        if target in row_pos:
-            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
-            uminus[row_pos[target], col] = s_minus * value(-1, -1, a1, a2, b1, b2)
-        # W-side: the indices shift oppositely.
-        target = (a2.twice + 1, b2.twice - 1)
-        if target in row_pos:
-            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
-            wplus[row_pos[target], col] = -s_b * value(+1, -1, a1, a2, b1, b2)
-        target = (a2.twice - 1, b2.twice + 1)
-        if target in row_pos:
-            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
-            wminus[row_pos[target], col] = -s_a * value(-1, +1, a1, a2, b1, b2)
-
-    return uplus, uminus, wplus, wminus
+    # V-side: both indices shift together; W-side: they shift oppositely.
+    return (
+        rectangle(+1, +1, 1),
+        rectangle(-1, -1, -s_a * s_b),
+        rectangle(+1, -1, -s_b),
+        rectangle(-1, +1, -s_a),
+    )
 
 
 def u_blocks(p: BlockLabel, q: BlockLabel) -> UBlockSet:

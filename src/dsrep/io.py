@@ -23,15 +23,17 @@ Generator document (output of `generate`, input to `verify`):
       ]
     }
 
-Floats are serialised by the json module, whose repr-based encoding
-round-trips bit-exactly.
+The schemas above are shown spread out; `save_json` and `generate`
+write each document as one line of compact JSON.  Entries are listed in
+row-major order, each (row, col) at most once.  Floats are serialised by
+the json module, whose repr-based encoding round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
@@ -47,6 +49,7 @@ __all__ = [
     "generators_from_doc",
     "load_json",
     "save_json",
+    "write_json",
 ]
 
 GENERATOR_NAMES = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vt", "Vx", "Vy", "Vz")
@@ -86,13 +89,18 @@ def _pair(value: Any, context: str) -> tuple[int, int]:
     return _index(value[0], context), _index(value[1], context)
 
 
+def _as_float(value: int | float) -> float:
+    """float(value), or infinity for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _finite(value: Any, context: str) -> float:
     """A JSON number that is finite as a float; NaN and infinities are refused."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
+        number = _as_float(value)
         if math.isfinite(number):
             return number
     raise DocumentError(f"{context} must be a finite number, got {value!r}")
@@ -144,11 +152,12 @@ def backbone_from_doc(doc: Any) -> tuple[BackboneGraph, Algebra]:
 
 
 def _matrix_entries(m: np.ndarray) -> list[list]:
-    rows, cols = np.nonzero(m)
-    return [
-        [int(r), int(c), float(m[r, c].real), float(m[r, c].imag)]
-        for r, c in zip(rows, cols)
-    ]
+    # row-major like np.nonzero, which is ~3x slower on complex input
+    keys = np.flatnonzero(m != 0)
+    rows, cols = np.divmod(keys, m.shape[1])
+    values = m.take(keys)
+    columns = (rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())
+    return list(map(list, zip(*columns)))
 
 
 def generators_to_doc(g: GeneratorSet) -> dict:
@@ -173,6 +182,53 @@ def generators_to_doc(g: GeneratorSet) -> dict:
         "t": t_entries,
         "generators": gens,
     }
+
+
+def _matrix_from_entries(entries: list, name: str, dim: int) -> np.ndarray:
+    """The dim x dim matrix listed by [row, col, re, im] entries.
+
+    The checks run once per column rather than once per entry: type()
+    tests keep booleans out, positions are range-checked as Python ints
+    before numpy sees them, and values must be finite as floats.
+    """
+    m = np.zeros((dim, dim), dtype=complex)
+    if not entries:
+        return m
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {4}:
+        bad = next(e for e in entries if type(e) is not list or len(e) != 4)
+        raise DocumentError(f"{name} entry {bad!r} must be [row, col, re, im]")
+    rows, cols, re, im = zip(*entries)
+    if set(map(type, rows)) | set(map(type, cols)) != {int}:
+        bad = next(e for e in entries if type(e[0]) is not int or type(e[1]) is not int)
+        raise DocumentError(f"{name} entry position ({bad[0]!r}, {bad[1]!r}) must be integers")
+    if min(rows) < 0 or min(cols) < 0 or max(rows) >= dim or max(cols) >= dim:
+        bad = next(e for e in entries if not (0 <= e[0] < dim and 0 <= e[1] < dim))
+        raise DocumentError(f"{name} entry ({bad[0]}, {bad[1]}) out of range")
+    for part in (re, im):
+        if not set(map(type, part)) <= {int, float}:
+            bad = next(e for e in entries if not {type(e[2]), type(e[3])} <= {int, float})
+            raise DocumentError(f"{name} entry ({bad[0]}, {bad[1]}) must hold two numbers")
+    values = np.empty(len(entries), dtype=complex)
+    try:
+        values.real = re
+        values.imag = im
+    except OverflowError:  # an integer beyond the float range
+        values.real = [_as_float(x) for x in re]
+        values.imag = [_as_float(x) for x in im]
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = entries[int(np.argmin(finite))][:2]
+        raise DocumentError(f"{name} entry ({r}, {c}) must be a finite number")
+    keys = np.array(rows, dtype=np.intp) * dim + np.array(cols, dtype=np.intp)
+    # generators_to_doc lists entries in increasing order, so the sort is
+    # only needed for documents written some other way
+    if not (np.diff(keys) > 0).all():
+        unique, counts = np.unique(keys, return_counts=True)
+        if (counts > 1).any():
+            r, c = divmod(int(unique[np.argmax(counts > 1)]), dim)
+            raise DocumentError(f"{name} entry ({r}, {c}) is listed twice")
+    m.reshape(-1)[keys] = values
+    return m
 
 
 def generators_from_doc(doc: Any) -> GeneratorSet:
@@ -204,6 +260,8 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
         name = entry.get("name")
         if name not in GENERATOR_NAMES:
             raise DocumentError(f"unknown generator name {name!r}")
+        if name in matrices:
+            raise DocumentError(f"generator {name} is listed twice")
         if "rows" not in entry or "cols" not in entry:
             raise DocumentError(f"{name} needs 'rows' and 'cols'")
         rows, cols = _index(entry["rows"], f"{name} rows"), _index(entry["cols"], f"{name} cols")
@@ -211,27 +269,9 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
             raise DocumentError(
                 f"{name} is {rows}x{cols} but the backbone implies {dim}x{dim}"
             )
-        m = np.zeros((rows, cols), dtype=complex)
-        # type() tests keep booleans out and keep this loop, which runs
-        # once per entry, cheap
-        for item in _list(entry.get("entries", []), f"{name} entries"):
-            if type(item) is not list or len(item) != 4:
-                raise DocumentError(f"{name} entry {item!r} must be [row, col, re, im]")
-            r, c, re, im = item
-            if type(r) is not int or type(c) is not int:
-                raise DocumentError(f"{name} entry position ({r!r}, {c!r}) must be integers")
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise DocumentError(f"{name} entry ({r}, {c}) out of range")
-            if type(re) not in (int, float) or type(im) not in (int, float):
-                raise DocumentError(f"{name} entry ({r}, {c}) must hold two numbers")
-            try:
-                m[r, c] = complex(re, im)
-            except OverflowError:
-                m[r, c] = math.inf
-        if not np.isfinite(m).all():
-            r, c = np.argwhere(~np.isfinite(m))[0]
-            raise DocumentError(f"{name} entry ({r}, {c}) must be a finite number")
-        matrices[name] = m
+        matrices[name] = _matrix_from_entries(
+            _list(entry.get("entries", []), f"{name} entries"), name, dim
+        )
     missing = [n for n in GENERATOR_NAMES if n not in matrices]
     if missing:
         raise DocumentError(f"generator document missing matrices: {missing}")
@@ -252,11 +292,48 @@ def load_json(path) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # malformed JSON, non-UTF-8 bytes, or an integer literal past
+        # Python's digit limit for int(str)
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_pieces(value: Any, depth: int = 2) -> Iterator[str]:
+    """The compact JSON text of value, in pieces that concatenate to the
+    output of one json.dumps call.
+
+    Arrays and string-keyed objects are split for `depth` levels, so each
+    matrix of a generator document goes through its own call of the C
+    encoder.  One call for the whole document holds every number's text
+    at once (a few MB at dim 400), and streaming with json.dump, or any
+    indent, falls back to the pure-Python encoder.
+    """
+    if isinstance(value, list) and depth:
+        yield "["
+        for index, item in enumerate(value):
+            if index:
+                yield ","
+            yield from _json_pieces(item, depth - 1)
+        yield "]"
+    elif isinstance(value, dict) and depth and all(type(key) is str for key in value):
+        yield "{"
+        for index, (key, item) in enumerate(value.items()):
+            yield ("," if index else "") + _encode(key) + ":"
+            yield from _json_pieces(item, depth - 1)
+        yield "}"
+    else:
+        yield _encode(value)
+
+
+def write_json(doc: Any, handle: TextIO) -> None:
+    """Write the document to a text stream as one line of compact JSON."""
+    handle.writelines(_json_pieces(doc))
+    handle.write("\n")
 
 
 def save_json(doc: Any, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
+        write_json(doc, handle)

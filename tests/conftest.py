@@ -9,12 +9,29 @@
 - `casimir2_interpretations` and `select_casimir2_interpretation`: the
   candidate readings of the quartic Casimir and the disambiguation over
   the ten canonical chains that picks the one `dsrep.verify` ships.
+- `loop_hla_generators` and `loop_directed_rectangles`: the block
+  generators and coupling rectangles built entry by entry in exact
+  HalfInt/Fraction arithmetic, the reference for the array kernels in
+  `dsrep.blocks` and `dsrep.coupling`.
+- `gelfand_tsetlin_backbone` and `gelfand_tsetlin_generators`: cyclic
+  so(5) backbones and the generators the solver finds for them.
 """
+
+import functools
 
 import numpy as np
 
-from dsrep.blocks import BlockLabel, hla_cartesian
-from dsrep.representation import Algebra, assemble_canonical, first_ten_specs
+from dsrep.blocks import BlockLabel, block_grid, hla_cartesian
+from dsrep.coupling import compatibility
+from dsrep.numeric import HalfInt
+from dsrep.representation import (
+    Algebra,
+    BackboneGraph,
+    assemble_canonical,
+    first_ten_specs,
+)
+from dsrep.solver import Verdict, solve_and_verify
+from dsrep.su2 import ladder_r, ladder_s
 from dsrep.verify import casimir_invariants_closed_form, scalar_check
 
 
@@ -232,3 +249,128 @@ def select_casimir2_interpretation(tol: float = 1e-8):
 def dense_casimir2(g) -> np.ndarray:
     """The shipped quartic Casimir: (K.J)^2 - (V.J)^2 + Q.Q, Q_i = Vt Ji + (K x V)_i."""
     return _dense_c2_candidate(g, "qq", k_left=True)
+
+
+# ---------------------------------------------------------------------------
+# Entry-by-entry construction oracle
+# ---------------------------------------------------------------------------
+
+
+def loop_hla_generators(block: BlockLabel):
+    """(J+, J-, Jz, K+, K-, Kz) of one block, one grid position at a time."""
+    grid = block_grid(block)
+    n = len(grid)
+    pos = {(a.twice, b.twice): i for i, (a, b) in enumerate(grid)}
+    jplus, jminus, jz, kplus, kminus, kz = (np.zeros((n, n), dtype=complex) for _ in range(6))
+
+    for col, (a2, b2) in enumerate(grid):
+        jz[col, col] = float(a2) + float(b2)
+        kz[col, col] = -1j * (float(a2) - float(b2))
+
+        up_a = (a2.twice + 2, b2.twice)
+        if up_a in pos:
+            coeff = ladder_r(block.a, a2)
+            jplus[pos[up_a], col] += coeff
+            kplus[pos[up_a], col] += -1j * coeff
+        up_b = (a2.twice, b2.twice + 2)
+        if up_b in pos:
+            coeff = ladder_r(block.b, b2)
+            jplus[pos[up_b], col] += coeff
+            kplus[pos[up_b], col] += 1j * coeff
+
+        down_a = (a2.twice - 2, b2.twice)
+        if down_a in pos:
+            coeff = ladder_s(block.a, a2)
+            jminus[pos[down_a], col] += coeff
+            kminus[pos[down_a], col] += -1j * coeff
+        down_b = (a2.twice, b2.twice - 2)
+        if down_b in pos:
+            coeff = ladder_s(block.b, b2)
+            jminus[pos[down_b], col] += coeff
+            kminus[pos[down_b], col] += 1j * coeff
+
+    return jplus, jminus, jz, kplus, kminus, kz
+
+
+def loop_directed_rectangles(p: BlockLabel, q: BlockLabel):
+    """(uplus, uminus, wplus, wminus) with P rows and Q columns, one column at
+    a time, each radicand an exact Fraction."""
+    case = compatibility(p, q)
+    s_a, s_b = case.s_a, case.s_b
+    s_minus = -s_a * s_b
+    a12 = max(p.a.as_fraction, q.a.as_fraction)
+    b12 = max(p.b.as_fraction, q.b.as_fraction)
+    a_from_p = p.a.twice > q.a.twice
+    b_from_p = p.b.twice > q.b.twice
+
+    rows = block_grid(p)
+    cols = block_grid(q)
+    row_pos = {(a.twice, b.twice): i for i, (a, b) in enumerate(rows)}
+    shape = (len(rows), len(cols))
+    uplus, uminus, wplus, wminus = (np.zeros(shape, dtype=complex) for _ in range(4))
+
+    def value(sign_a, sign_b, a1, a2, b1, b2) -> float:
+        a_idx = a1 if a_from_p else a2
+        b_idx = b1 if b_from_p else b2
+        radicand = (a12 + sign_a * s_a * a_idx.as_fraction) * (
+            b12 + sign_b * s_b * b_idx.as_fraction
+        )
+        if radicand < 0:
+            raise ArithmeticError("negative radicand in coupling rectangle")
+        return float(np.sqrt(float(radicand)))
+
+    for col, (a2, b2) in enumerate(cols):
+        target = (a2.twice + 1, b2.twice + 1)
+        if target in row_pos:
+            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
+            uplus[row_pos[target], col] = value(+1, +1, a1, a2, b1, b2)
+        target = (a2.twice - 1, b2.twice - 1)
+        if target in row_pos:
+            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
+            uminus[row_pos[target], col] = s_minus * value(-1, -1, a1, a2, b1, b2)
+        target = (a2.twice + 1, b2.twice - 1)
+        if target in row_pos:
+            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
+            wplus[row_pos[target], col] = -s_b * value(+1, -1, a1, a2, b1, b2)
+        target = (a2.twice - 1, b2.twice + 1)
+        if target in row_pos:
+            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
+            wminus[row_pos[target], col] = -s_a * value(-1, +1, a1, a2, b1, b2)
+
+    return uplus, uminus, wplus, wminus
+
+
+# ---------------------------------------------------------------------------
+# so(5) Gelfand-Tsetlin backbones
+# ---------------------------------------------------------------------------
+
+
+def gelfand_tsetlin_backbone(twice_m1: int, twice_m2: int) -> BackboneGraph:
+    """so(5) > so(4) branching of highest weight (m1, m2), every compatible pair joined.
+
+    Blocks are (A, B) = ((k1+k2)/2, (k1-k2)/2) for m1 >= k1 >= m2 >= |k2|,
+    with k1, k2 stepping by one; here in twice-values.
+    """
+    labels = [
+        BlockLabel(HalfInt((k1 + k2) // 2), HalfInt((k1 - k2) // 2))
+        for k1 in range(twice_m1, twice_m2 - 1, -2)
+        for k2 in range(twice_m2, -twice_m2 - 1, -2)
+    ]
+    edges = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if abs(labels[i].a.twice - labels[j].a.twice) == 1
+        and abs(labels[i].b.twice - labels[j].b.twice) == 1
+    ]
+    return BackboneGraph.make(labels, edges)
+
+
+@functools.lru_cache(maxsize=None)
+def gelfand_tsetlin_generators(weight, algebra):
+    """The generators `solve_and_verify` finds for twice-weight (2 m1, 2 m2)."""
+    outcome = solve_and_verify(
+        gelfand_tsetlin_backbone(*weight), algebra, allow_noncanonical=True
+    )
+    assert outcome.verdict is Verdict.VALID, weight
+    return outcome.generators

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import loop_hla_generators
 
 from dsrep.blocks import (
     BlockLabel,
@@ -45,6 +46,15 @@ def test_grid_order_and_flat_index():
     assert [(a.twice, b.twice) for a, b in grid[:3]] == [(1, 2), (1, 0), (1, -2)]
     for idx, (a, b) in enumerate(grid):
         assert flat_index(block, a, b) == idx
+
+
+def test_generators_match_the_entry_loop_bit_for_bit():
+    # every label with 2A, 2B <= 13: the same bytes, signed zeros included
+    for twice_a in range(14):
+        for twice_b in range(14):
+            block = L(twice_a, twice_b)
+            for got, want in zip(hla_generators(block), loop_hla_generators(block)):
+                assert got.tobytes() == want.tobytes(), block
 
 
 def test_trivial_block_all_zero():

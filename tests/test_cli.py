@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import gelfand_tsetlin_generators
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dsrep.cli import main
+from dsrep.cli import build_parser, main
 from dsrep.io import (
     DocumentError,
     backbone_from_doc,
@@ -39,14 +42,30 @@ class TestDocumentRoundTrip:
         assert loaded == g
         assert algebra is Algebra.ANTI_DE_SITTER
 
-    @pytest.mark.parametrize("family,n", [(Family.TYPE_B, 2), (Family.TYPE_A, 3)])
-    def test_generators_roundtrip_bit_exact(self, tmp_path, family, n):
-        gens = assemble_canonical(CanonicalSpec(family, n))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: assemble_canonical(CanonicalSpec(Family.TYPE_B, 2)),
+            lambda: assemble_canonical(CanonicalSpec(Family.TYPE_A, 3)),
+            lambda: gelfand_tsetlin_generators((3, 1), Algebra.DE_SITTER),
+            lambda: gelfand_tsetlin_generators((5, 3), Algebra.ANTI_DE_SITTER),
+            lambda: gelfand_tsetlin_generators((6, 2), Algebra.DE_SITTER),
+        ],
+        ids=["b2", "a3", "so5-3/2-1/2", "so5-5/2-3/2-ads", "so5-3-1"],
+    )
+    def test_generators_roundtrip_bit_exact(self, tmp_path, make):
+        # so(5) backbones: cyclic, solved with allow_noncanonical=True
+        gens = make()
         path = tmp_path / "rep.json"
         save_json(generators_to_doc(gens), path)
         loaded = generators_from_doc(load_json(path))
+        assert loaded.t == gens.t
         for name, m in gens.generators().items():
-            assert np.array_equal(m, loaded.generators()[name]), name
+            got = loaded.generators()[name]
+            assert np.array_equal(m, got), name
+            # the stored entries keep every bit, signed zeros included
+            nonzero = m != 0
+            assert m[nonzero].tobytes() == got[nonzero].tobytes(), name
 
     def test_roundtrip_residuals_identical(self, tmp_path):
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
@@ -56,6 +75,21 @@ class TestDocumentRoundTrip:
         after = build_report(generators_from_doc(load_json(path)))
         assert before.cr_residuals == after.cr_residuals
         assert before.hermiticity_residuals == after.hermiticity_residuals
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"a": [1, {"b": [2.5, -0.0]}], "c": {}, "d": []},
+            [{"x": {"y": {"z": [1]}}}, "s", None, True],
+            {"keys": {1: "int", "s": {2: [3]}}},
+            float("nan"),
+        ],
+        ids=["nested", "array-root", "non-string-keys", "scalar-root"],
+    )
+    def test_written_text_is_one_json_dumps_call(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        save_json(doc, path)
+        assert path.read_text() == json.dumps(doc, separators=(",", ":")) + "\n"
 
     def test_half_integers_serialise_as_strings(self):
         g = canonical_backbone(CanonicalSpec(Family.TYPE_B, 2))
@@ -103,6 +137,26 @@ class TestGenerate:
         assert main(["generate", "b", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["backbone"]["blocks"][0]["A"] == "1/2"
+
+    def test_stdout_and_out_write_the_same_document(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        assert main(["generate", "a", "3", "--algebra", "ads", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["generate", "a", "3", "--algebra", "ads"]) == 0
+        text = capsys.readouterr().out
+        assert text == path.read_text(encoding="utf-8")
+        # one line of compact JSON, as one json.dumps call writes it
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        # and keeps nothing from one call to the next
+        path = tmp_path / "rep.json"
+        assert main(["generate", "b", "2", "--out", str(path)]) == 0
+        assert main(["verify", str(path), "--format", "json"]) == 0
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("verdict: PASS")
 
 
 class TestVerify:
@@ -161,9 +215,12 @@ def _generated_doc(tmp_path, capsys, family="a", n="3"):
     return load_json(path)
 
 
-def _set_first_entry(doc, name, value):
-    gen = next(g for g in doc["generators"] if g["name"] == name)
-    gen["entries"][0][2] = value
+def _entries(doc, name):
+    return next(g for g in doc["generators"] if g["name"] == name)["entries"]
+
+
+def _set_first_entry(doc, name, value, field=2):
+    _entries(doc, name)[0][field] = value
 
 
 class TestMalformedDocuments:
@@ -195,10 +252,26 @@ class TestMalformedDocuments:
             lambda doc: _set_first_entry(doc, "Vx", float("nan")),
             lambda doc: _set_first_entry(doc, "Kz", float("inf")),
             lambda doc: doc["t"][0].__setitem__("forward", float("nan")),
+            lambda doc: _set_first_entry(doc, "Jz", 10**30, field=0),
+            lambda doc: _set_first_entry(doc, "Vy", 10**400, field=3),
+            lambda doc: _set_first_entry(doc, "Jx", -1, field=1),
+            lambda doc: _set_first_entry(doc, "Kx", True),
+            lambda doc: _set_first_entry(doc, "Vt", False, field=0),
+            lambda doc: _entries(doc, "Vz").__setitem__(0, _entries(doc, "Vz")[0][:3]),
+            lambda doc: _set_first_entry(doc, "Ky", "0.5"),
+            lambda doc: _entries(doc, "Jy").append(list(_entries(doc, "Jy")[0])),
+            lambda doc: _entries(doc, "Jy").insert(1, list(_entries(doc, "Jy")[0])),
+            lambda doc: doc["generators"].insert(0, dict(doc["generators"][7], entries=[])),
+            lambda doc: (_set_first_entry(doc, "Jx", "x", field=1),
+                         _entries(doc, "Jx")[1].__setitem__(0, -1)),
         ],
         ids=[
             "non-object-generator", "missing-rows", "short-t-edge",
             "nan-entry", "infinite-entry", "nan-coupling",
+            "huge-position", "huge-value", "negative-position", "boolean-value",
+            "boolean-position", "three-item-entry", "string-value",
+            "duplicate-position", "adjacent-duplicate-position", "duplicate-generator",
+            "string-column-before-negative-row",
         ],
     )
     def test_generator_document(self, tmp_path, capsys, breakage):
@@ -225,6 +298,13 @@ class TestMalformedDocuments:
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"blocks": "\xe9"}')
         assert main(["validate", str(path)]) == 2
+
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        # int(str) refuses more than 4300 digits with a ValueError
+        path = tmp_path / "digits.json"
+        path.write_text('{"blocks": [{"A": ' + "1" * 5000 + ', "B": 0}]}')
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestTables:
@@ -284,3 +364,88 @@ class TestValidate:
         save_json(backbone_to_doc(g, Algebra.ANTI_DE_SITTER), path)
         assert main(["validate", str(path)]) == 0
         assert "valid" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: arbitrary JSON in arbitrary places never escapes as an exception
+# ---------------------------------------------------------------------------
+
+_KEYS = ("blocks", "edges", "algebra", "A", "B", "backbone", "t", "edge", "forward",
+         "reverse", "generators", "name", "rows", "cols", "entries")
+
+# Small numbers and short strings keep every backbone far below MAX_DIM;
+# the huge integers are refused before anything is allocated.
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10**30, -(10**30), 10**400]),
+    st.floats(),
+    st.sampled_from(["", "x", "0", "1/2", "3/2", "-1/2", "1/3", "ds", "ads", "Vx", "Jz"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _base_documents():
+    docs = [
+        ("verify", generators_to_doc(assemble_canonical(CanonicalSpec(family, n), algebra)))
+        for family, n, algebra in (
+            (Family.TYPE_A, 2, Algebra.DE_SITTER),
+            (Family.TYPE_B, 3, Algebra.ANTI_DE_SITTER),
+        )
+    ]
+    docs += [("validate", load_json(path)) for path in sorted(FIXTURES.glob("*.json"))]
+    return docs
+
+
+_BASE_DOCUMENTS = _base_documents()
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+def _mutate(doc, path, action, value):
+    """doc with the node at path replaced or deleted, or value inserted there."""
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    if action == "delete":
+        del parent[last]
+    elif action == "insert" and isinstance(parent, list):
+        parent.insert(last, value)
+    else:
+        parent[last] = value
+    return doc
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_main_exits_0_1_or_2(self, tmp_path_factory, data):
+        command, base = data.draw(st.sampled_from(_BASE_DOCUMENTS))
+        doc = json.loads(json.dumps(base))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            action = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+            doc = _mutate(doc, path, action, data.draw(_JSON_VALUES))
+        if data.draw(st.booleans()):
+            command = "validate" if command == "verify" else "verify"
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity tokens included
+        assert main([command, str(path)]) in (0, 1, 2)

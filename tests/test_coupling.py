@@ -1,10 +1,11 @@
 """Pair cases, universal coupling rectangles, and the Z coefficients."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import coupling_null_space_dim
+from conftest import coupling_null_space_dim, loop_directed_rectangles
 
 from dsrep.blocks import BlockLabel, block_grid, flat_index
 from dsrep.coupling import (
@@ -27,6 +28,25 @@ def L(twice_a, twice_b):
 
 
 ALL_CASES = [PairCase(sa, sb) for sa in (1, -1) for sb in (1, -1)]
+
+
+def test_rectangles_match_the_entry_loop_bit_for_bit():
+    # every label P with 2A, 2B <= 13 and every compatible Q: all eight
+    # rectangles carry the same bytes as the exact per-entry construction
+    pairs = 0
+    for twice_a in range(14):
+        for twice_b in range(14):
+            p = L(twice_a, twice_b)
+            for case in ALL_CASES:
+                if twice_a - case.s_a < 0 or twice_b - case.s_b < 0:
+                    continue
+                q = L(twice_a - case.s_a, twice_b - case.s_b)
+                want = loop_directed_rectangles(p, q) + loop_directed_rectangles(q, p)
+                u = u_blocks(p, q)
+                for field, ref in zip(dataclasses.fields(u), want):
+                    assert getattr(u, field.name).tobytes() == ref.tobytes(), (p, q, field.name)
+                pairs += 1
+    assert pairs == 27 * 27
 
 
 def blocks_for_case(case, twice_a_q, twice_b_q):

@@ -19,13 +19,12 @@ from conftest import (
     dense_casimir2,
     dense_crs,
     dense_hermiticity,
+    gelfand_tsetlin_generators,
     select_casimir2_interpretation,
 )
-from dsrep.blocks import BlockLabel
 from dsrep.numeric import HalfInt, commutator, max_abs
 from dsrep.representation import (
     Algebra,
-    BackboneGraph,
     CanonicalSpec,
     Family,
     assemble,
@@ -35,7 +34,6 @@ from dsrep.representation import (
     canonical_t_squared,
     first_ten_specs,
 )
-from dsrep.solver import Verdict, solve_and_verify
 from dsrep.verify import (
     build_report,
     casimir1_matrix,
@@ -341,38 +339,8 @@ class TestNonFinite:
 # ---------------------------------------------------------------------------
 
 
-def gelfand_tsetlin_backbone(twice_m1: int, twice_m2: int) -> BackboneGraph:
-    """so(5) > so(4) branching of highest weight (m1, m2), every compatible pair joined.
-
-    Blocks are (A, B) = ((k1+k2)/2, (k1-k2)/2) for m1 >= k1 >= m2 >= |k2|,
-    with k1, k2 stepping by one; here in twice-values.
-    """
-    labels = [
-        BlockLabel(HalfInt((k1 + k2) // 2), HalfInt((k1 - k2) // 2))
-        for k1 in range(twice_m1, twice_m2 - 1, -2)
-        for k2 in range(twice_m2, -twice_m2 - 1, -2)
-    ]
-    edges = [
-        (i, j)
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if abs(labels[i].a.twice - labels[j].a.twice) == 1
-        and abs(labels[i].b.twice - labels[j].b.twice) == 1
-    ]
-    return BackboneGraph.make(labels, edges)
-
-
 # twice (m1, m2): the diamond (3/2, 1/2) and its larger cyclic relatives
 GT_WEIGHTS = [(3, 1), (4, 2), (5, 1), (5, 3), (6, 2)]
-
-
-@functools.lru_cache(maxsize=None)
-def gelfand_tsetlin_generators(weight, algebra):
-    outcome = solve_and_verify(
-        gelfand_tsetlin_backbone(*weight), algebra, allow_noncanonical=True
-    )
-    assert outcome.verdict is Verdict.VALID, weight
-    return outcome.generators
 
 
 @functools.lru_cache(maxsize=None)
