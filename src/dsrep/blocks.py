@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import HalfInt
+from .numeric import HalfInt, Sparse
 from .su2 import spin_indices
 
 __all__ = [
@@ -79,12 +79,12 @@ def flat_index(block: BlockLabel, a: HalfInt, b: HalfInt) -> int:
 
 
 class HlaGenerators(NamedTuple):
-    jplus: np.ndarray
-    jminus: np.ndarray
-    jz: np.ndarray
-    kplus: np.ndarray
-    kminus: np.ndarray
-    kz: np.ndarray
+    jplus: Sparse
+    jminus: Sparse
+    jz: Sparse
+    kplus: Sparse
+    kminus: Sparse
+    kz: Sparse
 
 
 def hla_generators(block: BlockLabel) -> HlaGenerators:
@@ -93,33 +93,40 @@ def hla_generators(block: BlockLabel) -> HlaGenerators:
     Entrywise: J+ raises a or b by one with the spin-A / spin-B raising
     coefficients, i K+ is the same with the B term negated, Jz is diagonal
     a + b and i Kz diagonal a - b.  K matrices come out anti-Hermitian.
+    Each is a `Sparse` of its entries (zeros on the diagonals included).
     """
     n = block.dim
     a2, b2 = grid_twice(block)
     cols = np.arange(n)
-    jplus, jminus, jz, kplus, kminus, kz = (np.zeros((n, n), dtype=complex) for _ in range(6))
-    jz[cols, cols] = a2 / 2.0 + b2 / 2.0
-    kz[cols, cols] = -1j * (a2 / 2.0 - b2 / 2.0)
+    diagonal = cols * (n + 1)
+    jz = Sparse(n, diagonal, (a2 / 2.0 + b2 / 2.0).astype(complex))
+    kz = Sparse(n, diagonal, -1j * (a2 / 2.0 - b2 / 2.0))
 
     # A move of a shifts the flat index by the row width, a move of b by one.
+    keys, j_vals, k_vals = ({1: [], -1: []} for _ in range(3))  # by step
     for spin2, index2, stride, k_unit in (
         (block.a.twice, a2, block.b.twice + 1, -1j),
         (block.b.twice, b2, 1, 1j),
     ):
-        for step, j_mat, k_mat in ((1, jplus, kplus), (-1, jminus, kminus)):
+        for step in (1, -1):
             # (J - m)(J + m + 1) raising, (J + m)(J - m + 1) lowering, in
             # twice-values an integer product divided by 4
             moves = step * index2 < spin2
             radicand = (spin2 - step * index2[moves]) * (spin2 + step * index2[moves] + 2)
             coeff = np.sqrt(radicand / 4.0)
-            rows = cols[moves] - step * stride
-            j_mat[rows, cols[moves]] = coeff
-            k_mat[rows, cols[moves]] = k_unit * coeff
+            keys[step].append((cols[moves] - step * stride) * n + cols[moves])
+            j_vals[step].append(coeff.astype(complex))
+            k_vals[step].append(k_unit * coeff)
 
-    return HlaGenerators(jplus, jminus, jz, kplus, kminus, kz)
+    def ladder(vals: dict, step: int) -> Sparse:
+        return Sparse(n, np.concatenate(keys[step]), np.concatenate(vals[step]))
+
+    return HlaGenerators(
+        ladder(j_vals, 1), ladder(j_vals, -1), jz, ladder(k_vals, 1), ladder(k_vals, -1), kz
+    )
 
 
-def hla_cartesian(block: BlockLabel) -> tuple[np.ndarray, ...]:
+def hla_cartesian(block: BlockLabel) -> tuple[Sparse, ...]:
     """Cartesian generators (Jx, Jy, Jz, Kx, Ky, Kz) for one block."""
     g = hla_generators(block)
     jx = (g.jplus + g.jminus) / 2
@@ -127,4 +134,3 @@ def hla_cartesian(block: BlockLabel) -> tuple[np.ndarray, ...]:
     kx = (g.kplus + g.kminus) / 2
     ky = -0.5j * (g.kplus - g.kminus)
     return jx, jy, g.jz, kx, ky, g.kz
-

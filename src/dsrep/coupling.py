@@ -39,12 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .blocks import BlockLabel, grid_twice
-from .numeric import HalfInt
+from .numeric import HalfInt, Sparse
 
 __all__ = [
     "PairCase",
@@ -53,6 +53,7 @@ __all__ = [
     "ZLinear",
     "z_linear",
     "path_is_monotonic",
+    "Rectangle",
     "UBlockSet",
     "u_blocks",
     "cartesian_from_ladders",
@@ -129,6 +130,20 @@ def path_is_monotonic(case1: PairCase, case2: PairCase) -> bool:
     return case1 == case2
 
 
+class Rectangle(NamedTuple):
+    """A P x Q coupling rectangle held as its non-zero entries."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def to_dense(self) -> np.ndarray:
+        m = np.zeros(self.shape, dtype=complex)
+        m[self.rows, self.cols] = self.vals
+        return m
+
+
 @dataclass(frozen=True)
 class UBlockSet:
     """The eight universal rectangles for one compatible ordered pair (P, Q).
@@ -137,17 +152,17 @@ class UBlockSet:
     reverse.  uplus/uminus multiply into V+/V-, wplus/wminus into W+/W-.
     """
 
-    uplus_pq: np.ndarray
-    uminus_pq: np.ndarray
-    wplus_pq: np.ndarray
-    wminus_pq: np.ndarray
-    uplus_qp: np.ndarray
-    uminus_qp: np.ndarray
-    wplus_qp: np.ndarray
-    wminus_qp: np.ndarray
+    uplus_pq: Rectangle
+    uminus_pq: Rectangle
+    wplus_pq: Rectangle
+    wminus_pq: Rectangle
+    uplus_qp: Rectangle
+    uminus_qp: Rectangle
+    wplus_qp: Rectangle
+    wminus_qp: Rectangle
 
 
-def _directed_rectangles(p: BlockLabel, q: BlockLabel) -> tuple[np.ndarray, ...]:
+def _directed_rectangles(p: BlockLabel, q: BlockLabel) -> tuple[Rectangle, ...]:
     """(uplus, uminus, wplus, wminus) with P rows, Q columns."""
     case = compatibility(p, q)
     if case is None:
@@ -164,7 +179,7 @@ def _directed_rectangles(p: BlockLabel, q: BlockLabel) -> tuple[np.ndarray, ...]
     cols = np.arange(q.dim)
     width = p.b.twice + 1
 
-    def rectangle(d_a: int, d_b: int, sign: int) -> np.ndarray:
+    def rectangle(d_a: int, d_b: int, sign: int) -> Rectangle:
         """sign * sqrt((A12 + d_a S_A a12)(B12 + d_b S_B b12)) from each column
         (a2, b2) to the row (a2 + d_a/2, b2 + d_b/2), where that row exists."""
         a1, b1 = a2 + d_a, b2 + d_b
@@ -177,9 +192,8 @@ def _directed_rectangles(p: BlockLabel, q: BlockLabel) -> tuple[np.ndarray, ...]
         if (radicand < 0).any():
             raise ArithmeticError("negative radicand in coupling rectangle")
         rows = (p.a.twice - a1) // 2 * width + (p.b.twice - b1) // 2
-        m = np.zeros((p.dim, q.dim), dtype=complex)
-        m[rows, cols[keep]] = sign * np.sqrt(radicand / 4.0)
-        return m
+        vals = (sign * np.sqrt(radicand / 4.0)).astype(complex)
+        return Rectangle((p.dim, q.dim), rows, cols[keep], vals)
 
     # V-side: both indices shift together; W-side: they shift oppositely.
     return (
@@ -201,8 +215,8 @@ def u_blocks(p: BlockLabel, q: BlockLabel) -> UBlockSet:
 
 
 def cartesian_from_ladders(
-    vplus: np.ndarray, vminus: np.ndarray, wplus: np.ndarray, wminus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    vplus: Sparse, vminus: Sparse, wplus: Sparse, wminus: Sparse
+) -> tuple[Sparse, Sparse, Sparse, Sparse]:
     """(Vt, Vx, Vy, Vz) from the ladder combinations this module produces."""
     vx = vplus + vminus
     vy = -1j * (vplus - vminus)

@@ -38,8 +38,8 @@ from typing import Any, Iterator, TextIO
 import numpy as np
 
 from .blocks import BlockLabel
-from .numeric import HalfInt
-from .representation import Algebra, BackboneGraph, GeneratorSet
+from .numeric import HalfInt, Sparse
+from .representation import GENERATOR_NAMES, Algebra, BackboneGraph, GeneratorSet
 
 __all__ = [
     "DocumentError",
@@ -51,9 +51,6 @@ __all__ = [
     "save_json",
     "write_json",
 ]
-
-GENERATOR_NAMES = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vt", "Vx", "Vy", "Vz")
-
 
 class DocumentError(ValueError):
     """Raised for malformed or inconsistent documents."""
@@ -151,12 +148,11 @@ def backbone_from_doc(doc: Any) -> tuple[BackboneGraph, Algebra]:
     return graph, algebra
 
 
-def _matrix_entries(m: np.ndarray) -> list[list]:
-    # row-major like np.nonzero, which is ~3x slower on complex input
-    keys = np.flatnonzero(m != 0)
-    rows, cols = np.divmod(keys, m.shape[1])
-    values = m.take(keys)
-    columns = (rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())
+def _matrix_entries(m: Sparse) -> list[list]:
+    """[row, col, re, im] of each stored entry, in row-major (key) order."""
+    m = m.reduced()
+    rows, cols = np.divmod(m.keys, m.n)
+    columns = (rows.tolist(), cols.tolist(), m.vals.real.tolist(), m.vals.imag.tolist())
     return list(map(list, zip(*columns)))
 
 
@@ -167,14 +163,9 @@ def generators_to_doc(g: GeneratorSet) -> dict:
             {"edge": [i, j], "forward": g.t.get((i, j)), "reverse": g.t.get((j, i))}
         )
     gens = []
-    for name, mat in g.generators().items():
+    for name, mat in g.matrices().items():
         gens.append(
-            {
-                "name": name,
-                "rows": int(mat.shape[0]),
-                "cols": int(mat.shape[1]),
-                "entries": _matrix_entries(mat),
-            }
+            {"name": name, "rows": g.dim, "cols": g.dim, "entries": _matrix_entries(mat)}
         )
     return {
         "algebra": g.algebra.value,
@@ -184,16 +175,16 @@ def generators_to_doc(g: GeneratorSet) -> dict:
     }
 
 
-def _matrix_from_entries(entries: list, name: str, dim: int) -> np.ndarray:
-    """The dim x dim matrix listed by [row, col, re, im] entries.
+def _matrix_from_entries(entries: list, name: str, dim: int) -> Sparse:
+    """The dim x dim matrix listed by [row, col, re, im] entries, as a reduced
+    `Sparse` (explicit zero entries dropped).
 
     The checks run once per column rather than once per entry: type()
     tests keep booleans out, positions are range-checked as Python ints
     before numpy sees them, and values must be finite as floats.
     """
-    m = np.zeros((dim, dim), dtype=complex)
     if not entries:
-        return m
+        return Sparse.zero(dim)
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {4}:
         bad = next(e for e in entries if type(e) is not list or len(e) != 4)
         raise DocumentError(f"{name} entry {bad!r} must be [row, col, re, im]")
@@ -220,15 +211,14 @@ def _matrix_from_entries(entries: list, name: str, dim: int) -> np.ndarray:
         r, c = entries[int(np.argmin(finite))][:2]
         raise DocumentError(f"{name} entry ({r}, {c}) must be a finite number")
     keys = np.array(rows, dtype=np.intp) * dim + np.array(cols, dtype=np.intp)
-    # generators_to_doc lists entries in increasing order, so the sort is
-    # only needed for documents written some other way
+    # generators_to_doc lists entries in increasing order, so the duplicate
+    # search is only needed for documents written some other way
     if not (np.diff(keys) > 0).all():
         unique, counts = np.unique(keys, return_counts=True)
         if (counts > 1).any():
             r, c = divmod(int(unique[np.argmax(counts > 1)]), dim)
             raise DocumentError(f"{name} entry ({r}, {c}) is listed twice")
-    m.reshape(-1)[keys] = values
-    return m
+    return Sparse(dim, keys, values).reduced()
 
 
 def generators_from_doc(doc: Any) -> GeneratorSet:
@@ -253,7 +243,7 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list):
         raise DocumentError("generator document missing 'generators' list")
-    matrices: dict[str, np.ndarray] = {}
+    matrices: dict[str, Sparse] = {}
     for pos, entry in enumerate(raw_gens):
         if not isinstance(entry, dict):
             raise DocumentError(f"generator {pos} must be a JSON object")
@@ -277,12 +267,7 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
         raise DocumentError(f"generator document missing matrices: {missing}")
 
     return GeneratorSet(
-        backbone=backbone,
-        algebra=algebra,
-        jx=matrices["Jx"], jy=matrices["Jy"], jz=matrices["Jz"],
-        kx=matrices["Kx"], ky=matrices["Ky"], kz=matrices["Kz"],
-        vt=matrices["Vt"], vx=matrices["Vx"], vy=matrices["Vy"], vz=matrices["Vz"],
-        t=t_map,
+        backbone, algebra, *(matrices[n] for n in GENERATOR_NAMES), t=t_map
     )
 
 

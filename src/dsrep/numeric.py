@@ -1,16 +1,19 @@
 """Exact scalar arithmetic and a minimal complex-matrix kernel.
 
 Half-integers (the spins and magnetic indices used everywhere else) are
-stored exactly as twice their value.  Rational work uses
-``fractions.Fraction``.  Matrices are plain numpy ``complex128`` arrays,
-or `Sparse` views of their non-zeros for the verification products; the
-few operations needed elsewhere (commutator, conjugate transpose,
-residual norm, exact rational elimination) live here so that every
-tolerance decision in the package flows through one place.
+stored exactly as twice their value.  Matrices are `Sparse`: each
+generator is held as its non-zeros from assembly to verdict, and a dense
+numpy ``complex128`` array is made only where a caller asks for one.  The
+few operations needed elsewhere (commutator, conjugate transpose, residual
+norm, exact rational elimination) live here so that every tolerance
+decision in the package flows through one place.  The exact linear solve
+eliminates over integers and forms a ``fractions.Fraction`` only for each
+final unknown.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -151,6 +154,13 @@ class Sparse:
     factor, row k of the right one, padded to the right factor's widest
     row: O(nnz x row width) work and memory, never dim x dim.  NaN entries
     are non-zero, so they survive every step and reach `max_abs`.
+
+    Where the operands' non-zeros do not overlap, sums, differences and
+    scalar multiples carry the bits of the dense result, signed zeros
+    included: an absent entry counts as +0, so ``x + 0`` turns a -0.0
+    part into +0.0 and ``0 - y`` does not negate a zero part.  Assembly
+    relies on this: its entries carry the bits of the same formulas
+    evaluated on dense arrays.
     """
 
     __slots__ = ("n", "keys", "vals", "_reduced", "_padded", "_split")
@@ -165,6 +175,11 @@ class Sparse:
         self._reduced = reduced
         self._padded = None  # (cols, vals) of each row, as a right factor
         self._split = None  # (row * n, col) of each entry, as a left factor
+
+    @classmethod
+    def zero(cls, n: int) -> "Sparse":
+        """The n x n zero matrix: no entries."""
+        return cls(n, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex), reduced=True)
 
     @classmethod
     def from_dense(cls, m) -> "Sparse":
@@ -230,27 +245,28 @@ class Sparse:
     def __add__(self, other):
         if not self._pairs_with(other):
             return NotImplemented
-        return Sparse(
-            self.n,
-            np.concatenate((self.keys, other.keys)),
-            np.concatenate((self.vals, other.vals)),
-        )
+        vals = np.concatenate((self.vals, other.vals))
+        vals += 0  # x + 0, as where the other operand is absent
+        return Sparse(self.n, np.concatenate((self.keys, other.keys)), vals)
 
     def __sub__(self, other):
         if not self._pairs_with(other):
             return NotImplemented
-        return Sparse(
-            self.n,
-            np.concatenate((self.keys, other.keys)),
-            np.concatenate((self.vals, -other.vals)),
-        )
+        vals = np.concatenate((self.vals, other.vals))
+        tail = vals[self.vals.size:]
+        np.subtract(0, tail, out=tail)  # 0 - y, as where self is absent
+        return Sparse(self.n, np.concatenate((self.keys, other.keys)), vals)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float, complex, np.number)):
             return NotImplemented
         return Sparse(self.n, self.keys, self.vals * scalar, self._reduced)
 
-    __rmul__ = __mul__
+    def __rmul__(self, scalar):
+        # scalar first, as in the dense ``scalar * matrix``
+        if not isinstance(scalar, (int, float, complex, np.number)):
+            return NotImplemented
+        return Sparse(self.n, self.keys, scalar * self.vals, self._reduced)
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, float, complex, np.number)):
@@ -328,54 +344,75 @@ class RationalSolution:
         return self.status == "unique"
 
 
+def _integer_row(row: Sequence, b) -> tuple[dict[int, int], int]:
+    """One equation scaled to integers: ({column: coefficient}, right-hand side)."""
+    coeffs = {c: Fraction(v) for c, v in enumerate(row) if v}
+    b = Fraction(b)
+    scale = math.lcm(b.denominator, *(v.denominator for v in coeffs.values()))
+    return (
+        {c: v.numerator * (scale // v.denominator) for c, v in coeffs.items()},
+        b.numerator * (scale // b.denominator),
+    )
+
+
+def _eliminate(
+    row: dict[int, int], b: int, pivot_row: dict[int, int], pivot_b: int, col: int
+) -> tuple[dict[int, int], int]:
+    """a * row - f * pivot_row, with a and f the two coefficients of col, which
+    drops out; the result is divided by the gcd of its entries."""
+    a, f = pivot_row[col], row[col]
+    out = {c: a * v for c, v in row.items()}
+    for c, v in pivot_row.items():
+        out[c] = out[c] - f * v if c in out else -f * v
+    out = {c: v for c, v in out.items() if v}
+    b = a * b - f * pivot_b
+    g = math.gcd(b, *out.values())
+    if g > 1:
+        out = {c: v // g for c, v in out.items()}
+        b //= g
+    return out, b
+
+
 def solve_rational_linear(
     matrix: Sequence[Sequence], rhs: Sequence
 ) -> RationalSolution:
-    """Gauss-Jordan elimination over Fractions; rank decisions are exact.
+    """Exact elimination over the rationals; rank decisions are exact.
 
-    Entries may be ints or Fractions.  Never raises on rank defects: the
-    returned status distinguishes unique / underdetermined / inconsistent.
+    Entries may be ints or Fractions.  Each equation is scaled to integers
+    and kept as its non-zeros; elimination is fraction-free, each row
+    divided by the gcd of its entries, and a Fraction is formed only for
+    each final unknown.  Never raises on rank defects: the returned status
+    distinguishes unique / underdetermined / inconsistent.
     """
-    rows = [[Fraction(entry) for entry in row] for row in matrix]
-    b = [Fraction(entry) for entry in rhs]
-    if len(rows) != len(b):
-        raise ValueError(f"{len(rows)} rows but {len(b)} right-hand sides")
-    ncols = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged coefficient matrix")
+    if len(matrix) != len(rhs):
+        raise ValueError(f"{len(matrix)} rows but {len(rhs)} right-hand sides")
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("ragged coefficient matrix")
 
-    nrows = len(rows)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        b[r], b[pivot_row] = b[pivot_row], b[r]
-        pivot = rows[r][c]
-        for i in range(nrows):
-            if i == r or rows[i][c] == 0:
-                continue
-            factor = rows[i][c] / pivot
-            for cc in range(c, ncols):
-                rows[i][cc] -= factor * rows[r][cc]
-            b[i] -= factor * b[r]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-
-    for i in range(len(pivot_cols), nrows):
-        if b[i] != 0:
+    # Echelon form, one equation at a time: each pivot row holds no column
+    # of an earlier pivot, so reducing by the pivots in order clears them all.
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
+    for row, b in zip(matrix, rhs):
+        coeffs, b = _integer_row(row, b)
+        for col, (pivot_row, pivot_b) in pivots.items():
+            if col in coeffs:
+                coeffs, b = _eliminate(coeffs, b, pivot_row, pivot_b, col)
+        if coeffs:
+            pivots[min(coeffs)] = (coeffs, b)
+        elif b:
             return RationalSolution("inconsistent", None, None)
 
-    rank = len(pivot_cols)
-    if rank < ncols:
-        return RationalSolution("underdetermined", None, ncols - rank)
+    if len(pivots) < ncols:
+        return RationalSolution("underdetermined", None, ncols - len(pivots))
 
-    solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = b[i] / rows[i][c]
-    return RationalSolution("unique", solution, 0)
+    # Back substitution, last pivot first: a later pivot's row is down to
+    # its own column by the time an earlier row needs it.
+    solved: dict[int, tuple[dict[int, int], int]] = {}
+    for col, (coeffs, b) in reversed(pivots.items()):
+        for other in [c for c in coeffs if c != col]:
+            coeffs, b = _eliminate(coeffs, b, *solved[other], other)
+        solved[col] = (coeffs, b)
+    return RationalSolution(
+        "unique", [Fraction(solved[c][1], solved[c][0][c]) for c in range(ncols)], 0
+    )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .blocks import BlockLabel, hla_cartesian
 from .coupling import cartesian_from_ladders, compatibility, t_sign_relation, u_blocks
-from .numeric import HalfInt
+from .numeric import HalfInt, Sparse
 
 __all__ = [
     "MAX_DIM",
@@ -38,6 +38,7 @@ __all__ = [
     "canonical_t_squared",
     "first_ten_specs",
     "classify_canonical_chain",
+    "GENERATOR_NAMES",
     "GeneratorSet",
     "assemble",
     "assemble_canonical",
@@ -70,8 +71,11 @@ class CanonicalSpec:
 
 Edge = tuple[int, int]
 
-# Largest representation dimension a backbone may have.  Assembly holds 14
-# dense complex dim x dim arrays (224 dim^2 bytes), so 3000 needs ~2 GB.
+# Largest representation dimension a backbone may have.  Generators are
+# held as their O(dim) non-zeros, so what still grows as dim^2 is what
+# callers ask for densely: the two Casimir matrices `verify.build_report`
+# forms (16 dim^2 bytes each, ~144 MB at 3000) and `GeneratorSet.generators()`
+# (ten such arrays).
 MAX_DIM = 3000
 
 
@@ -224,39 +228,45 @@ def classify_canonical_chain(labels: Sequence[BlockLabel]) -> Optional[Canonical
 # ---------------------------------------------------------------------------
 
 
+GENERATOR_NAMES = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vt", "Vx", "Vy", "Vz")
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The ten assembled generator matrices plus their provenance.
+    """The ten generator matrices, held as their non-zeros, plus their provenance.
 
-    J and K are block-diagonal over the backbone; the four displacement
-    generators have non-zero rectangles only on the backbone edges.  The
-    coupling map t holds one scalar per ordered block pair on an edge.
+    Each generator is a reduced `Sparse`: its non-zero entries, sorted by
+    key, which is row-major order.  J and K are block-diagonal over the
+    backbone; the four displacement generators have non-zero rectangles
+    only on the backbone edges.  The coupling map t holds one scalar per
+    ordered block pair on an edge.
     """
 
     backbone: BackboneGraph
     algebra: Algebra
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    kx: np.ndarray
-    ky: np.ndarray
-    kz: np.ndarray
-    vt: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    vz: np.ndarray
+    jx: Sparse
+    jy: Sparse
+    jz: Sparse
+    kx: Sparse
+    ky: Sparse
+    kz: Sparse
+    vt: Sparse
+    vx: Sparse
+    vy: Sparse
+    vz: Sparse
     t: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
-        return self.jz.shape[0]
+        return self.jz.n
+
+    def matrices(self) -> dict[str, Sparse]:
+        """Generator name -> its stored `Sparse` matrix."""
+        return {name: getattr(self, name.lower()) for name in GENERATOR_NAMES}
 
     def generators(self) -> dict[str, np.ndarray]:
-        return {
-            "Jx": self.jx, "Jy": self.jy, "Jz": self.jz,
-            "Kx": self.kx, "Ky": self.ky, "Kz": self.kz,
-            "Vt": self.vt, "Vx": self.vx, "Vy": self.vy, "Vz": self.vz,
-        }
+        """Generator name -> a dense dim x dim array (made on each call)."""
+        return {name: m.to_dense() for name, m in self.matrices().items()}
 
     def block_offsets(self) -> list[int]:
         offsets = [0]
@@ -308,22 +318,14 @@ def assemble(
         offsets.append(offsets[-1] + b.dim)
     dim = offsets[-1]
 
-    jx, jy, jz = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
-    kx, ky, kz = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    # each matrix as pieces: (rows, columns, values) within a block or an
+    # edge rectangle, with the offsets of that block's or rectangle's origin
+    diagonal = [[] for _ in range(6)]  # Jx, Jy, Jz, Kx, Ky, Kz
     for i, label in enumerate(backbone.blocks):
-        sl = slice(offsets[i], offsets[i + 1])
-        bjx, bjy, bjz, bkx, bky, bkz = hla_cartesian(label)
-        jx[sl, sl] = bjx
-        jy[sl, sl] = bjy
-        jz[sl, sl] = bjz
-        kx[sl, sl] = bkx
-        ky[sl, sl] = bky
-        kz[sl, sl] = bkz
+        for pieces, m in zip(diagonal, hla_cartesian(label)):
+            pieces.append((*np.divmod(m.keys, m.n), m.vals, offsets[i], offsets[i]))
 
-    vplus = np.zeros((dim, dim), dtype=complex)
-    vminus = np.zeros((dim, dim), dtype=complex)
-    wplus = np.zeros((dim, dim), dtype=complex)
-    wminus = np.zeros((dim, dim), dtype=complex)
+    ladders = [[] for _ in range(4)]  # V+, V-, W+, W-
     for i, j in sorted(backbone.edges):
         p, q = backbone.blocks[i], backbone.blocks[j]
         case = compatibility(p, q)
@@ -339,25 +341,31 @@ def assemble(
                     f"rule for case {case}: t_ji={t_ji}, expected {expected}"
                 )
         u = u_blocks(p, q)
-        sp = slice(offsets[i], offsets[i + 1])
-        sq = slice(offsets[j], offsets[j + 1])
-        vplus[sp, sq] = t_ij * u.uplus_pq
-        vminus[sp, sq] = t_ij * u.uminus_pq
-        wplus[sp, sq] = t_ij * u.wplus_pq
-        wminus[sp, sq] = t_ij * u.wminus_pq
-        vplus[sq, sp] = t_ji * u.uplus_qp
-        vminus[sq, sp] = t_ji * u.uminus_qp
-        wplus[sq, sp] = t_ji * u.wplus_qp
-        wminus[sq, sp] = t_ji * u.wminus_qp
+        for rects, row_offset, col_offset, scale in (
+            ((u.uplus_pq, u.uminus_pq, u.wplus_pq, u.wminus_pq), offsets[i], offsets[j], t_ij),
+            ((u.uplus_qp, u.uminus_qp, u.wplus_qp, u.wminus_qp), offsets[j], offsets[i], t_ji),
+        ):
+            for pieces, rect in zip(ladders, rects):
+                pieces.append((rect.rows, rect.cols, scale * rect.vals, row_offset, col_offset))
 
-    vt, vx, vy, vz = cartesian_from_ladders(vplus, vminus, wplus, wminus)
+    def joined(pieces) -> Sparse:
+        if not pieces:
+            return Sparse.zero(dim)
+        rows, cols, vals, row_offsets, col_offsets = zip(*pieces)
+        sizes = [r.size for r in rows]
+        keys = (np.concatenate(rows) + np.repeat(row_offsets, sizes)) * dim
+        keys += np.concatenate(cols) + np.repeat(col_offsets, sizes)
+        return Sparse(dim, keys, np.concatenate(vals))
+
+    jx, jy, jz, kx, ky, kz = map(joined, diagonal)
+    vt, vx, vy, vz = cartesian_from_ladders(*map(joined, ladders))
     if algebra is Algebra.ANTI_DE_SITTER:
         vx, vy, vz, vt = 1j * vx, 1j * vy, 1j * vz, 1j * vt
 
     return GeneratorSet(
-        backbone=backbone, algebra=algebra,
-        jx=jx, jy=jy, jz=jz, kx=kx, ky=ky, kz=kz,
-        vt=vt, vx=vx, vy=vy, vz=vz, t=dict(tmap),
+        backbone, algebra,
+        *(m.reduced() for m in (jx, jy, jz, kx, ky, kz, vt, vx, vy, vz)),
+        t=dict(tmap),
     )
 
 

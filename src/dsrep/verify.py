@@ -6,9 +6,10 @@ Hermitian/anti-Hermitian pattern of the generators, and the two Casimir
 operators, whose values on each irrep are reported both as matrices and
 as the closed-form scalars they must equal.
 
-Every check takes the generators' non-zeros once (`numeric.Sparse`) and
-evaluates its formulas on them, so a check costs O(nnz x row width)
-rather than O(dim^3); only the Casimir matrices are returned dense.
+Every check evaluates its formulas on the non-zeros the generator set
+stores (`numeric.Sparse`), so a check costs O(nnz x row width) rather
+than O(dim^3) and never scans a dense matrix; only the Casimir matrices
+are returned dense.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -53,13 +53,6 @@ C1_SCALAR_TOLERANCE = 1e-9
 C2_SCALAR_TOLERANCE = 1e-8
 
 
-def _nonzeros(g: GeneratorSet) -> SimpleNamespace:
-    """The ten generators as `Sparse` matrices, under GeneratorSet's attribute names."""
-    return SimpleNamespace(
-        **{name.lower(): Sparse.from_dense(m) for name, m in g.generators().items()}
-    )
-
-
 def _component_maps(g):
     j = {"x": g.jx, "y": g.jy, "z": g.jz}
     k = {"x": g.kx, "y": g.ky, "z": g.kz}
@@ -74,8 +67,7 @@ def check_all_crs(g: GeneratorSet) -> dict[str, float]:
     algebra: [Vi, Vj] = +i eps Jk and [Vt, Vi] = +i Ki for de Sitter,
     both right-hand sides negated for anti-de Sitter.
     """
-    nz = _nonzeros(g)
-    j, k, v = _component_maps(nz)
+    j, k, v = _component_maps(g)
     s = 1.0 if g.algebra is Algebra.DE_SITTER else -1.0
     sign = "" if s > 0 else "-"
     out: dict[str, float] = {}
@@ -88,11 +80,11 @@ def check_all_crs(g: GeneratorSet) -> dict[str, float]:
             commutator(v[p], v[q]) - s * 1j * j[r]
         )
     for p in ("x", "y", "z"):
-        out[f"[K{p},V{p}] = -i Vt"] = max_abs(commutator(k[p], v[p]) + 1j * nz.vt)
-        out[f"[J{p},Vt] = 0"] = max_abs(commutator(j[p], nz.vt))
-        out[f"[K{p},Vt] = -i V{p}"] = max_abs(commutator(k[p], nz.vt) + 1j * v[p])
+        out[f"[K{p},V{p}] = -i Vt"] = max_abs(commutator(k[p], v[p]) + 1j * g.vt)
+        out[f"[J{p},Vt] = 0"] = max_abs(commutator(j[p], g.vt))
+        out[f"[K{p},Vt] = -i V{p}"] = max_abs(commutator(k[p], g.vt) + 1j * v[p])
         out[f"[Vt,V{p}] = {sign}i K{p}"] = max_abs(
-            commutator(nz.vt, v[p]) - s * 1j * k[p]
+            commutator(g.vt, v[p]) - s * 1j * k[p]
         )
     return out
 
@@ -111,8 +103,7 @@ def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
     """max |dagger(X) -+ X| per generator, per the required H/AH pattern."""
     signs = hermitian_signs(g.algebra)
     out = {}
-    for name, mat in g.generators().items():
-        m = Sparse.from_dense(mat)
+    for name, m in g.matrices().items():
         out[name] = max_abs(dagger(m) - signs[name] * m)
     return out
 
@@ -124,7 +115,6 @@ def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
 
 def casimir1_matrix(g: GeneratorSet) -> np.ndarray:
     """Quadratic Casimir C1 = Vt^2 + K.K - J.J - V.V."""
-    g = _nonzeros(g)
     sq = lambda m: m @ m
     return (
         sq(g.vt)
@@ -145,7 +135,6 @@ def _dot(a, b) -> Sparse:
 
 def casimir2_matrix(g: GeneratorSet) -> np.ndarray:
     """Quartic Casimir C2 = (K.J)^2 - (V.J)^2 + Q.Q, with Q_i = Vt Ji + (K x V)_i."""
-    g = _nonzeros(g)
     j = (g.jx, g.jy, g.jz)
     k = (g.kx, g.ky, g.kz)
     v = (g.vx, g.vy, g.vz)

@@ -13,17 +13,24 @@
   generators and coupling rectangles built entry by entry in exact
   HalfInt/Fraction arithmetic, the reference for the array kernels in
   `dsrep.blocks` and `dsrep.coupling`.
+- `dense_assemble`: the ten generators assembled into zero-filled dense
+  dim x dim arrays from those loop oracles, the byte-exact reference for
+  the non-zeros `dsrep.representation.assemble` stores.
+- `fraction_solve`: Gauss-Jordan elimination over Fractions on dense
+  rows, the reference for the integer solver `dsrep.numeric` ships.
 - `gelfand_tsetlin_backbone` and `gelfand_tsetlin_generators`: cyclic
   so(5) backbones and the generators the solver finds for them.
 """
 
 import functools
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from dsrep.blocks import BlockLabel, block_grid, hla_cartesian
 from dsrep.coupling import compatibility
-from dsrep.numeric import HalfInt
+from dsrep.numeric import HalfInt, RationalSolution
 from dsrep.representation import (
     Algebra,
     BackboneGraph,
@@ -44,8 +51,8 @@ def coupling_null_space_dim(p: BlockLabel, q: BlockLabel, tol: float = 1e-8) -> 
     [Ji, Vj] = i eps Vk, [Ji, Vt] = 0, [Ki, Vj] = -i Vt delta_ij,
     [Ki, Vt] = -i Vi, and counts its null space by SVD.
     """
-    jp = hla_cartesian(p)
-    jq = hla_cartesian(q)
+    jp = [m.to_dense() for m in hla_cartesian(p)]
+    jq = [m.to_dense() for m in hla_cartesian(q)]
     m, n = p.dim, q.dim
     size = m * n
     eye_m = np.eye(m)
@@ -126,8 +133,17 @@ def _dense_commutator(x, y):
     return x @ y - y @ x
 
 
+def dense_view(g) -> SimpleNamespace:
+    """The generator set's algebra and its ten matrices as dense arrays,
+    under GeneratorSet's attribute names."""
+    return SimpleNamespace(
+        algebra=g.algebra, **{name.lower(): m for name, m in g.generators().items()}
+    )
+
+
 def dense_crs(g) -> dict[str, float]:
     """The 27 relation residuals from dense products, keyed as check_all_crs keys them."""
+    g = dense_view(g)
     j = {"x": g.jx, "y": g.jy, "z": g.jz}
     k = {"x": g.kx, "y": g.ky, "z": g.kz}
     v = {"x": g.vx, "y": g.vy, "z": g.vz}
@@ -162,6 +178,7 @@ def dense_hermiticity(g) -> dict[str, float]:
 
 def dense_casimir1(g) -> np.ndarray:
     """C1 = Kz^2 - Jz^2 + ((K+K- + K-K+) - (J+J- + J-J+))/2 - 2 (V+V- + V-V+ + W+W- + W-W+)."""
+    g = dense_view(g)
     jp, jm = g.jx + 1j * g.jy, g.jx - 1j * g.jy
     kp, km = g.kx + 1j * g.ky, g.kx - 1j * g.ky
     vp, vm = (g.vx + 1j * g.vy) / 2, (g.vx - 1j * g.vy) / 2
@@ -176,6 +193,7 @@ def dense_casimir1(g) -> np.ndarray:
 
 def dense_casimir1_cartesian(g) -> np.ndarray:
     """C1 = Vt^2 + K.K - J.J - V.V."""
+    g = dense_view(g)
     return (
         g.vt @ g.vt
         + g.kx @ g.kx + g.ky @ g.ky + g.kz @ g.kz
@@ -191,6 +209,7 @@ def _dense_dot(a, b):
 def _dense_c2_candidate(g, last_term: str, k_left: bool) -> np.ndarray:
     """(K.J)^2 - (V.J)^2 plus a last term built from J and the auxiliary
     vector Q_i = Vt Ji + (K x V)_i, or with the cross product taken V-first."""
+    g = dense_view(g)
     j = (g.jx, g.jy, g.jz)
     k = (g.kx, g.ky, g.kz)
     v = (g.vx, g.vy, g.vz)
@@ -254,6 +273,12 @@ def dense_casimir2(g) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Entry-by-entry construction oracle
 # ---------------------------------------------------------------------------
+
+
+def stored_bytes(m: np.ndarray) -> bytes:
+    """The bytes of a dense matrix with each exact zero (of either sign)
+    written as +0: what a `Sparse` of its non-zeros gives back densely."""
+    return np.where(m != 0, m, 0).astype(complex).tobytes()
 
 
 def loop_hla_generators(block: BlockLabel):
@@ -338,6 +363,90 @@ def loop_directed_rectangles(p: BlockLabel, q: BlockLabel):
             wminus[row_pos[target], col] = -s_a * value(-1, +1, a1, a2, b1, b2)
 
     return uplus, uminus, wplus, wminus
+
+
+def dense_assemble(backbone: BackboneGraph, t, algebra: Algebra) -> dict[str, np.ndarray]:
+    """Generator name -> dense matrix, for couplings t given per ordered pair.
+
+    Each block's Cartesian J and K and each edge's t-scaled ladder
+    rectangles are written into zero-filled dim x dim arrays, and the
+    Cartesian V are formed from the dense ladders, with the formulas of
+    `blocks.hla_cartesian` and `coupling.cartesian_from_ladders` applied
+    to whole arrays, zero entries included.
+    """
+    offsets = np.concatenate(([0], np.cumsum([b.dim for b in backbone.blocks])))
+    dim = int(offsets[-1])
+    names = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz")
+    out = {name: np.zeros((dim, dim), dtype=complex) for name in names}
+    for i, label in enumerate(backbone.blocks):
+        jplus, jminus, jz, kplus, kminus, kz = loop_hla_generators(label)
+        cartesian = (
+            (jplus + jminus) / 2, -0.5j * (jplus - jminus), jz,
+            (kplus + kminus) / 2, -0.5j * (kplus - kminus), kz,
+        )
+        sl = slice(offsets[i], offsets[i + 1])
+        for name, block in zip(names, cartesian):
+            out[name][sl, sl] = block
+
+    vplus, vminus, wplus, wminus = (np.zeros((dim, dim), dtype=complex) for _ in range(4))
+    for i, j in sorted(backbone.edges):
+        p, q = backbone.blocks[i], backbone.blocks[j]
+        sp, sq = slice(offsets[i], offsets[i + 1]), slice(offsets[j], offsets[j + 1])
+        for rows, cols, scale, rects in (
+            (sp, sq, t[(i, j)], loop_directed_rectangles(p, q)),
+            (sq, sp, t[(j, i)], loop_directed_rectangles(q, p)),
+        ):
+            for ladder, rect in zip((vplus, vminus, wplus, wminus), rects):
+                ladder[rows, cols] = scale * rect
+
+    v = {"Vt": wplus - wminus, "Vx": vplus + vminus, "Vy": -1j * (vplus - vminus),
+         "Vz": wplus + wminus}
+    if algebra is Algebra.ANTI_DE_SITTER:
+        v = {name: 1j * m for name, m in v.items()}
+    return {**out, **v}
+
+
+# ---------------------------------------------------------------------------
+# Exact linear solve oracle
+# ---------------------------------------------------------------------------
+
+
+def fraction_solve(matrix, rhs) -> RationalSolution:
+    """Gauss-Jordan elimination over Fractions, pivoting column by column."""
+    rows = [[Fraction(entry) for entry in row] for row in matrix]
+    b = [Fraction(entry) for entry in rhs]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        b[r], b[pivot_row] = b[pivot_row], b[r]
+        pivot = rows[r][c]
+        for i in range(nrows):
+            if i == r or rows[i][c] == 0:
+                continue
+            factor = rows[i][c] / pivot
+            for cc in range(c, ncols):
+                rows[i][cc] -= factor * rows[r][cc]
+            b[i] -= factor * b[r]
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+
+    if any(b[i] != 0 for i in range(len(pivot_cols), nrows)):
+        return RationalSolution("inconsistent", None, None)
+    rank = len(pivot_cols)
+    if rank < ncols:
+        return RationalSolution("underdetermined", None, ncols - rank)
+    solution = [Fraction(0)] * ncols
+    for i, c in enumerate(pivot_cols):
+        solution[c] = b[i] / rows[i][c]
+    return RationalSolution("unique", solution, 0)
 
 
 # ---------------------------------------------------------------------------

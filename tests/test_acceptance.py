@@ -287,7 +287,7 @@ def test_criterion_9_monotonic_path_property():
                 for edge, case in (((0, 1), case1), ((1, 2), case2)):
                     t[edge] = (1.0, t_sign_relation(case) * 1.0)
                 gens = assemble(BackboneGraph.make(blocks, t.keys()), t)
-                commutator_xy = gens.vx @ gens.vy - gens.vy @ gens.vx
+                commutator_xy = (gens.vx @ gens.vy - gens.vy @ gens.vx).to_dense()
                 n_first = blocks[0].dim
                 n_middle = blocks[1].dim
                 off_block = commutator_xy[: n_first, n_first + n_middle:]

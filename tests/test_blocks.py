@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from conftest import loop_hla_generators
+from conftest import loop_hla_generators, stored_bytes
 
 from dsrep.blocks import (
     BlockLabel,
+    HlaGenerators,
     block_dim,
     block_grid,
     flat_index,
@@ -48,13 +49,20 @@ def test_grid_order_and_flat_index():
         assert flat_index(block, a, b) == idx
 
 
+def dense_generators(block):
+    """hla_generators(block) with each matrix dense."""
+    return HlaGenerators(*(m.to_dense() for m in hla_generators(block)))
+
+
 def test_generators_match_the_entry_loop_bit_for_bit():
-    # every label with 2A, 2B <= 13: the same bytes, signed zeros included
+    # every label with 2A, 2B <= 13: the same bytes on every non-zero entry,
+    # signed zeros of their real and imaginary parts included (a Sparse
+    # stores no exact zeros, so those read back as +0)
     for twice_a in range(14):
         for twice_b in range(14):
             block = L(twice_a, twice_b)
             for got, want in zip(hla_generators(block), loop_hla_generators(block)):
-                assert got.tobytes() == want.tobytes(), block
+                assert got.to_dense().tobytes() == stored_bytes(want), block
 
 
 def test_trivial_block_all_zero():
@@ -66,14 +74,14 @@ def test_trivial_block_all_zero():
 
 def test_jz_diagonal_values():
     # diagonal entries a + b under the fixed ordering of the four states
-    gens = hla_generators(L(1, 1))
+    gens = dense_generators(L(1, 1))
     assert np.allclose(np.diag(gens.jz), [1, 0, 0, -1])
     # i Kz is diagonal a - b
     assert np.allclose(np.diag(1j * gens.kz), [0, 1, -1, 0])
 
 
 def test_vector_block_spectrum():
-    gens = hla_generators(L(2, 0))
+    gens = dense_generators(L(2, 0))
     assert np.allclose(np.diag(gens.jz), [1, 0, -1])
     assert max_abs(1j * gens.kz) == pytest.approx(1.0)
 
@@ -81,7 +89,7 @@ def test_vector_block_spectrum():
 @pytest.mark.parametrize("block", SMALL_BLOCKS, ids=str)
 def test_matches_direct_product_route(block):
     """Entrywise construction must equal A x 1 + 1 x B built from spin irreps."""
-    gens = hla_generators(block)
+    gens = dense_generators(block)
     ap, am, az = su2_generators(block.a)
     bp, bm, bz = su2_generators(block.b)
     ia = np.eye(block.a.twice + 1)
@@ -138,8 +146,8 @@ def test_label_swap_negates_boosts(block):
     perm = np.zeros((block.dim, block.dim))
     for idx, (a, b) in enumerate(block_grid(block)):
         perm[flat_index(swapped, b, a), idx] = 1.0
-    direct = hla_cartesian(block)
-    other = hla_cartesian(swapped)
+    direct = [m.to_dense() for m in hla_cartesian(block)]
+    other = [m.to_dense() for m in hla_cartesian(swapped)]
     for name, (m_block, m_swapped) in enumerate(zip(direct, other)):
         sign = 1.0 if name < 3 else -1.0  # J components first, then K
         assert max_abs(perm @ m_block @ perm.T - sign * m_swapped) < 1e-13

@@ -1,6 +1,7 @@
 """Command-line interface, document round-trips, golden tables."""
 
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,53 @@ class TestMalformedDocuments:
         path.write_text('{"blocks": [{"A": ' + "1" * 5000 + ', "B": 0}]}')
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestEntryListing:
+    """Explicit zero entries and any entry order load as the written matrices."""
+
+    @staticmethod
+    def _verify_json(doc, path, capsys):
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(path), "--format", "json"])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("family,n", [("a", "3"), ("b", "4")])
+    def test_explicit_zero_entries(self, tmp_path, capsys, family, n):
+        doc = _generated_doc(tmp_path, capsys, family, n)
+        want = self._verify_json(doc, tmp_path / "plain.json", capsys)
+        gens = generators_from_doc(doc)
+        dim = gens.dim
+        for index, gen in enumerate(doc["generators"]):
+            listed = {(r, c) for r, c, _, _ in gen["entries"]}
+            zeros = [[r, c, 0, 0] for r in range(dim) for c in range(dim) if (r, c) not in listed]
+            if index % 2:  # every position listed, in row-major order
+                gen["entries"] = sorted(gen["entries"] + zeros)
+            else:  # some zeros after the non-zero entries
+                gen["entries"] += zeros[::7]
+        assert self._verify_json(doc, tmp_path / "zeros.json", capsys) == want
+        loaded = generators_from_doc(doc)
+        for name, m in gens.matrices().items():
+            got = loaded.matrices()[name]
+            assert np.array_equal(got.keys, m.keys), name
+            assert got.vals.tobytes() == m.vals.tobytes(), name
+
+    @pytest.mark.parametrize("family,n", [("a", "3"), ("b", "4")])
+    def test_entries_out_of_row_major_order(self, tmp_path, capsys, family, n):
+        doc = _generated_doc(tmp_path, capsys, family, n)
+        want = self._verify_json(doc, tmp_path / "ordered.json", capsys)
+        gens = generators_from_doc(doc)
+        rng = random.Random(0)
+        for gen in doc["generators"]:
+            rng.shuffle(gen["entries"])
+        assert self._verify_json(doc, tmp_path / "shuffled.json", capsys) == want
+        loaded = generators_from_doc(doc)
+        for name, m in gens.matrices().items():
+            got = loaded.matrices()[name]
+            assert np.array_equal(got.keys, m.keys), name
+            assert got.vals.tobytes() == m.vals.tobytes(), name
+        # and the writer lists them in row-major order again
+        assert generators_to_doc(loaded) == generators_to_doc(gens)
 
 
 class TestTables:

@@ -10,6 +10,7 @@ from conftest import coupling_null_space_dim, loop_directed_rectangles
 from dsrep.blocks import BlockLabel, block_grid, flat_index
 from dsrep.coupling import (
     PairCase,
+    UBlockSet,
     compatibility,
     path_is_monotonic,
     t_sign_relation,
@@ -44,9 +45,16 @@ def test_rectangles_match_the_entry_loop_bit_for_bit():
                 want = loop_directed_rectangles(p, q) + loop_directed_rectangles(q, p)
                 u = u_blocks(p, q)
                 for field, ref in zip(dataclasses.fields(u), want):
-                    assert getattr(u, field.name).tobytes() == ref.tobytes(), (p, q, field.name)
+                    got = getattr(u, field.name).to_dense()
+                    assert got.tobytes() == ref.tobytes(), (p, q, field.name)
                 pairs += 1
     assert pairs == 27 * 27
+
+
+def dense_u_blocks(p, q):
+    """u_blocks(p, q) with each rectangle dense."""
+    u = u_blocks(p, q)
+    return UBlockSet(*(getattr(u, f.name).to_dense() for f in dataclasses.fields(u)))
 
 
 def blocks_for_case(case, twice_a_q, twice_b_q):
@@ -131,7 +139,7 @@ class TestUBlocks:
         # P = (1/2,1/2), Q = (0,0): the raising rectangle is 4x1 with a
         # single entry sqrt((1/2 + 1/2)(1/2 + 1/2)) = 1 at (a1,b1) = (1/2,1/2)
         p, q = L(1, 1), L(0, 0)
-        u = u_blocks(p, q)
+        u = dense_u_blocks(p, q)
         assert u.uplus_pq.shape == (4, 1)
         expected = np.zeros((4, 1))
         expected[flat_index(p, H(1), H(1)), 0] = 1.0
@@ -139,8 +147,8 @@ class TestUBlocks:
 
     def test_orientation_swap(self):
         p, q = L(0, 0), L(1, 1)
-        forward = u_blocks(p, q)
-        backward = u_blocks(q, p)
+        forward = dense_u_blocks(p, q)
+        backward = dense_u_blocks(q, p)
         for name in ("uplus", "uminus", "wplus", "wminus"):
             assert np.array_equal(
                 getattr(forward, f"{name}_pq"), getattr(backward, f"{name}_qp")
@@ -153,7 +161,7 @@ class TestUBlocks:
         # +- and -+ cases: dagger(U+_PQ) = +U-_QP, same for the W pair
         p, q = L(2, 0), L(1, 1)
         assert compatibility(p, q) == PairCase(1, -1)
-        u = u_blocks(p, q)
+        u = dense_u_blocks(p, q)
         assert max_abs(dagger(u.uplus_pq) - u.uminus_qp) < 1e-13
         assert max_abs(dagger(u.wplus_pq) - u.wminus_qp) < 1e-13
 
@@ -162,7 +170,7 @@ class TestUBlocks:
         made = blocks_for_case(case, 2, 2)
         p, q = made
         sign = -t_sign_relation(case)  # -1 exactly for the aligned cases
-        u = u_blocks(p, q)
+        u = dense_u_blocks(p, q)
         assert max_abs(dagger(u.uplus_pq) + sign * u.uminus_qp) < 1e-13
         assert max_abs(dagger(u.uminus_pq) + sign * u.uplus_qp) < 1e-13
         assert max_abs(dagger(u.wplus_pq) + sign * u.wminus_qp) < 1e-13
@@ -174,7 +182,7 @@ class TestUBlocks:
         if made is None:
             pytest.skip("labels leave the grid")
         p, q = made
-        u = u_blocks(p, q)
+        u = dense_u_blocks(p, q)
         shifts = {"uplus": (1, 1), "uminus": (-1, -1), "wplus": (1, -1), "wminus": (-1, 1)}
         grid_p = block_grid(p)
         grid_q = block_grid(q)
@@ -255,7 +263,7 @@ class TestZAgainstMatrices:
             p, q = made
             gens = two_block_assembly(p, q, 1.0, 1.0)
             n = p.dim
-            top = (1j * (gens.vx @ gens.vy - gens.vy @ gens.vx))[:n, :n]
+            top = (1j * (gens.vx @ gens.vy - gens.vy @ gens.vx)).to_dense()[:n, :n]
             z = z_linear(case, p.a, p.b)
             expected = np.diag(
                 [
@@ -275,7 +283,7 @@ class TestZAgainstMatrices:
             p, q = made
             gens = two_block_assembly(p, q, 1.0, 1.0)
             n = p.dim
-            top = (gens.vt @ gens.vz - gens.vz @ gens.vt)[:n, :n]
+            top = (gens.vt @ gens.vz - gens.vz @ gens.vt).to_dense()[:n, :n]
             z = z_linear(case, p.a, p.b)
             expected = np.diag(
                 [

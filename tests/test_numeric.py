@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import fraction_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -235,3 +236,89 @@ class TestRationalSolve:
         if out.status == "unique":
             for row, b in zip(rows, rhs):
                 assert sum(c * x for c, x in zip(row, out.solution)) == b
+
+
+_NONZERO = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.fractions(-3, 3, max_denominator=4).filter(bool),
+)
+_ANY = st.one_of(st.just(0), _NONZERO)
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs, kind) with kind the status the system is built to have.
+
+    Rank r independent rows in echelon form are mixed by adding multiples
+    of one another (which keeps the rank), then joined by zero rows and
+    combinations of the others, and shuffled; the right-hand side is
+    consistent with a drawn solution, except that an inconsistent system
+    gets one dependent row whose right-hand side is off.  Entries are ints
+    where integral, or Fractions throughout.
+    """
+    kind = draw(st.sampled_from(["unique", "underdetermined", "inconsistent"]))
+    ncols = draw(st.integers(1, 6))
+    if kind == "unique":
+        rank = ncols
+    elif kind == "underdetermined":
+        rank = draw(st.integers(0, ncols - 1))
+    else:
+        rank = draw(st.integers(0, ncols))
+    pivots = sorted(draw(st.permutations(range(ncols)))[:rank])
+    rows = []
+    for pivot in pivots:
+        row = [Fraction(0)] * ncols
+        row[pivot] = draw(_NONZERO)
+        for c in range(pivot + 1, ncols):
+            row[c] = Fraction(draw(_ANY))
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2 * rank))):
+        if rank < 2:
+            break
+        i, j = draw(st.permutations(range(rank)))[:2]
+        factor = draw(_NONZERO)
+        rows[i] = [a + factor * b for a, b in zip(rows[i], rows[j])]
+    x = [Fraction(draw(_ANY)) for _ in range(ncols)]
+    rhs = [sum(a * xc for a, xc in zip(row, x)) for row in rows]
+
+    def combination():
+        weights = [draw(_ANY) for _ in rows]
+        row = [sum((w * r[c] for w, r in zip(weights, rows)), Fraction(0)) for c in range(ncols)]
+        return row, sum((w * b for w, b in zip(weights, rhs)), Fraction(0))
+
+    extra = [combination() for _ in range(draw(st.integers(0, 2)))]
+    # at least one row, so that the column count is known
+    extra += [([Fraction(0)] * ncols, Fraction(0))] * draw(st.integers(int(not rows), 2))
+    if kind == "inconsistent":
+        row, b = combination()
+        extra.append((row, b + draw(_NONZERO)))
+    for row, b in extra:
+        rows.append(row)
+        rhs.append(b)
+    order = draw(st.permutations(range(len(rows))))
+    rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+    if draw(st.booleans()):  # ints where integral
+        rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+        rhs = [int(v) if v.denominator == 1 else v for v in rhs]
+    return rows, rhs, kind
+
+
+class TestIntegerSolveAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(linear_systems())
+    def test_same_status_solution_and_dof(self, system):
+        rows, rhs, kind = system
+        want = fraction_solve(rows, rhs)
+        assert want.status == kind
+        assert solve_rational_linear(rows, rhs) == want
+
+    def test_empty_and_zero_column_systems(self):
+        assert solve_rational_linear([], []) == fraction_solve([], [])
+        assert solve_rational_linear([[]], [0]) == fraction_solve([[]], [0])
+        assert solve_rational_linear([[]], [1]).status == "inconsistent"
+
+    def test_ragged_or_mismatched_input_raises(self):
+        with pytest.raises(ValueError):
+            solve_rational_linear([[1, 2], [3]], [0, 0])
+        with pytest.raises(ValueError):
+            solve_rational_linear([[1]], [0, 0])

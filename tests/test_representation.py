@@ -1,12 +1,17 @@
 """Canonical chains, coupling scalars, and full assembly."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import dense_assemble, gelfand_tsetlin_generators, stored_bytes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsrep.blocks import BlockLabel
+from dsrep.io import generators_from_doc, generators_to_doc
 from dsrep.numeric import HalfInt, max_abs
 from dsrep.representation import (
     MAX_DIM,
@@ -151,7 +156,7 @@ class TestAssembly:
     def test_smallest_rep_shape_and_jz(self):
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_B, 2))
         assert gens.dim == 4
-        assert np.allclose(np.diag(gens.jz), [0.5, -0.5, 0.5, -0.5])
+        assert np.allclose(np.diag(gens.jz.to_dense()), [0.5, -0.5, 0.5, -0.5])
 
     def test_five_dimensional_rep_satisfies_algebra(self):
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 2))
@@ -194,15 +199,16 @@ class TestAssembly:
         mask = np.ones((gens.dim, gens.dim), dtype=bool)
         for i in range(len(offsets) - 1):
             mask[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = False
-        for m in (gens.jx, gens.jy, gens.jz, gens.kx, gens.ky, gens.kz):
-            assert max_abs(m[mask]) == 0.0
+        dense = gens.generators()
+        for name in ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz"):
+            assert max_abs(dense[name][mask]) == 0.0
         # V has support only on chain-adjacent rectangles
         vmask = np.ones((gens.dim, gens.dim), dtype=bool)
         for i, j in gens.backbone.edges:
             vmask[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = False
             vmask[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = False
-        for m in (gens.vt, gens.vx, gens.vy, gens.vz):
-            assert max_abs(m[vmask]) == 0.0
+        for name in ("Vt", "Vx", "Vy", "Vz"):
+            assert max_abs(dense[name][vmask]) == 0.0
 
     def test_duplicate_blocks_assemble(self):
         # two copies of (1/2,1/2) joined to distinct partners
@@ -270,3 +276,87 @@ class TestAntiDeSitter:
             )
         )
         assert ads_as_ds["[Vx,Vy] = i Jz"] > 0.1
+
+
+# ---------------------------------------------------------------------------
+# Storage: the stored non-zeros against the dense assembly in conftest
+# ---------------------------------------------------------------------------
+
+
+# twice (m1, m2) of three cyclic so(5) backbones
+GT_WEIGHTS = [(3, 1), (4, 2), (5, 3)]
+
+
+def _canonical_pairs(spec, offset=0):
+    """Couplings of a canonical chain per ordered block pair, indices shifted."""
+    t = {}
+    for n in range(1, spec.n):
+        t[(offset + n - 1, offset + n)], t[(offset + n, offset + n - 1)] = canonical_t(spec, n)
+    return t
+
+
+@st.composite
+def assembly_inputs(draw):
+    """(backbone, couplings per ordered pair, algebra): a canonical chain, an
+    so(5) cyclic backbone or a direct sum of chains (its labels repeat),
+    with the couplings as built or each rescaled by a factor of either sign."""
+    algebra = draw(st.sampled_from(list(Algebra)))
+    kind = draw(st.sampled_from(["chain", "so5", "sum"]))
+    if kind == "chain":
+        spec = CanonicalSpec(draw(st.sampled_from(list(Family))), draw(st.integers(2, 6)))
+        backbone, t = canonical_backbone(spec), _canonical_pairs(spec)
+    elif kind == "so5":
+        gens = gelfand_tsetlin_generators(draw(st.sampled_from(GT_WEIGHTS)), algebra)
+        backbone, t = gens.backbone, dict(gens.t)
+    else:
+        specs = draw(st.lists(
+            st.builds(CanonicalSpec, st.sampled_from(list(Family)), st.integers(2, 4)),
+            min_size=2, max_size=3,
+        ))
+        blocks, edges, t = [], [], {}
+        for spec in specs:
+            chain = canonical_backbone(spec)
+            edges += [(i + len(blocks), j + len(blocks)) for i, j in chain.edges]
+            t.update(_canonical_pairs(spec, len(blocks)))
+            blocks += chain.blocks
+        backbone = BackboneGraph.make(blocks, edges)
+    if draw(st.booleans()):
+        factors = st.sampled_from([-2.0, -1.0, -0.3, 0.7, 1.5])
+        t = {pair: draw(factors) * value for pair, value in t.items()}
+    return backbone, t, algebra
+
+
+class TestDenseAssemblyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(assembly_inputs())
+    def test_stored_entries_carry_the_dense_bytes(self, case):
+        # every non-zero entry, signed zeros of its parts included, is what
+        # the dense assembly wrote; exact zeros are not stored
+        backbone, t, algebra = case
+        gens = assemble(backbone, t, algebra, validate_t=False)
+        want = dense_assemble(backbone, t, algebra)
+        for name, m in gens.matrices().items():
+            assert m.to_dense().tobytes() == stored_bytes(want[name]), name
+            assert (np.diff(m.keys) > 0).all() and (m.vals != 0).all(), name
+
+
+class TestMemory:
+    def test_assembly_and_loader_peak_below_a_tenth_of_one_dense_array(self):
+        # type A N=20, dim 2870: one dense complex dim x dim array is 132 MB
+        spec = CanonicalSpec(Family.TYPE_A, 20)
+        dense_bytes = 16 * canonical_dimension(spec) ** 2
+        backbone, t = canonical_backbone(spec), _canonical_pairs(spec)
+        tracemalloc.start()
+        try:
+            gens = assemble(backbone, t)
+            assemble_peak = tracemalloc.get_traced_memory()[1]
+            doc = generators_to_doc(gens)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = generators_from_doc(doc)
+            load_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert loaded.dim == gens.dim == 2870
+        assert assemble_peak < dense_bytes / 10
+        assert load_peak < dense_bytes / 10

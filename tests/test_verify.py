@@ -22,7 +22,7 @@ from conftest import (
     gelfand_tsetlin_generators,
     select_casimir2_interpretation,
 )
-from dsrep.numeric import HalfInt, commutator, max_abs
+from dsrep.numeric import HalfInt, Sparse, commutator, max_abs
 from dsrep.representation import (
     Algebra,
     CanonicalSpec,
@@ -301,13 +301,13 @@ class TestNonFinite:
     @pytest.mark.parametrize("everywhere", [False, True], ids=["one-entry", "all-of-vx"])
     def test_nan_generator_fails_report(self, everywhere):
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
-        vx = gens.vx.copy()
+        vx = gens.generators()["Vx"]
         if everywhere:
             vx[:] = np.nan
         else:
             r, c = np.argwhere(vx != 0)[0]
             vx[r, c] = np.nan
-        report = build_report(dataclasses.replace(gens, vx=vx))
+        report = build_report(dataclasses.replace(gens, vx=Sparse.from_dense(vx)))
         assert not report.passed
         assert math.isnan(report.max_cr_residual)
         assert math.isnan(report.max_hermiticity_residual)
@@ -318,10 +318,10 @@ class TestNonFinite:
 
     def test_nan_reaches_every_relation_naming_the_generator(self):
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_B, 3))
-        vt = gens.vt.copy()
+        vt = gens.generators()["Vt"]
         r, c = np.argwhere(vt != 0)[0]
         vt[r, c] = np.nan
-        residuals = check_all_crs(dataclasses.replace(gens, vt=vt))
+        residuals = check_all_crs(dataclasses.replace(gens, vt=Sparse.from_dense(vt)))
         for name, value in residuals.items():
             if "Vt" in name:
                 assert math.isnan(value), name
@@ -395,9 +395,9 @@ def generator_sets(draw):
         name = draw(st.sampled_from(list(gens.generators())))
         spots = _off_pattern(gens, name)
         r, c = spots[draw(st.integers(0, len(spots) - 1))]
-        matrix = gens.generators()[name].copy()
+        matrix = gens.generators()[name]
         matrix[r, c] = draw(st.sampled_from([0.25, -1.0, 0.5j, 3.0]))
-        return dataclasses.replace(gens, **{name.lower(): matrix}), True
+        return dataclasses.replace(gens, **{name.lower(): Sparse.from_dense(matrix)}), True
     return gens, False
 
 
