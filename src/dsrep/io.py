@@ -10,18 +10,28 @@ Backbone document (input to `validate`, embedded in generator documents):
       "algebra": "ds" | "ads"                     # optional, default "ds"
     }
 
-Generator document (output of `generate`, input to `verify`):
+Generator document (output of `generate`, input to `verify`), format 2:
 
     {
+      "format": 2,
       "algebra": "ds" | "ads",
       "backbone": {...backbone document...},
       "t": [{"edge": [i, j], "forward": float, "reverse": float}, ...],
       "generators": [
         {"name": "Jx", "rows": n, "cols": n,
-         "entries": [[row, col, re, im], ...]},   # sparse, zeros omitted
+         "row": [...], "col": [...],              # positions of the stored entries
+         "re": [...], "im": [...]},               # their real and imaginary parts
         ...
       ]
     }
+
+Each matrix lists its non-zero entries as four columns of equal length.
+"re" or "im" is left out only when every part in it is +0.0 (a -0.0 part
+is written), and a missing one reads as +0.0 parts.  `verify` also reads
+format 1, the same document without "format" and with
+`"entries": [[row, col, re, im], ...]` in place of the four columns; its
+entries are transposed into the same columns, so one checker serves both.
+Any other "format" value is refused.
 
 The schemas above are shown spread out; `save_json` and `generate`
 write each document as one line of compact JSON.  Entries are listed in
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -148,12 +158,17 @@ def backbone_from_doc(doc: Any) -> tuple[BackboneGraph, Algebra]:
     return graph, algebra
 
 
-def _matrix_entries(m: Sparse) -> list[list]:
-    """[row, col, re, im] of each stored entry, in row-major (key) order."""
+def _matrix_doc(name: str, m: Sparse) -> dict:
+    """One generator as format-2 columns of its stored entries, in row-major
+    (key) order; "re" or "im" is left out when every part in it is +0.0."""
     m = m.reduced()
     rows, cols = np.divmod(m.keys, m.n)
-    columns = (rows.tolist(), cols.tolist(), m.vals.real.tolist(), m.vals.imag.tolist())
-    return list(map(list, zip(*columns)))
+    doc = {"name": name, "rows": m.n, "cols": m.n, "row": rows.tolist(), "col": cols.tolist()}
+    for key, part in (("re", m.vals.real), ("im", m.vals.imag)):
+        # a -0.0 part must be written for the round trip to keep its bits
+        if part.any() or np.signbit(part).any():
+            doc[key] = part.tolist()
+    return doc
 
 
 def generators_to_doc(g: GeneratorSet) -> dict:
@@ -162,68 +177,115 @@ def generators_to_doc(g: GeneratorSet) -> dict:
         t_entries.append(
             {"edge": [i, j], "forward": g.t.get((i, j)), "reverse": g.t.get((j, i))}
         )
-    gens = []
-    for name, mat in g.matrices().items():
-        gens.append(
-            {"name": name, "rows": g.dim, "cols": g.dim, "entries": _matrix_entries(mat)}
-        )
     return {
+        "format": 2,
         "algebra": g.algebra.value,
         "backbone": backbone_to_doc(g.backbone, g.algebra),
         "t": t_entries,
-        "generators": gens,
+        "generators": [_matrix_doc(name, m) for name, m in g.matrices().items()],
     }
 
 
-def _matrix_from_entries(entries: list, name: str, dim: int) -> Sparse:
-    """The dim x dim matrix listed by [row, col, re, im] entries, as a reduced
-    `Sparse` (explicit zero entries dropped).
+Columns = tuple[Sequence, Sequence, Optional[Sequence], Optional[Sequence]]
 
-    The checks run once per column rather than once per entry: type()
-    tests keep booleans out, positions are range-checked as Python ints
-    before numpy sees them, and values must be finite as floats.
-    """
+
+def _entry_columns(entry: dict, name: str) -> Columns:
+    """The row, col, re and im columns of a format-1 matrix, transposed from
+    its [row, col, re, im] entries."""
+    if "entries" not in entry:
+        raise DocumentError(f"{name} needs 'entries'")
+    entries = _list(entry["entries"], f"{name} entries")
     if not entries:
-        return Sparse.zero(dim)
+        return [], [], [], []
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {4}:
         bad = next(e for e in entries if type(e) is not list or len(e) != 4)
         raise DocumentError(f"{name} entry {bad!r} must be [row, col, re, im]")
-    rows, cols, re, im = zip(*entries)
+    return tuple(zip(*entries))
+
+
+def _format2_columns(entry: dict, name: str) -> Columns:
+    """The row, col, re and im columns of a format-2 matrix; a missing re or
+    im column is None."""
+    if "row" not in entry or "col" not in entry:
+        raise DocumentError(f"{name} needs 'row' and 'col'")
+    columns = [
+        None if key not in entry else _list(entry[key], f"{name} {key!r}")
+        for key in ("row", "col", "re", "im")
+    ]
+    if len({len(column) for column in columns if column is not None}) > 1:
+        raise DocumentError(f"{name} columns 'row', 'col', 're' and 'im' differ in length")
+    return tuple(columns)
+
+
+def _matrix_from_columns(columns: Columns, name: str, dim: int) -> Sparse:
+    """The dim x dim matrix whose entries the columns list, as a reduced
+    `Sparse` (explicit zero entries dropped).  A re or im column of None
+    holds +0.0 parts.
+
+    The checks run once per column rather than once per entry: type()
+    tests keep booleans out, positions are range-checked as index arrays
+    (an integer beyond the index type is out of range), and values must
+    be finite as floats.
+    """
+    rows, cols, re, im = columns
+    if not rows:
+        return Sparse.zero(dim)
     if set(map(type, rows)) | set(map(type, cols)) != {int}:
-        bad = next(e for e in entries if type(e[0]) is not int or type(e[1]) is not int)
-        raise DocumentError(f"{name} entry position ({bad[0]!r}, {bad[1]!r}) must be integers")
-    if min(rows) < 0 or min(cols) < 0 or max(rows) >= dim or max(cols) >= dim:
-        bad = next(e for e in entries if not (0 <= e[0] < dim and 0 <= e[1] < dim))
-        raise DocumentError(f"{name} entry ({bad[0]}, {bad[1]}) out of range")
-    for part in (re, im):
-        if not set(map(type, part)) <= {int, float}:
-            bad = next(e for e in entries if not {type(e[2]), type(e[3])} <= {int, float})
-            raise DocumentError(f"{name} entry ({bad[0]}, {bad[1]}) must hold two numbers")
-    values = np.empty(len(entries), dtype=complex)
+        bad = next(i for i, rc in enumerate(zip(rows, cols)) if set(map(type, rc)) != {int})
+        raise DocumentError(
+            f"{name} entry position ({rows[bad]!r}, {cols[bad]!r}) must be integers"
+        )
     try:
-        values.real = re
-        values.imag = im
-    except OverflowError:  # an integer beyond the float range
-        values.real = [_as_float(x) for x in re]
-        values.imag = [_as_float(x) for x in im]
+        r, c = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        inside = ((r >= 0) & (r < dim) & (c >= 0) & (c < dim)).all()
+    except OverflowError:  # an integer beyond the index type
+        inside = False
+    if not inside:
+        bad = next(i for i, rc in enumerate(zip(rows, cols)) if not all(0 <= x < dim for x in rc))
+        raise DocumentError(f"{name} entry ({rows[bad]}, {cols[bad]}) out of range")
+    values = np.zeros(len(rows), dtype=complex)
+    for part, column in ((values.real, re), (values.imag, im)):
+        if column is None:
+            continue
+        if not set(map(type, column)) <= {int, float}:
+            bad = next(i for i, x in enumerate(column) if type(x) not in (int, float))
+            raise DocumentError(f"{name} entry ({rows[bad]}, {cols[bad]}) must hold two numbers")
+        try:
+            part[:] = column
+        except OverflowError:  # an integer beyond the float range
+            part[:] = [_as_float(x) for x in column]
     finite = np.isfinite(values)
     if not finite.all():
-        r, c = entries[int(np.argmin(finite))][:2]
-        raise DocumentError(f"{name} entry ({r}, {c}) must be a finite number")
-    keys = np.array(rows, dtype=np.intp) * dim + np.array(cols, dtype=np.intp)
+        bad = int(np.argmin(finite))
+        raise DocumentError(f"{name} entry ({rows[bad]}, {cols[bad]}) must be a finite number")
+    keys = r * dim + c
     # generators_to_doc lists entries in increasing order, so the duplicate
     # search is only needed for documents written some other way
     if not (np.diff(keys) > 0).all():
         unique, counts = np.unique(keys, return_counts=True)
         if (counts > 1).any():
-            r, c = divmod(int(unique[np.argmax(counts > 1)]), dim)
-            raise DocumentError(f"{name} entry ({r}, {c}) is listed twice")
+            row, col = divmod(int(unique[np.argmax(counts > 1)]), dim)
+            raise DocumentError(f"{name} entry ({row}, {col}) is listed twice")
     return Sparse(dim, keys, values).reduced()
+
+
+def _format_reader(doc: dict):
+    """The column reader for the document's format: 2 when "format" is 2,
+    1 (entry lists) when there is no "format" key."""
+    if "format" not in doc:
+        return _entry_columns
+    if type(doc["format"]) is int and doc["format"] == 2:
+        return _format2_columns
+    raise DocumentError(
+        f"unknown generator document format {doc['format']!r}: "
+        "'format' must be 2, or absent for entry lists"
+    )
 
 
 def generators_from_doc(doc: Any) -> GeneratorSet:
     if not isinstance(doc, dict):
         raise DocumentError("generator document must be a JSON object")
+    read_columns = _format_reader(doc)
     algebra = _parse_algebra(doc.get("algebra"))
     if "backbone" not in doc:
         raise DocumentError("generator document missing 'backbone'")
@@ -259,9 +321,7 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
             raise DocumentError(
                 f"{name} is {rows}x{cols} but the backbone implies {dim}x{dim}"
             )
-        matrices[name] = _matrix_from_entries(
-            _list(entry.get("entries", []), f"{name} entries"), name, dim
-        )
+        matrices[name] = _matrix_from_columns(read_columns(entry, name), name, dim)
     missing = [n for n in GENERATOR_NAMES if n not in matrices]
     if missing:
         raise DocumentError(f"generator document missing matrices: {missing}")

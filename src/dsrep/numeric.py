@@ -24,6 +24,7 @@ __all__ = [
     "HalfInt",
     "half_int_range",
     "Sparse",
+    "product_sum",
     "commutator",
     "dagger",
     "max_abs",
@@ -289,6 +290,49 @@ class Sparse:
             (row_start + cols[inner]).ravel(),
             (left.vals[:, None] * vals[inner]).ravel(),
         )
+
+
+# Product terms (padding included) `product_sum` forms before it reduces
+# them: about 2 MB of working memory.
+PRODUCT_TERMS = 1 << 15
+
+
+def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse":
+    """The sum of c * (a @ b) over the (c, a, b) terms, reduced.
+
+    Each c scales the rows of a before the product.  The products are
+    formed for a run of rows at a time, concatenated and reduced before
+    the next run.  A run makes about PRODUCT_TERMS product terms, or the
+    terms of one row if that row makes more, so the working memory stays
+    bounded however large the operands are; each entry's terms all fall
+    in one run and are summed by one reduction.
+    """
+    lefts = [a.reduced() for _, a, _ in terms]
+    widths = [b._padded_rows()[0].shape[1] for _, _, b in terms]
+    n = lefts[0].n
+    bounds = np.array([0, n])
+    if sum(left.keys.size * width for left, width in zip(lefts, widths)) > PRODUCT_TERMS:
+        per_row = sum(
+            np.bincount(left.keys // n, minlength=n) * width
+            for left, width in zip(lefts, widths)
+        )
+        run = (np.cumsum(per_row) - 1) // PRODUCT_TERMS
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1, [n]))
+    pieces = []
+    for lo, hi in zip(bounds[:-1] * n, bounds[1:] * n):
+        products = []
+        for left, (c, _, b) in zip(lefts, terms):
+            i, j = np.searchsorted(left.keys, (lo, hi))
+            rows = left if j - i == left.keys.size else Sparse(
+                n, left.keys[i:j], left.vals[i:j], reduced=True
+            )
+            products.append((rows if c == 1 else c * rows) @ b)
+        keys = np.concatenate([p.keys for p in products])
+        pieces.append(Sparse(n, keys, np.concatenate([p.vals for p in products])).reduced())
+    if len(pieces) == 1:
+        return pieces[0]
+    keys = np.concatenate([piece.keys for piece in pieces])
+    return Sparse(n, keys, np.concatenate([piece.vals for piece in pieces]), reduced=True)
 
 
 def commutator(x, y):

@@ -71,11 +71,11 @@ class CanonicalSpec:
 
 Edge = tuple[int, int]
 
-# Largest representation dimension a backbone may have.  Generators are
-# held as their O(dim) non-zeros, so what still grows as dim^2 is what
-# callers ask for densely: the two Casimir matrices `verify.build_report`
-# forms (16 dim^2 bytes each, ~144 MB at 3000) and `GeneratorSet.generators()`
-# (ten such arrays).
+# Largest representation dimension a backbone may have.  Generators and
+# the Casimirs `verify.build_report` checks are held as their non-zeros,
+# so the one thing that still grows as dim^2 is what a caller asks for
+# densely: `GeneratorSet.generators()`, ten complex dim x dim arrays
+# (16 dim^2 bytes each, ~1.4 GB together at 3000).
 MAX_DIM = 3000
 
 
@@ -208,18 +208,18 @@ def first_ten_specs() -> list[tuple[int, CanonicalSpec]]:
 def classify_canonical_chain(labels: Sequence[BlockLabel]) -> Optional[CanonicalSpec]:
     """Identify an (unordered) label sequence as one canonical chain, if it is one.
 
-    The labels may be listed in either chain direction or any order; the
-    test is against the canonical label multiset together with the
-    requirement that consecutive sorted labels are chain neighbours.
+    The test reads the family off the label multiset, in any order and
+    without building a backbone: type A is {(k/2, k/2) : k < N} and type B
+    is {(a, b) : a + b = (N-1)/2}, each label once.
     """
     n = len(labels)
     if n < 2:
         return None
-    for family in (Family.TYPE_A, Family.TYPE_B):
-        spec = CanonicalSpec(family, n)
-        want = sorted(canonical_backbone(spec).blocks)
-        if sorted(labels) == want:
-            return spec
+    twice = sorted((label.a.twice, label.b.twice) for label in labels)
+    if twice == [(k, k) for k in range(n)]:
+        return CanonicalSpec(Family.TYPE_A, n)
+    if twice == [(k, n - 1 - k) for k in range(n)]:
+        return CanonicalSpec(Family.TYPE_B, n)
     return None
 
 

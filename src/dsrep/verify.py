@@ -3,13 +3,14 @@
 Checks the 27 commutation relations of the de Sitter / anti-de Sitter
 algebra (one per cyclic component of each vector identity), the
 Hermitian/anti-Hermitian pattern of the generators, and the two Casimir
-operators, whose values on each irrep are reported both as matrices and
-as the closed-form scalars they must equal.
+operators, whose values on each irrep are reported as scalars next to
+the closed forms they must equal.
 
 Every check evaluates its formulas on the non-zeros the generator set
 stores (`numeric.Sparse`), so a check costs O(nnz x row width) rather
-than O(dim^3) and never scans a dense matrix; only the Casimir matrices
-are returned dense.
+than O(dim^3) and never forms a dense matrix: the Casimir matrices are
+returned as `Sparse`, and `scalar_check` reads their diagonal and
+off-diagonal entries directly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .numeric import HalfInt, Sparse, commutator, dagger, max_abs
+from .numeric import HalfInt, Sparse, commutator, dagger, max_abs, product_sum
 from .representation import (
     Algebra,
     CanonicalSpec,
@@ -60,6 +61,13 @@ def _component_maps(g):
     return j, k, v
 
 
+def _v_sign(algebra: Algebra) -> float:
+    """+1 for de Sitter, -1 for anti-de Sitter: the sign a product of two
+    displacement generators picks up, since the anti-de Sitter V are i
+    times the de Sitter ones."""
+    return 1.0 if algebra is Algebra.DE_SITTER else -1.0
+
+
 def check_all_crs(g: GeneratorSet) -> dict[str, float]:
     """Residuals of the 27 commutation relations, keyed by equation text.
 
@@ -68,7 +76,7 @@ def check_all_crs(g: GeneratorSet) -> dict[str, float]:
     both right-hand sides negated for anti-de Sitter.
     """
     j, k, v = _component_maps(g)
-    s = 1.0 if g.algebra is Algebra.DE_SITTER else -1.0
+    s = _v_sign(g.algebra)
     sign = "" if s > 0 else "-"
     out: dict[str, float] = {}
     for p, q, r in _CYCLIC:
@@ -113,15 +121,14 @@ def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def casimir1_matrix(g: GeneratorSet) -> np.ndarray:
-    """Quadratic Casimir C1 = Vt^2 + K.K - J.J - V.V."""
-    sq = lambda m: m @ m
-    return (
-        sq(g.vt)
-        + sq(g.kx) + sq(g.ky) + sq(g.kz)
-        - sq(g.jx) - sq(g.jy) - sq(g.jz)
-        - sq(g.vx) - sq(g.vy) - sq(g.vz)
-    ).to_dense()
+def casimir1_matrix(g: GeneratorSet) -> Sparse:
+    """Quadratic Casimir C1 = s Vt^2 + K.K - J.J - s V.V, with s = `_v_sign`."""
+    s = _v_sign(g.algebra)
+    signed = (
+        (s, g.vt), (1.0, g.kx), (1.0, g.ky), (1.0, g.kz), (-1.0, g.jx), (-1.0, g.jy),
+        (-1.0, g.jz), (-s, g.vx), (-s, g.vy), (-s, g.vz),
+    )
+    return product_sum([(c, m, m) for c, m in signed])
 
 
 # `perfbench/spans.py` still patches this name; delete it with that entry
@@ -129,21 +136,20 @@ def casimir1_matrix(g: GeneratorSet) -> np.ndarray:
 casimir1_cartesian = casimir1_matrix
 
 
-def _dot(a, b) -> Sparse:
-    return a[0] @ b[0] + a[1] @ b[1] + a[2] @ b[2]
-
-
-def casimir2_matrix(g: GeneratorSet) -> np.ndarray:
-    """Quartic Casimir C2 = (K.J)^2 - (V.J)^2 + Q.Q, with Q_i = Vt Ji + (K x V)_i."""
+def casimir2_matrix(g: GeneratorSet) -> Sparse:
+    """Quartic Casimir C2 = (K.J)^2 - s (V.J)^2 + s Q.Q, with
+    Q_i = Vt Ji + (K x V)_i and s = `_v_sign`."""
+    s = _v_sign(g.algebra)
     j = (g.jx, g.jy, g.jz)
     k = (g.kx, g.ky, g.kz)
     v = (g.vx, g.vy, g.vz)
-    kj, vj = _dot(k, j), _dot(v, j)
+    kj = product_sum([(1.0, k[i], j[i]) for i in range(3)])
+    vj = product_sum([(1.0, v[i], j[i]) for i in range(3)])
     q = [
-        g.vt @ j[p] + (k[a] @ v[b] - k[b] @ v[a])
+        product_sum([(1.0, g.vt, j[p]), (1.0, k[a], v[b]), (-1.0, k[b], v[a])])
         for p, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     ]
-    return (kj @ kj - vj @ vj + _dot(q, q)).to_dense()
+    return product_sum([(1.0, kj, kj), (-s, vj, vj), *((s, qp, qp) for qp in q)])
 
 
 def casimir_invariants_closed_form(
@@ -165,15 +171,22 @@ def casimir_invariants_closed_form(
     return neg_c1, neg_c2, p, q
 
 
-def scalar_check(m: np.ndarray, tol: float) -> Optional[complex]:
-    """trace(M)/dim when M is within tol of that multiple of the identity."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"scalar_check needs a square matrix, got {m.shape}")
-    lam = complex(np.trace(m) / m.shape[0])
-    if max_abs(m - lam * np.eye(m.shape[0])) < tol:
-        return lam
-    return None
+def scalar_check(m: Sparse, tol: float) -> Optional[complex]:
+    """lam = (diagonal sum) / dim when M is within tol of lam times the identity.
+
+    An absent diagonal entry counts as 0.  The distance is the larger of the
+    worst diagonal deviation from lam and the largest off-diagonal entry,
+    and a NaN distance is never within tol.
+    """
+    m = m.reduced()
+    diagonal = np.zeros(m.n, dtype=complex)
+    on_diagonal = m.keys % (m.n + 1) == 0
+    diagonal[m.keys[on_diagonal] // (m.n + 1)] = m.vals[on_diagonal]
+    lam = complex(diagonal.sum() / m.n)
+    worst = worst_residual((max_abs(diagonal - lam), max_abs(m.vals[~on_diagonal])))
+    if not worst < tol:
+        return None
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +207,6 @@ class VerificationReport:
     algebra: Algebra
     cr_residuals: dict[str, float]
     hermiticity_residuals: dict[str, float]
-    casimir1: np.ndarray
     casimir1_scalar: Optional[complex]
     casimir2_scalar: Optional[complex]
     p: Optional[HalfInt]
@@ -230,7 +242,7 @@ class VerificationReport:
 
 def build_report(g: GeneratorSet, cr_tolerance: float = CR_TOLERANCE) -> VerificationReport:
     """Full verification of a generator set."""
-    c1 = casimir1_matrix(g)
+    casimir1_scalar = scalar_check(casimir1_matrix(g), C1_SCALAR_TOLERANCE)
     spec = classify_canonical_chain(g.backbone.blocks)
     p = q = None
     if spec is not None and not g.backbone.has_duplicates():
@@ -239,8 +251,7 @@ def build_report(g: GeneratorSet, cr_tolerance: float = CR_TOLERANCE) -> Verific
         algebra=g.algebra,
         cr_residuals=check_all_crs(g),
         hermiticity_residuals=check_hermiticity(g),
-        casimir1=c1,
-        casimir1_scalar=scalar_check(c1, C1_SCALAR_TOLERANCE),
+        casimir1_scalar=casimir1_scalar,
         casimir2_scalar=scalar_check(casimir2_matrix(g), C2_SCALAR_TOLERANCE),
         p=p,
         q=q,

@@ -5,7 +5,12 @@
   formulas evaluated with dense dim x dim products, the reference for
   `dsrep.verify`, which evaluates the same formulas on the non-zeros.
   `dense_casimir1` is the ladder form of C1, a second derivation of the
-  Cartesian form that `dsrep.verify` ships.
+  Cartesian form that `dsrep.verify` ships.  The Casimir oracles take
+  anti-de Sitter generators back to de Sitter ones (V -> -i V) and
+  evaluate the de Sitter polynomials, where `dsrep.verify` evaluates
+  sign-adjusted polynomials on the anti-de Sitter matrices themselves.
+  `dense_scalar_check` is the distance from a multiple of the identity
+  on a dense matrix, the reference for `dsrep.verify.scalar_check`.
 - `casimir2_interpretations` and `select_casimir2_interpretation`: the
   candidate readings of the quartic Casimir and the disambiguation over
   the ten canonical chains that picks the one `dsrep.verify` ships.
@@ -16,6 +21,8 @@
 - `dense_assemble`: the ten generators assembled into zero-filled dense
   dim x dim arrays from those loop oracles, the byte-exact reference for
   the non-zeros `dsrep.representation.assemble` stores.
+- `format1_doc`: the entry-list generator document (format 1) that
+  `generate` wrote before the columnar format 2, still read by `verify`.
 - `fraction_solve`: Gauss-Jordan elimination over Fractions on dense
   rows, the reference for the integer solver `dsrep.numeric` ships.
 - `gelfand_tsetlin_backbone` and `gelfand_tsetlin_generators`: cyclic
@@ -30,7 +37,8 @@ import numpy as np
 
 from dsrep.blocks import BlockLabel, block_grid, hla_cartesian
 from dsrep.coupling import compatibility
-from dsrep.numeric import HalfInt, RationalSolution
+from dsrep.io import generators_to_doc
+from dsrep.numeric import HalfInt, RationalSolution, Sparse
 from dsrep.representation import (
     Algebra,
     BackboneGraph,
@@ -39,7 +47,7 @@ from dsrep.representation import (
 )
 from dsrep.solver import Verdict, solve_and_verify
 from dsrep.su2 import ladder_r, ladder_s
-from dsrep.verify import casimir_invariants_closed_form, scalar_check
+from dsrep.verify import casimir_invariants_closed_form
 
 
 def coupling_null_space_dim(p: BlockLabel, q: BlockLabel, tol: float = 1e-8) -> int:
@@ -141,6 +149,16 @@ def dense_view(g) -> SimpleNamespace:
     )
 
 
+def de_sitter_view(g) -> SimpleNamespace:
+    """`dense_view`, with anti-de Sitter displacement generators mapped back
+    to de Sitter ones by V -> -i V (the algebra is left as it was)."""
+    view = dense_view(g)
+    if g.algebra is Algebra.ANTI_DE_SITTER:
+        for name in ("vt", "vx", "vy", "vz"):
+            setattr(view, name, -1j * getattr(view, name))
+    return view
+
+
 def dense_crs(g) -> dict[str, float]:
     """The 27 relation residuals from dense products, keyed as check_all_crs keys them."""
     g = dense_view(g)
@@ -177,8 +195,9 @@ def dense_hermiticity(g) -> dict[str, float]:
 
 
 def dense_casimir1(g) -> np.ndarray:
-    """C1 = Kz^2 - Jz^2 + ((K+K- + K-K+) - (J+J- + J-J+))/2 - 2 (V+V- + V-V+ + W+W- + W-W+)."""
-    g = dense_view(g)
+    """C1 = Kz^2 - Jz^2 + ((K+K- + K-K+) - (J+J- + J-J+))/2 - 2 (V+V- + V-V+ + W+W- + W-W+),
+    on the de Sitter form of the generators."""
+    g = de_sitter_view(g)
     jp, jm = g.jx + 1j * g.jy, g.jx - 1j * g.jy
     kp, km = g.kx + 1j * g.ky, g.kx - 1j * g.ky
     vp, vm = (g.vx + 1j * g.vy) / 2, (g.vx - 1j * g.vy) / 2
@@ -192,8 +211,8 @@ def dense_casimir1(g) -> np.ndarray:
 
 
 def dense_casimir1_cartesian(g) -> np.ndarray:
-    """C1 = Vt^2 + K.K - J.J - V.V."""
-    g = dense_view(g)
+    """C1 = Vt^2 + K.K - J.J - V.V, on the de Sitter form of the generators."""
+    g = de_sitter_view(g)
     return (
         g.vt @ g.vt
         + g.kx @ g.kx + g.ky @ g.ky + g.kz @ g.kz
@@ -208,8 +227,9 @@ def _dense_dot(a, b):
 
 def _dense_c2_candidate(g, last_term: str, k_left: bool) -> np.ndarray:
     """(K.J)^2 - (V.J)^2 plus a last term built from J and the auxiliary
-    vector Q_i = Vt Ji + (K x V)_i, or with the cross product taken V-first."""
-    g = dense_view(g)
+    vector Q_i = Vt Ji + (K x V)_i, or with the cross product taken V-first,
+    on the de Sitter form of the generators."""
+    g = de_sitter_view(g)
     j = (g.jx, g.jy, g.jz)
     k = (g.kx, g.ky, g.kz)
     v = (g.vx, g.vy, g.vz)
@@ -257,12 +277,23 @@ def select_casimir2_interpretation(tol: float = 1e-8):
     for name, candidate in casimir2_interpretations().items():
         for spec, g in reps:
             neg_c2 = casimir_invariants_closed_form(spec)[1]
-            lam = scalar_check(candidate(g), tol)
+            lam = dense_scalar_check(candidate(g), tol)
             if lam is None or abs(lam - complex(-float(neg_c2))) > tol:
                 break
         else:
             survivors.append(name)
     return survivors[0] if len(survivors) == 1 else None
+
+
+def dense_scalar_check(m: np.ndarray, tol: float):
+    """trace(M)/dim when M is within tol of that multiple of the identity."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"scalar_check needs a square matrix, got {m.shape}")
+    lam = complex(np.trace(m) / m.shape[0])
+    if _dense_max_abs(m - lam * np.eye(m.shape[0])) < tol:
+        return lam
+    return None
 
 
 def dense_casimir2(g) -> np.ndarray:
@@ -404,6 +435,31 @@ def dense_assemble(backbone: BackboneGraph, t, algebra: Algebra) -> dict[str, np
     if algebra is Algebra.ANTI_DE_SITTER:
         v = {name: 1j * m for name, m in v.items()}
     return {**out, **v}
+
+
+# ---------------------------------------------------------------------------
+# The entry-list generator document
+# ---------------------------------------------------------------------------
+
+
+def _entry_list(m: Sparse) -> list[list]:
+    """[row, col, re, im] of each stored entry, in row-major (key) order."""
+    m = m.reduced()
+    rows, cols = np.divmod(m.keys, m.n)
+    columns = (rows.tolist(), cols.tolist(), m.vals.real.tolist(), m.vals.imag.tolist())
+    return list(map(list, zip(*columns)))
+
+
+def format1_doc(g) -> dict:
+    """The format-1 generator document of a generator set: no "format" key,
+    and each matrix's stored entries as a list of [row, col, re, im]."""
+    doc = generators_to_doc(g)
+    del doc["format"]
+    doc["generators"] = [
+        {"name": name, "rows": g.dim, "cols": g.dim, "entries": _entry_list(m)}
+        for name, m in g.matrices().items()
+    ]
+    return doc
 
 
 # ---------------------------------------------------------------------------

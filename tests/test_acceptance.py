@@ -146,7 +146,7 @@ def test_criterion_5_quadratic_casimir(assembled):
         lam = scalar_check(c1, 1e-9)
         assert lam is not None, f"rep {ref}"
         assert abs(lam - (-float(expected[ref]))) < 1e-9
-        assert max_abs(c1 - dense_casimir1(gens)) < 1e-10
+        assert max_abs(c1.to_dense() - dense_casimir1(gens)) < 1e-10
     note("5 PASS: quadratic Casimir scalar on all ten irreps at the table values")
 
 

@@ -1,12 +1,15 @@
 """Command-line interface, document round-trips, golden tables."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import gelfand_tsetlin_generators
+from conftest import format1_doc, gelfand_tsetlin_generators
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +31,7 @@ from dsrep.representation import (
     assemble_canonical,
     canonical_backbone,
 )
-from dsrep.verify import build_report
+from dsrep.verify import build_report, casimir_invariants_closed_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -166,11 +169,10 @@ class TestVerify:
         main(["generate", "b", "3", "--out", str(out)])
         capsys.readouterr()
         doc = load_json(out)
-        for gen in doc["generators"]:
-            if gen["name"] == "Vx":
-                gen["entries"] = [
-                    [r, c, 2 * re, 2 * im] for r, c, re, im in gen["entries"]
-                ]
+        gen = next(gen for gen in doc["generators"] if gen["name"] == "Vx")
+        for part in ("re", "im"):
+            if part in gen:
+                gen[part] = [2 * x for x in gen[part]]
         save_json(doc, out)
         assert main(["verify", str(out)]) == 1
         text = capsys.readouterr().out
@@ -209,19 +211,78 @@ class TestVerify:
         assert "error" in capsys.readouterr().err
 
 
-def _generated_doc(tmp_path, capsys, family="a", n="3"):
+FORMATS = (1, 2)
+_FIELDS = ("row", "col", "re", "im")
+
+
+def _generated_doc(tmp_path, capsys, family="a", n="3", fmt=2):
+    """The document `generate` writes (format 2), or its format-1 twin."""
     path = tmp_path / "rep.json"
     assert main(["generate", family, n, "--out", str(path)]) == 0
     capsys.readouterr()
-    return load_json(path)
+    doc = load_json(path)
+    return doc if fmt == 2 else format1_doc(generators_from_doc(doc))
 
 
-def _entries(doc, name):
-    return next(g for g in doc["generators"] if g["name"] == name)["entries"]
+def _gen(doc, name):
+    return next(g for g in doc["generators"] if g["name"] == name)
 
 
-def _set_first_entry(doc, name, value, field=2):
-    _entries(doc, name)[0][field] = value
+def _entries(gen) -> list[list]:
+    """A matrix's [row, col, re, im] entries, in either format."""
+    if "entries" in gen:
+        return gen["entries"]
+    size = len(gen["row"])
+    return [list(e) for e in zip(*(gen.get(f, [0.0] * size) for f in _FIELDS))]
+
+
+def _set_entries(gen, entries) -> None:
+    """Write [row, col, re, im] entries into a matrix in its own format."""
+    if "entries" in gen:
+        gen["entries"] = entries
+    else:
+        for index, field in enumerate(_FIELDS):
+            gen[field] = [e[index] for e in entries]
+
+
+def _set_entry(doc, name, value, field="re", index=0):
+    """Set one part of one entry; a format-2 re or im column left out as
+    all +0.0 is written out first."""
+    gen = _gen(doc, name)
+    if "entries" in gen:
+        gen["entries"][index][_FIELDS.index(field)] = value
+    else:
+        gen.setdefault(field, [0.0] * len(gen["row"]))[index] = value
+
+
+def _repeat_first_entry(doc, name, at=None):
+    gen = _gen(doc, name)
+    columns = [gen["entries"]] if "entries" in gen else [gen[f] for f in _FIELDS if f in gen]
+    for column in columns:
+        first = column[0]
+        copy = list(first) if isinstance(first, list) else first
+        column.insert(len(column) if at is None else at, copy)
+
+
+def _shorten_first_entry(doc, name):
+    """Format 1: a three-item entry.  Format 2: a value column one short."""
+    gen = _gen(doc, name)
+    if "entries" in gen:
+        gen["entries"][0] = gen["entries"][0][:3]
+    else:
+        gen["re"].pop()
+
+
+def _emptied(gen) -> dict:
+    """A copy of a matrix entry with no stored entries, in its own format."""
+    if "entries" in gen:
+        return dict(gen, entries=[])
+    return {key: ([] if key in _FIELDS else value) for key, value in gen.items()}
+
+
+def _drop_positions(doc, name):
+    gen = _gen(doc, name)
+    gen.pop("entries" if "entries" in gen else "row")
 
 
 class TestMalformedDocuments:
@@ -245,26 +306,27 @@ class TestMalformedDocuments:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "breakage",
+        "breakage,same_message",
         [
-            lambda doc: doc["generators"].__setitem__(0, 5),
-            lambda doc: doc["generators"][0].pop("rows"),
-            lambda doc: doc["t"][0].__setitem__("edge", [0]),
-            lambda doc: _set_first_entry(doc, "Vx", float("nan")),
-            lambda doc: _set_first_entry(doc, "Kz", float("inf")),
-            lambda doc: doc["t"][0].__setitem__("forward", float("nan")),
-            lambda doc: _set_first_entry(doc, "Jz", 10**30, field=0),
-            lambda doc: _set_first_entry(doc, "Vy", 10**400, field=3),
-            lambda doc: _set_first_entry(doc, "Jx", -1, field=1),
-            lambda doc: _set_first_entry(doc, "Kx", True),
-            lambda doc: _set_first_entry(doc, "Vt", False, field=0),
-            lambda doc: _entries(doc, "Vz").__setitem__(0, _entries(doc, "Vz")[0][:3]),
-            lambda doc: _set_first_entry(doc, "Ky", "0.5"),
-            lambda doc: _entries(doc, "Jy").append(list(_entries(doc, "Jy")[0])),
-            lambda doc: _entries(doc, "Jy").insert(1, list(_entries(doc, "Jy")[0])),
-            lambda doc: doc["generators"].insert(0, dict(doc["generators"][7], entries=[])),
-            lambda doc: (_set_first_entry(doc, "Jx", "x", field=1),
-                         _entries(doc, "Jx")[1].__setitem__(0, -1)),
+            (lambda doc: doc["generators"].__setitem__(0, 5), True),
+            (lambda doc: doc["generators"][0].pop("rows"), True),
+            (lambda doc: doc["t"][0].__setitem__("edge", [0]), True),
+            (lambda doc: _set_entry(doc, "Vx", float("nan")), True),
+            (lambda doc: _set_entry(doc, "Kz", float("inf")), True),
+            (lambda doc: doc["t"][0].__setitem__("forward", float("nan")), True),
+            (lambda doc: _set_entry(doc, "Jz", 10**30, field="row"), True),
+            (lambda doc: _set_entry(doc, "Vy", 10**400, field="im"), True),
+            (lambda doc: _set_entry(doc, "Jx", -1, field="col"), True),
+            (lambda doc: _set_entry(doc, "Kx", True), True),
+            (lambda doc: _set_entry(doc, "Vt", False, field="row"), True),
+            (lambda doc: _shorten_first_entry(doc, "Vz"), False),
+            (lambda doc: _set_entry(doc, "Ky", "0.5"), True),
+            (lambda doc: _repeat_first_entry(doc, "Jy"), True),
+            (lambda doc: _repeat_first_entry(doc, "Jy", at=1), True),
+            (lambda doc: doc["generators"].insert(0, _emptied(doc["generators"][7])), True),
+            (lambda doc: (_set_entry(doc, "Jx", "x", field="col"),
+                          _set_entry(doc, "Jx", -1, field="row", index=1)), True),
+            (lambda doc: _drop_positions(doc, "Kx"), False),
         ],
         ids=[
             "non-object-generator", "missing-rows", "short-t-edge",
@@ -272,18 +334,56 @@ class TestMalformedDocuments:
             "huge-position", "huge-value", "negative-position", "boolean-value",
             "boolean-position", "three-item-entry", "string-value",
             "duplicate-position", "adjacent-duplicate-position", "duplicate-generator",
-            "string-column-before-negative-row",
+            "string-column-before-negative-row", "missing-positions",
         ],
     )
-    def test_generator_document(self, tmp_path, capsys, breakage):
+    def test_generator_document(self, tmp_path, capsys, breakage, same_message):
+        # each case in both formats; where the breakage is one both formats
+        # can hold, the shared column checker gives the same message
+        errors = []
+        for fmt in FORMATS:
+            doc = _generated_doc(tmp_path, capsys, fmt=fmt)
+            breakage(doc)
+            path = tmp_path / "broken.json"
+            path.write_text(json.dumps(doc))  # writes NaN and Infinity tokens
+            assert main(["verify", str(path)]) == 2, fmt
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:"), fmt
+            assert "PASS" not in captured.out
+            with pytest.raises(DocumentError):
+                generators_from_doc(load_json(path))
+            errors.append(captured.err)
+        if same_message:
+            assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            lambda gen: gen["col"].pop(),
+            lambda gen: gen["row"].append(0),
+            lambda gen: gen.__setitem__("im", gen["re"][:-1]),
+            lambda gen: gen.__setitem__("re", {"0": 1.0}),
+            lambda gen: gen.__setitem__("row", 3),
+            lambda gen: gen.__setitem__("col", None),
+        ],
+        ids=["short-col", "long-row", "short-im", "object-column", "integer-column", "null-column"],
+    )
+    def test_format2_columns(self, tmp_path, capsys, breakage):
         doc = _generated_doc(tmp_path, capsys)
-        breakage(doc)
+        breakage(_gen(doc, "Vx"))
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps(doc))  # writes NaN and Infinity tokens
+        path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert "PASS" not in captured.out
+        assert captured.err.startswith("error: Vx ") and "PASS" not in captured.out
+
+    @pytest.mark.parametrize("value", [1, 3, "2", 2.0, True, None, [2]])
+    def test_unknown_format(self, tmp_path, capsys, value):
+        doc = dict(_generated_doc(tmp_path, capsys), format=value)
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown generator document format")
 
     def test_documents_over_the_dimension_bound(self, tmp_path, capsys):
         # one 61 x 61 block; neither document holds anything that would be
@@ -309,7 +409,8 @@ class TestMalformedDocuments:
 
 
 class TestEntryListing:
-    """Explicit zero entries and any entry order load as the written matrices."""
+    """Explicit zero entries and any entry order load as the written matrices,
+    in both formats."""
 
     @staticmethod
     def _verify_json(doc, path, capsys):
@@ -317,19 +418,21 @@ class TestEntryListing:
         code = main(["verify", str(path), "--format", "json"])
         return code, capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("family,n", [("a", "3"), ("b", "4")])
-    def test_explicit_zero_entries(self, tmp_path, capsys, family, n):
-        doc = _generated_doc(tmp_path, capsys, family, n)
+    def test_explicit_zero_entries(self, tmp_path, capsys, family, n, fmt):
+        doc = _generated_doc(tmp_path, capsys, family, n, fmt)
         want = self._verify_json(doc, tmp_path / "plain.json", capsys)
         gens = generators_from_doc(doc)
         dim = gens.dim
         for index, gen in enumerate(doc["generators"]):
-            listed = {(r, c) for r, c, _, _ in gen["entries"]}
+            entries = _entries(gen)
+            listed = {(r, c) for r, c, _, _ in entries}
             zeros = [[r, c, 0, 0] for r in range(dim) for c in range(dim) if (r, c) not in listed]
             if index % 2:  # every position listed, in row-major order
-                gen["entries"] = sorted(gen["entries"] + zeros)
+                _set_entries(gen, sorted(entries + zeros))
             else:  # some zeros after the non-zero entries
-                gen["entries"] += zeros[::7]
+                _set_entries(gen, entries + zeros[::7])
         assert self._verify_json(doc, tmp_path / "zeros.json", capsys) == want
         loaded = generators_from_doc(doc)
         for name, m in gens.matrices().items():
@@ -337,14 +440,17 @@ class TestEntryListing:
             assert np.array_equal(got.keys, m.keys), name
             assert got.vals.tobytes() == m.vals.tobytes(), name
 
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("family,n", [("a", "3"), ("b", "4")])
-    def test_entries_out_of_row_major_order(self, tmp_path, capsys, family, n):
-        doc = _generated_doc(tmp_path, capsys, family, n)
+    def test_entries_out_of_row_major_order(self, tmp_path, capsys, family, n, fmt):
+        doc = _generated_doc(tmp_path, capsys, family, n, fmt)
         want = self._verify_json(doc, tmp_path / "ordered.json", capsys)
         gens = generators_from_doc(doc)
         rng = random.Random(0)
         for gen in doc["generators"]:
-            rng.shuffle(gen["entries"])
+            entries = _entries(gen)
+            rng.shuffle(entries)
+            _set_entries(gen, entries)
         assert self._verify_json(doc, tmp_path / "shuffled.json", capsys) == want
         loaded = generators_from_doc(doc)
         for name, m in gens.matrices().items():
@@ -353,6 +459,92 @@ class TestEntryListing:
             assert got.vals.tobytes() == m.vals.tobytes(), name
         # and the writer lists them in row-major order again
         assert generators_to_doc(loaded) == generators_to_doc(gens)
+
+
+class TestFormats:
+    """The columnar format 2 that `generate` writes and the entry-list
+    format 1 that `verify` still reads."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: assemble_canonical(CanonicalSpec(Family.TYPE_A, 4)),
+            lambda: assemble_canonical(CanonicalSpec(Family.TYPE_B, 5), Algebra.ANTI_DE_SITTER),
+            lambda: gelfand_tsetlin_generators((5, 3), Algebra.DE_SITTER),
+        ],
+        ids=["a4", "b5-ads", "so5-5/2-3/2"],
+    )
+    def test_format1_twin_verifies_identically(self, tmp_path, capsys, make):
+        gens = make()
+        outputs = []
+        for doc in (format1_doc(gens), generators_to_doc(gens)):
+            path = tmp_path / "rep.json"
+            save_json(doc, path)
+            assert main(["verify", str(path), "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+            loaded = generators_from_doc(load_json(path))
+            for name, m in gens.matrices().items():
+                got = loaded.matrices()[name]
+                assert np.array_equal(got.keys, m.keys), name
+                assert got.vals.tobytes() == m.vals.tobytes(), name
+        assert outputs[0] == outputs[1]
+
+    def test_parts_left_out_only_when_all_positive_zero(self):
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
+        doc = generators_to_doc(gens)
+        assert doc["format"] == 2
+        for gen in doc["generators"]:
+            m = gens.matrices()[gen["name"]]
+            assert len(gen["row"]) == len(gen["col"]) == m.keys.size
+            for key, part in (("re", m.vals.real), ("im", m.vals.imag)):
+                all_positive_zero = not part.any() and not np.signbit(part).any()
+                assert (key not in gen) == all_positive_zero, (gen["name"], key)
+        # Ky keeps its -0.0 imaginary parts; Jz is real
+        ky = next(g for g in doc["generators"] if g["name"] == "Ky")
+        assert any(x == 0 and np.signbit(x) for x in ky["im"])
+        jz = next(g for g in doc["generators"] if g["name"] == "Jz")
+        assert "im" not in jz and "re" in jz
+
+    def test_left_out_parts_read_as_positive_zero(self):
+        backbone = backbone_to_doc(canonical_backbone(CanonicalSpec(Family.TYPE_B, 2)))
+        generators = [
+            {"name": name, "rows": 4, "cols": 4, "row": [0, 3], "col": [1, 2]}
+            for name in ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vt", "Vx", "Vy", "Vz")
+        ]
+        generators[0]["re"] = [1.5, -2.0]
+        generators[1]["im"] = [-0.5, 3]
+        doc = {"format": 2, "backbone": backbone, "t": [], "generators": generators}
+        loaded = generators_from_doc(doc).matrices()
+        assert loaded["Jx"].vals.tobytes() == np.array([1.5, -2.0], dtype=complex).tobytes()
+        assert loaded["Jy"].vals.tobytes() == np.array([complex(0, -0.5), complex(0, 3)]).tobytes()
+        assert not np.signbit(loaded["Jx"].vals.imag).any()
+        assert not np.signbit(loaded["Jy"].vals.real).any()
+        # a matrix with neither part stores nothing
+        assert loaded["Jz"].keys.size == 0
+
+
+class TestLargeTypeBChains:
+    """Type-B chains whose block count, as a type-A chain, would pass MAX_DIM."""
+
+    @pytest.mark.parametrize("n", [21, 24])
+    def test_generate_verify_validate(self, tmp_path, capsys, n):
+        spec = CanonicalSpec(Family.TYPE_B, n)
+        path = tmp_path / "rep.json"
+        assert main(["generate", "b", str(n), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        neg_c1, neg_c2, p, q = casimir_invariants_closed_form(spec)
+        assert payload["passed"] and (payload["p"], payload["q"]) == (str(p), str(q))
+        assert -payload["casimir1_scalar"][0] == pytest.approx(float(neg_c1), rel=1e-12)
+        assert -payload["casimir2_scalar"][0] == pytest.approx(float(neg_c2), rel=1e-12)
+
+        backbone = tmp_path / "backbone.json"
+        save_json(backbone_to_doc(canonical_backbone(spec)), backbone)
+        assert main(["validate", str(backbone), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "valid"
+        assert [(c["family"], c["n"]) for c in payload["components"]] == [("b", n)]
 
 
 class TestTables:
@@ -419,7 +611,8 @@ class TestValidate:
 # ---------------------------------------------------------------------------
 
 _KEYS = ("blocks", "edges", "algebra", "A", "B", "backbone", "t", "edge", "forward",
-         "reverse", "generators", "name", "rows", "cols", "entries")
+         "reverse", "generators", "name", "rows", "cols", "entries", "format", "row", "col",
+         "re", "im")
 
 # Small numbers and short strings keep every backbone far below MAX_DIM;
 # the huge integers are refused before anything is allocated.
@@ -441,11 +634,12 @@ _JSON_VALUES = st.recursive(
 
 def _base_documents():
     docs = [
-        ("verify", generators_to_doc(assemble_canonical(CanonicalSpec(family, n), algebra)))
+        ("verify", write(assemble_canonical(CanonicalSpec(family, n), algebra)))
         for family, n, algebra in (
             (Family.TYPE_A, 2, Algebra.DE_SITTER),
             (Family.TYPE_B, 3, Algebra.ANTI_DE_SITTER),
         )
+        for write in (generators_to_doc, format1_doc)
     ]
     docs += [("validate", load_json(path)) for path in sorted(FIXTURES.glob("*.json"))]
     return docs
@@ -497,3 +691,16 @@ class TestFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzzed.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity tokens included
         assert main([command, str(path)]) in (0, 1, 2)
+
+
+def test_python_dash_m_runs_the_cli():
+    import dsrep
+
+    src = str(Path(dsrep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "dsrep", "tables"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "tables.txt").read_text()

@@ -10,6 +10,7 @@ from conftest import fraction_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsrep.numeric
 from dsrep.numeric import (
     HalfInt,
     Sparse,
@@ -17,6 +18,7 @@ from dsrep.numeric import (
     dagger,
     half_int_range,
     max_abs,
+    product_sum,
     solve_rational_linear,
 )
 
@@ -150,6 +152,24 @@ class TestSparse:
             tolerance = 1e-13 * top**degree
             assert max_abs(ours.to_dense() - dense) <= tolerance
             assert abs(max_abs(ours) - max_abs(dense)) <= tolerance
+
+    @settings(max_examples=50)
+    @given(sparse_matrices(6), sparse_matrices(6), sparse_matrices(6), st.sampled_from([1, 7, 1 << 15]))
+    def test_product_sum_matches_dense(self, x, y, z, run_terms):
+        # run_terms=1 makes every row its own run; 7 splits rows of up to
+        # 36 terms into runs of whole rows; 1 << 15 is one run
+        sx, sy, sz = (Sparse.from_dense(m) for m in (x, y, z))
+        terms = [(1.0, sx, sy), (-1.0, sy, sx), (0.5j, sz, sx + sz), (2.0, sz, Sparse.zero(6))]
+        dense = x @ y - y @ x + 0.5j * (z @ (x + z))
+        saved = dsrep.numeric.PRODUCT_TERMS
+        dsrep.numeric.PRODUCT_TERMS = run_terms
+        try:
+            ours = product_sum(terms)
+        finally:
+            dsrep.numeric.PRODUCT_TERMS = saved
+        assert ours._reduced and (np.diff(ours.keys) > 0).all() and (ours.vals != 0).all()
+        top = 6 * max(max_abs(x), max_abs(y), max_abs(z), 1.0)
+        assert max_abs(ours.to_dense() - dense) <= 1e-13 * top**2
 
     def test_cancellation_leaves_no_entries(self):
         m = Sparse.from_dense(np.array([[0, 1j], [2, 0]]))

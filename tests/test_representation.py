@@ -79,6 +79,33 @@ class TestCanonicalBackbones:
             assert classify_canonical_chain(tuple(reversed(g.blocks))) == spec
         assert classify_canonical_chain([L(1, 1), L(2, 2)]) is None
 
+    @pytest.mark.parametrize("n", [21, 40, 500])
+    def test_classify_long_chains_without_building_them(self, n):
+        # a type-A chain of these lengths is past MAX_DIM, so the labels
+        # are written out here rather than taken from canonical_backbone
+        type_a = [L(k, k) for k in range(n)]
+        type_b = [L(k, n - 1 - k) for k in range(n)]
+        assert classify_canonical_chain(type_a[::-1]) == CanonicalSpec(Family.TYPE_A, n)
+        assert classify_canonical_chain(type_b[::2] + type_b[1::2]) == CanonicalSpec(Family.TYPE_B, n)
+        assert classify_canonical_chain(type_b[:-1] + type_b[:1]) is None
+        assert classify_canonical_chain(type_a[1:] + [L(n, n)]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=0, max_size=9),
+           st.randoms())
+    def test_classify_matches_the_backbone_comparison(self, twice_labels, rng):
+        # the oracle: compare with the labels of the canonical backbone of
+        # each family with the same block count
+        blocks = [L(a, b) for a, b in twice_labels]
+        want = None
+        if len(blocks) >= 2:
+            for family in Family:
+                spec = CanonicalSpec(family, len(blocks))
+                if sorted(blocks) == sorted(canonical_backbone(spec).blocks):
+                    want = spec
+        rng.shuffle(blocks)
+        assert classify_canonical_chain(blocks) == want
+
 
 class TestCanonicalCouplings:
     def test_mixed_chains_are_one_half(self):

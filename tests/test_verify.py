@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from conftest import (
     dense_casimir2,
     dense_crs,
     dense_hermiticity,
+    dense_scalar_check,
     gelfand_tsetlin_generators,
     select_casimir2_interpretation,
 )
@@ -30,6 +32,7 @@ from dsrep.representation import (
     assemble,
     assemble_canonical,
     canonical_backbone,
+    canonical_dimension,
     canonical_t,
     canonical_t_squared,
     first_ten_specs,
@@ -119,10 +122,14 @@ class TestHermiticity:
         assert max(check_hermiticity(gens).values()) > 0.1
 
 
+ALGEBRAS = pytest.mark.parametrize("algebra", list(Algebra), ids=lambda a: a.value)
+
+
 class TestCasimir1:
+    @ALGEBRAS
     @pytest.mark.parametrize("ref,spec", TEN)
-    def test_scalar_matches_closed_form(self, ref, spec, assembled):
-        gens = assembled[ref]
+    def test_scalar_matches_closed_form(self, ref, spec, algebra, assembled, assembled_ads):
+        gens = (assembled if algebra is Algebra.DE_SITTER else assembled_ads)[ref]
         c1 = casimir1_matrix(gens)
         lam = scalar_check(c1, 1e-9)
         assert lam is not None, f"rep {ref} quadratic Casimir not scalar"
@@ -130,10 +137,11 @@ class TestCasimir1:
         assert lam.real == pytest.approx(-float(neg_c1), rel=1e-9)
         assert abs(lam.imag) < 1e-9
 
+    @ALGEBRAS
     @pytest.mark.parametrize("ref,spec", TEN)
-    def test_ladder_equals_cartesian(self, ref, spec, assembled):
-        gens = assembled[ref]
-        assert max_abs(casimir1_matrix(gens) - dense_casimir1(gens)) < 1e-10
+    def test_ladder_equals_cartesian(self, ref, spec, algebra, assembled, assembled_ads):
+        gens = (assembled if algebra is Algebra.DE_SITTER else assembled_ads)[ref]
+        assert max_abs(casimir1_matrix(gens).to_dense() - dense_casimir1(gens)) < 1e-10
 
     def test_ladder_equals_cartesian_for_arbitrary_couplings(self):
         # the two expressions are algebraically identical whatever the t's
@@ -145,13 +153,13 @@ class TestCasimir1:
                 for i in range(spec.n - 1)
             }
             gens = assemble(backbone, t, validate_t=False)
-            assert max_abs(casimir1_matrix(gens) - dense_casimir1(gens)) < 1e-10
+            assert max_abs(casimir1_matrix(gens).to_dense() - dense_casimir1(gens)) < 1e-10
 
     @pytest.mark.parametrize("ref,spec", [(1, TEN[0][1]), (4, TEN[3][1]), (9, TEN[8][1])])
     def test_commutes_with_all_generators(self, ref, spec, assembled):
         gens = assembled[ref]
         c1 = casimir1_matrix(gens)
-        for name, m in gens.generators().items():
+        for name, m in gens.matrices().items():
             assert max_abs(commutator(c1, m)) < 1e-9, name
 
     def test_first_block_closed_forms_exact(self):
@@ -173,11 +181,13 @@ class TestCasimir2:
         selected = casimir2_interpretations()[DEFAULT_C2_INTERPRETATION]
         for ref, gens in assembled.items():
             want = selected(gens)
-            assert max_abs(casimir2_matrix(gens) - want) <= 1e-12 * max(1.0, max_abs(want)), ref
+            got = casimir2_matrix(gens).to_dense()
+            assert max_abs(got - want) <= 1e-12 * max(1.0, max_abs(want)), ref
 
+    @ALGEBRAS
     @pytest.mark.parametrize("ref,spec", TEN)
-    def test_scalar_matches_closed_form(self, ref, spec, assembled):
-        c2 = casimir2_matrix(assembled[ref])
+    def test_scalar_matches_closed_form(self, ref, spec, algebra, assembled, assembled_ads):
+        c2 = casimir2_matrix((assembled if algebra is Algebra.DE_SITTER else assembled_ads)[ref])
         lam = scalar_check(c2, 1e-8)
         assert lam is not None, f"rep {ref} quartic Casimir not scalar"
         neg_c2 = casimir_invariants_closed_form(spec)[1]
@@ -186,7 +196,7 @@ class TestCasimir2:
     def test_commutes_with_all_generators(self, assembled):
         gens = assembled[3]
         c2 = casimir2_matrix(gens)
-        for name, m in gens.generators().items():
+        for name, m in gens.matrices().items():
             assert max_abs(commutator(c2, m)) < 1e-8, name
 
 
@@ -256,20 +266,57 @@ class TestIrreducibility:
         assert commutant_dimension(gens) == 2
 
 
+def _sparse(m):
+    return Sparse.from_dense(np.asarray(m, dtype=complex))
+
+
 class TestScalarCheck:
     def test_scalar_matrix(self):
-        assert scalar_check(3 * np.eye(7), 1e-12) == pytest.approx(3.0)
+        assert scalar_check(_sparse(3 * np.eye(7)), 1e-12) == pytest.approx(3.0)
 
     def test_non_scalar(self):
-        assert scalar_check(np.diag([1.0, 2.0]), 1e-9) is None
+        assert scalar_check(_sparse(np.diag([1.0, 2.0])), 1e-9) is None
 
     def test_rep_four_value(self, assembled):
         lam = scalar_check(casimir1_matrix(assembled[4]), 1e-9)
         assert lam == pytest.approx(-10.0, rel=1e-10)
 
     def test_shape_validation(self):
+        # a Sparse is square by construction; a non-square matrix never becomes one
         with pytest.raises(ValueError):
-            scalar_check(np.zeros((2, 3)), 1e-9)
+            scalar_check(_sparse(np.zeros((2, 3))), 1e-9)
+
+    def test_absent_diagonal_entries_count_as_zero(self):
+        # lam = (2 + 2 + 0) / 3, and the absent entry is 4/3 away from it
+        m = _sparse(np.diag([2.0, 2.0, 0.0]))
+        assert m.keys.size == 2
+        assert scalar_check(m, 1.0) is None
+        assert scalar_check(m, 1.5) == pytest.approx(4 / 3)
+        assert scalar_check(Sparse.zero(4), 1e-12) == 0
+
+    def test_off_diagonal_entry_counts(self):
+        m = 2 * np.eye(5, dtype=complex)
+        m[1, 3] = 0.25j
+        assert scalar_check(_sparse(m), 0.25) is None
+        assert scalar_check(_sparse(m), 0.3) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("spot", [(0, 0), (2, 2), (0, 2)], ids=["first", "last", "off"])
+    def test_nan_is_never_scalar(self, spot):
+        m = np.eye(3, dtype=complex)
+        m[spot] = np.nan
+        assert scalar_check(_sparse(m), 1e300) is None
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.eye(4), np.diag([1.0, 1.0 + 1e-10, 1.0, 1.0]), np.diag([0.0, 1e-10, 0.0]),
+         np.array([[1.0, 1e-10], [0.0, 1.0]]), np.diag([1.0, 2.0])],
+    )
+    def test_matches_the_dense_check(self, m):
+        for tol in (1e-12, 1e-9, 1.0):
+            got, want = scalar_check(_sparse(m), tol), dense_scalar_check(m, tol)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got == want
 
 
 class TestReport:
@@ -282,6 +329,30 @@ class TestReport:
         assert report.casimir1_scalar == pytest.approx(-6.0)
         assert report.casimir2_scalar == pytest.approx(-12.0)
 
+    @pytest.mark.parametrize("family,n", [(Family.TYPE_A, 3), (Family.TYPE_B, 3),
+                                          (Family.TYPE_A, 5), (Family.TYPE_B, 6)])
+    def test_anti_de_sitter_casimirs_equal_the_closed_forms(self, family, n):
+        spec = CanonicalSpec(family, n)
+        ds = build_report(assemble_canonical(spec))
+        ads = build_report(assemble_canonical(spec, Algebra.ANTI_DE_SITTER))
+        neg_c1, neg_c2, p, q = casimir_invariants_closed_form(spec)
+        assert ads.passed and (ads.p, ads.q) == (p, q)
+        assert ads.casimir1_scalar == pytest.approx(-float(neg_c1), rel=1e-12, abs=1e-12)
+        assert ads.casimir2_scalar == pytest.approx(-float(neg_c2), rel=1e-12, abs=1e-12)
+        assert ads.casimir1_scalar == pytest.approx(ds.casimir1_scalar, rel=1e-12, abs=1e-12)
+        assert ads.casimir2_scalar == pytest.approx(ds.casimir2_scalar, rel=1e-12, abs=1e-12)
+
+    def test_forty_block_so5_backbone(self):
+        # (m1, m2) = (15/2, 7/2): 40 blocks, dim 1560.  A 40-block chain
+        # would exceed MAX_DIM, so the canonical-chain test must not build one.
+        gens = gelfand_tsetlin_generators((15, 7), Algebra.DE_SITTER)
+        assert (gens.backbone.nblocks, gens.dim) == (40, 1560)
+        report = build_report(gens)
+        assert report.passed and report.p is None and report.q is None
+        # the closed forms at (p, q) = (m1 + 1, m2 + 1) = (17/2, 9/2)
+        assert report.casimir1_scalar == pytest.approx(-94.5, rel=1e-12)
+        assert report.casimir2_scalar == pytest.approx(-1271.8125, rel=1e-12)
+
     def test_tampered_report_fails_and_names_relation(self):
         spec = CanonicalSpec(Family.TYPE_A, 2)
         forward, backward = canonical_t(spec, 1)
@@ -293,6 +364,22 @@ class TestReport:
         assert any(name.startswith("[Vx,Vy]") for name in report.failing_crs)
         # vector-transformation relations still hold
         assert not any(name.startswith("[Jx,Vy]") for name in report.failing_crs)
+
+
+class TestMemory:
+    def test_report_peak_below_a_tenth_of_one_dense_array(self):
+        # type A N=20, dim 2870: one dense complex dim x dim array is 132 MB
+        spec = CanonicalSpec(Family.TYPE_A, 20)
+        dense_bytes = 16 * canonical_dimension(spec) ** 2
+        gens = assemble_canonical(spec)
+        tracemalloc.start()
+        try:
+            report = build_report(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.casimir1_scalar == pytest.approx(-418.0)
+        assert peak < dense_bytes / 10
 
 
 class TestNonFinite:
@@ -314,7 +401,8 @@ class TestNonFinite:
         assert "Vx" in report.failing_hermiticity
         assert "[Jz,Vx] = i Vy" in report.failing_crs
         assert report.casimir1_scalar is None and report.casimir2_scalar is None
-        assert np.isnan(report.casimir1).any()
+        broken = dataclasses.replace(gens, vx=Sparse.from_dense(vx))
+        assert math.isnan(max_abs(casimir1_matrix(broken)))
 
     def test_nan_reaches_every_relation_naming_the_generator(self):
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_B, 3))
@@ -432,8 +520,8 @@ class TestDenseOracle:
             (casimir1_matrix(gens), dense_casimir1_cartesian(gens), 1e-9),
             (casimir2_matrix(gens), dense_casimir2(gens), 1e-8),
         ):
-            assert max_abs(ours - dense) <= 1e-12 * max(1.0, max_abs(dense))
-            lam, want = scalar_check(ours, tol), scalar_check(dense, tol)
+            assert max_abs(ours.to_dense() - dense) <= 1e-12 * max(1.0, max_abs(dense))
+            lam, want = scalar_check(ours, tol), dense_scalar_check(dense, tol)
             assert (lam is None) == (want is None)
             if lam is not None:
                 assert _close(lam, want)
