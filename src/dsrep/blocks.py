@@ -1,16 +1,18 @@
-"""Generator matrices for one Lorentz block (A, B).
+"""Generator matrices for Lorentz blocks (A, B) and their direct sums.
 
 A block carries the rotation generators J and the boost generators K of
 the homogeneous Lorentz algebra, realised on the (2A+1)(2B+1)-dimensional
 space of the implied direct product of a spin-A and a spin-B irrep.  The
 double index (a, b) is flattened A-major: a varies slowest, both indices
-descending, so flat = (A - a)(2B + 1) + (B - b).
+descending, so flat = (A - a)(2B + 1) + (B - b).  A direct sum of
+blocks puts each block's grid after those of the blocks before it, and
+its generators are built for all blocks at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,11 +23,13 @@ __all__ = [
     "BlockLabel",
     "block_dim",
     "block_grid",
-    "grid_twice",
+    "concatenated_grid",
     "flat_index",
     "HlaGenerators",
     "hla_generators",
     "hla_cartesian",
+    "direct_sum_generators",
+    "direct_sum_cartesian",
 ]
 
 
@@ -63,11 +67,20 @@ def block_grid(block: BlockLabel) -> list[tuple[HalfInt, HalfInt]]:
     return [(a, b) for a in spin_indices(block.a) for b in spin_indices(block.b)]
 
 
-def grid_twice(block: BlockLabel) -> tuple[np.ndarray, np.ndarray]:
-    """Twice the indices (a, b) at every flat position, as integer arrays."""
-    width = block.b.twice + 1
-    flat = np.arange(block.dim)
-    return block.a.twice - 2 * (flat // width), block.b.twice - 2 * (flat % width)
+def concatenated_grid(
+    twice_a: np.ndarray, twice_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, local, a2, b2) at every position of the blocks' grids, one after another.
+
+    The blocks are given as integer arrays of 2A and 2B.  Per position:
+    the index of its block, its flat index in that block, and twice its
+    (a, b).
+    """
+    dims = (twice_a + 1) * (twice_b + 1)
+    owner = np.repeat(np.arange(dims.size), dims)
+    local = np.arange(owner.size) - (np.cumsum(dims) - dims)[owner]
+    width = twice_b[owner] + 1
+    return owner, local, twice_a[owner] - 2 * (local // width), twice_b[owner] - 2 * (local % width)
 
 
 def flat_index(block: BlockLabel, a: HalfInt, b: HalfInt) -> int:
@@ -87,16 +100,21 @@ class HlaGenerators(NamedTuple):
     kz: Sparse
 
 
-def hla_generators(block: BlockLabel) -> HlaGenerators:
-    """Ladder-form generators J+-, Jz, K+-, Kz on the flattened double index.
+def direct_sum_generators(blocks: Sequence[BlockLabel]) -> HlaGenerators:
+    """Ladder-form generators J+-, Jz, K+-, Kz of the direct sum of the blocks.
 
-    Entrywise: J+ raises a or b by one with the spin-A / spin-B raising
-    coefficients, i K+ is the same with the B term negated, Jz is diagonal
-    a + b and i Kz diagonal a - b.  K matrices come out anti-Hermitian.
-    Each is a `Sparse` of its entries (zeros on the diagonals included).
+    Each block sits on the diagonal at the sum of the dims before it, and
+    every block is built in the same array pass over the concatenated
+    grid.  Entrywise: J+ raises a or b by one with the spin-A / spin-B
+    raising coefficients, i K+ is the same with the B term negated, Jz is
+    diagonal a + b and i Kz diagonal a - b.  K matrices come out
+    anti-Hermitian.  Each is a `Sparse` of its entries (zeros on the
+    diagonals included).
     """
-    n = block.dim
-    a2, b2 = grid_twice(block)
+    twice_a = np.array([block.a.twice for block in blocks], dtype=np.intp)
+    twice_b = np.array([block.b.twice for block in blocks], dtype=np.intp)
+    owner, _, a2, b2 = concatenated_grid(twice_a, twice_b)
+    n = owner.size
     cols = np.arange(n)
     diagonal = cols * (n + 1)
     jz = Sparse(n, diagonal, (a2 / 2.0 + b2 / 2.0).astype(complex))
@@ -105,16 +123,16 @@ def hla_generators(block: BlockLabel) -> HlaGenerators:
     # A move of a shifts the flat index by the row width, a move of b by one.
     keys, j_vals, k_vals = ({1: [], -1: []} for _ in range(3))  # by step
     for spin2, index2, stride, k_unit in (
-        (block.a.twice, a2, block.b.twice + 1, -1j),
-        (block.b.twice, b2, 1, 1j),
+        (twice_a[owner], a2, twice_b[owner] + 1, -1j),
+        (twice_b[owner], b2, 1, 1j),
     ):
         for step in (1, -1):
             # (J - m)(J + m + 1) raising, (J + m)(J - m + 1) lowering, in
             # twice-values an integer product divided by 4
             moves = step * index2 < spin2
-            radicand = (spin2 - step * index2[moves]) * (spin2 + step * index2[moves] + 2)
+            radicand = ((spin2 - step * index2) * (spin2 + step * index2 + 2))[moves]
             coeff = np.sqrt(radicand / 4.0)
-            keys[step].append((cols[moves] - step * stride) * n + cols[moves])
+            keys[step].append(((cols - step * stride) * n + cols)[moves])
             j_vals[step].append(coeff.astype(complex))
             k_vals[step].append(k_unit * coeff)
 
@@ -126,11 +144,21 @@ def hla_generators(block: BlockLabel) -> HlaGenerators:
     )
 
 
-def hla_cartesian(block: BlockLabel) -> tuple[Sparse, ...]:
-    """Cartesian generators (Jx, Jy, Jz, Kx, Ky, Kz) for one block."""
-    g = hla_generators(block)
+def direct_sum_cartesian(blocks: Sequence[BlockLabel]) -> tuple[Sparse, ...]:
+    """Cartesian generators (Jx, Jy, Jz, Kx, Ky, Kz) of the direct sum of the blocks."""
+    g = direct_sum_generators(blocks)
     jx = (g.jplus + g.jminus) / 2
     jy = -0.5j * (g.jplus - g.jminus)
     kx = (g.kplus + g.kminus) / 2
     ky = -0.5j * (g.kplus - g.kminus)
     return jx, jy, g.jz, kx, ky, g.kz
+
+
+def hla_generators(block: BlockLabel) -> HlaGenerators:
+    """J+-, Jz, K+-, Kz of one block: `direct_sum_generators` of that block alone."""
+    return direct_sum_generators((block,))
+
+
+def hla_cartesian(block: BlockLabel) -> tuple[Sparse, ...]:
+    """Cartesian generators (Jx, Jy, Jz, Kx, Ky, Kz) for one block."""
+    return direct_sum_cartesian((block,))

@@ -61,6 +61,8 @@ def _render_report(report, fmt: str) -> str:
             "passed": report.passed,
             "cr_residuals": report.cr_residuals,
             "hermiticity_residuals": report.hermiticity_residuals,
+            "jz_residual": report.jz_residual,
+            "failing_invariants": report.failing_invariants,
             "casimir1_scalar": None
             if report.casimir1_scalar is None
             else [report.casimir1_scalar.real, report.casimir1_scalar.imag],
@@ -69,6 +71,9 @@ def _render_report(report, fmt: str) -> str:
             else [report.casimir2_scalar.real, report.casimir2_scalar.imag],
             "p": None if report.p is None else str(report.p),
             "q": None if report.q is None else str(report.q),
+            "casimir_closed_form": None
+            if report.casimir_closed_form is None
+            else [float(c) for c in report.casimir_closed_form],
             "duplicates_present": report.duplicates_present,
         }
         return json.dumps(payload, indent=1)
@@ -82,6 +87,10 @@ def _render_report(report, fmt: str) -> str:
     for name in report.failing_hermiticity:
         lines.append(f"  FAIL Hermiticity of {name}: "
                      f"{report.hermiticity_residuals[name]:.3e}")
+    failing = report.failing_invariants
+    if "Jz" in failing:
+        lines.append(f"  FAIL Jz is not the diagonal a + b of the blocks: "
+                     f"residual {report.jz_residual:.3e}")
     if report.casimir1_scalar is not None:
         lines.append(f"-C1 = {-report.casimir1_scalar.real:.12g}")
     else:
@@ -92,6 +101,10 @@ def _render_report(report, fmt: str) -> str:
         lines.append("C2 is not a multiple of the identity (reducible or broken)")
     if report.p is not None:
         lines.append(f"p = {report.p}, q = {report.q}")
+        for name, closed in zip(("C1", "C2"), report.casimir_closed_form):
+            if name in failing:
+                lines.append(f"  FAIL {name}: the closed form for this p, q is "
+                             f"-{name} = {-closed}")
     lines.append(f"duplicate blocks present: {report.duplicates_present}")
     lines.append("verdict: " + ("PASS" if report.passed else "FAIL"))
     return "\n".join(lines)

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .blocks import BlockLabel, grid_twice
+from .blocks import BlockLabel, concatenated_grid
 from .numeric import HalfInt, Sparse
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "Rectangle",
     "UBlockSet",
     "u_blocks",
+    "edge_ladders",
     "cartesian_from_ladders",
 ]
 
@@ -162,56 +163,80 @@ class UBlockSet:
     wminus_qp: Rectangle
 
 
-def _directed_rectangles(p: BlockLabel, q: BlockLabel) -> tuple[Rectangle, ...]:
-    """(uplus, uminus, wplus, wminus) with P rows, Q columns."""
-    case = compatibility(p, q)
-    if case is None:
+def edge_ladders(
+    blocks: Sequence[BlockLabel],
+    pairs: Sequence[tuple[int, int]],
+    scales: Sequence[float],
+) -> tuple[Sparse, Sparse, Sparse, Sparse]:
+    """(V+, V-, W+, W-) on the direct sum of the blocks, from ordered block pairs.
+
+    Ordered pair (i, j) with scale t puts t times its universal rectangles
+    (block-i rows, block-j columns) at the blocks' offsets.  Every
+    rectangle of every pair is built in one array pass over the
+    concatenated grids of the column blocks.  Raises ValueError for an
+    incompatible pair and ArithmeticError for a negative radicand.
+    """
+    twice_a = np.array([block.a.twice for block in blocks], dtype=np.intp)
+    twice_b = np.array([block.b.twice for block in blocks], dtype=np.intp)
+    dims = (twice_a + 1) * (twice_b + 1)
+    offsets = np.cumsum(dims) - dims
+    n = int(dims.sum())
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    s_a, s_b = twice_a[i] - twice_a[j], twice_b[i] - twice_b[j]  # the case signs
+    bad = np.flatnonzero((np.abs(s_a) != 1) | (np.abs(s_b) != 1))
+    if bad.size:
+        p, q = blocks[i[bad[0]]], blocks[j[bad[0]]]
         raise ValueError(f"blocks {p} and {q} are not compatible")
-    s_a, s_b = case.s_a, case.s_b
 
-    # twice-values throughout: A12, B12, the column indices (a2, b2) and,
-    # for each entry, the row indices (a1, b1)
-    big_a = max(p.a.twice, q.a.twice)
-    big_b = max(p.b.twice, q.b.twice)
-    a_from_p = p.a.twice > q.a.twice
-    b_from_p = p.b.twice > q.b.twice
-    a2, b2 = grid_twice(q)
-    cols = np.arange(q.dim)
-    width = p.b.twice + 1
+    # twice-values throughout, per entry: P's labels, the case signs, A12,
+    # B12, the column indices (a2, b2) and, per rectangle, the row indices
+    # (a1, b1); a12/b12 are read on the side with the larger label
+    pair, local, a2, b2 = concatenated_grid(twice_a[j], twice_b[j])
+    p_a, p_b = twice_a[i][pair], twice_b[i][pair]
+    s_a, s_b = s_a[pair], s_b[pair]
+    big_a, big_b = np.maximum(p_a, p_a - s_a), np.maximum(p_b, p_b - s_b)
+    first_row, cols = offsets[i][pair], offsets[j][pair] + local
+    scale = np.asarray(scales, dtype=float)[pair]
 
-    def rectangle(d_a: int, d_b: int, sign: int) -> Rectangle:
+    def ladder(d_a: int, d_b: int, sign) -> Sparse:
         """sign * sqrt((A12 + d_a S_A a12)(B12 + d_b S_B b12)) from each column
         (a2, b2) to the row (a2 + d_a/2, b2 + d_b/2), where that row exists."""
         a1, b1 = a2 + d_a, b2 + d_b
-        keep = (np.abs(a1) <= p.a.twice) & (np.abs(b1) <= p.b.twice)
-        a1, b1 = a1[keep], b1[keep]
-        a_idx = a1 if a_from_p else a2[keep]
-        b_idx = b1 if b_from_p else b2[keep]
+        keep = (np.abs(a1) <= p_a) & (np.abs(b1) <= p_b)
+        a_idx = np.where(s_a > 0, a1, a2)
+        b_idx = np.where(s_b > 0, b1, b2)
         # an integer product of twice-values, so radicand / 4 is exact
-        radicand = (big_a + d_a * s_a * a_idx) * (big_b + d_b * s_b * b_idx)
+        radicand = ((big_a + d_a * s_a * a_idx) * (big_b + d_b * s_b * b_idx))[keep]
         if (radicand < 0).any():
             raise ArithmeticError("negative radicand in coupling rectangle")
-        rows = (p.a.twice - a1) // 2 * width + (p.b.twice - b1) // 2
-        vals = (sign * np.sqrt(radicand / 4.0)).astype(complex)
-        return Rectangle((p.dim, q.dim), rows, cols[keep], vals)
+        rows = (first_row + (p_a - a1) // 2 * (p_b + 1) + (p_b - b1) // 2)[keep]
+        vals = (sign[keep] * np.sqrt(radicand / 4.0)).astype(complex)
+        return Sparse(n, rows * n + cols[keep], scale[keep] * vals)
 
     # V-side: both indices shift together; W-side: they shift oppositely.
     return (
-        rectangle(+1, +1, 1),
-        rectangle(-1, -1, -s_a * s_b),
-        rectangle(+1, -1, -s_b),
-        rectangle(-1, +1, -s_a),
+        ladder(+1, +1, np.ones_like(s_a)),
+        ladder(-1, -1, -s_a * s_b),
+        ladder(+1, -1, -s_b),
+        ladder(-1, +1, -s_a),
     )
 
 
 def u_blocks(p: BlockLabel, q: BlockLabel) -> UBlockSet:
-    """All eight universal rectangles for the compatible pair (P, Q).
+    """All eight universal rectangles for the compatible pair (P, Q):
+    `edge_ladders` of the two blocks at scale 1, once in each direction.
 
     Raises ValueError for an incompatible pair.
     """
-    pq = _directed_rectangles(p, q)
-    qp = _directed_rectangles(q, p)
-    return UBlockSet(*pq, *qp)
+
+    def directed(rows: BlockLabel, cols: BlockLabel) -> list[Rectangle]:
+        out = []
+        for m in edge_ladders((rows, cols), ((0, 1),), (1.0,)):
+            row, col = np.divmod(m.keys, m.n)
+            out.append(Rectangle((rows.dim, cols.dim), row, col - rows.dim, m.vals))
+        return out
+
+    return UBlockSet(*directed(p, q), *directed(q, p))
 
 
 def cartesian_from_ladders(

@@ -22,9 +22,15 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .blocks import BlockLabel, hla_cartesian
-from .coupling import cartesian_from_ladders, compatibility, t_sign_relation, u_blocks
+from .blocks import BlockLabel, direct_sum_cartesian
+from .coupling import cartesian_from_ladders, compatibility, edge_ladders, t_sign_relation
 from .numeric import HalfInt, Sparse
+
+# Not called here: the benchmark's spans (`perfbench/spans.py`) patch these
+# names in this module.  Delete them with those span entries at the next
+# change to the benchmark.
+from .blocks import hla_cartesian  # noqa: F401
+from .coupling import u_blocks  # noqa: F401
 
 __all__ = [
     "MAX_DIM",
@@ -309,23 +315,17 @@ def assemble(
     t_ij = +t_ji on +-/-+ edges); disabling it permits deliberately broken
     inputs for testing.
 
+    Only the edge checks loop in Python.  J and K of every block come from
+    one array pass over the backbone (`blocks.direct_sum_cartesian`), the
+    ladder rectangles of every directed edge from another
+    (`coupling.edge_ladders`), and the Cartesian V from one
+    `cartesian_from_ladders`.
+
     The anti-de Sitter algebra is produced from the de Sitter matrices by
     multiplying all four displacement generators by i.
     """
     tmap = _as_pair_map(backbone, t)
-    offsets = [0]
-    for b in backbone.blocks:
-        offsets.append(offsets[-1] + b.dim)
-    dim = offsets[-1]
-
-    # each matrix as pieces: (rows, columns, values) within a block or an
-    # edge rectangle, with the offsets of that block's or rectangle's origin
-    diagonal = [[] for _ in range(6)]  # Jx, Jy, Jz, Kx, Ky, Kz
-    for i, label in enumerate(backbone.blocks):
-        for pieces, m in zip(diagonal, hla_cartesian(label)):
-            pieces.append((*np.divmod(m.keys, m.n), m.vals, offsets[i], offsets[i]))
-
-    ladders = [[] for _ in range(4)]  # V+, V-, W+, W-
+    pairs, scales = [], []  # both ordered pairs of every edge, with their couplings
     for i, j in sorted(backbone.edges):
         p, q = backbone.blocks[i], backbone.blocks[j]
         case = compatibility(p, q)
@@ -340,25 +340,11 @@ def assemble(
                     f"couplings on edge ({i}, {j}) violate the Hermiticity sign "
                     f"rule for case {case}: t_ji={t_ji}, expected {expected}"
                 )
-        u = u_blocks(p, q)
-        for rects, row_offset, col_offset, scale in (
-            ((u.uplus_pq, u.uminus_pq, u.wplus_pq, u.wminus_pq), offsets[i], offsets[j], t_ij),
-            ((u.uplus_qp, u.uminus_qp, u.wplus_qp, u.wminus_qp), offsets[j], offsets[i], t_ji),
-        ):
-            for pieces, rect in zip(ladders, rects):
-                pieces.append((rect.rows, rect.cols, scale * rect.vals, row_offset, col_offset))
+        pairs += [(i, j), (j, i)]
+        scales += [t_ij, t_ji]
 
-    def joined(pieces) -> Sparse:
-        if not pieces:
-            return Sparse.zero(dim)
-        rows, cols, vals, row_offsets, col_offsets = zip(*pieces)
-        sizes = [r.size for r in rows]
-        keys = (np.concatenate(rows) + np.repeat(row_offsets, sizes)) * dim
-        keys += np.concatenate(cols) + np.repeat(col_offsets, sizes)
-        return Sparse(dim, keys, np.concatenate(vals))
-
-    jx, jy, jz, kx, ky, kz = map(joined, diagonal)
-    vt, vx, vy, vz = cartesian_from_ladders(*map(joined, ladders))
+    jx, jy, jz, kx, ky, kz = direct_sum_cartesian(backbone.blocks)
+    vt, vx, vy, vz = cartesian_from_ladders(*edge_ladders(backbone.blocks, pairs, scales))
     if algebra is Algebra.ANTI_DE_SITTER:
         vx, vy, vz, vt = 1j * vx, 1j * vy, 1j * vz, 1j * vt
 

@@ -62,6 +62,7 @@ from .representation import (
 from .verify import CR_TOLERANCE, check_all_crs, check_hermiticity, worst_residual
 
 __all__ = [
+    "MAX_GAUGE_PATTERNS",
     "WitnessKind",
     "Witness",
     "Verdict",
@@ -87,6 +88,7 @@ class WitnessKind(enum.Enum):
     DEAD_EDGE = "dead-edge"
     CR_FAILURE = "numeric-cr-failure"
     NONCANONICAL_COMPONENT = "non-canonical-component"
+    SEARCH_BUDGET = "search-budget-exhausted"
 
 
 @dataclass(frozen=True)
@@ -371,6 +373,12 @@ def decompose(g: BackboneGraph) -> list[Component]:
 # ---------------------------------------------------------------------------
 
 
+# Gauge patterns `solve_and_verify` assembles and checks before it gives
+# up with a search-budget witness: every sign of ten chords.  So far each
+# cyclic so(5) backbone tried has verified on its first pattern.
+MAX_GAUGE_PATTERNS = 1 << 10
+
+
 def _gauge_patterns(g: BackboneGraph) -> Iterator[dict[tuple[int, int], int]]:
     """Chord-sign assignments covering all inequivalent coupling gauges.
 
@@ -410,9 +418,11 @@ def solve_and_verify(
     """Run the full validation pipeline on a proposed backbone.
 
     With ``allow_noncanonical`` the chain-classification requirement is
-    waived and all chord-sign gauges are searched, so the verdict
-    becomes "does any Hermitian/anti-Hermitian representation exist
-    with couplings exactly on these edges", canonical or not.
+    waived and the chord-sign gauges are searched, up to
+    `MAX_GAUGE_PATTERNS` of them, so the verdict becomes "does any
+    Hermitian/anti-Hermitian representation exist with couplings exactly
+    on these edges", canonical or not; a search that runs out of budget
+    ends with a search-budget-exhausted witness instead.
     """
     components = decompose(g)
 
@@ -472,7 +482,16 @@ def solve_and_verify(
     has_cycle = len(g.edges) > g.nblocks - len(components)
 
     best_residual = math.nan
-    for pattern in patterns:
+    for tried, pattern in enumerate(patterns):
+        if tried == MAX_GAUGE_PATTERNS:
+            witness = Witness(
+                WitnessKind.SEARCH_BUDGET,
+                f"the chord-sign search stopped after {tried} gauge patterns "
+                f"(best residual {best_residual:.3e}) with patterns left untried; "
+                "this does not show that no gauge works",
+                (tried, best_residual),
+            )
+            return SolverOutcome(Verdict.INVALID, witness, components, x_values=x_values)
         t_map = {}
         for e, x in x_values.items():
             forward = pattern[e] * math.sqrt(abs(float(x)))

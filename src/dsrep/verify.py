@@ -2,9 +2,10 @@
 
 Checks the 27 commutation relations of the de Sitter / anti-de Sitter
 algebra (one per cyclic component of each vector identity), the
-Hermitian/anti-Hermitian pattern of the generators, and the two Casimir
-operators, whose values on each irrep are reported as scalars next to
-the closed forms they must equal.
+Hermitian/anti-Hermitian pattern of the generators, Jz against the
+diagonal the block labels fix, and the two Casimir operators, whose
+values on each irrep are reported as scalars and, on a canonical chain,
+must equal their closed forms.
 
 Every check evaluates its formulas on the non-zeros the generator set
 stores (`numeric.Sparse`), so a check costs O(nnz x row width) rather
@@ -22,6 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .blocks import direct_sum_generators
 from .numeric import HalfInt, Sparse, commutator, dagger, max_abs, product_sum
 from .representation import (
     Algebra,
@@ -35,6 +37,7 @@ __all__ = [
     "CR_TOLERANCE",
     "check_all_crs",
     "check_hermiticity",
+    "check_jz",
     "casimir1_matrix",
     "casimir2_matrix",
     "casimir_invariants_closed_form",
@@ -46,10 +49,13 @@ __all__ = [
 _CYCLIC = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
 
 # Residual bounds: commutation relations (also the solver's bound for
-# both checks), Hermiticity, and the distance from a multiple of the
-# identity at which C1 and C2 count as scalar.
+# both checks), Hermiticity, Jz against its block labels, and the
+# distance from a multiple of the identity at which C1 and C2 count as
+# scalar (also, relative to max(1, |closed form|), the distance from
+# their closed forms).
 CR_TOLERANCE = 1e-10
 HERMITICITY_TOLERANCE = 1e-11
+JZ_TOLERANCE = 1e-11
 C1_SCALAR_TOLERANCE = 1e-9
 C2_SCALAR_TOLERANCE = 1e-8
 
@@ -114,6 +120,16 @@ def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
     for name, m in g.matrices().items():
         out[name] = max_abs(dagger(m) - signs[name] * m)
     return out
+
+
+def check_jz(g: GeneratorSet) -> float:
+    """max |Jz - diag(a + b)|, with a + b over the backbone's blocks at their offsets.
+
+    Jz is the one generator the block labels fix entry by entry.  The
+    relations are homogeneous, so they cannot tell a representation from
+    a rescaled or zeroed one; this check can.
+    """
+    return max_abs(g.jz - direct_sum_generators(g.backbone.blocks).jz)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +223,13 @@ class VerificationReport:
     algebra: Algebra
     cr_residuals: dict[str, float]
     hermiticity_residuals: dict[str, float]
+    jz_residual: float
     casimir1_scalar: Optional[complex]
     casimir2_scalar: Optional[complex]
     p: Optional[HalfInt]
     q: Optional[HalfInt]
+    # (C1, C2) in closed form, reported with (p, q)
+    casimir_closed_form: Optional[tuple[Fraction, Fraction]]
     duplicates_present: bool
     cr_tolerance: float
     hermiticity_tolerance: float
@@ -236,25 +255,43 @@ class VerificationReport:
         ]
 
     @property
+    def failing_invariants(self) -> list[str]:
+        """"Jz" when Jz is off the block labels' diagonal; "C1", "C2" when
+        (p, q) is reported and that Casimir is not its closed form."""
+        out = [] if self.jz_residual < JZ_TOLERANCE else ["Jz"]
+        if self.casimir_closed_form is None:
+            return out
+        for name, scalar, closed, tol in (
+            ("C1", self.casimir1_scalar, float(self.casimir_closed_form[0]), C1_SCALAR_TOLERANCE),
+            ("C2", self.casimir2_scalar, float(self.casimir_closed_form[1]), C2_SCALAR_TOLERANCE),
+        ):
+            if scalar is None or not abs(scalar - closed) <= tol * max(1.0, abs(closed)):
+                out.append(name)
+        return out
+
+    @property
     def passed(self) -> bool:
-        return not self.failing_crs and not self.failing_hermiticity
+        return not (self.failing_crs or self.failing_hermiticity or self.failing_invariants)
 
 
 def build_report(g: GeneratorSet, cr_tolerance: float = CR_TOLERANCE) -> VerificationReport:
     """Full verification of a generator set."""
     casimir1_scalar = scalar_check(casimir1_matrix(g), C1_SCALAR_TOLERANCE)
     spec = classify_canonical_chain(g.backbone.blocks)
-    p = q = None
+    p = q = closed_form = None
     if spec is not None and not g.backbone.has_duplicates():
-        _, _, p, q = casimir_invariants_closed_form(spec)
+        neg_c1, neg_c2, p, q = casimir_invariants_closed_form(spec)
+        closed_form = (-neg_c1, -neg_c2)
     return VerificationReport(
         algebra=g.algebra,
         cr_residuals=check_all_crs(g),
         hermiticity_residuals=check_hermiticity(g),
+        jz_residual=check_jz(g),
         casimir1_scalar=casimir1_scalar,
         casimir2_scalar=scalar_check(casimir2_matrix(g), C2_SCALAR_TOLERANCE),
         p=p,
         q=q,
+        casimir_closed_form=closed_form,
         duplicates_present=g.backbone.has_duplicates(),
         cr_tolerance=cr_tolerance,
         hermiticity_tolerance=HERMITICITY_TOLERANCE,

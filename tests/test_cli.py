@@ -523,6 +523,45 @@ class TestFormats:
         assert loaded["Jz"].keys.size == 0
 
 
+class TestInvariants:
+    """What the relations cannot see: Jz against the block labels, and the
+    Casimirs against their closed forms."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_zeroed_document_fails(self, tmp_path, capsys, fmt):
+        # every relation is homogeneous, so the trivial representation
+        # satisfies all 27; Jz and the closed-form Casimirs catch it
+        doc = _generated_doc(tmp_path, capsys, "b", "3", fmt)
+        for gen in doc["generators"]:
+            _set_entries(gen, [])
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        text = capsys.readouterr().out
+        assert "max commutator residual:  0.000e+00" in text
+        assert "p = 2, q = 2" in text
+        assert "FAIL Jz" in text
+        assert "FAIL C1: the closed form for this p, q is -C1 = 6" in text
+        assert "FAIL C2: the closed form for this p, q is -C2 = 12" in text
+        assert text.endswith("verdict: FAIL\n")
+        assert main(["verify", str(path), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        assert payload["failing_invariants"] == ["Jz", "C1", "C2"]
+        assert payload["jz_residual"] == 1.0
+        assert payload["casimir_closed_form"] == [-6.0, -12.0]
+
+    def test_verify_json_names_no_failing_invariant(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        main(["generate", "a", "3", "--algebra", "ads", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["verify", str(out), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failing_invariants"] == []
+        assert payload["jz_residual"] == 0.0
+        assert payload["casimir_closed_form"] == [-10.0, 0.0]
+
+
 class TestLargeTypeBChains:
     """Type-B chains whose block count, as a type-A chain, would pass MAX_DIM."""
 

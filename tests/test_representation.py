@@ -322,23 +322,43 @@ def _canonical_pairs(spec, offset=0):
     return t
 
 
+# blocks that stand alone beside the chains of a sum: dim-1 and
+# row-width-1 labels among them
+LOOSE_BLOCKS = [L(0, 0), L(1, 0), L(4, 0), L(0, 3), L(2, 3)]
+
+
+def _shuffled(backbone, t, order):
+    """The same backbone with block k moved to position order[k]."""
+    blocks = [None] * backbone.nblocks
+    for k, block in enumerate(backbone.blocks):
+        blocks[order[k]] = block
+    edges = [(order[i], order[j]) for i, j in backbone.edges]
+    return BackboneGraph.make(blocks, edges), {(order[i], order[j]): v for (i, j), v in t.items()}
+
+
 @st.composite
 def assembly_inputs(draw):
     """(backbone, couplings per ordered pair, algebra): a canonical chain, an
-    so(5) cyclic backbone or a direct sum of chains (its labels repeat),
-    with the couplings as built or each rescaled by a factor of either sign."""
+    so(5) cyclic backbone, one block alone, or a direct sum of chains (its
+    labels repeat) with blocks beside them that no edge reaches; the
+    couplings as built or each rescaled by a factor of either sign, and the
+    blocks in their own order or shuffled, so that edges also run from a
+    later block to an earlier one."""
     algebra = draw(st.sampled_from(list(Algebra)))
-    kind = draw(st.sampled_from(["chain", "so5", "sum"]))
+    kind = draw(st.sampled_from(["chain", "so5", "block", "sum"]))
     if kind == "chain":
         spec = CanonicalSpec(draw(st.sampled_from(list(Family))), draw(st.integers(2, 6)))
         backbone, t = canonical_backbone(spec), _canonical_pairs(spec)
     elif kind == "so5":
         gens = gelfand_tsetlin_generators(draw(st.sampled_from(GT_WEIGHTS)), algebra)
         backbone, t = gens.backbone, dict(gens.t)
+    elif kind == "block":
+        label = L(draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+        backbone, t = BackboneGraph.make([label], []), {}
     else:
         specs = draw(st.lists(
             st.builds(CanonicalSpec, st.sampled_from(list(Family)), st.integers(2, 4)),
-            min_size=2, max_size=3,
+            min_size=1, max_size=3,
         ))
         blocks, edges, t = [], [], {}
         for spec in specs:
@@ -346,25 +366,53 @@ def assembly_inputs(draw):
             edges += [(i + len(blocks), j + len(blocks)) for i, j in chain.edges]
             t.update(_canonical_pairs(spec, len(blocks)))
             blocks += chain.blocks
+        blocks += draw(st.lists(st.sampled_from(LOOSE_BLOCKS), max_size=3))
         backbone = BackboneGraph.make(blocks, edges)
     if draw(st.booleans()):
         factors = st.sampled_from([-2.0, -1.0, -0.3, 0.7, 1.5])
         t = {pair: draw(factors) * value for pair, value in t.items()}
+    if draw(st.booleans()):
+        backbone, t = _shuffled(backbone, t, draw(st.permutations(range(backbone.nblocks))))
     return backbone, t, algebra
+
+
+def _assert_dense_bytes(backbone, t, algebra):
+    """Every non-zero entry, signed zeros of its parts included, is what the
+    dense assembly wrote; exact zeros are not stored."""
+    gens = assemble(backbone, t, algebra, validate_t=False)
+    want = dense_assemble(backbone, t, algebra)
+    for name, m in gens.matrices().items():
+        assert m.to_dense().tobytes() == stored_bytes(want[name]), name
+        assert (np.diff(m.keys) > 0).all() and (m.vals != 0).all(), name
+    return gens
 
 
 class TestDenseAssemblyOracle:
     @settings(max_examples=60, deadline=None)
     @given(assembly_inputs())
     def test_stored_entries_carry_the_dense_bytes(self, case):
-        # every non-zero entry, signed zeros of its parts included, is what
-        # the dense assembly wrote; exact zeros are not stored
-        backbone, t, algebra = case
-        gens = assemble(backbone, t, algebra, validate_t=False)
-        want = dense_assemble(backbone, t, algebra)
-        for name, m in gens.matrices().items():
-            assert m.to_dense().tobytes() == stored_bytes(want[name]), name
-            assert (np.diff(m.keys) > 0).all() and (m.vals != 0).all(), name
+        _assert_dense_bytes(*case)
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    @pytest.mark.parametrize("label", [L(0, 0), L(3, 0), L(0, 4), L(5, 2)], ids=str)
+    def test_one_block(self, label, algebra):
+        gens = _assert_dense_bytes(BackboneGraph.make([label], []), {}, algebra)
+        for name in ("Vt", "Vx", "Vy", "Vz"):
+            assert gens.matrices()[name].keys.size == 0, name
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_isolated_blocks_beside_a_shuffled_chain(self, algebra):
+        # type B N=4 with (0,0), (3/2,0) and (1,3/2) beside it, its blocks
+        # in reverse: each edge (i, j), i < j, goes up in A from i to j, so
+        # the larger label of every pair sits at the higher offset
+        spec = CanonicalSpec(Family.TYPE_B, 4)
+        chain, t = canonical_backbone(spec), _canonical_pairs(spec)
+        backbone = BackboneGraph.make([*chain.blocks, L(0, 0), L(3, 0), L(2, 3)], chain.edges)
+        backbone, t = _shuffled(backbone, t, [6, 4, 2, 0, 1, 3, 5])
+        assert all(
+            backbone.blocks[i].a.twice < backbone.blocks[j].a.twice for i, j in backbone.edges
+        )
+        _assert_dense_bytes(backbone, t, algebra)
 
 
 class TestMemory:

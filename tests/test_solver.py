@@ -286,6 +286,22 @@ class TestCyclicStructures:
         [component] = out.components
         assert component.family is None
 
+    def test_search_budget_gives_its_own_witness(self, monkeypatch):
+        import dsrep.solver as solver
+
+        # one chord, so two patterns; the second one verifies
+        g = BackboneGraph.make(self.DIAMOND_BLOCKS, self.DIAMOND_EDGES)
+        monkeypatch.setattr(solver, "MAX_GAUGE_PATTERNS", 1)
+        out = solve_and_verify(g, allow_noncanonical=True)
+        assert out.verdict is Verdict.INVALID
+        assert out.witness.kind is WitnessKind.SEARCH_BUDGET
+        tried, best = out.witness.data
+        assert tried == 1 and best > 1e-3
+        assert "stopped after 1 gauge patterns" in out.witness.message
+        assert "does not show that no gauge works" in out.witness.message
+        monkeypatch.setattr(solver, "MAX_GAUGE_PATTERNS", 2)
+        assert solve_and_verify(g, allow_noncanonical=True).verdict is Verdict.VALID
+
 
 class TestGaugePatterns:
     def test_lazy_in_product_order(self):
