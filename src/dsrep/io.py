@@ -35,8 +35,12 @@ Any other "format" value is refused.
 
 The schemas above are shown spread out; `save_json` and `generate`
 write each document as one line of compact JSON.  Entries are listed in
-row-major order, each (row, col) at most once.  Floats are serialised by
-the json module, whose repr-based encoding round-trips bit-exactly.
+row-major order, each (row, col) at most once.  A document repeats a few
+closed-form values many times, so each distinct float is written and
+read once: `write_json` formats it with `float.__repr__` into a table
+kept for that document, keyed by its bits, and `load_json` parses each
+distinct number text once.  The text is what `json.dumps` writes, and
+the round trip stays bit-exact.
 """
 
 from __future__ import annotations
@@ -259,13 +263,15 @@ def _matrix_from_columns(columns: Columns, name: str, dim: int) -> Sparse:
         bad = int(np.argmin(finite))
         raise DocumentError(f"{name} entry ({rows[bad]}, {cols[bad]}) must be a finite number")
     keys = r * dim + c
-    # generators_to_doc lists entries in increasing order, so the duplicate
-    # search is only needed for documents written some other way
-    if not (np.diff(keys) > 0).all():
-        unique, counts = np.unique(keys, return_counts=True)
-        if (counts > 1).any():
-            row, col = divmod(int(unique[np.argmax(counts > 1)]), dim)
-            raise DocumentError(f"{name} entry ({row}, {col}) is listed twice")
+    # generators_to_doc lists entries in increasing order, so the sort and
+    # the duplicate search are only needed for documents written some other way
+    if (np.diff(keys) > 0).all():
+        nonzero = values != 0
+        return Sparse(dim, keys[nonzero], values[nonzero], reduced=True)
+    unique, counts = np.unique(keys, return_counts=True)
+    if (counts > 1).any():
+        row, col = divmod(int(unique[np.argmax(counts > 1)]), dim)
+        raise DocumentError(f"{name} entry ({row}, {col}) is listed twice")
     return Sparse(dim, keys, values).reduced()
 
 
@@ -331,10 +337,19 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
     )
 
 
+class _ParsedFloats(dict):
+    """float(text) of each number text with a fraction or an exponent,
+    parsed when first looked up."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def load_json(path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=_ParsedFloats().__getitem__)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -346,28 +361,55 @@ def load_json(path) -> Any:
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _json_pieces(value: Any, depth: int = 2) -> Iterator[str]:
+def _float_list_text(value: Any, texts: dict[int, str]) -> Optional[str]:
+    """The JSON text of a list of finite floats, each distinct value
+    formatted once through texts (bits -> float.__repr__); None for any
+    other value, NaN and infinities included (the encoder spells them)."""
+    # the first item spares int columns the scan of every item's type
+    if not (
+        isinstance(value, list) and value and type(value[0]) is float
+        and set(map(type, value)) == {float}
+    ):
+        return None
+    floats = np.array(value, dtype=float)
+    if not np.isfinite(floats).all():
+        return None
+    # keyed by bits, so -0.0 and 0.0 keep their own texts
+    bits, index = np.unique(floats.view(np.int64), return_inverse=True)
+    table = [
+        texts[key] if key in texts else texts.setdefault(key, float.__repr__(number))
+        for key, number in zip(bits.tolist(), bits.view(float).tolist())
+    ]
+    return "[" + ",".join(np.array(table, dtype=object)[index].tolist()) + "]"
+
+
+def _json_pieces(value: Any, texts: dict[int, str], depth: int = 3) -> Iterator[str]:
     """The compact JSON text of value, in pieces that concatenate to the
     output of one json.dumps call.
 
     Arrays and string-keyed objects are split for `depth` levels, so each
-    matrix of a generator document goes through its own call of the C
-    encoder.  One call for the whole document holds every number's text
-    at once (a few MB at dim 400), and streaming with json.dump, or any
-    indent, falls back to the pure-Python encoder.
+    column of a generator document's matrices is reached.  A list of
+    finite floats is written from the document's text table; anything
+    else left goes through its own call of the C encoder.  One call for
+    the whole document holds every number's text at once (a few MB at dim
+    400), and streaming with json.dump, or any indent, falls back to the
+    pure-Python encoder.
     """
-    if isinstance(value, list) and depth:
+    text = _float_list_text(value, texts)
+    if text is not None:
+        yield text
+    elif isinstance(value, list) and depth:
         yield "["
         for index, item in enumerate(value):
             if index:
                 yield ","
-            yield from _json_pieces(item, depth - 1)
+            yield from _json_pieces(item, texts, depth - 1)
         yield "]"
     elif isinstance(value, dict) and depth and all(type(key) is str for key in value):
         yield "{"
         for index, (key, item) in enumerate(value.items()):
             yield ("," if index else "") + _encode(key) + ":"
-            yield from _json_pieces(item, depth - 1)
+            yield from _json_pieces(item, texts, depth - 1)
         yield "}"
     else:
         yield _encode(value)
@@ -375,7 +417,7 @@ def _json_pieces(value: Any, depth: int = 2) -> Iterator[str]:
 
 def write_json(doc: Any, handle: TextIO) -> None:
     """Write the document to a text stream as one line of compact JSON."""
-    handle.writelines(_json_pieces(doc))
+    handle.writelines(_json_pieces(doc, {}))
     handle.write("\n")
 
 

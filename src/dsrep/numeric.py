@@ -205,6 +205,8 @@ class Sparse:
         first = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         starts = np.flatnonzero(first)
+        if starts.size == keys.size:  # no key repeats, as in assembly
+            return keys, self.vals[order]
         return keys[starts], np.add.reduceat(self.vals[order], starts)
 
     def reduced(self) -> "Sparse":

@@ -25,6 +25,9 @@
   `generate` wrote before the columnar format 2, still read by `verify`.
 - `fraction_solve`: Gauss-Jordan elimination over Fractions on dense
   rows, the reference for the integer solver `dsrep.numeric` ships.
+- `argsort_reduced`: the entries of a `Sparse` reduced by one argsort and
+  `np.add.reduceat` on every call, the reference for `Sparse.reduced()`,
+  which skips the sums where no key repeats.
 - `gelfand_tsetlin_backbone` and `gelfand_tsetlin_generators`: cyclic
   so(5) backbones and the generators the solver finds for them.
 """
@@ -460,6 +463,26 @@ def format1_doc(g) -> dict:
         for name, m in g.matrices().items()
     ]
     return doc
+
+
+# ---------------------------------------------------------------------------
+# Sparse reduction oracle
+# ---------------------------------------------------------------------------
+
+
+def argsort_reduced(m: Sparse) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of m's entries sorted by key, those with the same key
+    summed by np.add.reduceat, exact zeros dropped."""
+    if not m.keys.size:
+        return m.keys, m.vals
+    order = np.argsort(m.keys)
+    keys = m.keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(m.vals[order], starts)
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
 
 
 # ---------------------------------------------------------------------------

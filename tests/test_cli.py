@@ -1,6 +1,7 @@
 """Command-line interface, document round-trips, golden tables."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -35,6 +36,31 @@ from dsrep.verify import build_report, casimir_invariants_closed_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# JSON trees for the writer: float lists long enough to repeat values, with
+# the numbers whose text is special (signed zero, the extremes, NaN and the
+# infinities), and lists mixing floats with ints, booleans and ints past
+# int64.
+_FINITE_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.5, 0.1]
+)
+_EDGE_FLOATS = _FINITE_EDGE_FLOATS | st.sampled_from([math.nan, math.inf, -math.inf])
+_FLOAT_LISTS = st.lists(
+    _FINITE_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False), max_size=200
+) | st.lists(_EDGE_FLOATS | st.floats(), max_size=60)
+_MIXED_LISTS = st.lists(
+    _EDGE_FLOATS | st.floats() | st.integers() | st.booleans()
+    | st.sampled_from([2**63, -(2**63) - 1, 10**30]),
+    max_size=12,
+)
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _EDGE_FLOATS | st.text(max_size=3)
+    | _FLOAT_LISTS | _MIXED_LISTS | st.lists(st.integers(), max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 class TestDocumentRoundTrip:
@@ -94,6 +120,25 @@ class TestDocumentRoundTrip:
         path = tmp_path / "doc.json"
         save_json(doc, path)
         assert path.read_text() == json.dumps(doc, separators=(",", ":")) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_JSON_TREES)
+    def test_written_text_matches_json_dumps(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "drawn.json"
+        save_json(doc, path)
+        assert path.read_text() == json.dumps(doc, separators=(",", ":")) + "\n"
+
+    def test_read_floats_keep_json_load_bits(self, tmp_path):
+        texts = ["-0.0", "0.0", "1E5", "1e5", "5e-324", "1e400", "-1e400", "0.1", "2.5e-3"]
+        text = '{"a": [' + ",".join(texts * 100) + '], "b": {"c": -0.0, "d": [1, -0]}}'
+        path = tmp_path / "floats.json"
+        path.write_text(text)
+        got, want = load_json(path), json.loads(text)
+        assert got == want
+        for ours, theirs in ((got["a"], want["a"]), ([got["b"]["c"]], [want["b"]["c"]])):
+            assert set(map(type, ours)) == {float}
+            assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+        assert got["b"]["d"] == [1, 0] and set(map(type, got["b"]["d"])) == {int}
 
     def test_half_integers_serialise_as_strings(self):
         g = canonical_backbone(CanonicalSpec(Family.TYPE_B, 2))
@@ -394,6 +439,21 @@ class TestMalformedDocuments:
             path.write_text(json.dumps(doc))
             assert main([command, str(path)]) == 2
             assert str(MAX_DIM) in capsys.readouterr().err
+
+    def test_float_text_past_the_float_range(self, tmp_path, capsys):
+        # 1e400 reads as an infinity, which no entry may hold
+        for fmt in FORMATS:
+            doc = _generated_doc(tmp_path, capsys, fmt=fmt)
+            _set_entry(doc, "Vy", 1234.5625, field="im")
+            text = json.dumps(doc)
+            assert text.count("1234.5625") == 1
+            path = tmp_path / "overflow.json"
+            path.write_text(text.replace("1234.5625", "1e400"))
+            assert main(["verify", str(path)]) == 2, fmt
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: Vy ") and "PASS" not in captured.out
+            with pytest.raises(DocumentError):
+                generators_from_doc(load_json(path))
 
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import fraction_solve
+from conftest import argsort_reduced, fraction_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +170,45 @@ class TestSparse:
         assert ours._reduced and (np.diff(ours.keys) > 0).all() and (ours.vals != 0).all()
         top = 6 * max(max_abs(x), max_abs(y), max_abs(z), 1.0)
         assert max_abs(ours.to_dense() - dense) <= 1e-13 * top**2
+
+    @pytest.mark.parametrize(
+        "keys,vals",
+        [
+            ([0, 3, 4, 8], [1, 2j, -0.5, 3 + 1j]),
+            ([0, 3, 3, 4, 8, 8, 8], [1, 2j, -2j, -0.5, 1, 1, -0.0]),
+            ([8, 0, 4, 3], [1, 2j, -0.5, 3 + 1j]),
+            ([8, 3, 0, 3, 8, 4], [1, 2, 3, -2, 0.25, 1e-300]),
+            ([1, 2, 5, 6], [0, 1j, 0, complex(-0.0, 0.0)]),
+            ([2, 7, 1, 7], [0, math.nan, 1, 2]),
+            ([2, 1, 5, 1], [complex(-0.0, 1), complex(1, -0.0), complex(-0.0, -0.0), 1]),
+            ([5, 1, 4], [complex(-0.0, 1), complex(1, -0.0), complex(3, math.nan)]),
+            ([], []),
+            ([4], [complex(-0.0, 2)]),
+        ],
+        ids=["increasing", "sorted-repeats", "unsorted", "unsorted-repeats", "exact-zeros",
+             "nan", "negative-zero-parts-repeats", "negative-zero-parts", "empty", "one"],
+    )
+    def test_reduced_matches_argsort_reduceat(self, keys, vals):
+        m = Sparse(3, np.array(keys, dtype=np.intp), np.array(vals, dtype=complex))
+        want_keys, want_vals = argsort_reduced(m)
+        got = m.reduced()
+        assert got.keys.tobytes() == want_keys.tobytes()
+        assert got.vals.tobytes() == want_vals.tobytes()
+        assert got.reduced() is got
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(0, 15), max_size=30), st.booleans(), st.data())
+    def test_reduced_matches_argsort_reduceat_on_drawn_entries(self, keys, ordered, data):
+        parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf])
+        size = len(keys)
+        vals = data.draw(st.lists(st.builds(complex, parts, parts), min_size=size, max_size=size))
+        keys = sorted(keys) if ordered else keys
+        m = Sparse(4, np.array(keys, dtype=np.intp), np.array(vals, dtype=complex))
+        with np.errstate(invalid="ignore"):  # inf + -inf in a sum
+            want_keys, want_vals = argsort_reduced(m)
+            got = m.reduced()
+        assert got.keys.tobytes() == want_keys.tobytes()
+        assert got.vals.tobytes() == want_vals.tobytes()
 
     def test_cancellation_leaves_no_entries(self):
         m = Sparse.from_dense(np.array([[0, 1j], [2, 0]]))
