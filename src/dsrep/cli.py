@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .io import (
@@ -36,6 +37,18 @@ __all__ = ["main"]
 
 def _algebra(value: str) -> Algebra:
     return Algebra.ANTI_DE_SITTER if value == "ads" else Algebra.DE_SITTER
+
+
+def _tolerance(text: str) -> float:
+    """A --tolerance value: a finite number above zero.  NaN, infinities,
+    zero and negative values would fail every residual or pass any."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above zero, got {text!r}")
+    return value
 
 
 def _cmd_generate(args) -> int:
@@ -202,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="verify a generator document")
     p_ver.add_argument("input", help="generator document path")
-    p_ver.add_argument("--tolerance", type=float, default=CR_TOLERANCE,
+    p_ver.add_argument("--tolerance", type=_tolerance, default=CR_TOLERANCE,
                        help=f"commutator residual tolerance (default {CR_TOLERANCE:g})")
     p_ver.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p_ver.set_defaults(func=_cmd_verify)

@@ -5,10 +5,13 @@ stored exactly as twice their value.  Matrices are `Sparse`: each
 generator is held as its non-zeros from assembly to verdict, and a dense
 numpy ``complex128`` array is made only where a caller asks for one.  The
 few operations needed elsewhere (commutator, conjugate transpose, residual
-norm, exact rational elimination) live here so that every tolerance
-decision in the package flows through one place.  The exact linear solve
-eliminates over integers and forms a ``fractions.Fraction`` only for each
-final unknown.
+norms, sums of products, exact rational elimination) live here so that
+every tolerance decision in the package flows through one place.  Every
+product and every sum goes through one kernel: a product expands each
+left entry over the stored entries of its right row, and entries with the
+same key are summed in the order they were formed, after one sort of
+packed (key, position) words.  The exact linear solve eliminates over
+integers and forms a ``fractions.Fraction`` only for each final unknown.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "half_int_range",
     "Sparse",
     "product_sum",
+    "residual_norms",
     "commutator",
     "dagger",
     "max_abs",
@@ -147,14 +151,17 @@ class Sparse:
     class supports the arithmetic the relation and Casimir formulas use:
     ``+``, ``-``, ``@``, multiplication and division by a scalar, and
     `to_dense`; `dagger` and `max_abs` below accept it.  A sum only
-    concatenates entries; entries with the same key add up when the matrix
-    is next reduced (sorted by key, duplicates summed, exact zeros
-    dropped), which happens before it is a factor of a product and in
-    `max_abs`.  So a residual such as ``x @ y - y @ x - c`` is summed by
-    one sort.  A product gathers, for each entry (i, k) of the left
-    factor, row k of the right one, padded to the right factor's widest
-    row: O(nnz x row width) work and memory, never dim x dim.  NaN entries
-    are non-zero, so they survive every step and reach `max_abs`.
+    concatenates entries; entries with the same key add up, in the order
+    they were concatenated, when the matrix is next reduced (sorted by
+    key, duplicates summed, exact zeros dropped), which happens before it
+    is a factor of a product and in `max_abs`.  So a residual such as
+    ``x @ y - y @ x - c`` is summed by one sort.  A product expands each
+    entry (i, k) of the left factor over the stored entries of row k of
+    the right one: O(nnz x mean row length) work and memory, never
+    dim x dim.  An empty right row contributes one zero term, so a NaN or
+    infinite left entry still reaches the product, as it would in a dense
+    one.  NaN entries are non-zero, so they survive every step and reach
+    `max_abs`.
 
     Where the operands' non-zeros do not overlap, sums, differences and
     scalar multiples carry the bits of the dense result, signed zeros
@@ -164,7 +171,7 @@ class Sparse:
     evaluated on dense arrays.
     """
 
-    __slots__ = ("n", "keys", "vals", "_reduced", "_padded", "_split")
+    __slots__ = ("n", "keys", "vals", "_reduced", "_rows", "_split")
     ndim = 2
     # numpy operators defer to this class instead of broadcasting over it
     __array_ufunc__ = None
@@ -174,7 +181,7 @@ class Sparse:
         self.keys = keys
         self.vals = vals
         self._reduced = reduced
-        self._padded = None  # (cols, vals) of each row, as a right factor
+        self._rows = None  # (start, count, cols, vals) of each row, as a right factor
         self._split = None  # (row * n, col) of each entry, as a left factor
 
     @classmethod
@@ -200,14 +207,7 @@ class Sparse:
         """(keys, values): the distinct keys in order, each with its summed value."""
         if self._reduced or not self.keys.size:
             return self.keys, self.vals
-        order = np.argsort(self.keys)
-        keys = self.keys[order]
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        if starts.size == keys.size:  # no key repeats, as in assembly
-            return keys, self.vals[order]
-        return keys[starts], np.add.reduceat(self.vals[order], starts)
+        return _sum_by_key(self.keys.astype(np.int64), self.vals, self.n * self.n)
 
     def reduced(self) -> "Sparse":
         """Entries sorted by key, one per key, exact zeros dropped."""
@@ -217,20 +217,28 @@ class Sparse:
         keep = sums != 0
         return Sparse(self.n, keys[keep], sums[keep], reduced=True)
 
-    def _padded_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, vals), both n x (widest row): each row's entries, zero-padded."""
-        if self._padded is None:
+    def _row_spans(self) -> tuple[np.ndarray, ...]:
+        """(start, count, cols, vals) as a right factor: row r holds the
+        entries start[r] to start[r] + count[r] - 1 of cols and vals.  An
+        empty row spans one zero entry, kept after the stored ones, so that
+        a NaN or infinite left entry still reaches the product."""
+        if self._rows is None:
             m = self.reduced()
-            row = m.keys // self.n
-            counts = np.bincount(row, minlength=self.n)
-            slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-            width = int(counts.max(initial=0))
-            cols = np.zeros((self.n, width), dtype=m.keys.dtype)
-            vals = np.zeros((self.n, width), dtype=complex)
-            cols[row, slot] = m.keys % self.n
-            vals[row, slot] = m.vals
-            self._padded = (cols, vals)
-        return self._padded
+            count = np.bincount(m.keys // self.n, minlength=self.n)
+            start = np.cumsum(count) - count
+            empty = count == 0
+            start[empty] = m.keys.size
+            count[empty] = 1
+            self._rows = (start, count, np.append(m.keys % self.n, 0), np.append(m.vals, 0))
+        return self._rows
+
+    def _entry_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row * n, col, value) of each reduced entry, as a left factor."""
+        m = self.reduced()
+        if m._split is None:
+            col = m.keys % self.n
+            m._split = (m.keys - col, col)
+        return (*m._split, m.vals)
 
     def to_dense(self) -> np.ndarray:
         m = self.reduced()
@@ -279,62 +287,222 @@ class Sparse:
     def __matmul__(self, other):
         if not self._pairs_with(other):
             return NotImplemented
-        left = self.reduced()
-        if left._split is None:
-            col = left.keys % self.n
-            left._split = ((left.keys - col)[:, None], col)
-        row_start, inner = left._split
-        cols, vals = other._padded_rows()
-        # padding adds zero terms, which the next reduction drops (a NaN
-        # factor makes them NaN, as it would in a dense product)
-        return Sparse(
-            self.n,
-            (row_start + cols[inner]).ravel(),
-            (left.vals[:, None] * vals[inner]).ravel(),
-        )
+        return Sparse(self.n, *_expand(*self._entry_split(), other._row_spans()))
 
 
-# Product terms (padding included) `product_sum` forms before it reduces
-# them: about 2 MB of working memory.
-PRODUCT_TERMS = 1 << 15
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, sums): the distinct keys in [0, limit) in order, each with its
+    values summed in input order.  `keys` is overwritten.
+
+    One sort of the packed words ``key << b | position`` orders the keys
+    and leaves the permutation in its low b bits; a stable argsort does
+    the same where key and position do not fit in 63 bits.
+    """
+    shift = (keys.size - 1).bit_length()
+    if (limit - 1).bit_length() + shift <= 63:
+        keys <<= shift
+        keys |= np.arange(keys.size)
+        keys.sort()
+        order = keys & ((1 << shift) - 1)
+        keys >>= shift
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    vals = vals[order]
+    del order
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if starts.size == keys.size:  # no key repeats, as in assembly
+        return keys, vals
+    return keys[starts], np.add.reduceat(vals, starts)
+
+
+def _expand(
+    prefix: np.ndarray,
+    row: np.ndarray,
+    lvals: np.ndarray,
+    spans: tuple[np.ndarray, ...],
+    singles: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of product terms: left entry e, with key prefix
+    prefix[e] and value lvals[e], times each entry of row row[e] of the
+    right factor's `Sparse._row_spans`, e by e; then the (keys, values)
+    of `singles` as they are."""
+    start, count, cols, vals = spans
+    per = count[row]
+    ends = np.cumsum(per)
+    pos = np.repeat(start[row] + per - ends, per)
+    pos += np.arange(pos.size)
+    products = np.repeat(lvals, per)
+    products *= vals[pos]
+    if singles is not None:
+        products = np.concatenate((products, singles[1]))
+    keys = np.repeat(prefix, per)
+    keys += cols[pos]
+    del pos
+    if singles is not None:
+        keys = np.concatenate((keys, singles[0]))
+    return keys, products
+
+
+# Terms one reduction sums, unless one relation, or one row of a
+# `product_sum`, makes more: about 0.5 MB of working memory.
+PRODUCT_TERMS = 1 << 13
+
+
+def _stack(products) -> tuple[dict[int, int], tuple[np.ndarray, ...]]:
+    """(slots, spans): the distinct right factors b of the (t, c, a, b)
+    products with their `Sparse._row_spans` stacked, each factor's rows
+    after those of the slots[id(b)] factors before it."""
+    slots: dict[int, int] = {}
+    rights = []
+    for *_, b in products:
+        if slots.setdefault(id(b), len(rights)) == len(rights):
+            rights.append(b._row_spans())
+    if len(rights) < 2:
+        empty = np.zeros(0, dtype=np.intp)
+        return slots, rights[0] if rights else (empty, empty, empty, np.zeros(0, dtype=complex))
+    offsets = np.cumsum([0] + [right[2].size for right in rights[:-1]])
+    return slots, (
+        np.concatenate([right[0] + offset for right, offset in zip(rights, offsets)]),
+        *(np.concatenate(parts) for parts in list(zip(*rights))[1:]),
+    )
+
+
+def _reduce(n: int, sums: int, products, singles, stack) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, totals): the reduced entries of `sums` sums of n x n matrices,
+    entry (i, j) of sum t under the key t * n^2 + i * n + j, all formed
+    and summed by one sort.
+
+    Sum t adds c * (a @ b) over its (t, c, a, b) products and c * m, or
+    c * dagger(m) where adjoint is true, over its (t, c, m, adjoint)
+    singles, in that order.  `stack` is `_stack` of products holding at
+    least these right factors.
+    """
+    slots, spans = stack
+    return _sum_by_key(
+        *_expand(*_left_entries(n, products, slots), spans, _single_terms(n, singles)),
+        sums * n * n,
+    )
+
+
+def _left_entries(n: int, products, slots: dict[int, int]) -> tuple[np.ndarray, ...]:
+    """(prefix, row, lvals) for `_expand`: each entry (i, k) of c * a of
+    the (t, c, a, b) products under the key prefix t * n^2 + i * n, and
+    row k of b in the stacked right factors."""
+    if not products:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
+    lefts = [a._entry_split() for _, _, a, _ in products]
+    sizes = [left[0].size for left in lefts]
+    prefix, row, lvals = map(np.concatenate, zip(*lefts))
+    prefix += np.repeat([t * n * n for t, *_ in products], sizes)
+    row += np.repeat([slots[id(b)] * n for *_, b in products], sizes)
+    lvals *= np.repeat([c for _, c, *_ in products], sizes)
+    return prefix, row, lvals
+
+
+def _single_terms(n: int, singles) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(keys, values) of the (t, c, m, adjoint) singles: c * m, or
+    c * dagger(m), entry (i, j) under the key t * n^2 + i * n + j."""
+    if not singles:
+        return None
+    ms = [m.reduced() for _, _, m, _ in singles]
+    sizes = [m.keys.size for m in ms]
+    keys = np.concatenate([
+        _transposed_keys(m) if adjoint else m.keys for m, (*_, adjoint) in zip(ms, singles)
+    ])
+    vals = np.concatenate([
+        m.vals.conj() if adjoint else m.vals for m, (*_, adjoint) in zip(ms, singles)
+    ])
+    keys += np.repeat([t * n * n for t, *_ in singles], sizes)
+    vals *= np.repeat([c for _, c, *_ in singles], sizes)
+    return keys, vals
+
+
+def _transposed_keys(m: "Sparse") -> np.ndarray:
+    """col * n + row of each entry of m."""
+    row, col = np.divmod(m.keys, m.n)
+    col *= m.n
+    col += row
+    return col
 
 
 def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse":
     """The sum of c * (a @ b) over the (c, a, b) terms, reduced.
 
-    Each c scales the rows of a before the product.  The products are
-    formed for a run of rows at a time, concatenated and reduced before
-    the next run.  A run makes about PRODUCT_TERMS product terms, or the
-    terms of one row if that row makes more, so the working memory stays
-    bounded however large the operands are; each entry's terms all fall
-    in one run and are summed by one reduction.
+    Each c scales the entries of a.  The products are formed for a run of
+    rows at a time and reduced before the next run.  A run makes about
+    PRODUCT_TERMS terms, or the terms of one row if that row makes more,
+    so the working memory stays bounded however large the operands are;
+    each entry's terms all fall in one run and add up in the order of
+    the terms.
     """
-    lefts = [a.reduced() for _, a, _ in terms]
-    widths = [b._padded_rows()[0].shape[1] for _, _, b in terms]
-    n = lefts[0].n
-    bounds = np.array([0, n])
-    if sum(left.keys.size * width for left, width in zip(lefts, widths)) > PRODUCT_TERMS:
+    n = terms[0][1].n
+    products = [(0, c, a.reduced(), b) for c, a, b in terms]
+    stack = _stack(products)
+    bounds = [0, n]
+    if sum(a.keys.size * (b.keys.size // n + 1) for _, _, a, b in products) > PRODUCT_TERMS:
+        slots, (_, count, _, _) = stack
         per_row = sum(
-            np.bincount(left.keys // n, minlength=n) * width
-            for left, width in zip(lefts, widths)
-        )
+            np.bincount(a.keys // n, count[a._entry_split()[1] + slots[id(b)] * n], minlength=n)
+            for _, _, a, b in products
+        ).astype(np.intp)
         run = (np.cumsum(per_row) - 1) // PRODUCT_TERMS
-        bounds = np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1, [n]))
+        bounds = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), n]
     pieces = []
-    for lo, hi in zip(bounds[:-1] * n, bounds[1:] * n):
-        products = []
-        for left, (c, _, b) in zip(lefts, terms):
-            i, j = np.searchsorted(left.keys, (lo, hi))
-            rows = left if j - i == left.keys.size else Sparse(
-                n, left.keys[i:j], left.vals[i:j], reduced=True
-            )
-            products.append((rows if c == 1 else c * rows) @ b)
-        keys = np.concatenate([p.keys for p in products])
-        pieces.append(Sparse(n, keys, np.concatenate([p.vals for p in products])).reduced())
-    if len(pieces) == 1:
-        return pieces[0]
-    keys = np.concatenate([piece.keys for piece in pieces])
-    return Sparse(n, keys, np.concatenate([piece.vals for piece in pieces]), reduced=True)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = products
+        if hi - lo < n:
+            rows = [(0, c, _row_slice(a, lo, hi), b) for _, c, a, b in products]
+        keys, sums = _reduce(n, 1, rows, (), stack)
+        keep = sums != 0
+        pieces.append((keys[keep], sums[keep]))
+    return Sparse(n, *map(np.concatenate, zip(*pieces)), reduced=True)
+
+
+def _row_slice(m: "Sparse", lo: int, hi: int) -> "Sparse":
+    """Rows lo to hi - 1 of a reduced matrix, the others empty."""
+    i, j = np.searchsorted(m.keys, (lo * m.n, hi * m.n))
+    return Sparse(m.n, m.keys[i:j], m.vals[i:j], reduced=True)
+
+
+def residual_norms(n: int, relations) -> list[float]:
+    """`max_abs` of each relation's sum, for n x n operands.  A relation is
+    (products, singles): the sum of c * (a @ b) over its (c, a, b)
+    products and of c * m, or c * dagger(m) where adjoint is true, over
+    its (c, m, adjoint) singles.
+
+    Relations are summed together while their terms come to about
+    PRODUCT_TERMS, or one at a time where one makes more: a small
+    matrix's relations share one sort, a large one's take one each.  Each
+    group forms only its own terms, from the matrices it names.
+    """
+    norms: list[float] = []
+    group: list = []
+    size = 0
+    for products, singles in relations:
+        made = sum(a.keys.size * (b.keys.size // n + 1) for _, a, b in products)
+        made += sum(m.keys.size for _, m, _ in singles)
+        if group and size + made > PRODUCT_TERMS:
+            norms += _group_norms(n, group)
+            group, size = [], 0
+        group.append((products, singles))
+        size += made
+    return norms + _group_norms(n, group) if group else norms
+
+
+def _group_norms(n: int, group) -> list[float]:
+    """`residual_norms` of one group of relations, summed by one sort."""
+    products = [(t, c, a, b) for t, (pairs, _) in enumerate(group) for c, a, b in pairs]
+    singles = [(t, c, m, adj) for t, (_, ones) in enumerate(group) for c, m, adj in ones]
+    keys, sums = _reduce(n, len(group), products, singles, _stack(products))
+    norms = np.zeros(len(group))
+    bounds = np.searchsorted(keys, np.arange(len(group) + 1) * (n * n))
+    filled = np.flatnonzero(bounds[:-1] < bounds[1:])
+    if filled.size:
+        norms[filled] = np.maximum.reduceat(np.abs(sums), bounds[filled])
+    return norms.tolist()
 
 
 def commutator(x, y):
@@ -354,8 +522,7 @@ def commutator(x, y):
 def dagger(x):
     """Conjugate transpose."""
     if isinstance(x, Sparse):
-        row, col = np.divmod(x.keys, x.n)
-        return Sparse(x.n, col * x.n + row, x.vals.conj())
+        return Sparse(x.n, _transposed_keys(x), x.vals.conj())
     return np.asarray(x).conj().T
 
 

@@ -472,10 +472,11 @@ def format1_doc(g) -> dict:
 
 def argsort_reduced(m: Sparse) -> tuple[np.ndarray, np.ndarray]:
     """(keys, values) of m's entries sorted by key, those with the same key
-    summed by np.add.reduceat, exact zeros dropped."""
+    summed by np.add.reduceat in the order they were stored, exact zeros
+    dropped."""
     if not m.keys.size:
         return m.keys, m.vals
-    order = np.argsort(m.keys)
+    order = np.argsort(m.keys, kind="stable")
     keys = m.keys[order]
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

@@ -224,6 +224,32 @@ class TestVerify:
         assert "FAIL" in text
         assert "[Vx," in text or "[Vt,Vx]" in text
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "0", "-0", "-1", "x"])
+    def test_tolerance_must_be_finite_and_above_zero(self, tmp_path, capsys, value):
+        out = tmp_path / "rep.json"
+        assert main(["generate", "b", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as stop:
+            # the = form, so that argparse does not read "-inf" as an option
+            main(["verify", str(out), f"--tolerance={value}"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dsrep verify")
+        assert f"argument --tolerance: must be a finite number above zero, got {value!r}" in (
+            captured.err
+        )
+
+    def test_tolerance_is_the_relation_bound(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["generate", "b", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out), "--tolerance", "1e-12", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"]
+        assert main(["verify", str(out), "--tolerance", "1e-12"]) == 0
+        assert "(tolerance 1e-12)" in capsys.readouterr().out
+
     def test_verify_reports_casimirs(self, tmp_path, capsys):
         out = tmp_path / "rep6.json"
         main(["generate", "a", "4", "--out", str(out)])

@@ -184,9 +184,13 @@ class TestSparse:
             ([5, 1, 4], [complex(-0.0, 1), complex(1, -0.0), complex(3, math.nan)]),
             ([], []),
             ([4], [complex(-0.0, 2)]),
+            # 30 repeats of key 4, whose sum depends on the order of its terms
+            ([4] * 10 + [1] + [4] * 10 + [7] + [4] * 10,
+             [1e16, 1.0, -1e16, 1.0, 3.0] * 6 + [2j, 0.5]),
         ],
         ids=["increasing", "sorted-repeats", "unsorted", "unsorted-repeats", "exact-zeros",
-             "nan", "negative-zero-parts-repeats", "negative-zero-parts", "empty", "one"],
+             "nan", "negative-zero-parts-repeats", "negative-zero-parts", "empty", "one",
+             "many-repeats"],
     )
     def test_reduced_matches_argsort_reduceat(self, keys, vals):
         m = Sparse(3, np.array(keys, dtype=np.intp), np.array(vals, dtype=complex))
@@ -197,9 +201,17 @@ class TestSparse:
         assert got.reduced() is got
 
     @settings(max_examples=100)
-    @given(st.lists(st.integers(0, 15), max_size=30), st.booleans(), st.data())
+    @given(
+        # the second draw repeats a key more than 16 times
+        st.lists(st.integers(0, 15), max_size=30)
+        | st.lists(st.integers(0, 2), min_size=17, max_size=60),
+        st.booleans(),
+        st.data(),
+    )
     def test_reduced_matches_argsort_reduceat_on_drawn_entries(self, keys, ordered, data):
-        parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf])
+        parts = st.sampled_from(
+            [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e16, -1e16, math.nan, math.inf, -math.inf]
+        )
         size = len(keys)
         vals = data.draw(st.lists(st.builds(complex, parts, parts), min_size=size, max_size=size))
         keys = sorted(keys) if ordered else keys
@@ -224,7 +236,8 @@ class TestSparse:
 
     @pytest.mark.parametrize("bad,warned", [
         (math.nan, set()),
-        # inf meets a padding zero in a product and its negative in a sum
+        # a complex product of inf + 0j makes inf * 0 in one part, and inf
+        # meets its negative in a sum
         (math.inf, {"invalid value encountered in multiply",
                     "invalid value encountered in reduceat"}),
     ], ids=["nan", "inf"])
@@ -239,7 +252,23 @@ class TestSparse:
             assert not np.isfinite((sx @ eye).to_dense()).all()
             assert not math.isfinite(max_abs(commutator(eye, sx) - sx))
             assert not math.isfinite(max_abs(dagger(sx) - sx))
+            assert not math.isfinite(max_abs(product_sum([(1.0, sx, eye), (-1.0, eye, sx)])))
         assert {str(w.message) for w in caught if w.category is RuntimeWarning} == warned
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_meets_an_empty_right_row(self, bad):
+        # a's (0, 2) entry meets row 2 of b, which stores nothing; b @ a
+        # never reaches that entry, so only a @ b can carry it
+        a = Sparse.from_dense(np.array([[1, 0, bad], [0, 2, 0], [0, 0, 0]], dtype=complex))
+        b = Sparse.from_dense(np.diag([0.0, 1.0, 0.0]).astype(complex))
+        with np.errstate(invalid="ignore"):
+            dense = a.to_dense() @ b.to_dense()
+            assert not np.isfinite(dense).all()
+            assert not math.isfinite(max_abs(a @ b))
+            assert np.isnan((a @ b).to_dense()[~np.isfinite(dense)]).any()
+            assert math.isfinite(max_abs(b @ a))
+            assert not math.isfinite(max_abs(commutator(a, b)))
+            assert not math.isfinite(max_abs(product_sum([(1.0, a, b)])))
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

@@ -414,6 +414,24 @@ class TestNonFinite:
             if "Vt" in name:
                 assert math.isnan(value), name
 
+    def test_nan_into_a_block_with_empty_rows(self):
+        # Type A's 1-dim (0, 0) block has an empty Jx row, so a NaN in a Vt
+        # entry into that block meets no stored entry of Jx in Vt @ Jx.
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
+        labels = [(b.a.twice, b.b.twice) for b in gens.backbone.blocks]
+        col = gens.block_offsets()[labels.index((0, 0))]
+        assert not (gens.jx.keys // gens.dim == col).any()
+        vt = gens.generators()["Vt"]
+        vt[np.flatnonzero(vt[:, col])[0], col] = np.nan
+        broken = dataclasses.replace(gens, vt=Sparse.from_dense(vt))
+        assert math.isnan(max_abs(broken.vt @ broken.jx))
+        assert math.isnan(max_abs(commutator(broken.jx, broken.vt)))
+        residuals = check_all_crs(broken)
+        assert math.isnan(residuals["[Jx,Vt] = 0"])
+        for name, value in residuals.items():
+            if "Vt" in name:
+                assert math.isnan(value), name
+
     @pytest.mark.parametrize("values", [[math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 2.0]])
     def test_worst_residual_keeps_nan_in_any_order(self, values):
         assert math.isnan(worst_residual(values))
