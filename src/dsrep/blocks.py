@@ -17,16 +17,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .numeric import HalfInt, Sparse
-from .su2 import spin_indices
 
 __all__ = [
     "BlockLabel",
-    "block_dim",
-    "block_grid",
     "concatenated_grid",
-    "flat_index",
     "HlaGenerators",
-    "hla_generators",
     "hla_cartesian",
     "direct_sum_generators",
     "direct_sum_cartesian",
@@ -57,16 +52,6 @@ class BlockLabel:
         return BlockLabel(self.b, self.a)
 
 
-def block_dim(block: BlockLabel) -> int:
-    """(2A + 1)(2B + 1)."""
-    return block.dim
-
-
-def block_grid(block: BlockLabel) -> list[tuple[HalfInt, HalfInt]]:
-    """All (a, b) pairs in flat order: a-major, both descending."""
-    return [(a, b) for a in spin_indices(block.a) for b in spin_indices(block.b)]
-
-
 def concatenated_grid(
     twice_a: np.ndarray, twice_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -81,14 +66,6 @@ def concatenated_grid(
     local = np.arange(owner.size) - (np.cumsum(dims) - dims)[owner]
     width = twice_b[owner] + 1
     return owner, local, twice_a[owner] - 2 * (local // width), twice_b[owner] - 2 * (local % width)
-
-
-def flat_index(block: BlockLabel, a: HalfInt, b: HalfInt) -> int:
-    """Position of (a, b) in the flat ordering."""
-    row_a = (block.a.twice - a.twice) // 2
-    row_b = (block.b.twice - b.twice) // 2
-    width = block.b.twice + 1
-    return row_a * width + row_b
 
 
 class HlaGenerators(NamedTuple):
@@ -152,11 +129,6 @@ def direct_sum_cartesian(blocks: Sequence[BlockLabel]) -> tuple[Sparse, ...]:
     kx = (g.kplus + g.kminus) / 2
     ky = -0.5j * (g.kplus - g.kminus)
     return jx, jy, g.jz, kx, ky, g.kz
-
-
-def hla_generators(block: BlockLabel) -> HlaGenerators:
-    """J+-, Jz, K+-, Kz of one block: `direct_sum_generators` of that block alone."""
-    return direct_sum_generators((block,))
 
 
 def hla_cartesian(block: BlockLabel) -> tuple[Sparse, ...]:

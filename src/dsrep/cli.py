@@ -51,6 +51,23 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _spelled(value):
+    """value with each non-finite float written as the string "NaN",
+    "Infinity" or "-Infinity": JSON (RFC 8259) has no number for them."""
+    if isinstance(value, dict):
+        return {key: _spelled(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_spelled(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)  # Python's spelling of the bare token
+    return value
+
+
+def _dumps(payload) -> str:
+    """The indented, strictly valid JSON text of a report payload."""
+    return json.dumps(_spelled(payload), indent=1, allow_nan=False)
+
+
 def _cmd_generate(args) -> int:
     try:
         gens = assemble_canonical(CanonicalSpec(Family(args.family), args.n),
@@ -89,7 +106,7 @@ def _render_report(report, fmt: str) -> str:
             else [float(c) for c in report.casimir_closed_form],
             "duplicates_present": report.duplicates_present,
         }
-        return json.dumps(payload, indent=1)
+        return _dumps(payload)
     lines = [f"algebra: {report.algebra.value}"]
     lines.append(f"max commutator residual:  {report.max_cr_residual:.3e}"
                  f"  (tolerance {report.cr_tolerance:g})")
@@ -166,7 +183,7 @@ def _cmd_validate(args) -> int:
                 {"edge": list(k), "value": v} for k, v in sorted(outcome.t_values.items())
             ],
         }
-        print(json.dumps(payload, indent=1))
+        print(_dumps(payload))
     else:
         print(f"verdict: {outcome.verdict.value}")
         if outcome.witness is not None:

@@ -52,7 +52,6 @@ __all__ = [
     "t_sign_relation",
     "ZLinear",
     "z_linear",
-    "path_is_monotonic",
     "Rectangle",
     "UBlockSet",
     "u_blocks",
@@ -119,16 +118,6 @@ def z_linear(case: PairCase, a_i: HalfInt, b_i: HalfInt) -> ZLinear:
     coef_a = 4 * bf if case.s_b > 0 else -4 * (bf + 1)
     coef_b = 4 * af if case.s_a > 0 else -4 * (af + 1)
     return ZLinear(coef_a=coef_a, coef_b=coef_b)
-
-
-def path_is_monotonic(case1: PairCase, case2: PairCase) -> bool:
-    """True when a three-block path I-K-J varies monotonically in A and B.
-
-    case1 is the case of the pair (I, K), case2 of (K, J); the path is
-    monotonic exactly when the two cases agree, and those are exactly the
-    paths whose off-diagonal commutator block vanishes identically.
-    """
-    return case1 == case2
 
 
 class Rectangle(NamedTuple):

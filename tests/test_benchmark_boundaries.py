@@ -2,28 +2,17 @@
 
 `perfbench/spans.py` patches each boundary function under its name in
 its defining module and in every caller module; a name that no longer
-resolves stops the benchmark with an AttributeError.  The module is read
-and executed in memory here, so nothing is written under `perfbench/`.
+resolves stops the benchmark with an AttributeError.
 """
 
 import importlib
-import types
-from pathlib import Path
 
 import pytest
-
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-def _boundaries():
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
-    return module.BOUNDARIES
+from conftest import benchmark_boundaries
 
 
 @pytest.mark.parametrize(
-    "name,home,callers", [pytest.param(*b[:3], id=b[0]) for b in _boundaries()]
+    "name,home,callers", [pytest.param(*b[:3], id=b[0]) for b in benchmark_boundaries()]
 )
 def test_boundary_resolves_in_home_and_callers(name, home, callers):
     attr = name.split(".", 1)[1]

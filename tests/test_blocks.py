@@ -2,20 +2,18 @@
 
 import numpy as np
 import pytest
-from conftest import loop_hla_generators, stored_bytes
-
-from dsrep.blocks import (
-    BlockLabel,
-    HlaGenerators,
-    block_dim,
+from conftest import (
     block_grid,
+    dagger,
     flat_index,
-    hla_cartesian,
-    hla_generators,
+    loop_hla_generators,
+    stored_bytes,
+    su2_generators,
 )
-from dsrep.numeric import HalfInt, commutator, dagger, max_abs
+
+from dsrep.blocks import BlockLabel, HlaGenerators, direct_sum_generators, hla_cartesian
+from dsrep.numeric import HalfInt, commutator, max_abs
 from dsrep.representation import BackboneGraph, assemble
-from dsrep.su2 import su2_generators
 from dsrep.verify import check_all_crs, worst_residual
 
 H = HalfInt
@@ -29,9 +27,9 @@ SMALL_BLOCKS = [L(a, b) for a in range(0, 5) for b in range(0, 5)]
 
 
 def test_block_dim():
-    assert block_dim(L(0, 0)) == 1
-    assert block_dim(L(1, 1)) == 4
-    assert block_dim(L(4, 0)) == 5
+    assert L(0, 0).dim == 1
+    assert L(1, 1).dim == 4
+    assert L(4, 0).dim == 5
 
 
 def test_negative_labels_rejected():
@@ -42,7 +40,7 @@ def test_negative_labels_rejected():
 def test_grid_order_and_flat_index():
     block = L(1, 2)
     grid = block_grid(block)
-    assert len(grid) == block_dim(block)
+    assert len(grid) == block.dim
     # a-major, both descending
     assert [(a.twice, b.twice) for a, b in grid[:3]] == [(1, 2), (1, 0), (1, -2)]
     for idx, (a, b) in enumerate(grid):
@@ -50,8 +48,8 @@ def test_grid_order_and_flat_index():
 
 
 def dense_generators(block):
-    """hla_generators(block) with each matrix dense."""
-    return HlaGenerators(*(m.to_dense() for m in hla_generators(block)))
+    """J+-, Jz, K+-, Kz of one block, each matrix dense."""
+    return HlaGenerators(*(m.to_dense() for m in direct_sum_generators((block,))))
 
 
 def test_generators_match_the_entry_loop_bit_for_bit():
@@ -61,12 +59,12 @@ def test_generators_match_the_entry_loop_bit_for_bit():
     for twice_a in range(14):
         for twice_b in range(14):
             block = L(twice_a, twice_b)
-            for got, want in zip(hla_generators(block), loop_hla_generators(block)):
+            for got, want in zip(direct_sum_generators((block,)), loop_hla_generators(block)):
                 assert got.to_dense().tobytes() == stored_bytes(want), block
 
 
 def test_trivial_block_all_zero():
-    gens = hla_generators(L(0, 0))
+    gens = direct_sum_generators((L(0, 0),))
     for m in gens:
         assert m.shape == (1, 1)
         assert max_abs(m) == 0.0

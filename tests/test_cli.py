@@ -277,6 +277,26 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["p"] == "3/2"
 
+    def test_json_format_spells_non_finite_numbers(self, tmp_path, capsys):
+        # each V entry is finite, but [Vx, Vy] overflows to inf - inf = NaN
+        doc = _generated_doc(tmp_path, capsys, n="2")
+        for name in ("Vx", "Vy"):
+            gen = _gen(doc, name)
+            for part in ("re", "im"):
+                if part in gen:
+                    gen[part] = [1e200 * x for x in gen[part]]
+        path = tmp_path / "huge.json"
+        save_json(doc, path)
+        with pytest.warns(RuntimeWarning):
+            assert main(["verify", str(path), "--format", "json"]) == 1
+
+        def refuse(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["passed"] is False
+        assert payload["cr_residuals"]["[Vx,Vy] = i Jz"] == "NaN"
+
     def test_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/rep.json"]) == 2
         assert "error" in capsys.readouterr().err
@@ -491,6 +511,16 @@ class TestMalformedDocuments:
         path = tmp_path / "digits.json"
         path.write_text('{"blocks": [{"A": ' + "1" * 5000 + ', "B": 0}]}')
         assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["verify", "validate"])
+    @pytest.mark.parametrize("where", ["alone", "blocks"])
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys, command, where):
+        # the parser gives up with a RecursionError
+        nested = "[" * 200_000 + "]" * 200_000
+        path = tmp_path / "deep.json"
+        path.write_text(nested if where == "alone" else '{"blocks": ' + nested + "}")
+        assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
 

@@ -5,19 +5,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import coupling_null_space_dim, loop_directed_rectangles
+from conftest import (
+    block_grid,
+    coupling_null_space_dim,
+    dagger,
+    flat_index,
+    loop_directed_rectangles,
+)
 
-from dsrep.blocks import BlockLabel, block_grid, flat_index
+from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
     PairCase,
     UBlockSet,
     compatibility,
-    path_is_monotonic,
     t_sign_relation,
     u_blocks,
     z_linear,
 )
-from dsrep.numeric import HalfInt, dagger, max_abs
+from dsrep.numeric import HalfInt, max_abs
 from dsrep.representation import Algebra, BackboneGraph, assemble
 from dsrep.verify import check_all_crs
 
@@ -116,16 +121,6 @@ class TestZLinear:
     def test_down_up(self):
         z = z_linear(PairCase(-1, 1), H(2), H(4))
         assert (z.coef_a, z.coef_b) == (Fraction(8), Fraction(-8))
-
-
-class TestMonotonic:
-    def test_equal_cases_monotonic(self):
-        for case in ALL_CASES:
-            assert path_is_monotonic(case, case)
-
-    def test_unequal_cases_not(self):
-        assert not path_is_monotonic(PairCase(1, 1), PairCase(-1, -1))
-        assert not path_is_monotonic(PairCase(1, -1), PairCase(-1, 1))
 
 
 class TestUBlocks:

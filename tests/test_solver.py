@@ -358,6 +358,13 @@ class TestDecompose:
         [component] = decompose(g)
         assert component.family is None
 
+    def test_canonical_labels_in_the_wrong_order_not_canonical(self):
+        # the type-A labels of N=3, but the path's first step, (0,0)-(1,1),
+        # is incompatible
+        g = BackboneGraph.make([L(0, 0), L(2, 2), L(1, 1)], [(0, 1), (1, 2)])
+        [component] = decompose(g)
+        assert component.family is None
+
 
 class TestFuzzing:
     """The pipeline classifies arbitrary graphs without raising."""

@@ -23,6 +23,7 @@ from conftest import (
     dense_scalar_check,
     gelfand_tsetlin_generators,
     select_casimir2_interpretation,
+    sparse_from_dense,
 )
 from dsrep.numeric import HalfInt, Sparse, commutator, max_abs
 from dsrep.representation import (
@@ -266,16 +267,12 @@ class TestIrreducibility:
         assert commutant_dimension(gens) == 2
 
 
-def _sparse(m):
-    return Sparse.from_dense(np.asarray(m, dtype=complex))
-
-
 class TestScalarCheck:
     def test_scalar_matrix(self):
-        assert scalar_check(_sparse(3 * np.eye(7)), 1e-12) == pytest.approx(3.0)
+        assert scalar_check(sparse_from_dense(3 * np.eye(7)), 1e-12) == pytest.approx(3.0)
 
     def test_non_scalar(self):
-        assert scalar_check(_sparse(np.diag([1.0, 2.0])), 1e-9) is None
+        assert scalar_check(sparse_from_dense(np.diag([1.0, 2.0])), 1e-9) is None
 
     def test_rep_four_value(self, assembled):
         lam = scalar_check(casimir1_matrix(assembled[4]), 1e-9)
@@ -284,11 +281,11 @@ class TestScalarCheck:
     def test_shape_validation(self):
         # a Sparse is square by construction; a non-square matrix never becomes one
         with pytest.raises(ValueError):
-            scalar_check(_sparse(np.zeros((2, 3))), 1e-9)
+            scalar_check(sparse_from_dense(np.zeros((2, 3))), 1e-9)
 
     def test_absent_diagonal_entries_count_as_zero(self):
         # lam = (2 + 2 + 0) / 3, and the absent entry is 4/3 away from it
-        m = _sparse(np.diag([2.0, 2.0, 0.0]))
+        m = sparse_from_dense(np.diag([2.0, 2.0, 0.0]))
         assert m.keys.size == 2
         assert scalar_check(m, 1.0) is None
         assert scalar_check(m, 1.5) == pytest.approx(4 / 3)
@@ -297,14 +294,14 @@ class TestScalarCheck:
     def test_off_diagonal_entry_counts(self):
         m = 2 * np.eye(5, dtype=complex)
         m[1, 3] = 0.25j
-        assert scalar_check(_sparse(m), 0.25) is None
-        assert scalar_check(_sparse(m), 0.3) == pytest.approx(2.0)
+        assert scalar_check(sparse_from_dense(m), 0.25) is None
+        assert scalar_check(sparse_from_dense(m), 0.3) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("spot", [(0, 0), (2, 2), (0, 2)], ids=["first", "last", "off"])
     def test_nan_is_never_scalar(self, spot):
         m = np.eye(3, dtype=complex)
         m[spot] = np.nan
-        assert scalar_check(_sparse(m), 1e300) is None
+        assert scalar_check(sparse_from_dense(m), 1e300) is None
 
     @pytest.mark.parametrize(
         "m",
@@ -313,7 +310,7 @@ class TestScalarCheck:
     )
     def test_matches_the_dense_check(self, m):
         for tol in (1e-12, 1e-9, 1.0):
-            got, want = scalar_check(_sparse(m), tol), dense_scalar_check(m, tol)
+            got, want = scalar_check(sparse_from_dense(m), tol), dense_scalar_check(m, tol)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got == want
@@ -394,14 +391,14 @@ class TestNonFinite:
         else:
             r, c = np.argwhere(vx != 0)[0]
             vx[r, c] = np.nan
-        report = build_report(dataclasses.replace(gens, vx=Sparse.from_dense(vx)))
+        report = build_report(dataclasses.replace(gens, vx=sparse_from_dense(vx)))
         assert not report.passed
         assert math.isnan(report.max_cr_residual)
         assert math.isnan(report.max_hermiticity_residual)
         assert "Vx" in report.failing_hermiticity
         assert "[Jz,Vx] = i Vy" in report.failing_crs
         assert report.casimir1_scalar is None and report.casimir2_scalar is None
-        broken = dataclasses.replace(gens, vx=Sparse.from_dense(vx))
+        broken = dataclasses.replace(gens, vx=sparse_from_dense(vx))
         assert math.isnan(max_abs(casimir1_matrix(broken)))
 
     def test_nan_reaches_every_relation_naming_the_generator(self):
@@ -409,7 +406,7 @@ class TestNonFinite:
         vt = gens.generators()["Vt"]
         r, c = np.argwhere(vt != 0)[0]
         vt[r, c] = np.nan
-        residuals = check_all_crs(dataclasses.replace(gens, vt=Sparse.from_dense(vt)))
+        residuals = check_all_crs(dataclasses.replace(gens, vt=sparse_from_dense(vt)))
         for name, value in residuals.items():
             if "Vt" in name:
                 assert math.isnan(value), name
@@ -423,7 +420,7 @@ class TestNonFinite:
         assert not (gens.jx.keys // gens.dim == col).any()
         vt = gens.generators()["Vt"]
         vt[np.flatnonzero(vt[:, col])[0], col] = np.nan
-        broken = dataclasses.replace(gens, vt=Sparse.from_dense(vt))
+        broken = dataclasses.replace(gens, vt=sparse_from_dense(vt))
         assert math.isnan(max_abs(broken.vt @ broken.jx))
         assert math.isnan(max_abs(commutator(broken.jx, broken.vt)))
         residuals = check_all_crs(broken)
@@ -503,7 +500,7 @@ def generator_sets(draw):
         r, c = spots[draw(st.integers(0, len(spots) - 1))]
         matrix = gens.generators()[name]
         matrix[r, c] = draw(st.sampled_from([0.25, -1.0, 0.5j, 3.0]))
-        return dataclasses.replace(gens, **{name.lower(): Sparse.from_dense(matrix)}), True
+        return dataclasses.replace(gens, **{name.lower(): sparse_from_dense(matrix)}), True
     return gens, False
 
 
