@@ -17,6 +17,7 @@ Generator document (output of `generate`, input to `verify`), format 2:
       "algebra": "ds" | "ads",
       "backbone": {...backbone document...},
       "t": [{"edge": [i, j], "forward": float, "reverse": float}, ...],
+                                                  # each a backbone edge, at most once
       "generators": [
         {"name": "Jx", "rows": n, "cols": n,
          "row": [...], "col": [...],              # positions of the stored entries
@@ -299,10 +300,17 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
     dim = backbone.dim
 
     t_map: dict[tuple[int, int], float] = {}
+    listed: set[tuple[int, int]] = set()
     for entry in _list(doc.get("t", []), "'t'"):
         if not isinstance(entry, dict) or "edge" not in entry:
             raise DocumentError("each t entry needs an 'edge'")
         i, j = _pair(entry["edge"], "t edge")
+        edge = (min(i, j), max(i, j))
+        if edge not in backbone.edges:
+            raise DocumentError(f"t edge {[i, j]} is not a backbone edge")
+        if edge in listed:
+            raise DocumentError(f"t edge {[i, j]} is listed twice")
+        listed.add(edge)
         if entry.get("forward") is not None:
             t_map[(i, j)] = _finite(entry["forward"], f"t forward on edge {[i, j]}")
         if entry.get("reverse") is not None:

@@ -10,8 +10,23 @@ tolerance decision in the package flows through one place.  Every
 product and every sum goes through one kernel: a product expands each
 left entry over the stored entries of its right row, and entries with the
 same key are summed in the order they were formed, after one sort of
-packed (key, position) words.  The exact linear solve eliminates over
-integers and forms a ``fractions.Fraction`` only for each final unknown.
+packed (key, position) words.
+
+Each sum is split into a symbolic half, a `_Plan` (which entries each
+term multiplies, the sort, and the output slot of each term), which
+depends only on the key patterns of the factors and on which right
+factors are one matrix, and a numeric half: gather, multiply and sum per
+slot.  In a sum of more than PRODUCT_TERMS terms, or a relation of more
+than half as many, the products whose left factors share a key pattern,
+and whose right factors do, are one expansion, and `residual_norms`
+reuses one plan for consecutive relations with the same patterns.  The
+summation order is then: the products of one pattern pair are added
+term by term, in the order they are listed, and the terms are summed
+per key in input order (in smaller sums, every product is its own
+expansion).  No plan outlives the call that made it.
+
+The exact linear solve eliminates over integers and forms a
+``fractions.Fraction`` only for each final unknown.
 """
 
 from __future__ import annotations
@@ -19,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -187,7 +203,8 @@ class Sparse:
         """(keys, values): the distinct keys in order, each with its summed value."""
         if self._reduced or not self.keys.size:
             return self.keys, self.vals
-        return _sum_by_key(self.keys.astype(np.int64), self.vals, self.n * self.n)
+        keys, order, starts = _sort_plan(self.keys.astype(np.int64), self.n * self.n)
+        return keys, _sum_sorted(self.vals, order, starts)
 
     def reduced(self) -> "Sparse":
         """Entries sorted by key, one per key, exact zeros dropped."""
@@ -270,9 +287,11 @@ class Sparse:
         return product_sum([(1, self, other)])
 
 
-def _sum_by_key(keys: np.ndarray, vals: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, sums): the distinct keys in [0, limit) in order, each with its
-    values summed in input order.  `keys` is overwritten.
+def _sort_plan(keys: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(distinct, order, starts) of keys in [0, limit): the distinct keys in
+    order, the permutation that sorts the keys stably, and where each
+    distinct key starts among the sorted keys, or None where no key
+    repeats (as in assembly).  `keys` is overwritten.
 
     One sort of the packed words ``key << b | position`` orders the keys
     and leaves the permutation in its low b bits; a stable argsort does
@@ -288,116 +307,195 @@ def _sum_by_key(keys: np.ndarray, vals: np.ndarray, limit: int) -> tuple[np.ndar
     else:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-    vals = vals[order]
-    del order
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    if starts.size == keys.size:  # no key repeats, as in assembly
-        return keys, vals
-    return keys[starts], np.add.reduceat(vals, starts)
+    if starts.size == keys.size:
+        return keys, order, None
+    return keys[starts], order, starts
 
 
-def _expand(
-    prefix: np.ndarray,
-    row: np.ndarray,
-    lvals: np.ndarray,
-    spans: tuple[np.ndarray, ...],
-    singles: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, values) of product terms: left entry e, with key prefix
-    prefix[e] and value lvals[e], times each entry of row row[e] of the
-    right factor's `Sparse._row_spans`, e by e; then the (keys, values)
-    of `singles` as they are."""
-    start, count, cols, vals = spans
-    per = count[row]
-    ends = np.cumsum(per)
-    pos = np.repeat(start[row] + per - ends, per)
-    pos += np.arange(pos.size)
-    products = np.repeat(lvals, per)
-    products *= vals[pos]
-    if singles is not None:
-        products = np.concatenate((products, singles[1]))
-    keys = np.repeat(prefix, per)
-    keys += cols[pos]
-    del pos
-    if singles is not None:
-        keys = np.concatenate((keys, singles[0]))
-    return keys, products
+def _sum_sorted(vals: np.ndarray, order: np.ndarray, starts: Optional[np.ndarray]) -> np.ndarray:
+    """The values of each distinct key of a `_sort_plan`, summed in input order."""
+    vals = vals[order]
+    return vals if starts is None else np.add.reduceat(vals, starts)
 
 
-# Terms one reduction sums, unless one relation, or one row of a
-# `product_sum`, makes more: about 0.5 MB of working memory.
+class _PatternNumbers(dict):
+    """Each matrix looked up to a number, the same for matrices with equal
+    reduced key arrays, numbered in the order of first lookup.  Key
+    arrays are compared only where their sizes match."""
+
+    def __init__(self):
+        super().__init__()
+        self._sized: dict[int, list[tuple[np.ndarray, int]]] = {}
+        self._count = 0
+
+    def __missing__(self, m: "Sparse") -> int:
+        keys = m.reduced().keys
+        known = self._sized.setdefault(keys.size, [])
+        for other, number in known:
+            if (other == keys).all():
+                break
+        else:
+            number = self._count
+            self._count += 1
+            known.append((keys, number))
+        self[m] = number
+        return number
+
+
+# Terms one reduction sorts, unless one relation, or one row of a
+# `product_sum`, makes more: about 0.5 MB of working memory for each
+# product that shares an expansion (C1's largest expansion has four).
+# Smaller sums, and calls whose relations all make fewer than half as
+# many, do not look for shared patterns: one sort of every term, or of
+# several relations at once, costs less than finding them.
 PRODUCT_TERMS = 1 << 13
 
 
-def _stack(products) -> tuple[dict[int, int], tuple[np.ndarray, ...]]:
-    """(slots, spans): the distinct right factors b of the (t, c, a, b)
-    products with their `Sparse._row_spans` stacked, each factor's rows
-    after those of the slots[id(b)] factors before it."""
-    slots: dict[int, int] = {}
-    rights = []
-    for *_, b in products:
-        if slots.setdefault(id(b), len(rights)) == len(rights):
-            rights.append(b._row_spans())
+def _stack(products) -> tuple[list[int], list[int], tuple[np.ndarray, ...]]:
+    """(slot, offsets, spans): the slot of each (t, c, a, b) product's right
+    factor among the distinct right factors, and their `Sparse._row_spans`
+    stacked in slot order, each factor's entries from offsets[slot] on."""
+    distinct = {id(b): b for *_, b in products}
+    slots = {key: s for s, key in enumerate(distinct)}
+    slot = [slots[id(b)] for *_, b in products]
+    rights = [b._row_spans() for b in distinct.values()]
+    offsets = list(accumulate([right[2].size for right in rights], initial=0))
     if len(rights) < 2:
         empty = np.zeros(0, dtype=np.intp)
-        return slots, rights[0] if rights else (empty, empty, empty, np.zeros(0, dtype=complex))
-    offsets = np.cumsum([0] + [right[2].size for right in rights[:-1]])
-    return slots, (
+        return slot, offsets, rights[0] if rights else (empty, empty, empty, np.zeros(0, dtype=complex))
+    return slot, offsets, (
         np.concatenate([right[0] + offset for right, offset in zip(rights, offsets)]),
         *(np.concatenate(parts) for parts in list(zip(*rights))[1:]),
     )
 
 
-def _reduce(n: int, sums: int, products, singles, stack) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, totals): the reduced entries of `sums` sums of n x n matrices,
-    entry (i, j) of sum t under the key t * n^2 + i * n + j, all formed
-    and summed by one sort.
+def _scaled(parts) -> np.ndarray:
+    """The values of the (c, values) parts, concatenated, each scaled by its c."""
+    if len(parts) == 1:
+        return parts[0][1] * parts[0][0]
+    vals = np.concatenate([v for _, v in parts])
+    vals *= np.repeat(np.array([c for c, _ in parts]), [v.size for _, v in parts])
+    return vals
+
+
+class _Plan(NamedTuple):
+    """The symbolic half of one reduction: all that depends only on the key
+    patterns of its factors and on which right factors are one matrix,
+    not on any value.
+
+    Products of one sum whose left factors share a key pattern, and whose
+    right factors do, share one expansion: each left entry (i, k) over the
+    stored entries of row k of the right factor, an empty row spanning one
+    zero entry so that a NaN or infinite left entry still reaches the
+    product.  Expansions shared by more products come first.  `layered`
+    lists the products by their rank in their expansion: each
+    expansion's first product, then the second product of each expansion
+    that has two, and so on.  In that order, their left values, each
+    repeated `per` times, times the stacked right values at `where`, make
+    runs of layers[0], layers[1], ... terms, and each run after the first
+    is added term by term to the start of the first.  `keys`, `order`
+    and `starts` are the `_sort_plan` of the first run followed by the
+    entries of the singles.
+    """
+
+    layered: list[int]
+    per: np.ndarray
+    where: np.ndarray
+    layers: list[int]
+    keys: np.ndarray
+    order: np.ndarray
+    starts: Optional[np.ndarray]
+
+
+def _plan(n: int, sums: int, products, pairs, singles, stack) -> _Plan:
+    """The `_Plan` of `sums` sums of n x n matrices, entry (i, j) of sum t
+    under the key t * n^2 + i * n + j.
 
     Sum t adds c * (a @ b) over its (t, c, a, b) products and c * m, or
     c * dagger(m) where adjoint is true, over its (t, c, m, adjoint)
-    singles, in that order.  `stack` is `_stack` of products holding at
-    least these right factors.
+    singles.  pairs[p], where given, is (pattern of a, pattern of b) of
+    product p, as `_PatternNumbers` numbers them, and the products of one
+    sum with one pair share an expansion; without pairs each product is
+    its own.  `stack` is `_stack` of the products.
     """
-    slots, spans = stack
-    return _sum_by_key(
-        *_expand(*_left_entries(n, products, slots), spans, _single_terms(n, singles)),
-        sums * n * n,
-    )
+    # members[r]: the r-th product of each expansion that has more than r
+    members = [list(range(len(products)))] if products else []
+    if pairs is not None and products:
+        shared: dict[tuple, list[int]] = {}
+        for p, ((t, *_), pair) in enumerate(zip(products, pairs)):
+            shared.setdefault((t, *pair), []).append(p)
+        expansions = sorted(shared.values(), key=len, reverse=True)
+        members = [[e[r] for e in expansions if len(e) > r] for r in range(len(expansions[0]))]
+    keys = []
+    per = where = np.zeros(0, dtype=np.intp)
+    layers: list[int] = []
+    if members:
+        slot, offsets, (start, count, cols, _) = stack
+        firsts = members[0]
+        lefts = [products[p][2]._entry_split() for p in firsts]
+        sizes = [left[0].size for left in lefts]
+        prefix, row = (np.concatenate([left[i] for left in lefts]) for i in (0, 1))
+        if sums > 1:
+            prefix += np.repeat(np.array([products[p][0] for p in firsts]) * (n * n), sizes)
+        if len(offsets) > 2:
+            row += np.repeat(np.array([slot[p] for p in firsts]) * n, sizes)
+        per = count[row]
+        ends = np.cumsum(per)
+        where = np.repeat(start[row] + per - ends, per)
+        where += np.arange(where.size)
+        expanded = np.repeat(prefix, per)
+        expanded += cols[where]
+        keys.append(expanded)
+        del prefix, row, expanded
+        layers.append(where.size)
+        if len(members) > 1:
+            # rank r takes the first len(members[r]) expansions again, each
+            # product's right values as far from those of its expansion's
+            # first product as their right factors are apart in the stack
+            left_ends = list(accumulate(sizes, initial=0))
+            term_ends = np.concatenate(([0], ends))[left_ends].tolist()
+            layers += [term_ends[len(layer)] for layer in members[1:]]
+            shift = [offsets[slot[p]] - offsets[slot[f]] for layer in members for p, f in zip(layer, firsts)]
+            spans = [term_ends[e + 1] - term_ends[e] for layer in members for e in range(len(layer))]
+            per = np.concatenate([per[:left_ends[len(layer)]] for layer in members])
+            where = np.concatenate([where[:size] for size in layers])
+            where += np.repeat(np.array(shift), spans)
+    if singles:
+        ms = [m.reduced() for _, _, m, _ in singles]
+        single_keys = np.concatenate([
+            _transposed_keys(m) if adjoint else m.keys for m, (*_, adjoint) in zip(ms, singles)
+        ])
+        if sums > 1:
+            single_keys += np.repeat(np.array([t for t, *_ in singles]) * (n * n), [m.keys.size for m in ms])
+        keys.append(single_keys)
+    keys = np.concatenate(keys) if len(keys) > 1 else keys[0] if keys else np.zeros(0, dtype=np.intp)
+    layered = [p for layer in members for p in layer]
+    return _Plan(layered, per, where, layers, *_sort_plan(keys.astype(np.int64, copy=False), sums * n * n))
 
 
-def _left_entries(n: int, products, slots: dict[int, int]) -> tuple[np.ndarray, ...]:
-    """(prefix, row, lvals) for `_expand`: each entry (i, k) of c * a of
-    the (t, c, a, b) products under the key prefix t * n^2 + i * n, and
-    row k of b in the stacked right factors."""
-    if not products:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
-    lefts = [a._entry_split() for _, _, a, _ in products]
-    sizes = [left[0].size for left in lefts]
-    prefix, row, lvals = map(np.concatenate, zip(*lefts))
-    prefix += np.repeat([t * n * n for t, *_ in products], sizes)
-    row += np.repeat([slots[id(b)] * n for *_, b in products], sizes)
-    lvals *= np.repeat([c for _, c, *_ in products], sizes)
-    return prefix, row, lvals
-
-
-def _single_terms(n: int, singles) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(keys, values) of the (t, c, m, adjoint) singles: c * m, or
-    c * dagger(m), entry (i, j) under the key t * n^2 + i * n + j."""
-    if not singles:
-        return None
-    ms = [m.reduced() for _, _, m, _ in singles]
-    sizes = [m.keys.size for m in ms]
-    keys = np.concatenate([
-        _transposed_keys(m) if adjoint else m.keys for m, (*_, adjoint) in zip(ms, singles)
-    ])
-    vals = np.concatenate([
-        m.vals.conj() if adjoint else m.vals for m, (*_, adjoint) in zip(ms, singles)
-    ])
-    keys += np.repeat([t * n * n for t, *_ in singles], sizes)
-    vals *= np.repeat([c for _, c, *_ in singles], sizes)
-    return keys, vals
+def _apply(plan: _Plan, products, singles, stack) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, totals): the numeric half of a reduction, for products and
+    singles in the order and with the key patterns the plan was made for,
+    and `stack` the `_stack` of the products."""
+    values = []
+    if plan.layered:
+        parts = [products[p] for p in plan.layered]
+        terms = np.repeat(_scaled([(c, a._entry_split()[2]) for _, c, a, _ in parts]), plan.per)
+        terms *= stack[2][3][plan.where]
+        done = plan.layers[0]
+        for size in plan.layers[1:]:
+            terms[:size] += terms[done:done + size]
+            done += size
+        values.append(terms[:plan.layers[0]])
+    if singles:
+        values.append(_scaled([
+            (c, m.reduced().vals.conj() if adjoint else m.reduced().vals) for _, c, m, adjoint in singles
+        ]))
+    vals = np.concatenate(values) if len(values) > 1 else values[0]
+    return plan.keys, _sum_sorted(vals, plan.order, plan.starts)
 
 
 def _transposed_keys(m: "Sparse") -> np.ndarray:
@@ -408,15 +506,29 @@ def _transposed_keys(m: "Sparse") -> np.ndarray:
     return col
 
 
+def _may_share(products) -> bool:
+    """Whether two of the (t, c, a, b) products have factors of equal sizes."""
+    sizes = [(a.keys.size, b.keys.size) for *_, a, b in products]
+    return len(set(sizes)) < len(sizes)
+
+
+def _terms(n: int, products) -> int:
+    """About how many terms the (..., a, b) products make."""
+    return sum([a.keys.size * (b.keys.size // n + 1) for *_, a, b in products])
+
+
 def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse":
     """The sum of c * (a @ b) over the (c, a, b) terms, reduced.
 
-    Each c scales the entries of a.  The products are formed for a run of
-    rows at a time and reduced before the next run.  A run makes about
-    PRODUCT_TERMS terms, or the terms of one row if that row makes more,
-    so the working memory stays bounded however large the operands are;
-    each entry's terms all fall in one run and add up in the order of
-    the terms.
+    Each c scales the entries of a.  Where the products make more than
+    PRODUCT_TERMS terms and two of them have factors of equal sizes,
+    products whose left factors share a key pattern, and whose right
+    factors do, are expanded once, and their terms are added term by
+    term, in the order of the terms, before the one sort.  The products
+    are formed for a run of rows at a time and reduced before the next
+    run.  A run sorts about PRODUCT_TERMS terms, or the terms of one row
+    if that row makes more, so the working memory stays bounded however
+    large the operands are; each entry's terms all fall in one run.
     """
     factors = [m for _, a, b in terms for m in (a, b)]
     if not all(isinstance(m, Sparse) for m in factors):
@@ -425,13 +537,21 @@ def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse"
     if any(m.n != n for m in factors):
         raise ValueError(f"shape mismatch: {sorted({m.shape for m in factors})}")
     products = [(0, c, a.reduced(), b) for c, a, b in terms]
-    stack = _stack(products)
+    pairs = None
+    firsts = range(len(products))
+    made = _terms(n, products)
+    if made > PRODUCT_TERMS and _may_share(products):
+        # below that, one sort of every term costs less than sharing
+        numbers = _PatternNumbers()
+        pairs = [(numbers[a], numbers[b]) for *_, a, b in products]
+        firsts = [pairs.index(pair) for pair in dict.fromkeys(pairs)]
+        made = _terms(n, [products[p] for p in firsts])
+    stack = slot, _, (_, count, _, _) = _stack(products)
     bounds = [0, n]
-    if sum(a.keys.size * (b.keys.size // n + 1) for _, _, a, b in products) > PRODUCT_TERMS:
-        slots, (_, count, _, _) = stack
+    if made > PRODUCT_TERMS:
+        lefts = [(products[p][2], slot[p]) for p in firsts]
         per_row = sum(
-            np.bincount(a.keys // n, count[a._entry_split()[1] + slots[id(b)] * n], minlength=n)
-            for _, _, a, b in products
+            np.bincount(a.keys // n, count[a._entry_split()[1] + s * n], minlength=n) for a, s in lefts
         ).astype(np.intp)
         run = (np.cumsum(per_row) - 1) // PRODUCT_TERMS
         bounds = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), n]
@@ -440,7 +560,7 @@ def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse"
         rows = products
         if hi - lo < n:
             rows = [(0, c, _row_slice(a, lo, hi), b) for _, c, a, b in products]
-        keys, sums = _reduce(n, 1, rows, (), stack)
+        keys, sums = _apply(_plan(n, 1, rows, pairs, (), stack), rows, (), stack)
         keep = sums != 0
         pieces.append((keys[keep], sums[keep]))
     return Sparse(n, *map(np.concatenate, zip(*pieces)), reduced=True)
@@ -461,33 +581,70 @@ def residual_norms(n: int, relations) -> list[float]:
     Relations are summed together while their terms come to about
     PRODUCT_TERMS, or one at a time where one makes more: a small
     matrix's relations share one sort, a large one's take one each.  Each
-    group forms only its own terms, from the matrices it names.
+    group forms only its own terms, from the matrices it names.  Where
+    some relation makes more than PRODUCT_TERMS / 2 terms, the products of
+    each relation share expansions by key pattern, as in `product_sum`,
+    and relations whose factors have the same patterns in the same places
+    are taken one after another, from where the first of them stands; a
+    group whose relations have the patterns, and the same layout of right
+    factors, of the group before it reuses that group's `_Plan`.  No
+    other plan is kept.
     """
-    norms: list[float] = []
-    group: list = []
+    relations = list(relations)
+    made = [
+        sum([a.keys.size * (b.keys.size // n + 1) for _, a, b in products])
+        + sum([m.keys.size for _, m, _ in singles])
+        for products, singles in relations
+    ]
+    order = range(len(relations))
+    pairs = patterns = None
+    if max(made, default=0) > PRODUCT_TERMS // 2:
+        # smaller relations are summed several to a sort, which costs
+        # less than finding their patterns
+        numbers = _PatternNumbers()
+        pairs = [[(numbers[a], numbers[b]) for _, a, b in products] for products, _ in relations]
+        patterns = [
+            (tuple(shared), tuple([(numbers[m], adjoint) for _, m, adjoint in singles]))
+            for shared, (_, singles) in zip(pairs, relations)
+        ]
+        first: dict[tuple, int] = {}
+        for r, pattern in enumerate(patterns):
+            first.setdefault(pattern, r)
+        order = sorted(order, key=lambda r: first[patterns[r]])
+        made = [
+            _terms(n, dict(zip(shared, products)).values()) + sum([m.keys.size for _, m, _ in singles])
+            for shared, (products, singles) in zip(pairs, relations)
+        ]
+    groups: list[list[int]] = []
     size = 0
-    for products, singles in relations:
-        made = sum(a.keys.size * (b.keys.size // n + 1) for _, a, b in products)
-        made += sum(m.keys.size for _, m, _ in singles)
-        if group and size + made > PRODUCT_TERMS:
-            norms += _group_norms(n, group)
-            group, size = [], 0
-        group.append((products, singles))
-        size += made
-    return norms + _group_norms(n, group) if group else norms
-
-
-def _group_norms(n: int, group) -> list[float]:
-    """`residual_norms` of one group of relations, summed by one sort."""
-    products = [(t, c, a, b) for t, (pairs, _) in enumerate(group) for c, a, b in pairs]
-    singles = [(t, c, m, adj) for t, (_, ones) in enumerate(group) for c, m, adj in ones]
-    keys, sums = _reduce(n, len(group), products, singles, _stack(products))
-    norms = np.zeros(len(group))
-    bounds = np.searchsorted(keys, np.arange(len(group) + 1) * (n * n))
-    filled = np.flatnonzero(bounds[:-1] < bounds[1:])
-    if filled.size:
-        norms[filled] = np.maximum.reduceat(np.abs(sums), bounds[filled])
-    return norms.tolist()
+    for r in order:
+        if not groups or size + made[r] > PRODUCT_TERMS:
+            groups.append([])
+            size = 0
+        groups[-1].append(r)
+        size += made[r]
+    norms = [0.0] * len(relations)
+    plan = held = None
+    for group in groups:
+        products = [(t, c, a, b) for t, r in enumerate(group) for c, a, b in relations[r][0]]
+        singles = [(t, c, m, adj) for t, r in enumerate(group) for c, m, adj in relations[r][1]]
+        stack = _stack(products)
+        if patterns is None:
+            plan = _plan(n, len(group), products, None, singles, stack)
+        else:
+            shared = [pair for r in group for pair in pairs[r]]
+            signature = ([patterns[r] for r in group], stack[0])
+            if signature != held:
+                plan = None  # one plan at a time
+                plan, held = _plan(n, len(group), products, shared, singles, stack), signature
+        keys, sums = _apply(plan, products, singles, stack)
+        bounds = np.searchsorted(keys, np.arange(len(group) + 1) * (n * n))
+        filled = np.flatnonzero(bounds[:-1] < bounds[1:])
+        if filled.size:
+            found = np.maximum.reduceat(np.abs(sums), bounds[filled])
+            for f, norm in zip(filled.tolist(), found.tolist()):
+                norms[group[f]] = norm
+    return norms
 
 
 def commutator(x: Sparse, y: Sparse) -> Sparse:

@@ -17,6 +17,7 @@ from dsrep.numeric import (
     commutator,
     max_abs,
     product_sum,
+    residual_norms,
     solve_rational_linear,
 )
 
@@ -281,6 +282,84 @@ class TestSparse:
             sparse_from_dense(np.eye(2)) - np.eye(2)
         with pytest.raises(TypeError):
             np.eye(2) @ sparse_from_dense(np.eye(2))
+
+
+def _with_pattern(mask, values):
+    """The Sparse matrix holding `values` (non-zero) at the True places of mask."""
+    dense = np.zeros(mask.shape, dtype=complex)
+    dense[mask] = values
+    return sparse_from_dense(dense)
+
+
+class TestSharedPatterns:
+    """Products whose factors share key patterns share one expansion; no sum may notice."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_sum_matches_dense(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        nonzero = st.complex_numbers(min_magnitude=0.5, max_magnitude=4, allow_nan=False)
+        masks = [
+            np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+            for _ in range(2)
+        ]
+        masks[1][data.draw(st.integers(0, n - 1), label="empty row")] = False
+        # two matrices on each pattern: equal patterns, distinct objects
+        pool = [
+            _with_pattern(mask, data.draw(st.lists(nonzero, min_size=int(mask.sum()), max_size=int(mask.sum()))))
+            for mask in masks for _ in range(2)
+        ]
+        picks = st.lists(
+            st.tuples(st.sampled_from([1.0, -1.0, 0.5j, 2.0]), st.integers(0, 3), st.integers(0, 3)),
+            min_size=1, max_size=6,
+        )
+        terms = [(c, pool[i], pool[j]) for c, i, j in data.draw(picks, label="terms")]
+        terms.append((1.0, pool[0], pool[0]))  # one object as both factors
+        poison = data.draw(st.sampled_from([None, math.nan, math.inf]), label="poison")
+        if poison is not None and terms[0][1].keys.size:
+            # a non-finite entry in one left factor of one product only
+            left = terms[0][1]
+            vals = left.vals.copy()
+            vals[data.draw(st.integers(0, vals.size - 1))] = poison
+            terms[0] = (terms[0][0], Sparse(n, left.keys, vals, reduced=True), terms[0][2])
+        run_terms = data.draw(st.sampled_from([1, 7, 1 << 15]), label="PRODUCT_TERMS")
+        saved = dsrep.numeric.PRODUCT_TERMS
+        dsrep.numeric.PRODUCT_TERMS = run_terms
+        try:
+            with np.errstate(all="ignore"):
+                ours = product_sum(terms).to_dense()
+                # every product, zeros included: a non-finite left entry poisons its row
+                dense = sum(c * np.einsum("ik,kj->ij", a.to_dense(), b.to_dense()) for c, a, b in terms)
+        finally:
+            dsrep.numeric.PRODUCT_TERMS = saved
+        finite = np.isfinite(dense).all(axis=1)
+        assert np.allclose(ours[finite], dense[finite], rtol=1e-13, atol=1e-12)
+        assert not np.isfinite(ours[~finite]).all(axis=1).any()
+
+    def test_plans_follow_which_right_factors_are_one_matrix(self, monkeypatch):
+        # two relations with equal key patterns: one multiplies two matrices,
+        # the other one matrix by itself, so their right factors stack
+        # differently; each must be summed as if it were alone
+        rng = np.random.default_rng(7)
+        mask = rng.random((9, 9)) < 0.4
+        x, y = (_with_pattern(mask, rng.normal(size=mask.sum()) + 1j) for _ in range(2))
+        relations = [
+            ([(1.0, x, y), (-1.0, y, x)], [(1.0, x, True)]),
+            ([(1.0, x, x), (-1.0, x, x)], [(1.0, x, True)]),
+            ([(1.0, y, x), (2.0, x, y)], [(1.0, y, False)]),
+            ([(1.0, y, y), (2.0, y, y)], [(1.0, y, False)]),
+        ]
+        dense = [
+            max_abs(sum(c * a.to_dense() @ b.to_dense() for c, a, b in products)
+                    + sum(c * (m.to_dense().conj().T if adj else m.to_dense()) for c, m, adj in singles))
+            for products, singles in relations
+        ]
+        for run_terms in (1, 40, 1 << 15):
+            monkeypatch.setattr(dsrep.numeric, "PRODUCT_TERMS", run_terms)
+            together = residual_norms(9, relations)
+            alone = [residual_norms(9, [relation])[0] for relation in relations]
+            assert together == alone
+            assert together == pytest.approx(dense, rel=1e-13, abs=1e-13)
 
 
 class TestRationalSolve:

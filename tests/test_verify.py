@@ -1,5 +1,6 @@
 """Commutation-relation suite, Hermiticity pattern, and Casimir operators."""
 
+import copy
 import dataclasses
 import functools
 import math
@@ -25,9 +26,12 @@ from conftest import (
     select_casimir2_interpretation,
     sparse_from_dense,
 )
+import dsrep.numeric
+import dsrep.verify
 from dsrep.numeric import HalfInt, Sparse, commutator, max_abs
 from dsrep.representation import (
     Algebra,
+    BackboneGraph,
     CanonicalSpec,
     Family,
     assemble,
@@ -38,6 +42,7 @@ from dsrep.representation import (
     canonical_t_squared,
     first_ten_specs,
 )
+from dsrep.solver import Verdict, solve_and_verify
 from dsrep.verify import (
     build_report,
     casimir1_matrix,
@@ -377,6 +382,100 @@ class TestMemory:
             tracemalloc.stop()
         assert report.passed and report.casimir1_scalar == pytest.approx(-418.0)
         assert peak < dense_bytes / 10
+
+
+def _direct_sum(*specs):
+    """The backbone of the canonical chains side by side, unconnected."""
+    blocks, edges = [], []
+    for spec in specs:
+        chain = canonical_backbone(spec)
+        edges += [(i + len(blocks), j + len(blocks)) for i, j in chain.edges]
+        blocks += chain.blocks
+    return BackboneGraph.make(blocks, edges)
+
+
+def _state(value):
+    """A value's identity, and a copy of it if it is a container."""
+    return id(value), copy.copy(value) if isinstance(value, (dict, list, set)) else None
+
+
+def _module_state(module):
+    """Each global of a module by `_state`, with the size of its cache if
+    it has one, and the `_state` of each attribute and default of the
+    functions and classes the module defines."""
+    state = {}
+    for name, value in vars(module).items():
+        if name.startswith("__"):
+            continue
+        inner = None
+        if getattr(value, "__module__", None) == module.__name__:
+            attributes = {**vars(value), "defaults": getattr(value, "__defaults__", None)}
+            inner = {key: _state(attribute) for key, attribute in attributes.items()}
+        cache = value.cache_info().currsize if hasattr(value, "cache_info") else None
+        state[name] = (_state(value), cache, inner)
+    return state
+
+
+def _peaks(f, gens) -> tuple[int, int]:
+    """The traced peak of f(gens) on a first and a second call, each less
+    what the first call keeps."""
+    tracemalloc.start()
+    try:
+        f(gens)
+        kept, first = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        f(gens)
+        second = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return first - kept, second - kept
+
+
+class TestSharedPlans:
+    """Products and relations whose factors share key patterns share one
+    expansion and one sort within a call, and nothing outlives the call."""
+
+    @pytest.mark.parametrize("run_terms", [None, 256], ids=["default-runs", "small-runs"])
+    @pytest.mark.parametrize(
+        "specs",
+        [((Family.TYPE_B, 6), (Family.TYPE_B, 6)),
+         ((Family.TYPE_A, 6), (Family.TYPE_B, 3), (Family.TYPE_B, 4))],
+        ids=["b6+b6", "a6+b3+b4"],
+    )
+    def test_sums_with_repeated_chains_are_valid(self, specs, run_terms, monkeypatch):
+        if run_terms is not None:
+            monkeypatch.setattr(dsrep.numeric, "PRODUCT_TERMS", run_terms)
+        out = solve_and_verify(_direct_sum(*(CanonicalSpec(f, n) for f, n in specs)))
+        assert out.verdict is Verdict.VALID
+        crs, want = check_all_crs(out.generators), dense_crs(out.generators)
+        assert all(_close(crs[name], want[name]) for name in want)
+
+    @pytest.mark.parametrize("run_terms", [None, 64], ids=["default-runs", "small-runs"])
+    def test_relations_with_one_matrix_in_two_places(self, run_terms, monkeypatch):
+        # Ky is the Kx matrix itself: [Kx, Ky] has the key patterns of
+        # [Jx, Jy] but one right factor where [Jx, Jy] has two
+        if run_terms is not None:
+            monkeypatch.setattr(dsrep.numeric, "PRODUCT_TERMS", run_terms)
+        gens = chain_generators(Family.TYPE_A, 6, Algebra.DE_SITTER)
+        broken = dataclasses.replace(gens, ky=gens.kx)
+        crs, want = check_all_crs(broken), dense_crs(broken)
+        assert all(_close(crs[name], want[name]) for name in want)
+        assert _close(crs["[Kx,Ky] = -i Jz"], max_abs(gens.jz))
+
+    def test_no_state_outlives_a_call(self):
+        # a first call keeps only each generator's row spans and entry
+        # split; beyond those, a second call needs as much memory again.
+        # Type B, N = 13 is used nowhere else, so no earlier call has seen
+        # its patterns.
+        for f in (check_all_crs, build_report, check_hermiticity, casimir1_matrix):
+            first_peak, second_peak = _peaks(f, assemble_canonical(CanonicalSpec(Family.TYPE_B, 13)))
+            assert second_peak >= 0.95 * first_peak, f.__name__
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 10))
+        modules = (dsrep.numeric, dsrep.verify)
+        before = [_module_state(module) for module in modules]
+        first = build_report(gens)
+        assert build_report(gens) == first and first.passed
+        assert [_module_state(module) for module in modules] == before
 
 
 class TestNonFinite:
