@@ -77,7 +77,11 @@ def _cmd_generate(args) -> int:
         return 2
     doc = generators_to_doc(gens)
     if args.out:
-        save_json(doc, args.out)
+        try:
+            save_json(doc, args.out)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {gens.dim}-dimensional representation to {args.out}")
     else:
         write_json(doc, sys.stdout)

@@ -38,7 +38,6 @@ consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -100,8 +99,8 @@ def t_sign_relation(case: PairCase) -> int:
 class ZLinear:
     """Coefficients of Z_IJ = coef_a * a_I + coef_b * b_I (factor 4 included)."""
 
-    coef_a: Fraction
-    coef_b: Fraction
+    coef_a: int
+    coef_b: int
 
 
 def z_linear(case: PairCase, a_i: HalfInt, b_i: HalfInt) -> ZLinear:
@@ -112,11 +111,11 @@ def z_linear(case: PairCase, a_i: HalfInt, b_i: HalfInt) -> ZLinear:
         -- ->  coef_a = -4 (B_I+1),  coef_b = -4 (A_I+1)
         +- ->  coef_a = -4 (B_I+1),  coef_b = 4 A_I
         -+ ->  coef_a = 4 B_I,       coef_b = -4 (A_I+1)
+
+    all even integers, written from the twice-values 2 A_I and 2 B_I.
     """
-    af = a_i.as_fraction
-    bf = b_i.as_fraction
-    coef_a = 4 * bf if case.s_b > 0 else -4 * (bf + 1)
-    coef_b = 4 * af if case.s_a > 0 else -4 * (af + 1)
+    coef_a = 2 * b_i.twice if case.s_b > 0 else -2 * (b_i.twice + 2)
+    coef_b = 2 * a_i.twice if case.s_a > 0 else -2 * (a_i.twice + 2)
     return ZLinear(coef_a=coef_a, coef_b=coef_b)
 
 

@@ -592,8 +592,7 @@ def residual_norms(n: int, relations) -> list[float]:
     """
     relations = list(relations)
     made = [
-        sum([a.keys.size * (b.keys.size // n + 1) for _, a, b in products])
-        + sum([m.keys.size for _, m, _ in singles])
+        _terms(n, products) + sum([m.keys.size for _, m, _ in singles])
         for products, singles in relations
     ]
     order = range(len(relations))
@@ -677,10 +676,6 @@ class RationalSolution:
     status: str
     solution: Optional[list[Fraction]]
     dof: Optional[int]
-
-    @property
-    def is_unique(self) -> bool:
-        return self.status == "unique"
 
 
 def _integer_row(row: Sequence, b) -> tuple[dict[int, int], int]:

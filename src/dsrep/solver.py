@@ -171,39 +171,24 @@ def structural_checks(g: BackboneGraph) -> Optional[Witness]:
                 (i,),
             )
 
-    min_a = min(b.a.twice for b in g.blocks)
-    if min_a != 0:
-        return Witness(
-            WitnessKind.BOUNDARY_VIOLATION,
-            f"minimum A over the backbone is {HalfInt(min_a)}, must be 0",
-        )
-    min_b = min(b.b.twice for b in g.blocks)
-    if min_b != 0:
-        return Witness(
-            WitnessKind.BOUNDARY_VIOLATION,
-            f"minimum B over the backbone is {HalfInt(min_b)}, must be 0",
-        )
+    twice = (("A", [b.a.twice for b in g.blocks]), ("B", [b.b.twice for b in g.blocks]))
+    for name, values in twice:
+        if min(values) != 0:
+            return Witness(
+                WitnessKind.BOUNDARY_VIOLATION,
+                f"minimum {name} over the backbone is {HalfInt(min(values))}, must be 0",
+            )
 
     for i, label in enumerate(g.blocks):
         nbrs = g.neighbors(i)
-        if label.a.twice > 0 and all(
-            g.blocks[m].a.twice > label.a.twice for m in nbrs
-        ):
-            return Witness(
-                WitnessKind.BOUNDARY_VIOLATION,
-                f"block {i} {label} is connected only to blocks at larger A, "
-                "so it would need A = 0",
-                (i,),
-            )
-        if label.b.twice > 0 and all(
-            g.blocks[m].b.twice > label.b.twice for m in nbrs
-        ):
-            return Witness(
-                WitnessKind.BOUNDARY_VIOLATION,
-                f"block {i} {label} is connected only to blocks at larger B, "
-                "so it would need B = 0",
-                (i,),
-            )
+        for name, values in twice:
+            if values[i] > 0 and all(values[m] > values[i] for m in nbrs):
+                return Witness(
+                    WitnessKind.BOUNDARY_VIOLATION,
+                    f"block {i} {label} is connected only to blocks at larger {name}, "
+                    f"so it would need {name} = 0",
+                    (i,),
+                )
     return None
 
 
@@ -248,7 +233,7 @@ def unique_nonmonotonic_paths(g: BackboneGraph) -> list[tuple[int, int, int]]:
 
 @dataclass
 class OnBdSystem:
-    """The rational linear system for the edge products x_e = t_PQ t_QP.
+    """The integer linear system for the edge products x_e = t_PQ t_QP.
 
     Two rows per block (the coefficients of a_I and of b_I in the
     block-diagonal commutator identity); a row is identically zero when
@@ -258,50 +243,31 @@ class OnBdSystem:
     """
 
     edges: tuple[tuple[int, int], ...]
-    rows: list[list[Fraction]]
-    rhs: list[Fraction]
+    rows: list[list[int]]
+    rhs: list[int]
     required_sign: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
 def build_onbd_system(g: BackboneGraph) -> OnBdSystem:
-    """Assemble the exact linear system; assumes structural checks passed."""
+    """Assemble the exact linear system; assumes structural checks passed.
+
+    Each edge writes its column of the rows of its two end blocks.
+    """
     edges = tuple(sorted(g.edges))
-    edge_pos = {e: idx for idx, e in enumerate(edges)}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows = [[0] * len(edges) for _ in range(2 * g.nblocks)]
     signs: dict[tuple[int, int], int] = {}
-
-    incident: dict[int, list[tuple[int, int]]] = {i: [] for i in range(g.nblocks)}
-    for e in edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
-        i, j = e
+    for col, (i, j) in enumerate(edges):
         case = compatibility(g.blocks[i], g.blocks[j])
-        signs[e] = t_sign_relation(case)
-
-    for i, label in enumerate(g.blocks):
-        row_a = [Fraction(0)] * len(edges)
-        row_b = [Fraction(0)] * len(edges)
-        for e in incident[i]:
-            other = e[1] if e[0] == i else e[0]
-            case = compatibility(label, g.blocks[other])
-            z = z_linear(case, label.a, label.b)
-            row_a[edge_pos[e]] = z.coef_a
-            row_b[edge_pos[e]] = z.coef_b
-        # An index that cannot vary imposes no coefficient condition.
-        if label.a.twice > 0:
-            rows.append(row_a)
-            rhs.append(Fraction(-1))
-        else:
-            rows.append([Fraction(0)] * len(edges))
-            rhs.append(Fraction(0))
-        if label.b.twice > 0:
-            rows.append(row_b)
-            rhs.append(Fraction(-1))
-        else:
-            rows.append([Fraction(0)] * len(edges))
-            rhs.append(Fraction(0))
-
+        signs[(i, j)] = t_sign_relation(case)
+        for block, seen in ((i, case), (j, case.reversed())):
+            label = g.blocks[block]
+            z = z_linear(seen, label.a, label.b)
+            # An index that cannot vary imposes no coefficient condition.
+            if label.a.twice:
+                rows[2 * block][col] = z.coef_a
+            if label.b.twice:
+                rows[2 * block + 1][col] = z.coef_b
+    rhs = [-1 if twice else 0 for b in g.blocks for twice in (b.a.twice, b.b.twice)]
     return OnBdSystem(edges=edges, rows=rows, rhs=rhs, required_sign=signs)
 
 
@@ -310,23 +276,35 @@ def build_onbd_system(g: BackboneGraph) -> OnBdSystem:
 # ---------------------------------------------------------------------------
 
 
-def _connected_components(g: BackboneGraph) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    comps = []
-    for start in range(g.nblocks):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            comp.append(node)
-            stack.extend(m for m in g.neighbors(node) if m not in seen)
-        comps.append(tuple(sorted(comp)))
-    return comps
+def _forest(
+    g: BackboneGraph,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], list[tuple[int, int]]]:
+    """(components, tree, chords) from one union-find pass over the sorted edges.
+
+    Components are listed by their first block, each with sorted indices;
+    an edge that joins two blocks already connected is a chord, any other
+    a tree edge.
+    """
+    parent = list(range(g.nblocks))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree, chords = [], []
+    for e in sorted(g.edges):
+        ra, rb = find(e[0]), find(e[1])
+        if ra == rb:
+            chords.append(e)
+        else:
+            parent[ra] = rb
+            tree.append(e)
+    members: dict[int, list[int]] = {}
+    for i in range(g.nblocks):
+        members.setdefault(find(i), []).append(i)
+    return [tuple(m) for m in members.values()], tree, chords
 
 
 def _classify_component(g: BackboneGraph, indices: tuple[int, ...]) -> Component:
@@ -362,7 +340,7 @@ def decompose(g: BackboneGraph) -> list[Component]:
     anything else is labelled non-canonical.  The components partition
     the block indices.
     """
-    return [_classify_component(g, comp) for comp in _connected_components(g)]
+    return [_classify_component(g, comp) for comp in _forest(g)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +362,7 @@ def _gauge_patterns(g: BackboneGraph) -> Iterator[dict[tuple[int, int], int]]:
     physical and must be searched.  Patterns are yielded one at a time,
     all-plus first, in `itertools.product` order over the chords.
     """
-    edges = sorted(g.edges)
-    parent = list(range(g.nblocks))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree, chords = [], []
-    for e in edges:
-        ra, rb = find(e[0]), find(e[1])
-        if ra == rb:
-            chords.append(e)
-        else:
-            parent[ra] = rb
-            tree.append(e)
+    _, tree, chords = _forest(g)
     for signs in itertools.product((1, -1), repeat=len(chords)):
         pattern = {e: 1 for e in tree}
         pattern.update(zip(chords, signs))
@@ -515,15 +477,11 @@ def solve_and_verify(
             return SolverOutcome(
                 Verdict.INVALID, witness, components, x_values=x_values
             )
-        t_values = {}
-        for (i, j), (forward, backward) in t_map.items():
-            t_values[(i, j)] = forward
-            t_values[(j, i)] = backward
         return SolverOutcome(
             Verdict.VALID,
             None,
             components,
-            t_values=t_values,
+            t_values=dict(gens.t),
             x_values=x_values,
             generators=gens,
         )

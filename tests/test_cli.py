@@ -182,6 +182,15 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(MAX_DIM) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["a-directory", "a-missing-parent"])
+    def test_unwritable_out_path(self, tmp_path, capsys, where):
+        out = tmp_path if where == "a-directory" else tmp_path / "missing" / "rep.json"
+        assert main(["generate", "a", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+
     def test_generate_stdout(self, capsys):
         assert main(["generate", "b", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -164,28 +164,31 @@ class TestSparse:
         assert max_abs(ours.to_dense() - dense) <= 1e-13 * top**2
 
     @pytest.mark.parametrize(
-        "keys,vals",
+        "n,keys,vals",
         [
-            ([0, 3, 4, 8], [1, 2j, -0.5, 3 + 1j]),
-            ([0, 3, 3, 4, 8, 8, 8], [1, 2j, -2j, -0.5, 1, 1, -0.0]),
-            ([8, 0, 4, 3], [1, 2j, -0.5, 3 + 1j]),
-            ([8, 3, 0, 3, 8, 4], [1, 2, 3, -2, 0.25, 1e-300]),
-            ([1, 2, 5, 6], [0, 1j, 0, complex(-0.0, 0.0)]),
-            ([2, 7, 1, 7], [0, math.nan, 1, 2]),
-            ([2, 1, 5, 1], [complex(-0.0, 1), complex(1, -0.0), complex(-0.0, -0.0), 1]),
-            ([5, 1, 4], [complex(-0.0, 1), complex(1, -0.0), complex(3, math.nan)]),
-            ([], []),
-            ([4], [complex(-0.0, 2)]),
+            (3, [0, 3, 4, 8], [1, 2j, -0.5, 3 + 1j]),
+            (3, [0, 3, 3, 4, 8, 8, 8], [1, 2j, -2j, -0.5, 1, 1, -0.0]),
+            (3, [8, 0, 4, 3], [1, 2j, -0.5, 3 + 1j]),
+            (3, [8, 3, 0, 3, 8, 4], [1, 2, 3, -2, 0.25, 1e-300]),
+            (3, [1, 2, 5, 6], [0, 1j, 0, complex(-0.0, 0.0)]),
+            (3, [2, 7, 1, 7], [0, math.nan, 1, 2]),
+            (3, [2, 1, 5, 1], [complex(-0.0, 1), complex(1, -0.0), complex(-0.0, -0.0), 1]),
+            (3, [5, 1, 4], [complex(-0.0, 1), complex(1, -0.0), complex(3, math.nan)]),
+            (3, [], []),
+            (3, [4], [complex(-0.0, 2)]),
             # 30 repeats of key 4, whose sum depends on the order of its terms
-            ([4] * 10 + [1] + [4] * 10 + [7] + [4] * 10,
+            (3, [4] * 10 + [1] + [4] * 10 + [7] + [4] * 10,
              [1e16, 1.0, -1e16, 1.0, 3.0] * 6 + [2j, 0.5]),
+            # n * n needs 64 bits, so key and position do not fit in one
+            # word and the keys are sorted by a stable argsort instead
+            (2**32, [5, 3, 5, 9, 3], [1, 2j, -1, 0.5, 3]),
         ],
         ids=["increasing", "sorted-repeats", "unsorted", "unsorted-repeats", "exact-zeros",
              "nan", "negative-zero-parts-repeats", "negative-zero-parts", "empty", "one",
-             "many-repeats"],
+             "many-repeats", "wide-keys"],
     )
-    def test_reduced_matches_argsort_reduceat(self, keys, vals):
-        m = Sparse(3, np.array(keys, dtype=np.intp), np.array(vals, dtype=complex))
+    def test_reduced_matches_argsort_reduceat(self, n, keys, vals):
+        m = Sparse(n, np.array(keys, dtype=np.intp), np.array(vals, dtype=complex))
         want_keys, want_vals = argsort_reduced(m)
         got = m.reduced()
         assert got.keys.tobytes() == want_keys.tobytes()

@@ -1,5 +1,6 @@
 """Backbone validation pipeline."""
 
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrep.blocks import BlockLabel
+from dsrep.coupling import PairCase, z_linear
 from dsrep.io import backbone_from_doc, load_json
 from dsrep.numeric import HalfInt, solve_rational_linear
 from dsrep.representation import (
@@ -143,6 +145,19 @@ class TestOnBdSystem:
         g = BackboneGraph.make([L(1, 1), L(2, 2)], [(0, 1)])
         system = build_onbd_system(g)
         assert solve_rational_linear(system.rows, system.rhs).status == "inconsistent"
+
+    @pytest.mark.parametrize("name", ["valid_three_chain_crossing", "reducible_b4_plus_b6"])
+    def test_system_and_coefficients_are_integers(self, name):
+        g = load_fixture(name)
+        system = build_onbd_system(g)
+        assert 0 in system.rhs  # rows of an index that cannot vary, too
+        assert all(type(v) is int for row in system.rows for v in row)
+        assert all(type(v) is int for v in system.rhs)
+        for s_a, s_b in itertools.product((1, -1), repeat=2):
+            for label in g.blocks:
+                z = z_linear(PairCase(s_a, s_b), label.a, label.b)
+                assert type(z.coef_a) is int and type(z.coef_b) is int
+                assert z.coef_a % 2 == 0 and z.coef_b % 2 == 0
 
     @pytest.mark.parametrize("ref,spec", first_ten_specs())
     def test_canonical_products_exact(self, ref, spec):
@@ -344,6 +359,20 @@ class TestDecompose:
         g = canonical_backbone(CanonicalSpec(Family.TYPE_B, 6))
         [component] = decompose(g)
         assert component.family is Family.TYPE_B and component.n == 6
+
+    def test_interleaved_components_listed_by_first_block(self):
+        # blocks 0-5 form one component and 1-4, 2-4, 3-4 (a star) the
+        # other, whose union-find root, 4, comes first; components are
+        # listed by their first block, and the star, which is no path,
+        # keeps its indices sorted
+        g = BackboneGraph.make(
+            [L(0, 0), L(0, 0), L(0, 0), L(0, 0), L(1, 1), L(1, 1)],
+            [(0, 5), (1, 4), (2, 4), (3, 4)],
+        )
+        assert [(c.indices, c.family, c.n) for c in decompose(g)] == [
+            ((0, 5), Family.TYPE_A, 2),
+            ((1, 2, 3, 4), None, 4),
+        ]
 
     def test_non_chain_flagged(self):
         g = BackboneGraph.make(
