@@ -7,7 +7,7 @@ Subcommands:
     validate  run the backbone validation pipeline on a backbone document
 
 Exit codes: 0 success/valid, 1 invalid or verification failure, 2 usage or
-document errors.
+document errors, or a reader that closed stdout early.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .io import (
@@ -109,6 +110,8 @@ def _render_report(report, fmt: str) -> str:
             if report.casimir_closed_form is None
             else [float(c) for c in report.casimir_closed_form],
             "duplicates_present": report.duplicates_present,
+            "cr_tolerance": report.cr_tolerance,
+            "hermiticity_tolerance": report.hermiticity_tolerance,
         }
         return _dumps(payload)
     lines = [f"algebra: {report.algebra.value}"]
@@ -145,11 +148,7 @@ def _render_report(report, fmt: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        gens = generators_from_doc(load_json(args.input))
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    gens = generators_from_doc(load_json(args.input))
     report = build_report(gens, cr_tolerance=args.tolerance)
     print(_render_report(report, args.format))
     return 0 if report.passed else 1
@@ -161,11 +160,7 @@ def _cmd_tables(_args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        graph, algebra = backbone_from_doc(load_json(args.input))
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    graph, algebra = backbone_from_doc(load_json(args.input))
     outcome = solve_and_verify(graph, algebra)
     if args.format == "json":
         payload = {
@@ -252,8 +247,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a malformed document or a closed stdout exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DocumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader went away.  Point the descriptor at devnull, so that
+        # the interpreter's last flush of what is buffered cannot fail
+        # again; an in-memory stdout has no descriptor to point.
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:
+            return 2
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    return 2
 
 
 if __name__ == "__main__":

@@ -679,14 +679,14 @@ class RationalSolution:
 
 
 def _integer_row(row: Sequence, b) -> tuple[dict[int, int], int]:
-    """One equation scaled to integers: ({column: coefficient}, right-hand side)."""
-    coeffs = {c: Fraction(v) for c, v in enumerate(row) if v}
-    b = Fraction(b)
-    scale = math.lcm(b.denominator, *(v.denominator for v in coeffs.values()))
-    return (
-        {c: v.numerator * (scale // v.denominator) for c, v in coeffs.items()},
-        b.numerator * (scale // b.denominator),
-    )
+    """One equation scaled to integers: ({column: coefficient}, right-hand side).
+
+    Ints, numpy integers and Fractions all carry a numerator and a
+    denominator; int() widens a numpy one, which would wrap at 64 bits."""
+    coeffs = {c: (int(v.numerator), int(v.denominator)) for c, v in enumerate(row) if v}
+    b_num, b_den = int(b.numerator), int(b.denominator)
+    scale = math.lcm(b_den, *(den for _, den in coeffs.values()))
+    return {c: num * (scale // den) for c, (num, den) in coeffs.items()}, b_num * (scale // b_den)
 
 
 def _eliminate(
@@ -712,11 +712,12 @@ def solve_rational_linear(
 ) -> RationalSolution:
     """Exact elimination over the rationals; rank decisions are exact.
 
-    Entries may be ints or Fractions.  Each equation is scaled to integers
-    and kept as its non-zeros; elimination is fraction-free, each row
-    divided by the gcd of its entries, and a Fraction is formed only for
-    each final unknown.  Never raises on rank defects: the returned status
-    distinguishes unique / underdetermined / inconsistent.
+    Entries may be ints, numpy integers or Fractions.  Each equation is
+    scaled to integers and kept as its non-zeros; elimination is
+    fraction-free, each row divided by the gcd of its entries, and a
+    Fraction is formed only for each final unknown.  Never raises on rank
+    defects: the returned status distinguishes unique / underdetermined /
+    inconsistent.
     """
     if len(matrix) != len(rhs):
         raise ValueError(f"{len(matrix)} rows but {len(rhs)} right-hand sides")

@@ -115,10 +115,6 @@ class Component:
     family: Optional[Family]
     n: int
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.family is not None
-
     def describe(self, g: BackboneGraph) -> str:
         chain = " + ".join(str(g.blocks[i]) for i in self.indices)
         if self.family is None:
@@ -135,10 +131,6 @@ class SolverOutcome:
     x_values: Optional[dict[tuple[int, int], Fraction]] = None
     dof: Optional[int] = None
     generators: Optional[GeneratorSet] = None
-
-    @property
-    def is_valid(self) -> bool:
-        return self.verdict is Verdict.VALID
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +303,15 @@ def _classify_component(g: BackboneGraph, indices: tuple[int, ...]) -> Component
     n = len(indices)
     if n == 1:
         return Component(indices, None, 1)
-    degrees = {i: [m for m in g.neighbors(i) if m in indices] for i in indices}
-    ends = [i for i in indices if len(degrees[i]) == 1]
-    if len(ends) != 2 or any(len(degrees[i]) > 2 for i in indices):
+    nbrs = {i: g.neighbors(i) for i in indices}
+    ends = [i for i in indices if len(nbrs[i]) == 1]
+    if len(ends) != 2 or any(len(nbrs[i]) > 2 for i in indices):
         return Component(indices, None, n)
-    # Walk the path from one end.
-    order = [ends[0]]
-    prev = None
+    # A connected component with two ends and no degree above two is a
+    # path: walk it from one end, each step leaving by the other neighbour.
+    order = [ends[0], nbrs[ends[0]][0]]
     while len(order) < n:
-        nxt = [m for m in degrees[order[-1]] if m != prev]
-        if len(nxt) != 1:
-            return Component(indices, None, n)
-        prev = order[-1]
-        order.append(nxt[0])
+        order.append(next(m for m in nbrs[order[-1]] if m != order[-2]))
     # On canonical labels, a path through every block with only compatible
     # steps is monotone, so its family is that of its labels.
     if any(compatibility(g.blocks[p], g.blocks[q]) is None for p, q in zip(order, order[1:])):
@@ -376,14 +364,18 @@ def solve_and_verify(
 ) -> SolverOutcome:
     """Run the full validation pipeline on a proposed backbone.
 
-    With ``allow_noncanonical`` the chain-classification requirement is
-    waived and the chord-sign gauges are searched, up to
+    The default mode assembles only the fixed gauge, the first of the
+    gauge patterns.  With ``allow_noncanonical`` the chain-classification
+    requirement is waived and the chord-sign gauges are searched, up to
     `MAX_GAUGE_PATTERNS` of them, so the verdict becomes "does any
     Hermitian/anti-Hermitian representation exist with couplings exactly
     on these edges", canonical or not; a search that runs out of budget
     ends with a search-budget-exhausted witness instead.
     """
     components = decompose(g)
+
+    def invalid(kind: WitnessKind, message: str, data: tuple = (), **found) -> SolverOutcome:
+        return SolverOutcome(Verdict.INVALID, Witness(kind, message, data), components, **found)
 
     witness = structural_checks(g)
     if witness is not None:
@@ -392,23 +384,21 @@ def solve_and_verify(
     paths = unique_nonmonotonic_paths(g)
     if paths:
         i, k, j = paths[0]
-        witness = Witness(
+        return invalid(
             WitnessKind.NONMONOTONIC_PATH,
             f"blocks {i}-{k}-{j} ({g.blocks[i]}-{g.blocks[k]}-{g.blocks[j]}) form "
             "the only path between their endpoints and change direction",
             tuple(paths),
         )
-        return SolverOutcome(Verdict.INVALID, witness, components)
 
     system = build_onbd_system(g)
     solution = solve_rational_linear(system.rows, system.rhs)
     if solution.status == "inconsistent":
-        witness = Witness(
+        return invalid(
             WitnessKind.LINEAR_INCONSISTENT,
             "the block-diagonal commutator identities admit no solution "
             "for the edge coupling products",
         )
-        return SolverOutcome(Verdict.INVALID, witness, components)
     if solution.status == "underdetermined":
         return SolverOutcome(
             Verdict.UNDERDETERMINED, None, components, dof=solution.dof
@@ -418,39 +408,25 @@ def solve_and_verify(
     for e, x in x_values.items():
         required = system.required_sign[e]
         if x == 0:
-            witness = Witness(
+            return invalid(
                 WitnessKind.DEAD_EDGE,
                 f"edge {e} is forced to zero coupling: the claimed connection "
                 "cannot be realised",
                 (e,),
+                x_values=x_values,
             )
-            return SolverOutcome(Verdict.INVALID, witness, components, x_values=x_values)
         if (x > 0) != (required > 0):
-            witness = Witness(
+            return invalid(
                 WitnessKind.SIGN_VIOLATION,
                 f"edge {e} needs sign {required:+d} for its product "
                 f"t_PQ t_QP but the system forces {x}",
                 (e,),
+                x_values=x_values,
             )
-            return SolverOutcome(Verdict.INVALID, witness, components, x_values=x_values)
 
-    if allow_noncanonical:
-        patterns = _gauge_patterns(g)
-    else:
-        patterns = [{e: 1 for e in system.edges}]
-    has_cycle = len(g.edges) > g.nblocks - len(components)
-
+    patterns = _gauge_patterns(g)
     best_residual = math.nan
-    for tried, pattern in enumerate(patterns):
-        if tried == MAX_GAUGE_PATTERNS:
-            witness = Witness(
-                WitnessKind.SEARCH_BUDGET,
-                f"the chord-sign search stopped after {tried} gauge patterns "
-                f"(best residual {best_residual:.3e}) with patterns left untried; "
-                "this does not show that no gauge works",
-                (tried, best_residual),
-            )
-            return SolverOutcome(Verdict.INVALID, witness, components, x_values=x_values)
+    for pattern in itertools.islice(patterns, MAX_GAUGE_PATTERNS if allow_noncanonical else 1):
         t_map = {}
         for e, x in x_values.items():
             forward = pattern[e] * math.sqrt(abs(float(x)))
@@ -464,18 +440,15 @@ def solve_and_verify(
             if math.isnan(best_residual) or residual < best_residual:
                 best_residual = residual
             continue
-        noncanonical = [c for c in components if not c.is_canonical]
+        noncanonical = [c for c in components if c.family is None]
         if noncanonical and not allow_noncanonical:
-            bad = noncanonical[0]
-            witness = Witness(
+            return invalid(
                 WitnessKind.NONCANONICAL_COMPONENT,
                 "the assembled matrices verify, but component "
-                f"{bad.describe(g)} is not a canonical chain; only direct "
+                f"{noncanonical[0].describe(g)} is not a canonical chain; only direct "
                 "sums of canonical chains are certified valid",
                 tuple(c.indices for c in noncanonical),
-            )
-            return SolverOutcome(
-                Verdict.INVALID, witness, components, x_values=x_values
+                x_values=x_values,
             )
         return SolverOutcome(
             Verdict.VALID,
@@ -486,15 +459,23 @@ def solve_and_verify(
             generators=gens,
         )
 
-    hint = (
-        "; the structure contains cycles and the chord-sign search is off"
-        if has_cycle and not allow_noncanonical
-        else ""
-    )
-    witness = Witness(
+    # A pattern left untried means chords: the search ran out of budget, or
+    # the default mode met cycles, whose chord signs it does not search.
+    untried = next(patterns, None) is not None
+    if untried and allow_noncanonical:
+        return invalid(
+            WitnessKind.SEARCH_BUDGET,
+            f"the chord-sign search stopped after {MAX_GAUGE_PATTERNS} gauge patterns "
+            f"(best residual {best_residual:.3e}) with patterns left untried; "
+            "this does not show that no gauge works",
+            (MAX_GAUGE_PATTERNS, best_residual),
+            x_values=x_values,
+        )
+    hint = "; the structure contains cycles and the chord-sign search is off" if untried else ""
+    return invalid(
         WitnessKind.CR_FAILURE,
         "the solved couplings do not satisfy the commutation relations "
         f"(best residual {best_residual:.3e}); off-diagonal cancellation "
         f"fails{hint}",
+        x_values=x_values,
     )
-    return SolverOutcome(Verdict.INVALID, witness, components, x_values=x_values)

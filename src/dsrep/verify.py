@@ -127,13 +127,11 @@ def check_all_crs(g: GeneratorSet) -> dict[str, float]:
 
 
 def hermitian_signs(algebra: Algebra) -> dict[str, int]:
-    """+1 for generators required Hermitian, -1 for anti-Hermitian."""
-    signs = {"Jx": 1, "Jy": 1, "Jz": 1, "Kx": -1, "Ky": -1, "Kz": -1}
-    if algebra is Algebra.DE_SITTER:
-        signs.update({"Vx": 1, "Vy": 1, "Vz": 1, "Vt": -1})
-    else:
-        signs.update({"Vx": -1, "Vy": -1, "Vz": -1, "Vt": 1})
-    return signs
+    """+1 for generators required Hermitian, -1 for anti-Hermitian; the V
+    carry `_v_sign`, Vt its opposite."""
+    s = int(_v_sign(algebra))
+    return {"Jx": 1, "Jy": 1, "Jz": 1, "Kx": -1, "Ky": -1, "Kz": -1,
+            "Vx": s, "Vy": s, "Vz": s, "Vt": -s}
 
 
 def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
@@ -307,9 +305,10 @@ def build_report(g: GeneratorSet, cr_tolerance: float = CR_TOLERANCE) -> Verific
     """
     with np.errstate(all="ignore"):
         casimir1_scalar = scalar_check(casimir1_matrix(g), C1_SCALAR_TOLERANCE)
+        # A canonical chain lists each label once, so it has no duplicates.
         spec = classify_canonical_chain(g.backbone.blocks)
         p = q = closed_form = None
-        if spec is not None and not g.backbone.has_duplicates():
+        if spec is not None:
             neg_c1, neg_c2, p, q = casimir_invariants_closed_form(spec)
             closed_form = (-neg_c1, -neg_c2)
         return VerificationReport(

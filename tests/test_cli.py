@@ -259,6 +259,15 @@ class TestVerify:
         assert main(["verify", str(out), "--tolerance", "1e-12"]) == 0
         assert "(tolerance 1e-12)" in capsys.readouterr().out
 
+    def test_json_names_both_tolerances(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["generate", "b", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out), "--tolerance", "1e-6", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cr_tolerance"] == 1e-6
+        assert report["hermiticity_tolerance"] == 1e-11
+
     def test_verify_reports_casimirs(self, tmp_path, capsys):
         out = tmp_path / "rep6.json"
         main(["generate", "a", "4", "--out", str(out)])
@@ -862,14 +871,34 @@ class TestFuzz:
         assert main([command, str(path)]) in (0, 1, 2)
 
 
-def test_python_dash_m_runs_the_cli():
+def _module_env() -> dict:
+    """The environment for `python -m dsrep` with this checkout's package."""
     import dsrep
 
     src = str(Path(dsrep.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [sys.executable, "-m", "dsrep", "tables"], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        env=_module_env(), timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / "tables.txt").read_text()
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # The document (about 130 kB) outgrows the pipe buffer, so the writer
+    # is still writing when the reader goes away.
+    with subprocess.Popen(
+        [sys.executable, "-m", "dsrep", "generate", "a", "8"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=_module_env(),
+    ) as proc:
+        assert proc.stdout.read(10).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 2, err
+    assert "Traceback" not in err

@@ -480,6 +480,15 @@ class TestIntegerSolveAgainstFractionOracle:
         assert want.status == kind
         assert solve_rational_linear(rows, rhs) == want
 
+    def test_numpy_integers_match_the_oracle(self):
+        # Products of these entries pass 2**63, where numpy integers wrap.
+        rows = [[3000000007, 2999999999], [2999999989, 3000000001]]
+        rhs = [1, 2]
+        want = fraction_solve(rows, rhs)
+        assert want.solution[0] == Fraction(-2999999997, 59999999996)
+        wide = [[np.int64(v) for v in row] for row in rows], [np.int64(b) for b in rhs]
+        assert solve_rational_linear(*wide) == want
+
     def test_empty_and_zero_column_systems(self):
         assert solve_rational_linear([], []) == fraction_solve([], [])
         assert solve_rational_linear([[]], [0]) == fraction_solve([[]], [0])

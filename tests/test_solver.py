@@ -301,6 +301,26 @@ class TestCyclicStructures:
         [component] = out.components
         assert component.family is None
 
+    def test_default_mode_assembles_only_the_fixed_gauge(self, monkeypatch):
+        import dsrep.solver as solver
+
+        couplings = []
+
+        def recording(g, t, algebra):
+            couplings.append(t)
+            return assemble(g, t, algebra)
+
+        assemble = solver.assemble
+        monkeypatch.setattr(solver, "assemble", recording)
+        g = BackboneGraph.make(self.DIAMOND_BLOCKS, self.DIAMOND_EDGES)
+        solve_and_verify(g)
+        [t] = couplings
+        assert all(forward > 0 for forward, _ in t.values())
+        couplings.clear()
+        # one chord: the all-plus pattern fails, the second one verifies
+        solve_and_verify(g, allow_noncanonical=True)
+        assert len(couplings) == 2
+
     def test_search_budget_gives_its_own_witness(self, monkeypatch):
         import dsrep.solver as solver
 
