@@ -162,6 +162,9 @@ def _cmd_tables(_args) -> int:
 def _cmd_validate(args) -> int:
     graph, algebra = backbone_from_doc(load_json(args.input))
     outcome = solve_and_verify(graph, algebra)
+    duplicates = sorted(
+        (label, count) for label, count in graph.label_multiplicities().items() if count > 1
+    )
     if args.format == "json":
         payload = {
             "verdict": outcome.verdict.value,
@@ -181,6 +184,9 @@ def _cmd_validate(args) -> int:
             "t": None if outcome.t_values is None else [
                 {"edge": list(k), "value": v} for k, v in sorted(outcome.t_values.items())
             ],
+            "duplicates": [
+                {"A": str(label.a), "B": str(label.b), "count": count} for label, count in duplicates
+            ],
         }
         print(_dumps(payload))
     else:
@@ -192,13 +198,8 @@ def _cmd_validate(args) -> int:
         print("components:")
         for c in outcome.components:
             print(f"  {c.describe(graph)}")
-        duplicates = {
-            label: count
-            for label, count in graph.label_multiplicities().items()
-            if count > 1
-        }
         if duplicates:
-            rendered = ", ".join(f"{label} x{count}" for label, count in sorted(duplicates.items()))
+            rendered = ", ".join(f"{label} x{count}" for label, count in duplicates)
             print(f"duplicate blocks: {rendered}")
         if outcome.t_values:
             print("couplings:")

@@ -296,7 +296,11 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
     algebra = _parse_algebra(doc.get("algebra"))
     if "backbone" not in doc:
         raise DocumentError("generator document missing 'backbone'")
-    backbone, _ = backbone_from_doc(doc["backbone"])
+    backbone, named = backbone_from_doc(doc["backbone"])
+    if doc["backbone"].get("algebra") is not None and named is not algebra:
+        raise DocumentError(
+            f"the document's algebra is {algebra.value!r} but its backbone's is {named.value!r}"
+        )
     dim = backbone.dim
 
     t_map: dict[tuple[int, int], float] = {}

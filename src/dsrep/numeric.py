@@ -14,16 +14,16 @@ packed (key, position) words.
 
 Each sum is split into a symbolic half, a `_Plan` (which entries each
 term multiplies, the sort, and the output slot of each term), which
-depends only on the key patterns of the factors and on which right
-factors are one matrix, and a numeric half: gather, multiply and sum per
-slot.  In a sum of more than PRODUCT_TERMS terms, or a relation of more
-than half as many, the products whose left factors share a key pattern,
-and whose right factors do, are one expansion, and `residual_norms`
-reuses one plan for consecutive relations with the same patterns.  The
-summation order is then: the products of one pattern pair are added
-term by term, in the order they are listed, and the terms are summed
-per key in input order (in smaller sums, every product is its own
-expansion).  No plan outlives the call that made it.
+depends only on the key patterns of the factors, and a numeric half:
+gather, multiply and sum per slot.  In a sum of more than PRODUCT_TERMS
+terms, or a relation of more than half as many, the products whose left
+factors share a key pattern, and whose right factors do, are one
+expansion, and `residual_norms` reuses one plan for consecutive
+relations with the same patterns.  The summation order is then: the
+products of one pattern pair are added term by term, in the order they
+are listed, and the terms are summed per key in input order (in smaller
+sums, every product is its own expansion).  No plan outlives the call
+that made it.
 
 The exact linear solve eliminates over integers and forms a
 ``fractions.Fraction`` only for each final unknown.
@@ -31,11 +31,12 @@ The exact linear solve eliminates over integers and forms a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -321,28 +322,21 @@ def _sum_sorted(vals: np.ndarray, order: np.ndarray, starts: Optional[np.ndarray
     return vals if starts is None else np.add.reduceat(vals, starts)
 
 
-class _PatternNumbers(dict):
-    """Each matrix looked up to a number, the same for matrices with equal
-    reduced key arrays, numbered in the order of first lookup.  Key
-    arrays are compared only where their sizes match."""
+def _pattern_numbers() -> Callable[["Sparse"], int]:
+    """A lookup for one call: each matrix's number, the same for matrices
+    with equal reduced keys, in the order of first lookup, kept per matrix."""
+    seen: list[np.ndarray] = []
 
-    def __init__(self):
-        super().__init__()
-        self._sized: dict[int, list[tuple[np.ndarray, int]]] = {}
-        self._count = 0
-
-    def __missing__(self, m: "Sparse") -> int:
+    @functools.cache
+    def number(m: "Sparse") -> int:
         keys = m.reduced().keys
-        known = self._sized.setdefault(keys.size, [])
-        for other, number in known:
-            if (other == keys).all():
-                break
-        else:
-            number = self._count
-            self._count += 1
-            known.append((keys, number))
-        self[m] = number
-        return number
+        for p, known in enumerate(seen):
+            if known.size == keys.size and (known == keys).all():
+                return p
+        seen.append(keys)
+        return len(seen) - 1
+
+    return number
 
 
 # Terms one reduction sorts, unless one relation, or one row of a
@@ -354,22 +348,17 @@ class _PatternNumbers(dict):
 PRODUCT_TERMS = 1 << 13
 
 
-def _stack(products) -> tuple[list[int], list[int], tuple[np.ndarray, ...]]:
-    """(slot, offsets, spans): the slot of each (t, c, a, b) product's right
-    factor among the distinct right factors, and their `Sparse._row_spans`
-    stacked in slot order, each factor's entries from offsets[slot] on."""
-    distinct = {id(b): b for *_, b in products}
-    slots = {key: s for s, key in enumerate(distinct)}
-    slot = [slots[id(b)] for *_, b in products]
-    rights = [b._row_spans() for b in distinct.values()]
+def _stack(products) -> tuple[list[int], tuple[np.ndarray, ...]]:
+    """(offsets, spans): the `Sparse._row_spans` of the right factor of each
+    (t, c, a, b) product, stacked in product order, those of product p from
+    offsets[p] on; no spans where there are no products."""
+    rights = [b._row_spans() for *_, b in products]
     offsets = list(accumulate([right[2].size for right in rights], initial=0))
-    if len(rights) < 2:
-        empty = np.zeros(0, dtype=np.intp)
-        return slot, offsets, rights[0] if rights else (empty, empty, empty, np.zeros(0, dtype=complex))
-    return slot, offsets, (
-        np.concatenate([right[0] + offset for right, offset in zip(rights, offsets)]),
-        *(np.concatenate(parts) for parts in list(zip(*rights))[1:]),
-    )
+    if not rights:
+        return offsets, ()
+    start, *rest = (np.concatenate(parts) for parts in zip(*rights))
+    start += np.repeat(offsets[:-1], products[0][3].n)
+    return offsets, (start, *rest)
 
 
 def _scaled(parts) -> np.ndarray:
@@ -383,8 +372,7 @@ def _scaled(parts) -> np.ndarray:
 
 class _Plan(NamedTuple):
     """The symbolic half of one reduction: all that depends only on the key
-    patterns of its factors and on which right factors are one matrix,
-    not on any value.
+    patterns of its factors, not on any value.
 
     Products of one sum whose left factors share a key pattern, and whose
     right factors do, share one expansion: each left entry (i, k) over the
@@ -417,7 +405,7 @@ def _plan(n: int, sums: int, products, pairs, singles, stack) -> _Plan:
     Sum t adds c * (a @ b) over its (t, c, a, b) products and c * m, or
     c * dagger(m) where adjoint is true, over its (t, c, m, adjoint)
     singles.  pairs[p], where given, is (pattern of a, pattern of b) of
-    product p, as `_PatternNumbers` numbers them, and the products of one
+    product p, as `_pattern_numbers` numbers them, and the products of one
     sum with one pair share an expansion; without pairs each product is
     its own.  `stack` is `_stack` of the products.
     """
@@ -433,15 +421,14 @@ def _plan(n: int, sums: int, products, pairs, singles, stack) -> _Plan:
     per = where = np.zeros(0, dtype=np.intp)
     layers: list[int] = []
     if members:
-        slot, offsets, (start, count, cols, _) = stack
+        offsets, (start, count, cols, _) = stack
         firsts = members[0]
         lefts = [products[p][2]._entry_split() for p in firsts]
         sizes = [left[0].size for left in lefts]
         prefix, row = (np.concatenate([left[i] for left in lefts]) for i in (0, 1))
         if sums > 1:
             prefix += np.repeat(np.array([products[p][0] for p in firsts]) * (n * n), sizes)
-        if len(offsets) > 2:
-            row += np.repeat(np.array([slot[p] for p in firsts]) * n, sizes)
+        row += np.repeat(np.array(firsts) * n, sizes)
         per = count[row]
         ends = np.cumsum(per)
         where = np.repeat(start[row] + per - ends, per)
@@ -458,7 +445,7 @@ def _plan(n: int, sums: int, products, pairs, singles, stack) -> _Plan:
             left_ends = list(accumulate(sizes, initial=0))
             term_ends = np.concatenate(([0], ends))[left_ends].tolist()
             layers += [term_ends[len(layer)] for layer in members[1:]]
-            shift = [offsets[slot[p]] - offsets[slot[f]] for layer in members for p, f in zip(layer, firsts)]
+            shift = [offsets[p] - offsets[f] for layer in members for p, f in zip(layer, firsts)]
             spans = [term_ends[e + 1] - term_ends[e] for layer in members for e in range(len(layer))]
             per = np.concatenate([per[:left_ends[len(layer)]] for layer in members])
             where = np.concatenate([where[:size] for size in layers])
@@ -484,7 +471,7 @@ def _apply(plan: _Plan, products, singles, stack) -> tuple[np.ndarray, np.ndarra
     if plan.layered:
         parts = [products[p] for p in plan.layered]
         terms = np.repeat(_scaled([(c, a._entry_split()[2]) for _, c, a, _ in parts]), plan.per)
-        terms *= stack[2][3][plan.where]
+        terms *= stack[1][3][plan.where]
         done = plan.layers[0]
         for size in plan.layers[1:]:
             terms[:size] += terms[done:done + size]
@@ -506,12 +493,6 @@ def _transposed_keys(m: "Sparse") -> np.ndarray:
     return col
 
 
-def _may_share(products) -> bool:
-    """Whether two of the (t, c, a, b) products have factors of equal sizes."""
-    sizes = [(a.keys.size, b.keys.size) for *_, a, b in products]
-    return len(set(sizes)) < len(sizes)
-
-
 def _terms(n: int, products) -> int:
     """About how many terms the (..., a, b) products make."""
     return sum([a.keys.size * (b.keys.size // n + 1) for *_, a, b in products])
@@ -521,14 +502,13 @@ def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse"
     """The sum of c * (a @ b) over the (c, a, b) terms, reduced.
 
     Each c scales the entries of a.  Where the products make more than
-    PRODUCT_TERMS terms and two of them have factors of equal sizes,
-    products whose left factors share a key pattern, and whose right
-    factors do, are expanded once, and their terms are added term by
-    term, in the order of the terms, before the one sort.  The products
-    are formed for a run of rows at a time and reduced before the next
-    run.  A run sorts about PRODUCT_TERMS terms, or the terms of one row
-    if that row makes more, so the working memory stays bounded however
-    large the operands are; each entry's terms all fall in one run.
+    PRODUCT_TERMS terms, products whose left factors share a key pattern,
+    and whose right factors do, are expanded once, and their terms are
+    added term by term, in the order of the terms, before the one sort.
+    The products are formed for a run of rows at a time and reduced before
+    the next run.  A run sorts about PRODUCT_TERMS terms, or the terms of
+    one row if that row makes more, so the working memory stays bounded
+    however large the operands are; each entry's terms all fall in one run.
     """
     factors = [m for _, a, b in terms for m in (a, b)]
     if not all(isinstance(m, Sparse) for m in factors):
@@ -540,18 +520,18 @@ def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse"
     pairs = None
     firsts = range(len(products))
     made = _terms(n, products)
-    if made > PRODUCT_TERMS and _may_share(products):
+    if made > PRODUCT_TERMS:
         # below that, one sort of every term costs less than sharing
-        numbers = _PatternNumbers()
-        pairs = [(numbers[a], numbers[b]) for *_, a, b in products]
+        number = _pattern_numbers()
+        pairs = [(number(a), number(b)) for *_, a, b in products]
         firsts = [pairs.index(pair) for pair in dict.fromkeys(pairs)]
         made = _terms(n, [products[p] for p in firsts])
-    stack = slot, _, (_, count, _, _) = _stack(products)
+    stack = _, (_, count, _, _) = _stack(products)
     bounds = [0, n]
     if made > PRODUCT_TERMS:
-        lefts = [(products[p][2], slot[p]) for p in firsts]
+        lefts = [(products[p][2], p) for p in firsts]
         per_row = sum(
-            np.bincount(a.keys // n, count[a._entry_split()[1] + s * n], minlength=n) for a, s in lefts
+            np.bincount(a.keys // n, count[a._entry_split()[1] + p * n], minlength=n) for a, p in lefts
         ).astype(np.intp)
         run = (np.cumsum(per_row) - 1) // PRODUCT_TERMS
         bounds = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), n]
@@ -586,9 +566,8 @@ def residual_norms(n: int, relations) -> list[float]:
     each relation share expansions by key pattern, as in `product_sum`,
     and relations whose factors have the same patterns in the same places
     are taken one after another, from where the first of them stands; a
-    group whose relations have the patterns, and the same layout of right
-    factors, of the group before it reuses that group's `_Plan`.  No
-    other plan is kept.
+    group whose relations have the patterns of the group before it reuses
+    that group's `_Plan`.  No other plan is kept.
     """
     relations = list(relations)
     made = [
@@ -600,10 +579,10 @@ def residual_norms(n: int, relations) -> list[float]:
     if max(made, default=0) > PRODUCT_TERMS // 2:
         # smaller relations are summed several to a sort, which costs
         # less than finding their patterns
-        numbers = _PatternNumbers()
-        pairs = [[(numbers[a], numbers[b]) for _, a, b in products] for products, _ in relations]
+        number = _pattern_numbers()
+        pairs = [[(number(a), number(b)) for _, a, b in products] for products, _ in relations]
         patterns = [
-            (tuple(shared), tuple([(numbers[m], adjoint) for _, m, adjoint in singles]))
+            (tuple(shared), tuple([(number(m), adjoint) for _, m, adjoint in singles]))
             for shared, (_, singles) in zip(pairs, relations)
         ]
         first: dict[tuple, int] = {}
@@ -632,7 +611,7 @@ def residual_norms(n: int, relations) -> list[float]:
             plan = _plan(n, len(group), products, None, singles, stack)
         else:
             shared = [pair for r in group for pair in pairs[r]]
-            signature = ([patterns[r] for r in group], stack[0])
+            signature = [patterns[r] for r in group]
             if signature != held:
                 plan = None  # one plan at a time
                 plan, held = _plan(n, len(group), products, shared, singles, stack), signature

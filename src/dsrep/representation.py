@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -138,10 +139,7 @@ class BackboneGraph:
         return sorted(out)
 
     def label_multiplicities(self) -> dict[BlockLabel, int]:
-        counts: dict[BlockLabel, int] = {}
-        for b in self.blocks:
-            counts[b] = counts.get(b, 0) + 1
-        return counts
+        return Counter(self.blocks)
 
     def has_duplicates(self) -> bool:
         return any(c > 1 for c in self.label_multiplicities().values())

@@ -325,10 +325,10 @@ FORMATS = (1, 2)
 _FIELDS = ("row", "col", "re", "im")
 
 
-def _generated_doc(tmp_path, capsys, family="a", n="3", fmt=2):
+def _generated_doc(tmp_path, capsys, family="a", n="3", fmt=2, algebra="ds"):
     """The document `generate` writes (format 2), or its format-1 twin."""
     path = tmp_path / "rep.json"
-    assert main(["generate", family, n, "--out", str(path)]) == 0
+    assert main(["generate", family, n, "--algebra", algebra, "--out", str(path)]) == 0
     capsys.readouterr()
     doc = load_json(path)
     return doc if fmt == 2 else format1_doc(generators_from_doc(doc))
@@ -469,6 +469,33 @@ class TestMalformedDocuments:
             errors.append(captured.err)
         if same_message:
             assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("top", ["ds", "ads"])
+    def test_generator_document_naming_two_algebras(self, tmp_path, capsys, top):
+        # generated in one algebra, with the other named at the top level
+        # or in the backbone: neither reading of the document is the right one
+        other = {"ds": "ads", "ads": "ds"}[top]
+        for fmt in FORMATS:
+            doc = _generated_doc(tmp_path, capsys, family="b", fmt=fmt, algebra=top)
+            doc["backbone"]["algebra"] = other
+            path = tmp_path / "two_algebras.json"
+            path.write_text(json.dumps(doc))
+            assert main(["verify", str(path)]) == 2, fmt
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: the document's algebra is {top!r} but its backbone's is {other!r}\n"
+            ), fmt
+            assert captured.out == ""
+
+    def test_backbone_without_algebra_takes_the_documents(self, tmp_path, capsys):
+        for fmt in FORMATS:
+            doc = _generated_doc(tmp_path, capsys, family="b", fmt=fmt, algebra="ads")
+            del doc["backbone"]["algebra"]
+            path = tmp_path / "one_algebra.json"
+            path.write_text(json.dumps(doc))
+            assert main(["verify", str(path), "--format", "json"]) == 0, fmt
+            report = json.loads(capsys.readouterr().out)
+            assert report["algebra"] == "ads" and report["passed"], fmt
 
     @pytest.mark.parametrize(
         "breakage",
@@ -770,6 +797,20 @@ class TestValidate:
         assert code == 0
         assert payload["verdict"] == "valid"
         assert len(payload["components"]) == 3
+        assert payload["duplicates"] == [
+            {"A": "1/2", "B": "1/2", "count": 2}, {"A": "1", "B": "1", "count": 2},
+        ]
+
+    def test_validate_json_lists_duplicate_blocks(self, capsys):
+        path = str(FIXTURES / "valid_duplicate_crossing.json")
+        assert main(["validate", path]) == 0
+        pretty = capsys.readouterr().out
+        assert main(["validate", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["duplicates"] == [{"A": "1", "B": "1", "count": 2}]
+        assert "duplicate blocks: (1,1) x2\n" in pretty
+        main(["validate", str(FIXTURES / "reducible_b4_plus_b6.json"), "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["duplicates"] == []
 
     def test_malformed_document(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -341,8 +341,8 @@ class TestSharedPatterns:
 
     def test_plans_follow_which_right_factors_are_one_matrix(self, monkeypatch):
         # two relations with equal key patterns: one multiplies two matrices,
-        # the other one matrix by itself, so their right factors stack
-        # differently; each must be summed as if it were alone
+        # the other one matrix by itself; each must be summed as if it were
+        # alone, and, x and y sharing one mask, the two share one plan
         rng = np.random.default_rng(7)
         mask = rng.random((9, 9)) < 0.4
         x, y = (_with_pattern(mask, rng.normal(size=mask.sum()) + 1j) for _ in range(2))
@@ -357,9 +357,20 @@ class TestSharedPatterns:
                     + sum(c * (m.to_dense().conj().T if adj else m.to_dense()) for c, m, adj in singles))
             for products, singles in relations
         ]
-        for run_terms in (1, 40, 1 << 15):
+        made = []
+        planned = dsrep.numeric._plan
+
+        def counted(*args):
+            made.append(args)
+            return planned(*args)
+
+        for run_terms, plans in ((1, 2), (40, 2), (1 << 15, 1)):
             monkeypatch.setattr(dsrep.numeric, "PRODUCT_TERMS", run_terms)
+            monkeypatch.setattr(dsrep.numeric, "_plan", counted)
+            made.clear()
             together = residual_norms(9, relations)
+            assert len(made) == plans, run_terms
+            monkeypatch.setattr(dsrep.numeric, "_plan", planned)
             alone = [residual_norms(9, [relation])[0] for relation in relations]
             assert together == alone
             assert together == pytest.approx(dense, rel=1e-13, abs=1e-13)

@@ -1,9 +1,11 @@
-"""`src/dsrep` exports only what the library itself uses.
+"""`src/dsrep` exports and imports only what the library itself uses.
 
 Every name in a module's `__all__` must be loaded somewhere in
 `src/dsrep` outside its own definition, be exported by the package, or
 be a function the benchmark patches.  A name only tests call is oracle
-code and belongs in `tests/`.
+code and belongs in `tests/`.  Every name a module imports must be
+loaded in that module, except the package's re-exports and the names the
+benchmark patches there.
 """
 
 import ast
@@ -54,3 +56,36 @@ def test_every_export_is_used_by_the_library():
         if name not in used | package and (module, name) not in patched
     ]
     assert not unused, f"exported but used only outside src/dsrep: {unused}"
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """Names the module's imports bind, `from __future__` ones aside."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+
+
+def test_every_import_is_used():
+    patched = {
+        (caller.removeprefix("dsrep."), name.split(".", 1)[1])
+        for name, _, callers, _ in benchmark_boundaries()
+        for caller in callers
+    }
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue  # the package's exports
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.stem}.{name}"
+            for name in sorted(_imported(tree) - loaded)
+            if (path.stem, name) not in patched
+        ]
+    assert not unused, f"imported but never used: {unused}"
