@@ -48,9 +48,6 @@ class BlockLabel:
     def dim(self) -> int:
         return (self.a.twice + 1) * (self.b.twice + 1)
 
-    def swapped(self) -> "BlockLabel":
-        return BlockLabel(self.b, self.a)
-
 
 def concatenated_grid(
     twice_a: np.ndarray, twice_b: np.ndarray

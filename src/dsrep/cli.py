@@ -36,10 +36,6 @@ from .verify import CR_TOLERANCE, build_report
 __all__ = ["main"]
 
 
-def _algebra(value: str) -> Algebra:
-    return Algebra.ANTI_DE_SITTER if value == "ads" else Algebra.DE_SITTER
-
-
 def _tolerance(text: str) -> float:
     """A --tolerance value: a finite number above zero.  NaN, infinities,
     zero and negative values would fail every residual or pass any."""
@@ -72,7 +68,7 @@ def _dumps(payload) -> str:
 def _cmd_generate(args) -> int:
     try:
         gens = assemble_canonical(CanonicalSpec(Family(args.family), args.n),
-                                  _algebra(args.algebra))
+                                  Algebra(args.algebra))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

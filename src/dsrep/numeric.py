@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic and a minimal complex-matrix kernel.
+"""Exact half-integers, a complex-matrix kernel and an exact linear solve.
 
 Half-integers (the spins and magnetic indices used everywhere else) are
 stored exactly as twice their value.  Matrices are `Sparse`: each
@@ -57,9 +57,7 @@ class HalfInt:
     """An exact integer or half-integer, stored as twice its value.
 
     ``HalfInt(3)`` is the number 3/2; ``HalfInt(4)`` is the number 2.
-    Addition, subtraction and negation are closed; multiplication is
-    defined only by an integer (a product of two half-integers is in
-    general a quarter-integer and is not representable).
+    Values order as the numbers they stand for.
     """
 
     twice: int
@@ -72,16 +70,11 @@ class HalfInt:
 
     @classmethod
     def coerce(cls, value) -> "HalfInt":
-        """Accept a HalfInt, an int, or a Fraction with denominator 1 or 2."""
+        """Accept a HalfInt or an int."""
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, (int, np.integer)):
             return cls(2 * int(value))
-        if isinstance(value, Fraction):
-            doubled = 2 * value
-            if doubled.denominator == 1:
-                return cls(int(doubled))
-            raise ValueError(f"{value} is not an integer or half-integer")
         raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
     @classmethod
@@ -105,15 +98,9 @@ class HalfInt:
 
     # -- queries -------------------------------------------------------------
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     @property
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -122,29 +109,6 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice})"
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(HalfInt.coerce(other).twice - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __mul__(self, other) -> "HalfInt":
-        if isinstance(other, (int, np.integer)):
-            return HalfInt(self.twice * int(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

@@ -144,12 +144,6 @@ class BackboneGraph:
     def has_duplicates(self) -> bool:
         return any(c > 1 for c in self.label_multiplicities().values())
 
-    def reversed(self) -> "BackboneGraph":
-        n = self.nblocks
-        remap = lambda i: n - 1 - i
-        edges = frozenset(_normalize_edge((remap(a), remap(b)), n) for a, b in self.edges)
-        return BackboneGraph(tuple(reversed(self.blocks)), edges)
-
 
 # ---------------------------------------------------------------------------
 # Canonical chains
@@ -272,12 +266,6 @@ class GeneratorSet:
         """Generator name -> a dense dim x dim array (made on each call)."""
         return {name: m.to_dense() for name, m in self.matrices().items()}
 
-    def block_offsets(self) -> list[int]:
-        offsets = [0]
-        for b in self.backbone.blocks:
-            offsets.append(offsets[-1] + b.dim)
-        return offsets
-
 
 def _as_pair_map(
     backbone: BackboneGraph,
@@ -303,15 +291,13 @@ def assemble(
     backbone: BackboneGraph,
     t: Mapping,
     algebra: Algebra = Algebra.DE_SITTER,
-    validate_t: bool = True,
 ) -> GeneratorSet:
     """Build the ten generator matrices for a backbone with given couplings.
 
     t maps each edge (i, j) to the pair (t_ij, t_ji), or each ordered pair
-    to its scalar.  With validate_t the Hermiticity sign rule between the
-    two scalars of every edge is enforced (t_ij = -t_ji on ++/-- edges,
-    t_ij = +t_ji on +-/-+ edges); disabling it permits deliberately broken
-    inputs for testing.
+    to its scalar.  The two scalars of every edge must obey the
+    Hermiticity sign rule (t_ij = -t_ji on ++/-- edges, t_ij = +t_ji on
+    +-/-+ edges); a ValueError names the first edge that breaks it.
 
     Only the edge checks loop in Python.  J and K of every block come from
     one array pass over the backbone (`blocks.direct_sum_cartesian`), the
@@ -331,13 +317,12 @@ def assemble(
             raise ValueError(f"edge ({i}, {j}) joins incompatible blocks {p}, {q}")
         t_ij = tmap[(i, j)]
         t_ji = tmap[(j, i)]
-        if validate_t:
-            expected = t_sign_relation(case) * t_ij
-            if not math.isclose(t_ji, expected, rel_tol=1e-12, abs_tol=1e-300):
-                raise ValueError(
-                    f"couplings on edge ({i}, {j}) violate the Hermiticity sign "
-                    f"rule for case {case}: t_ji={t_ji}, expected {expected}"
-                )
+        expected = t_sign_relation(case) * t_ij
+        if not math.isclose(t_ji, expected, rel_tol=1e-12, abs_tol=1e-300):
+            raise ValueError(
+                f"couplings on edge ({i}, {j}) violate the Hermiticity sign "
+                f"rule for case {case}: t_ji={t_ji}, expected {expected}"
+            )
         pairs += [(i, j), (j, i)]
         scales += [t_ij, t_ji]
 

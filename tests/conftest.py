@@ -26,6 +26,13 @@
 - `dense_assemble`: the ten generators assembled into zero-filled dense
   dim x dim arrays from those loop oracles, the byte-exact reference for
   the non-zeros `dsrep.representation.assemble` stores.
+  `dense_generator_set` makes a `GeneratorSet` of them, for couplings that
+  break the Hermiticity sign rule `assemble` enforces.
+- `Rectangles` and `dense_rectangles`: the eight coupling rectangles of
+  one compatible pair, dense, from `dsrep.coupling.edge_ladders`.
+- `swapped`, `reversed_backbone` and `block_offsets`: a label with A and
+  B exchanged, a backbone with its blocks in reverse order, and the
+  offsets of a generator set's blocks.
 - `format1_doc`: the entry-list generator document (format 1) that
   `generate` wrote before the columnar format 2, still read by `verify`.
 - `fraction_solve`: Gauss-Jordan elimination over Fractions on dense
@@ -43,16 +50,18 @@ import functools
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from dsrep.blocks import BlockLabel, hla_cartesian
-from dsrep.coupling import compatibility
+from dsrep.coupling import compatibility, edge_ladders
 from dsrep.io import generators_to_doc
 from dsrep.numeric import HalfInt, RationalSolution, Sparse
 from dsrep.representation import (
     Algebra,
     BackboneGraph,
+    GeneratorSet,
     assemble_canonical,
     first_ten_specs,
 )
@@ -336,7 +345,7 @@ def spin_indices(a_max: HalfInt) -> list[HalfInt]:
     """Magnetic indices of the spin-A irrep in the fixed descending order A, ..., -A."""
     if a_max.twice < 0:
         raise ValueError(f"spin must be non-negative, got {a_max}")
-    return half_int_range(-a_max, a_max)[::-1]
+    return half_int_range(HalfInt(-a_max.twice), a_max)[::-1]
 
 
 def ladder_r(a_max: HalfInt, a: HalfInt) -> float:
@@ -365,7 +374,7 @@ def su2_generators(a_max: HalfInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pos = {a.twice: i for i, a in enumerate(indices)}
     plus, minus, z = (np.zeros((n, n), dtype=complex) for _ in range(3))
     for col, a2 in enumerate(indices):
-        z[col, col] = float(a2)
+        z[col, col] = a2.twice / 2
         if a2.twice + 2 in pos:
             plus[pos[a2.twice + 2], col] = ladder_r(a_max, a2)
         if a2.twice - 2 in pos:
@@ -419,8 +428,8 @@ def loop_hla_generators(block: BlockLabel):
     jplus, jminus, jz, kplus, kminus, kz = (np.zeros((n, n), dtype=complex) for _ in range(6))
 
     for col, (a2, b2) in enumerate(grid):
-        jz[col, col] = float(a2) + float(b2)
-        kz[col, col] = -1j * (float(a2) - float(b2))
+        jz[col, col] = a2.twice / 2 + b2.twice / 2
+        kz[col, col] = -1j * (a2.twice / 2 - b2.twice / 2)
 
         up_a = (a2.twice + 2, b2.twice)
         if up_a in pos:
@@ -534,6 +543,76 @@ def dense_assemble(backbone: BackboneGraph, t, algebra: Algebra) -> dict[str, np
     if algebra is Algebra.ANTI_DE_SITTER:
         v = {name: 1j * m for name, m in v.items()}
     return {**out, **v}
+
+
+def dense_generator_set(
+    backbone: BackboneGraph, t, algebra: Algebra = Algebra.DE_SITTER
+) -> GeneratorSet:
+    """`dense_assemble` as a `GeneratorSet`, for couplings t per ordered pair
+    that need not obey the Hermiticity sign rule."""
+    dense = dense_assemble(backbone, t, algebra)
+    return GeneratorSet(
+        backbone, algebra, **{name.lower(): sparse_from_dense(m) for name, m in dense.items()},
+        t=dict(t),
+    )
+
+
+class Rectangles(NamedTuple):
+    """The eight coupling rectangles of a compatible pair (P, Q).
+
+    The *_pq members have block-P rows and block-Q columns; *_qp the
+    reverse.  uplus/uminus multiply into V+/V-, wplus/wminus into W+/W-.
+    """
+
+    uplus_pq: np.ndarray
+    uminus_pq: np.ndarray
+    wplus_pq: np.ndarray
+    wminus_pq: np.ndarray
+    uplus_qp: np.ndarray
+    uminus_qp: np.ndarray
+    wplus_qp: np.ndarray
+    wminus_qp: np.ndarray
+
+
+def dense_rectangles(p: BlockLabel, q: BlockLabel) -> Rectangles:
+    """The rectangles of `edge_ladders` on the two blocks at scale 1, once in
+    each direction, dense.
+
+    Each stored entry is written as it is (`Sparse.to_dense` reduces, which
+    would turn a -0.0 entry into +0.0).  Raises ValueError for an
+    incompatible pair.
+    """
+
+    def directed(rows: BlockLabel, cols: BlockLabel) -> list[np.ndarray]:
+        out = []
+        for m in edge_ladders((rows, cols), ((0, 1),), (1.0,)):
+            row, col = np.divmod(m.keys, m.n)
+            dense = np.zeros((rows.dim, cols.dim), dtype=complex)
+            dense[row, col - rows.dim] = m.vals
+            out.append(dense)
+        return out
+
+    return Rectangles(*directed(p, q), *directed(q, p))
+
+
+def swapped(label: BlockLabel) -> BlockLabel:
+    """The label with A and B exchanged."""
+    return BlockLabel(label.b, label.a)
+
+
+def reversed_backbone(backbone: BackboneGraph) -> BackboneGraph:
+    """The backbone with its blocks in reverse order, edges renumbered."""
+    n = backbone.nblocks
+    edges = [(n - 1 - i, n - 1 - j) for i, j in backbone.edges]
+    return BackboneGraph.make(reversed(backbone.blocks), edges)
+
+
+def block_offsets(gens: GeneratorSet) -> list[int]:
+    """The first row of each block of the generator set, then its dim."""
+    offsets = [0]
+    for block in gens.backbone.blocks:
+        offsets.append(offsets[-1] + block.dim)
+    return offsets
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import coupling_null_space_dim, dense_casimir1
+from conftest import coupling_null_space_dim, dense_casimir1, dense_rectangles
 
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
     PairCase,
     compatibility,
     t_sign_relation,
-    u_blocks,
 )
 from dsrep.io import backbone_from_doc, load_json
 from dsrep.numeric import HalfInt, max_abs
@@ -317,7 +316,7 @@ def test_criterion_10_compatibility_rule():
             else:
                 assert case is None
                 with pytest.raises(ValueError):
-                    u_blocks(other, base)
+                    dense_rectangles(other, base)
     # no non-zero displacement rectangle exists off the half-shift rule:
     # same label (the single-block argument), pure-A shifts, larger shifts
     assert coupling_null_space_dim(L(3, 3), L(3, 3)) == 0

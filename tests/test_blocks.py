@@ -9,6 +9,7 @@ from conftest import (
     loop_hla_generators,
     stored_bytes,
     su2_generators,
+    swapped,
 )
 
 from dsrep.blocks import BlockLabel, HlaGenerators, direct_sum_generators, hla_cartesian
@@ -140,12 +141,12 @@ def test_hermiticity_pattern(block):
 @pytest.mark.parametrize("block", [L(1, 2), L(2, 1), L(3, 0), L(2, 2)], ids=str)
 def test_label_swap_negates_boosts(block):
     """Swapping A and B is the index permutation that flips the sign of K."""
-    swapped = block.swapped()
+    mirror = swapped(block)
     perm = np.zeros((block.dim, block.dim))
     for idx, (a, b) in enumerate(block_grid(block)):
-        perm[flat_index(swapped, b, a), idx] = 1.0
+        perm[flat_index(mirror, b, a), idx] = 1.0
     direct = [m.to_dense() for m in hla_cartesian(block)]
-    other = [m.to_dense() for m in hla_cartesian(swapped)]
+    other = [m.to_dense() for m in hla_cartesian(mirror)]
     for name, (m_block, m_swapped) in enumerate(zip(direct, other)):
         sign = 1.0 if name < 3 else -1.0  # J components first, then K
         assert max_abs(perm @ m_block @ perm.T - sign * m_swapped) < 1e-13

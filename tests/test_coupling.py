@@ -1,14 +1,16 @@
 """Pair cases, universal coupling rectangles, and the Z coefficients."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import (
+    Rectangles,
     block_grid,
     coupling_null_space_dim,
     dagger,
+    dense_generator_set,
+    dense_rectangles,
     flat_index,
     loop_directed_rectangles,
 )
@@ -16,14 +18,12 @@ from conftest import (
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
     PairCase,
-    UBlockSet,
     compatibility,
     t_sign_relation,
-    u_blocks,
     z_linear,
 )
 from dsrep.numeric import HalfInt, max_abs
-from dsrep.representation import Algebra, BackboneGraph, assemble
+from dsrep.representation import Algebra, BackboneGraph
 from dsrep.verify import check_all_crs
 
 H = HalfInt
@@ -48,18 +48,10 @@ def test_rectangles_match_the_entry_loop_bit_for_bit():
                     continue
                 q = L(twice_a - case.s_a, twice_b - case.s_b)
                 want = loop_directed_rectangles(p, q) + loop_directed_rectangles(q, p)
-                u = u_blocks(p, q)
-                for field, ref in zip(dataclasses.fields(u), want):
-                    got = getattr(u, field.name).to_dense()
-                    assert got.tobytes() == ref.tobytes(), (p, q, field.name)
+                for name, got, ref in zip(Rectangles._fields, dense_rectangles(p, q), want):
+                    assert got.tobytes() == ref.tobytes(), (p, q, name)
                 pairs += 1
     assert pairs == 27 * 27
-
-
-def dense_u_blocks(p, q):
-    """u_blocks(p, q) with each rectangle dense."""
-    u = u_blocks(p, q)
-    return UBlockSet(*(getattr(u, f.name).to_dense() for f in dataclasses.fields(u)))
 
 
 def blocks_for_case(case, twice_a_q, twice_b_q):
@@ -126,15 +118,15 @@ class TestZLinear:
 class TestUBlocks:
     def test_incompatible_raises(self):
         with pytest.raises(ValueError):
-            u_blocks(L(1, 1), L(1, 1))
+            dense_rectangles(L(1, 1), L(1, 1))
         with pytest.raises(ValueError):
-            u_blocks(L(2, 0), L(0, 0))
+            dense_rectangles(L(2, 0), L(0, 0))
 
     def test_smallest_pair_entry(self):
         # P = (1/2,1/2), Q = (0,0): the raising rectangle is 4x1 with a
         # single entry sqrt((1/2 + 1/2)(1/2 + 1/2)) = 1 at (a1,b1) = (1/2,1/2)
         p, q = L(1, 1), L(0, 0)
-        u = dense_u_blocks(p, q)
+        u = dense_rectangles(p, q)
         assert u.uplus_pq.shape == (4, 1)
         expected = np.zeros((4, 1))
         expected[flat_index(p, H(1), H(1)), 0] = 1.0
@@ -142,8 +134,8 @@ class TestUBlocks:
 
     def test_orientation_swap(self):
         p, q = L(0, 0), L(1, 1)
-        forward = dense_u_blocks(p, q)
-        backward = dense_u_blocks(q, p)
+        forward = dense_rectangles(p, q)
+        backward = dense_rectangles(q, p)
         for name in ("uplus", "uminus", "wplus", "wminus"):
             assert np.array_equal(
                 getattr(forward, f"{name}_pq"), getattr(backward, f"{name}_qp")
@@ -156,7 +148,7 @@ class TestUBlocks:
         # +- and -+ cases: dagger(U+_PQ) = +U-_QP, same for the W pair
         p, q = L(2, 0), L(1, 1)
         assert compatibility(p, q) == PairCase(1, -1)
-        u = dense_u_blocks(p, q)
+        u = dense_rectangles(p, q)
         assert max_abs(dagger(u.uplus_pq) - u.uminus_qp) < 1e-13
         assert max_abs(dagger(u.wplus_pq) - u.wminus_qp) < 1e-13
 
@@ -165,7 +157,7 @@ class TestUBlocks:
         made = blocks_for_case(case, 2, 2)
         p, q = made
         sign = -t_sign_relation(case)  # -1 exactly for the aligned cases
-        u = dense_u_blocks(p, q)
+        u = dense_rectangles(p, q)
         assert max_abs(dagger(u.uplus_pq) + sign * u.uminus_qp) < 1e-13
         assert max_abs(dagger(u.uminus_pq) + sign * u.uplus_qp) < 1e-13
         assert max_abs(dagger(u.wplus_pq) + sign * u.wminus_qp) < 1e-13
@@ -177,7 +169,7 @@ class TestUBlocks:
         if made is None:
             pytest.skip("labels leave the grid")
         p, q = made
-        u = dense_u_blocks(p, q)
+        u = dense_rectangles(p, q)
         shifts = {"uplus": (1, 1), "uminus": (-1, -1), "wplus": (1, -1), "wminus": (-1, 1)}
         grid_p = block_grid(p)
         grid_q = block_grid(q)
@@ -195,7 +187,7 @@ class TestUBlocks:
 
 def two_block_assembly(p, q, t_pq, t_qp, algebra=Algebra.DE_SITTER):
     g = BackboneGraph.make([p, q], [(0, 1)])
-    return assemble(g, {(0, 1): (t_pq, t_qp)}, algebra, validate_t=False)
+    return dense_generator_set(g, {(0, 1): t_pq, (1, 0): t_qp}, algebra)
 
 
 class TestTwoBlockRelations:
@@ -262,7 +254,7 @@ class TestZAgainstMatrices:
             z = z_linear(case, p.a, p.b)
             expected = np.diag(
                 [
-                    float(z.coef_a) * float(a) + float(z.coef_b) * float(b)
+                    (z.coef_a * a.twice + z.coef_b * b.twice) / 2
                     for a, b in block_grid(p)
                 ]
             )
@@ -282,7 +274,7 @@ class TestZAgainstMatrices:
             z = z_linear(case, p.a, p.b)
             expected = np.diag(
                 [
-                    -float(z.coef_a) * float(a) + float(z.coef_b) * float(b)
+                    (-z.coef_a * a.twice + z.coef_b * b.twice) / 2
                     for a, b in block_grid(p)
                 ]
             )

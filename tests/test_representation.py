@@ -6,11 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import dense_assemble, gelfand_tsetlin_generators, stored_bytes
+from conftest import (
+    block_offsets,
+    dense_assemble,
+    gelfand_tsetlin_generators,
+    reversed_backbone,
+    stored_bytes,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrep.blocks import BlockLabel
+from dsrep.coupling import PairCase, t_sign_relation
 from dsrep.io import generators_from_doc, generators_to_doc
 from dsrep.numeric import HalfInt, max_abs
 from dsrep.representation import (
@@ -205,13 +212,22 @@ class TestAssembly:
         with pytest.raises(ValueError, match="incompatible"):
             assemble(g, {(0, 1): (0.5, 0.5)})
 
-    def test_sign_rule_enforced(self):
-        backbone = canonical_backbone(CanonicalSpec(Family.TYPE_A, 2))
-        with pytest.raises(ValueError, match="sign"):
-            assemble(backbone, {(0, 1): (0.5, 0.5)})  # needs t_ji = -t_ij
-        backbone_b = canonical_backbone(CanonicalSpec(Family.TYPE_B, 2))
-        with pytest.raises(ValueError, match="sign"):
-            assemble(backbone_b, {(0, 1): (0.5, -0.5)})  # needs t_ji = +t_ij
+    @pytest.mark.parametrize("form", ["edge pair", "ordered pairs"])
+    @pytest.mark.parametrize("case", [PairCase(sa, sb) for sa in (1, -1) for sb in (1, -1)],
+                             ids=str)
+    def test_sign_rule_enforced(self, case, form):
+        # P = Q + (S_A, S_B)/2 with Q = (1/2, 1/2); t_ji = s t_ij is required
+        backbone = BackboneGraph.make([L(1 + case.s_a, 1 + case.s_b), L(1, 1)], [(0, 1)])
+        s = t_sign_relation(case)
+
+        def couplings(t_ji):
+            if form == "edge pair":
+                return {(0, 1): (0.5, t_ji)}
+            return {(0, 1): 0.5, (1, 0): t_ji}
+
+        assert assemble(backbone, couplings(s * 0.5)).t == {(0, 1): 0.5, (1, 0): s * 0.5}
+        with pytest.raises(ValueError, match="sign rule"):
+            assemble(backbone, couplings(-s * 0.5))
 
     def test_missing_coupling_raises(self):
         backbone = canonical_backbone(CanonicalSpec(Family.TYPE_A, 3))
@@ -221,7 +237,7 @@ class TestAssembly:
     @pytest.mark.parametrize("ref,spec", first_ten_specs())
     def test_block_diagonal_structure(self, ref, spec):
         gens = assemble_canonical(spec)
-        offsets = gens.block_offsets()
+        offsets = block_offsets(gens)
         # J and K have no support outside the diagonal blocks
         mask = np.ones((gens.dim, gens.dim), dtype=bool)
         for i in range(len(offsets) - 1):
@@ -242,7 +258,7 @@ class TestAssembly:
         g = BackboneGraph.make(
             [L(0, 0), L(1, 1), L(1, 1), L(2, 2)], [(0, 1), (2, 3)]
         )
-        gens = assemble(g, {(0, 1): (0.5, -0.5), (2, 3): (0.5, -0.5)}, validate_t=True)
+        gens = assemble(g, {(0, 1): (0.5, -0.5), (2, 3): (0.5, -0.5)})
         assert gens.dim == 1 + 4 + 4 + 9
 
 
@@ -255,7 +271,7 @@ class TestReversalEquivalence:
     def test_reversed_chain_is_permutation_similar(self, spec):
         gens = assemble_canonical(spec)
         backbone = gens.backbone
-        reversed_backbone = backbone.reversed()
+        reversed_chain = reversed_backbone(backbone)
         n = backbone.nblocks
         t_rev = {}
         for (i, j) in backbone.edges:
@@ -264,10 +280,10 @@ class TestReversalEquivalence:
                 gens.t[(j, i)] if ri > rj else gens.t[(i, j)],
                 gens.t[(i, j)] if ri > rj else gens.t[(j, i)],
             )
-        reversed_gens = assemble(reversed_backbone, t_rev)
+        reversed_gens = assemble(reversed_chain, t_rev)
 
-        offsets = gens.block_offsets()
-        rev_offsets = reversed_gens.block_offsets()
+        offsets = block_offsets(gens)
+        rev_offsets = block_offsets(reversed_gens)
         perm = np.zeros((gens.dim, gens.dim))
         for i in range(n):
             ri = n - 1 - i
@@ -341,9 +357,10 @@ def assembly_inputs(draw):
     """(backbone, couplings per ordered pair, algebra): a canonical chain, an
     so(5) cyclic backbone, one block alone, or a direct sum of chains (its
     labels repeat) with blocks beside them that no edge reaches; the
-    couplings as built or each rescaled by a factor of either sign, and the
-    blocks in their own order or shuffled, so that edges also run from a
-    later block to an earlier one."""
+    couplings as built or both of each edge rescaled by one factor of either
+    sign (so the Hermiticity sign rule still holds), and the blocks in their
+    own order or shuffled, so that edges also run from a later block to an
+    earlier one."""
     algebra = draw(st.sampled_from(list(Algebra)))
     kind = draw(st.sampled_from(["chain", "so5", "block", "sum"]))
     if kind == "chain":
@@ -370,7 +387,9 @@ def assembly_inputs(draw):
         backbone = BackboneGraph.make(blocks, edges)
     if draw(st.booleans()):
         factors = st.sampled_from([-2.0, -1.0, -0.3, 0.7, 1.5])
-        t = {pair: draw(factors) * value for pair, value in t.items()}
+        for i, j in sorted(backbone.edges):
+            factor = draw(factors)
+            t[(i, j)], t[(j, i)] = factor * t[(i, j)], factor * t[(j, i)]
     if draw(st.booleans()):
         backbone, t = _shuffled(backbone, t, draw(st.permutations(range(backbone.nblocks))))
     return backbone, t, algebra
@@ -379,7 +398,7 @@ def assembly_inputs(draw):
 def _assert_dense_bytes(backbone, t, algebra):
     """Every non-zero entry, signed zeros of its parts included, is what the
     dense assembly wrote; exact zeros are not stored."""
-    gens = assemble(backbone, t, algebra, validate_t=False)
+    gens = assemble(backbone, t, algebra)
     want = dense_assemble(backbone, t, algebra)
     for name, m in gens.matrices().items():
         assert m.to_dense().tobytes() == stored_bytes(want[name]), name

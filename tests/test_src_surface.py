@@ -1,11 +1,12 @@
-"""`src/dsrep` exports and imports only what the library itself uses.
+"""`src/dsrep` exports, imports and defines only what the library itself uses.
 
 Every name in a module's `__all__` must be loaded somewhere in
 `src/dsrep` outside its own definition, be exported by the package, or
 be a function the benchmark patches.  A name only tests call is oracle
 code and belongs in `tests/`.  Every name a module imports must be
 loaded in that module, except the package's re-exports and the names the
-benchmark patches there.
+benchmark patches there.  Every method of a class must be named by an
+attribute access in `src/dsrep` or in the benchmark.
 """
 
 import ast
@@ -13,7 +14,8 @@ from pathlib import Path
 
 from conftest import benchmark_boundaries
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dsrep"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dsrep"
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -89,3 +91,38 @@ def test_every_import_is_used():
             if (path.stem, name) not in patched
         ]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _attribute_accesses(tree: ast.AST) -> list[ast.Attribute]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def test_every_method_is_used():
+    """Each non-dunder function defined in a class body (method, property or
+    classmethod) is named as `x.name` in `src/dsrep` outside its own
+    definition, or in `perfbench/`.
+
+    The check goes by name alone, so a method that shares its name with a
+    used one passes unseen: a `BackboneGraph.reversed` would pass on the
+    strength of `PairCase.reversed`.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    src_accesses = [node for tree in trees.values() for node in _attribute_accesses(tree)]
+    benchmark = {
+        node.attr
+        for path in (ROOT / "perfbench").glob("*.py")
+        for node in _attribute_accesses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                name = method.name
+                if name.startswith("__") and name.endswith("__") or name in benchmark:
+                    continue
+                own = set(map(id, _attribute_accesses(method)))
+                if not any(node.attr == name and id(node) not in own for node in src_accesses):
+                    unused.append(f"{module}.{cls.name}.{name}")
+    assert not unused, f"methods named only outside src/dsrep and perfbench: {unused}"

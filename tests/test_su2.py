@@ -46,7 +46,7 @@ class TestLadderCoefficients:
         for twice_a in range(0, 9):
             a_max = H(twice_a)
             for a in spin_indices(a_max):
-                assert ladder_r(a_max, a) == pytest.approx(ladder_s(a_max, -a), abs=1e-15)
+                assert ladder_r(a_max, a) == pytest.approx(ladder_s(a_max, H(-a.twice)), abs=1e-15)
 
 
 class TestGenerators:

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     DEFAULT_C2_INTERPRETATION,
+    block_offsets,
     casimir2_interpretations,
     dense_casimir1,
     dense_casimir1_cartesian,
     dense_casimir2,
     dense_crs,
+    dense_generator_set,
     dense_hermiticity,
     dense_scalar_check,
     gelfand_tsetlin_generators,
@@ -118,14 +120,19 @@ class TestHermiticity:
         assert wrong["Vx"] > 0.1 and wrong["Vt"] > 0.1
 
     def test_broken_sign_rule_breaks_hermiticity(self):
-        spec = CanonicalSpec(Family.TYPE_A, 2)
-        forward, _ = canonical_t(spec, 1)
-        gens = assemble(
-            canonical_backbone(spec),
-            {(0, 1): (forward, forward)},  # ++ edge needs the minus
-            validate_t=False,
+        # the (1, 0) rectangles of a ++ edge negated: t_10 = +t_01, where
+        # the rule needs the minus
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 2))
+        first = gens.backbone.blocks[0].dim
+
+        def flipped(m):
+            below = m.keys // m.n >= first
+            return Sparse(m.n, m.keys, np.where(below, -m.vals, m.vals), reduced=True)
+
+        broken = dataclasses.replace(
+            gens, **{name: flipped(getattr(gens, name)) for name in ("vt", "vx", "vy", "vz")}
         )
-        assert max(check_hermiticity(gens).values()) > 0.1
+        assert max(check_hermiticity(broken).values()) > 0.1
 
 
 ALGEBRAS = pytest.mark.parametrize("algebra", list(Algebra), ids=lambda a: a.value)
@@ -154,11 +161,10 @@ class TestCasimir1:
         rng = random.Random(7)
         for spec in (CanonicalSpec(Family.TYPE_A, 3), CanonicalSpec(Family.TYPE_B, 4)):
             backbone = canonical_backbone(spec)
-            t = {
-                (i, i + 1): (rng.uniform(-2, 2), rng.uniform(-2, 2))
-                for i in range(spec.n - 1)
-            }
-            gens = assemble(backbone, t, validate_t=False)
+            t = {}
+            for i in range(spec.n - 1):
+                t[(i, i + 1)], t[(i + 1, i)] = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            gens = dense_generator_set(backbone, t)
             assert max_abs(casimir1_matrix(gens).to_dense() - dense_casimir1(gens)) < 1e-10
 
     @pytest.mark.parametrize("ref,spec", [(1, TEN[0][1]), (4, TEN[3][1]), (9, TEN[8][1])])
@@ -515,7 +521,7 @@ class TestNonFinite:
         # entry into that block meets no stored entry of Jx in Vt @ Jx.
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
         labels = [(b.a.twice, b.b.twice) for b in gens.backbone.blocks]
-        col = gens.block_offsets()[labels.index((0, 0))]
+        col = block_offsets(gens)[labels.index((0, 0))]
         assert not (gens.jx.keys // gens.dim == col).any()
         vt = gens.generators()["Vt"]
         vt[np.flatnonzero(vt[:, col])[0], col] = np.nan
@@ -561,7 +567,7 @@ def _rescaled(gens, factors):
 def _off_pattern(gens, name):
     """Off-diagonal positions outside the generator's block pattern: the
     diagonal blocks for J and K, the edge rectangles for V."""
-    offsets = gens.block_offsets()
+    offsets = block_offsets(gens)
     owner = np.repeat(np.arange(gens.backbone.nblocks), np.diff(offsets))
     same = owner[:, None] == owner[None, :]
     if name[0] in "JK":
