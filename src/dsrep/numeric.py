@@ -9,8 +9,10 @@ relations, exact rational elimination) live here so that every
 tolerance decision in the package flows through one place.  Every
 product and every sum goes through one kernel: a product expands each
 left entry over the stored entries of its right row, and entries with the
-same key are summed in the order they were formed, after one sort of
-packed (key, position) words.
+same key are summed after one stable sort of packed (key, position)
+words: each key's terms go, in the order they were formed, into numpy's
+``add.reduceat``, which gives the same bits on every run but need not add
+them left to right.
 
 Each sum is split into a symbolic half, a `_Plan` (which entries each
 term multiplies, the sort, and the output slot of each term), which
@@ -21,9 +23,9 @@ factors share a key pattern, and whose right factors do, are one
 expansion, and `residual_norms` reuses one plan for consecutive
 relations with the same patterns.  The summation order is then: the
 products of one pattern pair are added term by term, in the order they
-are listed, and the terms are summed per key in input order (in smaller
-sums, every product is its own expansion).  No plan outlives the call
-that made it.
+are listed, and the terms of each key go in stable key order into one
+``add.reduceat`` (in smaller sums, every product is its own expansion).
+No plan outlives the call that made it.
 
 The exact linear solve eliminates over integers and forms a
 ``fractions.Fraction`` only for each final unknown.
@@ -123,9 +125,9 @@ class Sparse:
     class supports the arithmetic the relation and Casimir formulas use:
     ``+``, ``-``, ``@``, multiplication and division by a scalar, and
     `to_dense`; `max_abs` below accepts it.  A sum only concatenates
-    entries; entries with the same key add up, in the order they were
-    concatenated, when the matrix is next reduced (sorted by key,
-    duplicates summed, exact zeros dropped), which happens before it is a
+    entries; entries with the same key add up when the matrix is next
+    reduced (sorted stably by key, duplicates summed by numpy's
+    ``add.reduceat``, exact zeros dropped), which happens before it is a
     factor of a product and in `max_abs`.  ``a @ b`` is `product_sum` of
     the one term (1, a, b): it expands each entry (i, k) of a over the
     stored entries of row k of b, O(nnz x mean row length) work and
@@ -281,7 +283,9 @@ def _sort_plan(keys: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray, Op
 
 
 def _sum_sorted(vals: np.ndarray, order: np.ndarray, starts: Optional[np.ndarray]) -> np.ndarray:
-    """The values of each distinct key of a `_sort_plan`, summed in input order."""
+    """The values of each distinct key of a `_sort_plan`, summed by
+    `np.add.reduceat` over the stably sorted values: the same bits on every
+    run, though not necessarily those of a left-to-right sum."""
     vals = vals[order]
     return vals if starts is None else np.add.reduceat(vals, starts)
 
@@ -469,6 +473,8 @@ def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse"
     PRODUCT_TERMS terms, products whose left factors share a key pattern,
     and whose right factors do, are expanded once, and their terms are
     added term by term, in the order of the terms, before the one sort.
+    That sort is stable, and `np.add.reduceat` then sums the terms of
+    each key: deterministic bits, not necessarily a left-to-right sum.
     The products are formed for a run of rows at a time and reduced before
     the next run.  A run sorts about PRODUCT_TERMS terms, or the terms of
     one row if that row makes more, so the working memory stays bounded

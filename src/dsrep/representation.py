@@ -15,11 +15,13 @@ ten generator matrices for an arbitrary backbone with given couplings.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -81,8 +83,8 @@ Edge = tuple[int, int]
 # Largest representation dimension a backbone may have.  Generators and
 # the Casimirs `verify.build_report` checks are held as their non-zeros,
 # so the one thing that still grows as dim^2 is what a caller asks for
-# densely: `GeneratorSet.generators()`, ten complex dim x dim arrays
-# (16 dim^2 bytes each, ~1.4 GB together at 3000).
+# densely: `GeneratorSet.generators()`, one complex dim x dim array per
+# lookup (16 dim^2 bytes, ~144 MB at 3000).
 MAX_DIM = 3000
 
 
@@ -129,14 +131,19 @@ class BackboneGraph:
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
+    @functools.cached_property
+    def _adjacency(self) -> tuple[list[int], ...]:
+        """The sorted neighbours of every block, from one pass over the edges."""
+        out = tuple([] for _ in self.blocks)
         for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+            out[a].append(b)
+            out[b].append(a)
+        for nbrs in out:
+            nbrs.sort()
+        return out
+
+    def neighbors(self, i: int) -> list[int]:
+        return list(self._adjacency[i])
 
     def label_multiplicities(self) -> dict[BlockLabel, int]:
         return Counter(self.blocks)
@@ -262,9 +269,25 @@ class GeneratorSet:
         """Generator name -> its stored `Sparse` matrix."""
         return {name: getattr(self, name.lower()) for name in GENERATOR_NAMES}
 
-    def generators(self) -> dict[str, np.ndarray]:
-        """Generator name -> a dense dim x dim array (made on each call)."""
-        return {name: m.to_dense() for name, m in self.matrices().items()}
+    def generators(self) -> Mapping[str, np.ndarray]:
+        """Generator name -> a dense dim x dim array, made on each lookup, none kept."""
+        return _DenseGenerators(self.matrices())
+
+
+class _DenseGenerators(Mapping):
+    """A read-only view of stored generators that densifies one per lookup."""
+
+    def __init__(self, matrices: dict[str, Sparse]):
+        self._matrices = matrices
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._matrices[name].to_dense()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._matrices)
+
+    def __len__(self) -> int:
+        return len(self._matrices)
 
 
 def _as_pair_map(

@@ -647,7 +647,7 @@ def format1_doc(g) -> dict:
 
 def argsort_reduced(m: Sparse) -> tuple[np.ndarray, np.ndarray]:
     """(keys, values) of m's entries sorted by key, those with the same key
-    summed by np.add.reduceat in the order they were stored, exact zeros
+    fed in stored order to np.add.reduceat and summed there, exact zeros
     dropped."""
     if not m.keys.size:
         return m.keys, m.vals

@@ -21,6 +21,7 @@ from dsrep.coupling import PairCase, t_sign_relation
 from dsrep.io import generators_from_doc, generators_to_doc
 from dsrep.numeric import HalfInt, max_abs
 from dsrep.representation import (
+    GENERATOR_NAMES,
     MAX_DIM,
     Algebra,
     BackboneGraph,
@@ -172,6 +173,11 @@ class TestBackboneGraph:
         assert g.neighbors(1) == [0, 2]
         assert g.neighbors(0) == [1]
 
+    def test_neighbors_are_a_copy(self):
+        g = BackboneGraph.make([L(2, 0), L(1, 1), L(0, 2)], [(1, 2), (0, 1)])
+        g.neighbors(1).append(7)
+        assert g.neighbors(1) == [0, 2]
+
     def test_dimension_bound(self):
         # L(2, 0) is three-dimensional; MAX_DIM is a multiple of three
         assert BackboneGraph.make([L(2, 0)] * (MAX_DIM // 3), []).dim == MAX_DIM
@@ -260,6 +266,35 @@ class TestAssembly:
         )
         gens = assemble(g, {(0, 1): (0.5, -0.5), (2, 3): (0.5, -0.5)})
         assert gens.dim == 1 + 4 + 4 + 9
+
+
+class TestDenseGenerators:
+    def test_each_lookup_is_a_fresh_copy(self):
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_B, 3))
+        stored = {name: (m.keys.copy(), m.vals.copy()) for name, m in gens.matrices().items()}
+        dense = gens.generators()
+        for name in GENERATOR_NAMES:
+            first = dense[name]
+            np.testing.assert_array_equal(first, gens.matrices()[name].to_dense())
+            first[...] = 7
+            again = dense[name]
+            assert again is not first
+            np.testing.assert_array_equal(again, gens.matrices()[name].to_dense())
+        for name, (keys, vals) in stored.items():
+            np.testing.assert_array_equal(gens.matrices()[name].keys, keys)
+            np.testing.assert_array_equal(gens.matrices()[name].vals, vals)
+
+    def test_read_only_mapping_in_generator_order(self):
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
+        dense = gens.generators()
+        assert list(dense) == list(GENERATOR_NAMES)
+        assert len(dense) == 10
+        copied = dict(dense)
+        assert list(copied) == list(GENERATOR_NAMES)
+        for name, m in gens.matrices().items():
+            np.testing.assert_array_equal(copied[name], m.to_dense())
+        with pytest.raises(TypeError):
+            dense["Jx"] = copied["Jx"]
 
 
 class TestReversalEquivalence:
@@ -454,3 +489,17 @@ class TestMemory:
         assert loaded.dim == gens.dim == 2870
         assert assemble_peak < dense_bytes / 10
         assert load_peak < dense_bytes / 10
+
+    def test_walking_the_dense_generators_holds_at_most_two(self):
+        # type B N=13, dim 455: ten dense arrays at once would be 10x one
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_B, 13))
+        dense_bytes = 16 * gens.dim ** 2
+        tracemalloc.start()
+        try:
+            for name, matrix in gens.generators().items():
+                assert matrix.shape == (gens.dim, gens.dim), name
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gens.dim == 455
+        assert peak < 2.5 * dense_bytes
