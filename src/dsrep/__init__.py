@@ -8,7 +8,6 @@ API; each submodule keeps its own.
 """
 
 from .blocks import BlockLabel
-from .numeric import HalfInt
 from .representation import (
     Algebra,
     BackboneGraph,
@@ -27,5 +26,27 @@ from .verify import (
     check_all_crs,
     check_hermiticity,
 )
+
+__all__ = [
+    "CanonicalSpec",
+    "Family",
+    "Algebra",
+    "assemble_canonical",
+    "assemble",
+    "check_all_crs",
+    "check_hermiticity",
+    "casimir1_matrix",
+    "casimir2_matrix",
+    "build_report",
+    "VerificationReport",
+    "GeneratorSet",
+    "BackboneGraph",
+    "BlockLabel",
+    "solve_and_verify",
+    "SolverOutcome",
+    "Verdict",
+    "Witness",
+    "WitnessKind",
+]
 
 __version__ = "0.1.0"

@@ -1,4 +1,9 @@
-"""Generator matrices for Lorentz blocks (A, B) and their direct sums.
+"""Block labels (A, B) and the generator matrices of Lorentz blocks and
+their direct sums.
+
+A `BlockLabel` holds the ints 2A and 2B, the twice-values every array
+here and in `coupling` is built from; its `a` and `b` give A and B as
+Fractions.
 
 A block carries the rotation generators J and the boost generators K of
 the homogeneous Lorentz algebra, realised on the (2A+1)(2B+1)-dimensional
@@ -12,11 +17,12 @@ its generators are built for all blocks at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numeric import HalfInt, Sparse
+from .numeric import Sparse
 
 __all__ = [
     "BlockLabel",
@@ -28,25 +34,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, kw_only=True)
 class BlockLabel:
-    """The pair (A, B) labelling one Lorentz irrep block."""
+    """The pair (A, B) labelling one Lorentz irrep block, held as the ints
+    2A and 2B; labels order as the pairs (A, B) do."""
 
-    a: HalfInt
-    b: HalfInt
+    twice_a: int
+    twice_b: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", HalfInt.coerce(self.a))
-        object.__setattr__(self, "b", HalfInt.coerce(self.b))
-        if self.a.twice < 0 or self.b.twice < 0:
+        for twice in (self.twice_a, self.twice_b):
+            if type(twice) is not int:
+                raise TypeError(f"twice-values must be ints, got {twice!r}")
+        if self.twice_a < 0 or self.twice_b < 0:
             raise ValueError(f"block labels must be non-negative, got ({self.a}, {self.b})")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.twice_a, 2)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.twice_b, 2)
 
     def __str__(self) -> str:
         return f"({self.a},{self.b})"
 
     @property
     def dim(self) -> int:
-        return (self.a.twice + 1) * (self.b.twice + 1)
+        return (self.twice_a + 1) * (self.twice_b + 1)
 
 
 def concatenated_grid(
@@ -85,8 +101,8 @@ def direct_sum_generators(blocks: Sequence[BlockLabel]) -> HlaGenerators:
     anti-Hermitian.  Each is a `Sparse` of its entries (zeros on the
     diagonals included).
     """
-    twice_a = np.array([block.a.twice for block in blocks], dtype=np.intp)
-    twice_b = np.array([block.b.twice for block in blocks], dtype=np.intp)
+    twice_a = np.array([block.twice_a for block in blocks], dtype=np.intp)
+    twice_b = np.array([block.twice_b for block in blocks], dtype=np.intp)
     owner, _, a2, b2 = concatenated_grid(twice_a, twice_b)
     n = owner.size
     cols = np.arange(n)

@@ -43,13 +43,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import BlockLabel, concatenated_grid
-from .numeric import HalfInt, Sparse
+from .numeric import Sparse
 
 __all__ = [
     "PairCase",
     "compatibility",
     "t_sign_relation",
-    "ZLinear",
     "z_linear",
     "edge_ladders",
     "cartesian_from_ladders",
@@ -80,8 +79,8 @@ class PairCase:
 
 def compatibility(p: BlockLabel, q: BlockLabel) -> Optional[PairCase]:
     """The pair case when |A_P - A_Q| = |B_P - B_Q| = 1/2, else None."""
-    da = p.a.twice - q.a.twice
-    db = p.b.twice - q.b.twice
+    da = p.twice_a - q.twice_a
+    db = p.twice_b - q.twice_b
     if abs(da) != 1 or abs(db) != 1:
         return None
     return PairCase(da, db)
@@ -92,16 +91,9 @@ def t_sign_relation(case: PairCase) -> int:
     return -case.s_a * case.s_b
 
 
-@dataclass(frozen=True)
-class ZLinear:
-    """Coefficients of Z_IJ = coef_a * a_I + coef_b * b_I (factor 4 included)."""
-
-    coef_a: int
-    coef_b: int
-
-
-def z_linear(case: PairCase, a_i: HalfInt, b_i: HalfInt) -> ZLinear:
-    """Block-diagonal commutator coefficients for block I coupled via `case`.
+def z_linear(case: PairCase, label: BlockLabel) -> tuple[int, int]:
+    """(coef_a, coef_b) of Z_IJ = coef_a * a_I + coef_b * b_I (factor 4
+    included), for block I with `label` coupled via `case`.
 
     The four rows are:
         ++ ->  coef_a = 4 B_I,       coef_b = 4 A_I
@@ -111,9 +103,9 @@ def z_linear(case: PairCase, a_i: HalfInt, b_i: HalfInt) -> ZLinear:
 
     all even integers, written from the twice-values 2 A_I and 2 B_I.
     """
-    coef_a = 2 * b_i.twice if case.s_b > 0 else -2 * (b_i.twice + 2)
-    coef_b = 2 * a_i.twice if case.s_a > 0 else -2 * (a_i.twice + 2)
-    return ZLinear(coef_a=coef_a, coef_b=coef_b)
+    coef_a = 2 * label.twice_b if case.s_b > 0 else -2 * (label.twice_b + 2)
+    coef_b = 2 * label.twice_a if case.s_a > 0 else -2 * (label.twice_a + 2)
+    return coef_a, coef_b
 
 
 def edge_ladders(
@@ -129,8 +121,8 @@ def edge_ladders(
     concatenated grids of the column blocks.  Raises ValueError for an
     incompatible pair and ArithmeticError for a negative radicand.
     """
-    twice_a = np.array([block.a.twice for block in blocks], dtype=np.intp)
-    twice_b = np.array([block.b.twice for block in blocks], dtype=np.intp)
+    twice_a = np.array([block.twice_a for block in blocks], dtype=np.intp)
+    twice_b = np.array([block.twice_b for block in blocks], dtype=np.intp)
     dims = (twice_a + 1) * (twice_b + 1)
     offsets = np.cumsum(dims) - dims
     n = int(dims.sum())

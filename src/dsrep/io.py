@@ -53,7 +53,7 @@ from typing import Any, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from .blocks import BlockLabel
-from .numeric import HalfInt, Sparse
+from .numeric import Sparse
 from .representation import GENERATOR_NAMES, Algebra, BackboneGraph, GeneratorSet
 
 __all__ = [
@@ -79,13 +79,21 @@ def _parse_algebra(value: Any) -> Algebra:
     raise DocumentError(f"algebra must be 'ds' or 'ads', got {value!r}")
 
 
-def _parse_half(value: Any, context: str) -> HalfInt:
-    if isinstance(value, bool):
-        raise DocumentError(f"bad half-integer for {context}: {value!r}")
-    try:
-        return HalfInt.parse(value)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"bad half-integer for {context}: {value!r} ({exc})") from exc
+def _parse_twice(value: Any, context: str) -> int:
+    """Twice a label written as an int or as a "p", "p/1" or "p/2" string."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return 2 * int(value)
+    if isinstance(value, str):
+        num, slash, den = value.strip().partition("/")
+        try:
+            numerator, denominator = int(num), int(den) if slash else 1
+        except ValueError:
+            denominator = None
+        if denominator in (1, 2):
+            return 2 * numerator // denominator
+    raise DocumentError(
+        f"bad half-integer for {context}: {value!r} (an int, or a 'p', 'p/1' or 'p/2' string)"
+    )
 
 
 def _index(value: Any, context: str) -> int:
@@ -145,10 +153,10 @@ def backbone_from_doc(doc: Any) -> tuple[BackboneGraph, Algebra]:
     for pos, entry in enumerate(raw_blocks):
         if not isinstance(entry, dict) or "A" not in entry or "B" not in entry:
             raise DocumentError(f"block {pos} must be an object with 'A' and 'B'")
-        a = _parse_half(entry["A"], f"block {pos} A")
-        b = _parse_half(entry["B"], f"block {pos} B")
+        twice_a = _parse_twice(entry["A"], f"block {pos} A")
+        twice_b = _parse_twice(entry["B"], f"block {pos} B")
         try:
-            blocks.append(BlockLabel(a, b))
+            blocks.append(BlockLabel(twice_a=twice_a, twice_b=twice_b))
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
     raw_edges = doc.get("edges", [])

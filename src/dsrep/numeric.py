@@ -1,18 +1,16 @@
-"""Exact half-integers, a complex-matrix kernel and an exact linear solve.
+"""A complex-matrix kernel and an exact linear solve.
 
-Half-integers (the spins and magnetic indices used everywhere else) are
-stored exactly as twice their value.  Matrices are `Sparse`: each
-generator is held as its non-zeros from assembly to verdict, and a dense
-numpy ``complex128`` array is made only where a caller asks for one.  The
-few operations needed elsewhere (sums of products, residual norms of
-relations, exact rational elimination) live here so that every
-tolerance decision in the package flows through one place.  Every
-product and every sum goes through one kernel: a product expands each
-left entry over the stored entries of its right row, and entries with the
-same key are summed after one stable sort of packed (key, position)
-words: each key's terms go, in the order they were formed, into numpy's
-``add.reduceat``, which gives the same bits on every run but need not add
-them left to right.
+Matrices are `Sparse`: each generator is held as its non-zeros from
+assembly to verdict, and a dense numpy ``complex128`` array is made only
+where a caller asks for one.  The few operations needed elsewhere (sums
+of products, residual norms of relations, exact rational elimination)
+live here so that every tolerance decision in the package flows through
+one place.  Every product and every sum goes through one kernel: a
+product expands each left entry over the stored entries of its right
+row, and entries with the same key are summed after one stable sort of
+packed (key, position) words: each key's terms go, in the order they
+were formed, into numpy's ``add.reduceat``, which gives the same bits on
+every run but need not add them left to right.
 
 Each sum is split into a symbolic half, a `_Plan` (which entries each
 term multiplies, the sort, and the output slot of each term), which
@@ -43,7 +41,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "HalfInt",
     "Sparse",
     "product_sum",
     "residual_norms",
@@ -52,65 +49,6 @@ __all__ = [
     "RationalSolution",
     "solve_rational_linear",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An exact integer or half-integer, stored as twice its value.
-
-    ``HalfInt(3)`` is the number 3/2; ``HalfInt(4)`` is the number 2.
-    Values order as the numbers they stand for.
-    """
-
-    twice: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise TypeError(f"twice must be an int, got {type(self.twice).__name__}")
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def coerce(cls, value) -> "HalfInt":
-        """Accept a HalfInt or an int."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, (int, np.integer)):
-            return cls(2 * int(value))
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
-
-    @classmethod
-    def parse(cls, text) -> "HalfInt":
-        """Parse "2", "-3" or "p/2" strings (also accepts plain ints)."""
-        if isinstance(text, (int, np.integer)):
-            return cls(2 * int(text))
-        if not isinstance(text, str):
-            raise TypeError(f"cannot parse {text!r} as a half-integer")
-        s = text.strip()
-        if "/" in s:
-            num_text, den_text = s.split("/", 1)
-            num = int(num_text)
-            den = int(den_text)
-            if den == 2:
-                return cls(num)
-            if den == 1:
-                return cls(2 * num)
-            raise ValueError(f"half-integer denominator must be 1 or 2: {text!r}")
-        return cls(2 * int(s))
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.twice})"
 
 
 # ---------------------------------------------------------------------------

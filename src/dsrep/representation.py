@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocks import BlockLabel, direct_sum_cartesian
 from .coupling import cartesian_from_ladders, compatibility, edge_ladders, t_sign_relation
-from .numeric import HalfInt, Sparse
+from .numeric import Sparse
 
 # Not called here: the benchmark's spans (`perfbench/spans.py`) patch these
 # names in this module.  Delete them with those span entries at the next
@@ -161,9 +161,9 @@ def canonical_backbone(spec: CanonicalSpec) -> BackboneGraph:
     """The canonical chain for the given family and block count."""
     n = spec.n
     if spec.family is Family.TYPE_A:
-        labels = (BlockLabel(HalfInt(k), HalfInt(k)) for k in range(n - 1, -1, -1))
+        labels = (BlockLabel(twice_a=k, twice_b=k) for k in range(n - 1, -1, -1))
     else:
-        labels = (BlockLabel(HalfInt(n - 1 - m), HalfInt(m)) for m in range(n))
+        labels = (BlockLabel(twice_a=n - 1 - m, twice_b=m) for m in range(n))
     # generators, so that a chain past MAX_DIM stops after a few blocks
     edges = ((i, i + 1) for i in range(n - 1))
     return BackboneGraph.make(labels, edges)
@@ -220,7 +220,7 @@ def classify_canonical_chain(labels: Sequence[BlockLabel]) -> Optional[Canonical
     n = len(labels)
     if n < 2:
         return None
-    twice = sorted((label.a.twice, label.b.twice) for label in labels)
+    twice = sorted((label.twice_a, label.twice_b) for label in labels)
     if twice == [(k, k) for k in range(n)]:
         return CanonicalSpec(Family.TYPE_A, n)
     if twice == [(k, n - 1 - k) for k in range(n)]:

@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .coupling import compatibility, t_sign_relation, z_linear
-from .numeric import HalfInt, solve_rational_linear
+from .numeric import solve_rational_linear
 from .representation import (
     Algebra,
     BackboneGraph,
@@ -163,12 +163,12 @@ def structural_checks(g: BackboneGraph) -> Optional[Witness]:
                 (i,),
             )
 
-    twice = (("A", [b.a.twice for b in g.blocks]), ("B", [b.b.twice for b in g.blocks]))
+    twice = (("A", [b.twice_a for b in g.blocks]), ("B", [b.twice_b for b in g.blocks]))
     for name, values in twice:
         if min(values) != 0:
             return Witness(
                 WitnessKind.BOUNDARY_VIOLATION,
-                f"minimum {name} over the backbone is {HalfInt(min(values))}, must be 0",
+                f"minimum {name} over the backbone is {Fraction(min(values), 2)}, must be 0",
             )
 
     for i, label in enumerate(g.blocks):
@@ -211,7 +211,7 @@ def unique_nonmonotonic_paths(g: BackboneGraph) -> list[tuple[int, int, int]]:
         # commutator block that vanishes identically.
         if case1 is None or case2 is None or case1 == case2:
             continue
-        origin = g.blocks[i].a.twice == 0 and g.blocks[i].b.twice == 0
+        origin = g.blocks[i].twice_a == 0 and g.blocks[i].twice_b == 0
         if origin and g.blocks[i] == g.blocks[j]:
             continue
         fatal.append((i, k, j))
@@ -253,13 +253,13 @@ def build_onbd_system(g: BackboneGraph) -> OnBdSystem:
         signs[(i, j)] = t_sign_relation(case)
         for block, seen in ((i, case), (j, case.reversed())):
             label = g.blocks[block]
-            z = z_linear(seen, label.a, label.b)
+            coef_a, coef_b = z_linear(seen, label)
             # An index that cannot vary imposes no coefficient condition.
-            if label.a.twice:
-                rows[2 * block][col] = z.coef_a
-            if label.b.twice:
-                rows[2 * block + 1][col] = z.coef_b
-    rhs = [-1 if twice else 0 for b in g.blocks for twice in (b.a.twice, b.b.twice)]
+            if label.twice_a:
+                rows[2 * block][col] = coef_a
+            if label.twice_b:
+                rows[2 * block + 1][col] = coef_b
+    rhs = [-1 if twice else 0 for b in g.blocks for twice in (b.twice_a, b.twice_b)]
     return OnBdSystem(edges=edges, rows=rows, rhs=rhs, required_sign=signs)
 
 
@@ -337,8 +337,11 @@ def decompose(g: BackboneGraph) -> list[Component]:
 
 
 # Gauge patterns `solve_and_verify` assembles and checks before it gives
-# up with a search-budget witness: every sign of ten chords.  So far each
-# cyclic so(5) backbone tried has verified on its first pattern.
+# up with a search-budget witness: every sign of ten chords.  The cyclic
+# so(5) backbones with blocks in Gelfand-Tsetlin order tried so far
+# verify on their first pattern; block order matters, and the diamond
+# listed as (1/2,0)-(1,1/2)-(1/2,1)-(0,1/2) fails all-plus and verifies
+# on the second.
 MAX_GAUGE_PATTERNS = 1 << 10
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .blocks import direct_sum_generators
-from .numeric import HalfInt, Sparse, max_abs, product_sum, residual_norms
+from .numeric import Sparse, max_abs, product_sum, residual_norms
 # `perfbench/spans.py` still patches `commutator` here; delete the import
 # with that entry at the next change to the benchmark.
 from .numeric import commutator  # noqa: F401
@@ -192,7 +192,7 @@ def casimir2_matrix(g: GeneratorSet) -> Sparse:
 
 def casimir_invariants_closed_form(
     spec: CanonicalSpec,
-) -> tuple[Fraction, Fraction, HalfInt, HalfInt]:
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(-C1, -C2, p, q) for one canonical chain.
 
     -C1 = p(p+1) + (q+1)(q-2) and -C2 = p(p+1) q(q-1), with p = N, q = 0
@@ -200,12 +200,11 @@ def casimir_invariants_closed_form(
     the same two values.)
     """
     if spec.family is Family.TYPE_A:
-        p, q = HalfInt(2 * spec.n), HalfInt(0)
+        p, q = Fraction(spec.n), Fraction(0)
     else:
-        p = q = HalfInt(spec.n + 1)
-    pf, qf = p.as_fraction, q.as_fraction
-    neg_c1 = pf * (pf + 1) + (qf + 1) * (qf - 2)
-    neg_c2 = pf * (pf + 1) * qf * (qf - 1)
+        p = q = Fraction(spec.n + 1, 2)
+    neg_c1 = p * (p + 1) + (q + 1) * (q - 2)
+    neg_c2 = p * (p + 1) * q * (q - 1)
     return neg_c1, neg_c2, p, q
 
 
@@ -248,8 +247,8 @@ class VerificationReport:
     jz_residual: float
     casimir1_scalar: Optional[complex]
     casimir2_scalar: Optional[complex]
-    p: Optional[HalfInt]
-    q: Optional[HalfInt]
+    p: Optional[Fraction]
+    q: Optional[Fraction]
     # (C1, C2) in closed form, reported with (p, q)
     casimir_closed_form: Optional[tuple[Fraction, Fraction]]
     duplicates_present: bool

@@ -21,7 +21,7 @@
   transpose and the non-zeros of a matrix.
 - `loop_hla_generators` and `loop_directed_rectangles`: the block
   generators and coupling rectangles built entry by entry in exact
-  HalfInt/Fraction arithmetic, the reference for the array kernels in
+  Fraction arithmetic, the reference for the array kernels in
   `dsrep.blocks` and `dsrep.coupling`.
 - `dense_assemble`: the ten generators assembled into zero-filled dense
   dim x dim arrays from those loop oracles, the byte-exact reference for
@@ -57,7 +57,7 @@ import numpy as np
 from dsrep.blocks import BlockLabel, hla_cartesian
 from dsrep.coupling import compatibility, edge_ladders
 from dsrep.io import generators_to_doc
-from dsrep.numeric import HalfInt, RationalSolution, Sparse
+from dsrep.numeric import RationalSolution, Sparse
 from dsrep.representation import (
     Algebra,
     BackboneGraph,
@@ -325,44 +325,44 @@ def dense_casimir2(g) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def half_int_range(low: HalfInt, high: HalfInt) -> list[HalfInt]:
+def half_int_range(low: Fraction, high: Fraction) -> list[Fraction]:
     """Inclusive list low, low+1, ..., high (unit steps; empty if high < low)."""
-    if (high.twice - low.twice) % 2 != 0:
+    if (high - low).denominator != 1:
         raise ValueError(f"{low} and {high} do not differ by an integer")
-    return [HalfInt(t) for t in range(low.twice, high.twice + 1, 2)]
+    return [low + k for k in range(int(high - low) + 1)]
 
 
-def _check_index(a_max: HalfInt, a: HalfInt) -> None:
-    if a_max.twice < 0:
+def _check_index(a_max: Fraction, a: Fraction) -> None:
+    if a_max < 0:
         raise ValueError(f"spin must be non-negative, got {a_max}")
-    if (a.twice - a_max.twice) % 2 != 0:
+    if (a - a_max).denominator != 1:
         raise ValueError(f"index {a} has wrong parity for spin {a_max}")
-    if abs(a.twice) > a_max.twice:
+    if abs(a) > a_max:
         raise ValueError(f"index {a} outside [-{a_max}, {a_max}]")
 
 
-def spin_indices(a_max: HalfInt) -> list[HalfInt]:
+def spin_indices(a_max: Fraction) -> list[Fraction]:
     """Magnetic indices of the spin-A irrep in the fixed descending order A, ..., -A."""
-    if a_max.twice < 0:
+    if a_max < 0:
         raise ValueError(f"spin must be non-negative, got {a_max}")
-    return half_int_range(HalfInt(-a_max.twice), a_max)[::-1]
+    return half_int_range(-a_max, a_max)[::-1]
 
 
-def ladder_r(a_max: HalfInt, a: HalfInt) -> float:
+def ladder_r(a_max: Fraction, a: Fraction) -> float:
     """Raising coefficient sqrt((A - a)(A + a + 1)); zero at a = A."""
     _check_index(a_max, a)
-    radicand = (a_max.as_fraction - a.as_fraction) * (a_max.as_fraction + a.as_fraction + 1)
+    radicand = (a_max - a) * (a_max + a + 1)
     return float(np.sqrt(float(radicand)))
 
 
-def ladder_s(a_max: HalfInt, a: HalfInt) -> float:
+def ladder_s(a_max: Fraction, a: Fraction) -> float:
     """Lowering coefficient sqrt((A + a)(A - a + 1)); zero at a = -A."""
     _check_index(a_max, a)
-    radicand = (a_max.as_fraction + a.as_fraction) * (a_max.as_fraction - a.as_fraction + 1)
+    radicand = (a_max + a) * (a_max - a + 1)
     return float(np.sqrt(float(radicand)))
 
 
-def su2_generators(a_max: HalfInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def su2_generators(a_max: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (A+, A-, Az) of the spin-A irrep under the descending order.
 
     A+ has entries r(a2) at rows a1 = a2 + 1, A- has s(a2) at a1 = a2 - 1,
@@ -371,25 +371,25 @@ def su2_generators(a_max: HalfInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     indices = spin_indices(a_max)
     n = len(indices)
-    pos = {a.twice: i for i, a in enumerate(indices)}
+    pos = {a: i for i, a in enumerate(indices)}
     plus, minus, z = (np.zeros((n, n), dtype=complex) for _ in range(3))
     for col, a2 in enumerate(indices):
-        z[col, col] = a2.twice / 2
-        if a2.twice + 2 in pos:
-            plus[pos[a2.twice + 2], col] = ladder_r(a_max, a2)
-        if a2.twice - 2 in pos:
-            minus[pos[a2.twice - 2], col] = ladder_s(a_max, a2)
+        z[col, col] = float(a2)
+        if a2 + 1 in pos:
+            plus[pos[a2 + 1], col] = ladder_r(a_max, a2)
+        if a2 - 1 in pos:
+            minus[pos[a2 - 1], col] = ladder_s(a_max, a2)
     return plus, minus, z
 
 
-def block_grid(block: BlockLabel) -> list[tuple[HalfInt, HalfInt]]:
+def block_grid(block: BlockLabel) -> list[tuple[Fraction, Fraction]]:
     """All (a, b) pairs of a block in flat order: a-major, both descending."""
     return [(a, b) for a in spin_indices(block.a) for b in spin_indices(block.b)]
 
 
-def flat_index(block: BlockLabel, a: HalfInt, b: HalfInt) -> int:
+def flat_index(block: BlockLabel, a: Fraction, b: Fraction) -> int:
     """Position of (a, b) in the block's flat order."""
-    return (block.a.twice - a.twice) // 2 * (block.b.twice + 1) + (block.b.twice - b.twice) // 2
+    return int((block.a - a) * (block.twice_b + 1) + block.b - b)
 
 
 def dagger(x):
@@ -424,30 +424,30 @@ def loop_hla_generators(block: BlockLabel):
     """(J+, J-, Jz, K+, K-, Kz) of one block, one grid position at a time."""
     grid = block_grid(block)
     n = len(grid)
-    pos = {(a.twice, b.twice): i for i, (a, b) in enumerate(grid)}
+    pos = {ab: i for i, ab in enumerate(grid)}
     jplus, jminus, jz, kplus, kminus, kz = (np.zeros((n, n), dtype=complex) for _ in range(6))
 
     for col, (a2, b2) in enumerate(grid):
-        jz[col, col] = a2.twice / 2 + b2.twice / 2
-        kz[col, col] = -1j * (a2.twice / 2 - b2.twice / 2)
+        jz[col, col] = float(a2) + float(b2)
+        kz[col, col] = -1j * (float(a2) - float(b2))
 
-        up_a = (a2.twice + 2, b2.twice)
+        up_a = (a2 + 1, b2)
         if up_a in pos:
             coeff = ladder_r(block.a, a2)
             jplus[pos[up_a], col] += coeff
             kplus[pos[up_a], col] += -1j * coeff
-        up_b = (a2.twice, b2.twice + 2)
+        up_b = (a2, b2 + 1)
         if up_b in pos:
             coeff = ladder_r(block.b, b2)
             jplus[pos[up_b], col] += coeff
             kplus[pos[up_b], col] += 1j * coeff
 
-        down_a = (a2.twice - 2, b2.twice)
+        down_a = (a2 - 1, b2)
         if down_a in pos:
             coeff = ladder_s(block.a, a2)
             jminus[pos[down_a], col] += coeff
             kminus[pos[down_a], col] += -1j * coeff
-        down_b = (a2.twice, b2.twice - 2)
+        down_b = (a2, b2 - 1)
         if down_b in pos:
             coeff = ladder_s(block.b, b2)
             jminus[pos[down_b], col] += coeff
@@ -462,43 +462,36 @@ def loop_directed_rectangles(p: BlockLabel, q: BlockLabel):
     case = compatibility(p, q)
     s_a, s_b = case.s_a, case.s_b
     s_minus = -s_a * s_b
-    a12 = max(p.a.as_fraction, q.a.as_fraction)
-    b12 = max(p.b.as_fraction, q.b.as_fraction)
-    a_from_p = p.a.twice > q.a.twice
-    b_from_p = p.b.twice > q.b.twice
+    a12, b12 = max(p.a, q.a), max(p.b, q.b)
+    a_from_p, b_from_p = p.a > q.a, p.b > q.b
 
     rows = block_grid(p)
     cols = block_grid(q)
-    row_pos = {(a.twice, b.twice): i for i, (a, b) in enumerate(rows)}
+    row_pos = {ab: i for i, ab in enumerate(rows)}
     shape = (len(rows), len(cols))
     uplus, uminus, wplus, wminus = (np.zeros(shape, dtype=complex) for _ in range(4))
 
     def value(sign_a, sign_b, a1, a2, b1, b2) -> float:
         a_idx = a1 if a_from_p else a2
         b_idx = b1 if b_from_p else b2
-        radicand = (a12 + sign_a * s_a * a_idx.as_fraction) * (
-            b12 + sign_b * s_b * b_idx.as_fraction
-        )
+        radicand = (a12 + sign_a * s_a * a_idx) * (b12 + sign_b * s_b * b_idx)
         if radicand < 0:
             raise ArithmeticError("negative radicand in coupling rectangle")
         return float(np.sqrt(float(radicand)))
 
+    half = Fraction(1, 2)
     for col, (a2, b2) in enumerate(cols):
-        target = (a2.twice + 1, b2.twice + 1)
+        a1, b1 = target = (a2 + half, b2 + half)
         if target in row_pos:
-            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
             uplus[row_pos[target], col] = value(+1, +1, a1, a2, b1, b2)
-        target = (a2.twice - 1, b2.twice - 1)
+        a1, b1 = target = (a2 - half, b2 - half)
         if target in row_pos:
-            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
             uminus[row_pos[target], col] = s_minus * value(-1, -1, a1, a2, b1, b2)
-        target = (a2.twice + 1, b2.twice - 1)
+        a1, b1 = target = (a2 + half, b2 - half)
         if target in row_pos:
-            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
             wplus[row_pos[target], col] = -s_b * value(+1, -1, a1, a2, b1, b2)
-        target = (a2.twice - 1, b2.twice + 1)
+        a1, b1 = target = (a2 - half, b2 + half)
         if target in row_pos:
-            a1, b1 = HalfInt(target[0]), HalfInt(target[1])
             wminus[row_pos[target], col] = -s_a * value(-1, +1, a1, a2, b1, b2)
 
     return uplus, uminus, wplus, wminus
@@ -597,7 +590,7 @@ def dense_rectangles(p: BlockLabel, q: BlockLabel) -> Rectangles:
 
 def swapped(label: BlockLabel) -> BlockLabel:
     """The label with A and B exchanged."""
-    return BlockLabel(label.b, label.a)
+    return BlockLabel(twice_a=label.twice_b, twice_b=label.twice_a)
 
 
 def reversed_backbone(backbone: BackboneGraph) -> BackboneGraph:
@@ -716,7 +709,7 @@ def gelfand_tsetlin_backbone(twice_m1: int, twice_m2: int) -> BackboneGraph:
     with k1, k2 stepping by one; here in twice-values.
     """
     labels = [
-        BlockLabel(HalfInt((k1 + k2) // 2), HalfInt((k1 - k2) // 2))
+        BlockLabel(twice_a=(k1 + k2) // 2, twice_b=(k1 - k2) // 2)
         for k1 in range(twice_m1, twice_m2 - 1, -2)
         for k2 in range(twice_m2, -twice_m2 - 1, -2)
     ]
@@ -724,8 +717,8 @@ def gelfand_tsetlin_backbone(twice_m1: int, twice_m2: int) -> BackboneGraph:
         (i, j)
         for i in range(len(labels))
         for j in range(i + 1, len(labels))
-        if abs(labels[i].a.twice - labels[j].a.twice) == 1
-        and abs(labels[i].b.twice - labels[j].b.twice) == 1
+        if abs(labels[i].twice_a - labels[j].twice_a) == 1
+        and abs(labels[i].twice_b - labels[j].twice_b) == 1
     ]
     return BackboneGraph.make(labels, edges)
 

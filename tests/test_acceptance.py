@@ -20,7 +20,7 @@ from dsrep.coupling import (
     t_sign_relation,
 )
 from dsrep.io import backbone_from_doc, load_json
-from dsrep.numeric import HalfInt, max_abs
+from dsrep.numeric import max_abs
 from dsrep.representation import (
     Algebra,
     BackboneGraph,
@@ -42,13 +42,12 @@ from dsrep.verify import (
     scalar_check,
 )
 
-H = HalfInt
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TEN = first_ten_specs()
 
 
 def L(twice_a, twice_b):
-    return BlockLabel(H(twice_a), H(twice_b))
+    return BlockLabel(twice_a=twice_a, twice_b=twice_b)
 
 
 def note(line):
@@ -167,7 +166,7 @@ def test_criterion_7_classification_property():
     labels = [L(a, b) for a in range(5) for b in range(5)]
 
     def compatible(p, q):
-        return abs(p.a.twice - q.a.twice) == 1 and abs(p.b.twice - q.b.twice) == 1
+        return abs(p.twice_a - q.twice_a) == 1 and abs(p.twice_b - q.twice_b) == 1
 
     expected_valid = set()
     for family in Family:

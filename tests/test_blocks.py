@@ -1,5 +1,7 @@
 """Single Lorentz-block generator matrices."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import (
@@ -13,15 +15,13 @@ from conftest import (
 )
 
 from dsrep.blocks import BlockLabel, HlaGenerators, direct_sum_generators, hla_cartesian
-from dsrep.numeric import HalfInt, commutator, max_abs
+from dsrep.numeric import commutator, max_abs
 from dsrep.representation import BackboneGraph, assemble
 from dsrep.verify import check_all_crs, worst_residual
 
-H = HalfInt
-
 
 def L(twice_a, twice_b):
-    return BlockLabel(H(twice_a), H(twice_b))
+    return BlockLabel(twice_a=twice_a, twice_b=twice_b)
 
 
 SMALL_BLOCKS = [L(a, b) for a in range(0, 5) for b in range(0, 5)]
@@ -38,12 +38,38 @@ def test_negative_labels_rejected():
         L(-1, 0)
 
 
+@pytest.mark.parametrize("value", [1.0, True, "1", Fraction(1), np.int64(1), None], ids=repr)
+def test_non_int_labels_rejected(value):
+    with pytest.raises(TypeError):
+        L(value, 0)
+    with pytest.raises(TypeError):
+        L(0, value)
+
+
+def test_positional_label_rejected():
+    with pytest.raises(TypeError):
+        BlockLabel(1, 0)
+
+
+def test_label_values_and_text():
+    label = L(3, 4)
+    assert (label.a, label.b) == (Fraction(3, 2), Fraction(2))
+    assert str(label) == "(3/2,2)"
+
+
+def test_labels_order_as_their_values():
+    labels = [L(a, b) for a in range(9) for b in range(9)]
+    for p in labels:
+        for q in labels:
+            assert (p < q) == ((p.a, p.b) < (q.a, q.b))
+
+
 def test_grid_order_and_flat_index():
     block = L(1, 2)
     grid = block_grid(block)
     assert len(grid) == block.dim
     # a-major, both descending
-    assert [(a.twice, b.twice) for a, b in grid[:3]] == [(1, 2), (1, 0), (1, -2)]
+    assert [(2 * a, 2 * b) for a, b in grid[:3]] == [(1, 2), (1, 0), (1, -2)]
     for idx, (a, b) in enumerate(grid):
         assert flat_index(block, a, b) == idx
 
@@ -91,8 +117,8 @@ def test_matches_direct_product_route(block):
     gens = dense_generators(block)
     ap, am, az = su2_generators(block.a)
     bp, bm, bz = su2_generators(block.b)
-    ia = np.eye(block.a.twice + 1)
-    ib = np.eye(block.b.twice + 1)
+    ia = np.eye(block.twice_a + 1)
+    ib = np.eye(block.twice_b + 1)
     assert max_abs(gens.jplus - (np.kron(ap, ib) + np.kron(ia, bp))) < 1e-13
     assert max_abs(gens.jminus - (np.kron(am, ib) + np.kron(ia, bm))) < 1e-13
     assert max_abs(gens.jz - (np.kron(az, ib) + np.kron(ia, bz))) < 1e-13

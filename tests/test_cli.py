@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,26 @@ class TestDocumentRoundTrip:
         g = canonical_backbone(CanonicalSpec(Family.TYPE_B, 2))
         doc = backbone_to_doc(g)
         assert doc["blocks"][0] == {"A": "1/2", "B": "0"}
+
+    @pytest.mark.parametrize(
+        "spelling,twice",
+        [(1, 2), ("1", 2), ("3/2", 3), ("4/2", 4), (" 1/2 ", 1), ("+1", 2), ("1/1", 2), ("0", 0)],
+    )
+    def test_label_spellings_accepted(self, spelling, twice):
+        graph, _ = backbone_from_doc({"blocks": [{"A": spelling, "B": spelling}]})
+        value = Fraction(twice, 2)
+        assert str(graph.blocks[0]) == f"({value},{value})"
+
+    @pytest.mark.parametrize("field", ["A", "B"])
+    @pytest.mark.parametrize(
+        "spelling",
+        ["1/3", "1.5", 1.5, 1.0, True, "x", "", "1/0", "1/-2", "-1/2", -1, None],
+        ids=repr,
+    )
+    def test_label_spellings_refused(self, spelling, field):
+        block = {"A": 0, "B": 0, field: spelling}
+        with pytest.raises(DocumentError):
+            backbone_from_doc({"blocks": [block]})
 
     def test_bad_documents_rejected(self):
         with pytest.raises(DocumentError):

@@ -22,15 +22,13 @@ from dsrep.coupling import (
     t_sign_relation,
     z_linear,
 )
-from dsrep.numeric import HalfInt, max_abs
+from dsrep.numeric import max_abs
 from dsrep.representation import Algebra, BackboneGraph
 from dsrep.verify import check_all_crs
 
-H = HalfInt
-
 
 def L(twice_a, twice_b):
-    return BlockLabel(H(twice_a), H(twice_b))
+    return BlockLabel(twice_a=twice_a, twice_b=twice_b)
 
 
 ALL_CASES = [PairCase(sa, sb) for sa in (1, -1) for sb in (1, -1)]
@@ -99,20 +97,16 @@ class TestSignRule:
 
 class TestZLinear:
     def test_up_up(self):
-        z = z_linear(PairCase(1, 1), H(2), H(2))
-        assert (z.coef_a, z.coef_b) == (Fraction(4), Fraction(4))
+        assert z_linear(PairCase(1, 1), L(2, 2)) == (4, 4)
 
     def test_up_down(self):
-        z = z_linear(PairCase(1, -1), H(1), H(0))
-        assert (z.coef_a, z.coef_b) == (Fraction(-4), Fraction(2))
+        assert z_linear(PairCase(1, -1), L(1, 0)) == (-4, 2)
 
     def test_down_down(self):
-        z = z_linear(PairCase(-1, -1), H(0), H(0))
-        assert (z.coef_a, z.coef_b) == (Fraction(-4), Fraction(-4))
+        assert z_linear(PairCase(-1, -1), L(0, 0)) == (-4, -4)
 
     def test_down_up(self):
-        z = z_linear(PairCase(-1, 1), H(2), H(4))
-        assert (z.coef_a, z.coef_b) == (Fraction(8), Fraction(-8))
+        assert z_linear(PairCase(-1, 1), L(2, 4)) == (8, -8)
 
 
 class TestUBlocks:
@@ -129,7 +123,7 @@ class TestUBlocks:
         u = dense_rectangles(p, q)
         assert u.uplus_pq.shape == (4, 1)
         expected = np.zeros((4, 1))
-        expected[flat_index(p, H(1), H(1)), 0] = 1.0
+        expected[flat_index(p, Fraction(1, 2), Fraction(1, 2)), 0] = 1.0
         assert max_abs(u.uplus_pq - expected) == 0.0
 
     def test_orientation_swap(self):
@@ -177,7 +171,7 @@ class TestUBlocks:
             m = getattr(u, f"{name}_pq")
             for r, (a1, b1) in enumerate(grid_p):
                 for c, (a2, b2) in enumerate(grid_q):
-                    on_shift = (a1.twice - a2.twice, b1.twice - b2.twice) == (da, db)
+                    on_shift = (2 * (a1 - a2), 2 * (b1 - b2)) == (da, db)
                     if on_shift:
                         assert m[r, c] != 0
                     else:
@@ -223,7 +217,7 @@ class TestTwoBlockRelations:
                     made = blocks_for_case(case, ta, tb)
                     if made is None:
                         continue
-                    if made[0].a.twice > 3 or made[0].b.twice > 3:
+                    if made[0].twice_a > 3 or made[0].twice_b > 3:
                         continue
                     gens = two_block_assembly(*made, 1.21, -0.34)
                     residuals = check_all_crs(gens)
@@ -251,13 +245,8 @@ class TestZAgainstMatrices:
             gens = two_block_assembly(p, q, 1.0, 1.0)
             n = p.dim
             top = (1j * (gens.vx @ gens.vy - gens.vy @ gens.vx)).to_dense()[:n, :n]
-            z = z_linear(case, p.a, p.b)
-            expected = np.diag(
-                [
-                    (z.coef_a * a.twice + z.coef_b * b.twice) / 2
-                    for a, b in block_grid(p)
-                ]
-            )
+            coef_a, coef_b = z_linear(case, p)
+            expected = np.diag([float(coef_a * a + coef_b * b) for a, b in block_grid(p)])
             assert max_abs(top - expected) < 1e-11
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=str)
@@ -271,13 +260,8 @@ class TestZAgainstMatrices:
             gens = two_block_assembly(p, q, 1.0, 1.0)
             n = p.dim
             top = (gens.vt @ gens.vz - gens.vz @ gens.vt).to_dense()[:n, :n]
-            z = z_linear(case, p.a, p.b)
-            expected = np.diag(
-                [
-                    (-z.coef_a * a.twice + z.coef_b * b.twice) / 2
-                    for a, b in block_grid(p)
-                ]
-            )
+            coef_a, coef_b = z_linear(case, p)
+            expected = np.diag([float(-coef_a * a + coef_b * b) for a, b in block_grid(p)])
             assert max_abs(top - expected) < 1e-11
 
 

@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import argsort_reduced, dagger, fraction_solve, half_int_range, sparse_from_dense
+from conftest import argsort_reduced, dagger, fraction_solve, sparse_from_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsrep.numeric
 from dsrep.numeric import (
-    HalfInt,
     Sparse,
     commutator,
     max_abs,
@@ -20,35 +19,6 @@ from dsrep.numeric import (
     residual_norms,
     solve_rational_linear,
 )
-
-
-class TestHalfInt:
-    def test_str_roundtrip(self):
-        assert str(HalfInt(3)) == "3/2"
-        assert str(HalfInt(-1)) == "-1/2"
-        assert str(HalfInt(4)) == "2"
-        for text in ("3/2", "-5/2", "2", "-7", "0"):
-            assert str(HalfInt.parse(text)) == text
-
-    def test_parse_rejects_junk(self):
-        with pytest.raises(ValueError):
-            HalfInt.parse("1/3")
-        with pytest.raises(ValueError):
-            HalfInt.parse("x")
-
-    def test_range(self):
-        assert [h.twice for h in half_int_range(HalfInt(-3), HalfInt(3))] == [-3, -1, 1, 3]
-        assert half_int_range(HalfInt(2), HalfInt(0)) == []
-
-    # ordering must agree with the rational embedding twice/2 (BlockLabel
-    # sorts by it), exhaustively over |twice| <= 100
-    def test_agrees_with_fractions_exhaustive(self):
-        values = range(-100, 101)
-        for x in values:
-            hx = HalfInt(x)
-            for y in values:
-                hy = HalfInt(y)
-                assert (hx < hy) == (hx.as_fraction < hy.as_fraction)
 
 
 complex_entries = st.complex_numbers(

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import PairCase, t_sign_relation
 from dsrep.io import generators_from_doc, generators_to_doc
-from dsrep.numeric import HalfInt, max_abs
+from dsrep.numeric import max_abs
 from dsrep.representation import (
     GENERATOR_NAMES,
     MAX_DIM,
@@ -38,11 +38,9 @@ from dsrep.representation import (
 )
 from dsrep.verify import check_all_crs
 
-H = HalfInt
-
 
 def L(twice_a, twice_b):
-    return BlockLabel(H(twice_a), H(twice_b))
+    return BlockLabel(twice_a=twice_a, twice_b=twice_b)
 
 
 def labels(g):
@@ -464,7 +462,7 @@ class TestDenseAssemblyOracle:
         backbone = BackboneGraph.make([*chain.blocks, L(0, 0), L(3, 0), L(2, 3)], chain.edges)
         backbone, t = _shuffled(backbone, t, [6, 4, 2, 0, 1, 3, 5])
         assert all(
-            backbone.blocks[i].a.twice < backbone.blocks[j].a.twice for i, j in backbone.edges
+            backbone.blocks[i].twice_a < backbone.blocks[j].twice_a for i, j in backbone.edges
         )
         _assert_dense_bytes(backbone, t, algebra)
 

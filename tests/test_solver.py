@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import PairCase, z_linear
 from dsrep.io import backbone_from_doc, load_json
-from dsrep.numeric import HalfInt, solve_rational_linear
+from dsrep.numeric import solve_rational_linear
 from dsrep.representation import (
     BackboneGraph,
     CanonicalSpec,
@@ -37,12 +37,11 @@ from dsrep.verify import (
     scalar_check,
 )
 
-H = HalfInt
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def L(twice_a, twice_b):
-    return BlockLabel(H(twice_a), H(twice_b))
+    return BlockLabel(twice_a=twice_a, twice_b=twice_b)
 
 
 def load_fixture(name):
@@ -155,9 +154,8 @@ class TestOnBdSystem:
         assert all(type(v) is int for v in system.rhs)
         for s_a, s_b in itertools.product((1, -1), repeat=2):
             for label in g.blocks:
-                z = z_linear(PairCase(s_a, s_b), label.a, label.b)
-                assert type(z.coef_a) is int and type(z.coef_b) is int
-                assert z.coef_a % 2 == 0 and z.coef_b % 2 == 0
+                coefs = z_linear(PairCase(s_a, s_b), label)
+                assert all(type(c) is int and c % 2 == 0 for c in coefs)
 
     @pytest.mark.parametrize("ref,spec", first_ten_specs())
     def test_canonical_products_exact(self, ref, spec):

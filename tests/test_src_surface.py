@@ -6,13 +6,17 @@ be a function the benchmark patches.  A name only tests call is oracle
 code and belongs in `tests/`.  Every name a module imports must be
 loaded in that module, except the package's re-exports and the names the
 benchmark patches there.  Every method of a class must be named by an
-attribute access in `src/dsrep` or in the benchmark.
+attribute access in `src/dsrep` or in the benchmark.  The README's
+stable-API import block names exactly the package's `__all__`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from conftest import benchmark_boundaries
+
+import dsrep
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dsrep"
@@ -58,6 +62,13 @@ def test_every_export_is_used_by_the_library():
         if name not in used | package and (module, name) not in patched
     ]
     assert not unused, f"exported but used only outside src/dsrep: {unused}"
+
+
+def test_readme_imports_the_stable_api():
+    """The README's `from dsrep import (...)` block names `dsrep.__all__`."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^from dsrep import \((.*?)\)", readme, re.M | re.S)
+    assert sorted(re.findall(r"\w+", block)) == sorted(dsrep.__all__)
 
 
 def _imported(tree: ast.Module) -> set[str]:

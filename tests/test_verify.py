@@ -30,7 +30,7 @@ from conftest import (
 )
 import dsrep.numeric
 import dsrep.verify
-from dsrep.numeric import HalfInt, Sparse, commutator, max_abs
+from dsrep.numeric import Sparse, commutator, max_abs
 from dsrep.representation import (
     Algebra,
     BackboneGraph,
@@ -56,7 +56,6 @@ from dsrep.verify import (
     worst_residual,
 )
 
-H = HalfInt
 TEN = first_ten_specs()
 
 
@@ -520,7 +519,7 @@ class TestNonFinite:
         # Type A's 1-dim (0, 0) block has an empty Jx row, so a NaN in a Vt
         # entry into that block meets no stored entry of Jx in Vt @ Jx.
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
-        labels = [(b.a.twice, b.b.twice) for b in gens.backbone.blocks]
+        labels = [(b.twice_a, b.twice_b) for b in gens.backbone.blocks]
         col = block_offsets(gens)[labels.index((0, 0))]
         assert not (gens.jx.keys // gens.dim == col).any()
         vt = gens.generators()["Vt"]
