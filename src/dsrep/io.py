@@ -36,12 +36,19 @@ Any other "format" value is refused.
 
 The schemas above are shown spread out; `save_json` and `generate`
 write each document as one line of compact JSON.  Entries are listed in
-row-major order, each (row, col) at most once.  A document repeats a few
-closed-form values many times, so each distinct float is written and
-read once: `write_json` formats it with `float.__repr__` into a table
-kept for that document, keyed by its bits, and `load_json` parses each
-distinct number text once.  The text is what `json.dumps` writes, and
-the round trip stays bit-exact.
+row-major order, each (row, col) at most once.
+
+`generate` writes `generators_to_array_doc`, whose four columns are the
+stored numpy arrays; `generators_to_doc` is the same document with each
+column made a list, for callers that want plain JSON values.
+`write_json` turns each array straight into text from tables kept for
+that one document, one column at a time: a position from the texts of
+0..n-1, indexed by the column, and a float from `float.__repr__` of
+each distinct value, keyed by its bits (a document repeats a few
+closed-form values many times).  Arrays holding NaN or infinities, and
+everything else, go through the C encoder.  `load_json` parses each
+distinct number text once.  The text is what `json.dumps` writes for the
+list view, and the round trip stays bit-exact.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ __all__ = [
     "DocumentError",
     "backbone_to_doc",
     "backbone_from_doc",
+    "generators_to_array_doc",
     "generators_to_doc",
     "generators_from_doc",
     "load_json",
@@ -171,20 +179,23 @@ def backbone_from_doc(doc: Any) -> tuple[BackboneGraph, Algebra]:
     return graph, algebra
 
 
-def _matrix_doc(name: str, m: Sparse) -> dict:
-    """One generator as format-2 columns of its stored entries, in row-major
-    (key) order; "re" or "im" is left out when every part in it is +0.0."""
+def _matrix_columns(m: Sparse) -> dict[str, np.ndarray]:
+    """The row, col, re and im columns of a matrix's stored entries, in
+    row-major (key) order; "re" or "im" is left out when every part in it
+    is +0.0."""
     m = m.reduced()
     rows, cols = np.divmod(m.keys, m.n)
-    doc = {"name": name, "rows": m.n, "cols": m.n, "row": rows.tolist(), "col": cols.tolist()}
+    columns = {"row": rows, "col": cols}
     for key, part in (("re", m.vals.real), ("im", m.vals.imag)):
         # a -0.0 part must be written for the round trip to keep its bits
         if part.any() or np.signbit(part).any():
-            doc[key] = part.tolist()
-    return doc
+            columns[key] = part
+    return columns
 
 
-def generators_to_doc(g: GeneratorSet) -> dict:
+def generators_to_array_doc(g: GeneratorSet) -> dict:
+    """The generator document of g, each matrix column a numpy array, as
+    `write_json` writes it without making Python number lists."""
     t_entries = []
     for i, j in sorted(g.backbone.edges):
         t_entries.append(
@@ -195,8 +206,21 @@ def generators_to_doc(g: GeneratorSet) -> dict:
         "algebra": g.algebra.value,
         "backbone": backbone_to_doc(g.backbone, g.algebra),
         "t": t_entries,
-        "generators": [_matrix_doc(name, m) for name, m in g.matrices().items()],
+        "generators": [
+            {"name": name, "rows": m.n, "cols": m.n, **_matrix_columns(m)}
+            for name, m in g.matrices().items()
+        ],
     }
+
+
+def generators_to_doc(g: GeneratorSet) -> dict:
+    """The generator document of g as plain JSON values: the array document
+    with each column made a list."""
+    doc = generators_to_array_doc(g)
+    for matrix in doc["generators"]:
+        for key in matrix.keys() & {"row", "col", "re", "im"}:
+            matrix[key] = matrix[key].tolist()
+    return doc
 
 
 Columns = tuple[Sequence, Sequence, Optional[Sequence], Optional[Sequence]]
@@ -383,43 +407,51 @@ def load_json(path) -> Any:
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _float_list_text(value: Any, texts: dict[int, str]) -> Optional[str]:
-    """The JSON text of a list of finite floats, each distinct value
-    formatted once through texts (bits -> float.__repr__); None for any
-    other value, NaN and infinities included (the encoder spells them)."""
-    # the first item spares int columns the scan of every item's type
-    if not (
-        isinstance(value, list) and value and type(value[0]) is float
-        and set(map(type, value)) == {float}
-    ):
-        return None
-    floats = np.array(value, dtype=float)
-    if not np.isfinite(floats).all():
-        return None
-    # keyed by bits, so -0.0 and 0.0 keep their own texts
-    bits, index = np.unique(floats.view(np.int64), return_inverse=True)
-    table = [
-        texts[key] if key in texts else texts.setdefault(key, float.__repr__(number))
-        for key, number in zip(bits.tolist(), bits.view(float).tolist())
-    ]
-    return "[" + ",".join(np.array(table, dtype=object)[index].tolist()) + "]"
+class _NumberTexts:
+    """The texts of one document's numbers, each made once: a float's
+    `float.__repr__` keyed by its bits (so -0.0 and 0.0 keep their own),
+    and the ints 0..n-1 as an object array indexed by the int."""
+
+    def __init__(self):
+        self.floats: dict[int, str] = {}
+        self.ints = np.empty(0, dtype=object)
+
+    def column(self, array: np.ndarray) -> str:
+        """The JSON text of an array: a 1-D column of finite floats, or of
+        ints from 0 to at most its length, is joined from the tables; NaN,
+        infinities and any other array go through the C encoder."""
+        if array.ndim == 1 and array.size and array.dtype.kind in "iu":
+            top = int(array.max()) + 1
+            if len(self.ints) < top <= array.size:
+                self.ints = np.array(list(map(str, range(top))), dtype=object)
+            if top <= len(self.ints) and array.min() >= 0:
+                return "[" + ",".join(self.ints[array].tolist()) + "]"
+        elif array.ndim == 1 and array.size and array.dtype == np.float64:
+            if np.isfinite(array).all():
+                bits, index = np.unique(array.view(np.int64), return_inverse=True)
+                texts = self.floats
+                table = [
+                    texts[key] if key in texts else texts.setdefault(key, float.__repr__(number))
+                    for key, number in zip(bits.tolist(), bits.view(float).tolist())
+                ]
+                return "[" + ",".join(np.array(table, dtype=object)[index].tolist()) + "]"
+        return _encode(array.tolist())
 
 
-def _json_pieces(value: Any, texts: dict[int, str], depth: int = 3) -> Iterator[str]:
+def _json_pieces(value: Any, texts: _NumberTexts, depth: int = 3) -> Iterator[str]:
     """The compact JSON text of value, in pieces that concatenate to the
-    output of one json.dumps call.
+    output of one json.dumps call on value with its arrays made lists.
 
     Arrays and string-keyed objects are split for `depth` levels, so each
-    column of a generator document's matrices is reached.  A list of
-    finite floats is written from the document's text table; anything
-    else left goes through its own call of the C encoder.  One call for
-    the whole document holds every number's text at once (a few MB at dim
+    column of a generator document's matrices is reached.  A numpy array
+    there is written from the document's number texts; anything else left
+    goes through its own call of the C encoder.  One call for the whole
+    document would hold every number's text at once (a few MB at dim
     400), and streaming with json.dump, or any indent, falls back to the
     pure-Python encoder.
     """
-    text = _float_list_text(value, texts)
-    if text is not None:
-        yield text
+    if isinstance(value, np.ndarray):
+        yield texts.column(value)
     elif isinstance(value, list) and depth:
         yield "["
         for index, item in enumerate(value):
@@ -439,7 +471,7 @@ def _json_pieces(value: Any, texts: dict[int, str], depth: int = 3) -> Iterator[
 
 def write_json(doc: Any, handle: TextIO) -> None:
     """Write the document to a text stream as one line of compact JSON."""
-    handle.writelines(_json_pieces(doc, {}))
+    handle.writelines(_json_pieces(doc, _NumberTexts()))
     handle.write("\n")
 
 

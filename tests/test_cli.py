@@ -1,11 +1,15 @@
 """Command-line interface, document round-trips, golden tables."""
 
+import dataclasses
+import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,10 +25,13 @@ from dsrep.io import (
     backbone_from_doc,
     backbone_to_doc,
     generators_from_doc,
+    generators_to_array_doc,
     generators_to_doc,
     load_json,
     save_json,
+    write_json,
 )
+from dsrep.numeric import Sparse
 from dsrep.representation import (
     MAX_DIM,
     Algebra,
@@ -62,6 +69,25 @@ _JSON_TREES = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=4),
     max_leaves=12,
 )
+# numpy arrays for the array writer: int columns that the per-document int
+# table covers or not (negative, large, longer than their largest value),
+# float columns with the special texts, and arrays of other kinds.
+_ARRAYS = (
+    st.lists(st.integers(0, 40) | st.integers(-(2**63), 2**63 - 1), max_size=60).map(
+        lambda items: np.array(items, dtype=np.int64)
+    )
+    | _FLOAT_LISTS.map(lambda items: np.array(items, dtype=float))
+    | st.lists(st.booleans(), max_size=8).map(np.array)
+    | st.lists(st.sampled_from([-0.0, 0.0, 0.1, 0.5]), max_size=8).map(
+        lambda items: np.array(items, dtype=np.float32)
+    )
+)
+
+
+def _dumps_listed(doc) -> str:
+    """The text `write_json` must write for doc: json.dumps of it with every
+    array made a list."""
+    return json.dumps(doc, separators=(",", ":"), default=np.ndarray.tolist) + "\n"
 
 
 class TestDocumentRoundTrip:
@@ -128,6 +154,16 @@ class TestDocumentRoundTrip:
         path = tmp_path_factory.getbasetemp() / "drawn.json"
         save_json(doc, path)
         assert path.read_text() == json.dumps(doc, separators=(",", ":")) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays=st.lists(_ARRAYS, min_size=3, max_size=3))
+    def test_written_arrays_match_json_dumps_of_their_lists(self, arrays):
+        # arrays down to the depth the writer splits, sharing one document's tables
+        first, second, third = arrays
+        doc = {"a": first, "b": [second, {"c": third, "d": first}]}
+        handle = io.StringIO()
+        write_json(doc, handle)
+        assert handle.getvalue() == _dumps_listed(doc)
 
     def test_read_floats_keep_json_load_bits(self, tmp_path):
         texts = ["-0.0", "0.0", "1E5", "1e5", "5e-324", "1e400", "-1e400", "0.1", "2.5e-3"]
@@ -236,6 +272,92 @@ class TestGenerate:
         assert main(["verify", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.rstrip().endswith("verdict: PASS")
+
+
+class TestWrittenBytes:
+    """`generate` and `save_json` write a generator document's arrays as
+    the bytes json.dumps writes for its list view, `generators_to_doc`."""
+
+    @pytest.mark.parametrize("algebra", ["ds", "ads"])
+    @pytest.mark.parametrize("family", ["a", "b"])
+    def test_generate_writes_json_dumps_of_the_list_view(self, tmp_path, capsys, family, algebra):
+        path = tmp_path / "rep.json"
+        for n in range(2, 13):
+            gens = assemble_canonical(CanonicalSpec(Family(family), n), Algebra(algebra))
+            want = json.dumps(generators_to_doc(gens), separators=(",", ":")) + "\n"
+            assert main(["generate", family, str(n), "--algebra", algebra, "--out", str(path)]) == 0
+            capsys.readouterr()
+            assert path.read_text(encoding="utf-8") == want, n
+            assert main(["generate", family, str(n), "--algebra", algebra]) == 0
+            assert capsys.readouterr().out == want, n
+
+    @pytest.mark.parametrize(
+        "weight,algebra",
+        [((3, 1), Algebra.DE_SITTER), ((5, 3), Algebra.ANTI_DE_SITTER), ((6, 2), Algebra.DE_SITTER)],
+        ids=["so5-3/2-1/2", "so5-5/2-3/2-ads", "so5-3-1"],
+    )
+    def test_solver_built_sets(self, tmp_path, weight, algebra):
+        gens = gelfand_tsetlin_generators(weight, algebra)
+        path = tmp_path / "rep.json"
+        save_json(generators_to_array_doc(gens), path)
+        want = json.dumps(generators_to_doc(gens), separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="utf-8") == want
+
+    def test_negative_zero_parts(self):
+        # a3's Ky holds -0.0 imaginary parts, each written as -0.0
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
+        ky = next(m for m in generators_to_array_doc(gens)["generators"] if m["name"] == "Ky")
+        assert np.signbit(ky["im"][ky["im"] == 0]).any()
+        handle = io.StringIO()
+        write_json(ky, handle)
+        assert handle.getvalue() == _dumps_listed(ky)
+        assert re.search(r'"im":\[(.*,)?-0\.0[,\]]', handle.getvalue())
+
+    @pytest.mark.parametrize(
+        "value,spelling",
+        [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")],
+        ids=["nan", "inf", "-inf"],
+    )
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_finite_entries_keep_the_encoders_spelling(
+        self, tmp_path, capsys, value, spelling, part
+    ):
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_B, 3))
+        vals = gens.jx.vals.copy()
+        getattr(vals, "real" if part == "re" else "imag")[1] = value
+        broken = dataclasses.replace(gens, jx=Sparse(gens.dim, gens.jx.keys, vals))
+        path = tmp_path / "rep.json"
+        save_json(generators_to_array_doc(broken), path)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(generators_to_doc(broken), separators=(",", ":")) + "\n"
+        assert spelling in text
+        # never float.__repr__'s spelling
+        assert not re.search(r"[\[,]-?(nan|inf)[,\]]", text)
+        for fmt in ("pretty", "json"):
+            assert main(["verify", str(path), "--format", fmt]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: Jx entry ") and "must be a finite number" in err
+
+    def test_writer_holds_one_column_at_a_time(self):
+        # type A N=20, dim 2870: the whole document's text is over ten times
+        # its largest column's, so a writer that joins it fails the bound
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 20))
+        doc = generators_to_array_doc(gens)
+        largest = max(
+            len(json.dumps(value.tolist(), separators=(",", ":")))
+            for matrix in doc["generators"]
+            for value in matrix.values()
+            if isinstance(value, np.ndarray)
+        )
+        with open(os.devnull, "w", encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                write_json(doc, handle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert gens.dim == 2870
+        assert peak < 8 * largest
 
 
 class TestVerify:

@@ -30,6 +30,7 @@ from conftest import (
 )
 import dsrep.numeric
 import dsrep.verify
+from dsrep.blocks import direct_sum_generators
 from dsrep.numeric import Sparse, commutator, max_abs
 from dsrep.representation import (
     Algebra,
@@ -52,6 +53,7 @@ from dsrep.verify import (
     casimir_invariants_closed_form,
     check_all_crs,
     check_hermiticity,
+    check_jz,
     scalar_check,
     worst_residual,
 )
@@ -275,6 +277,32 @@ class TestIrreducibility:
         }
         gens = assemble(g, t)
         assert commutant_dimension(gens) == 2
+
+
+class TestJz:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: assemble_canonical(CanonicalSpec(Family.TYPE_A, 6)),
+            lambda: assemble_canonical(CanonicalSpec(Family.TYPE_B, 5), Algebra.ANTI_DE_SITTER),
+            lambda: gelfand_tsetlin_generators((5, 3), Algebra.DE_SITTER),
+        ],
+        ids=["a6", "b5-ads", "so5-5/2-3/2"],
+    )
+    @pytest.mark.parametrize("tamper", ["none", "scaled", "nan"])
+    def test_matches_the_residual_against_the_ladder_jz(self, make, tamper):
+        # bit for bit the residual against the Jz that direct_sum_generators builds
+        gens = make()
+        vals = gens.jz.vals.copy()
+        if tamper == "scaled":
+            vals *= 1.0 + 1e-9
+        elif tamper == "nan":
+            vals[0] = math.nan
+        gens = dataclasses.replace(gens, jz=Sparse(gens.dim, gens.jz.keys, vals))
+        want = max_abs(gens.jz - direct_sum_generators(gens.backbone.blocks).jz)
+        got = check_jz(gens)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        assert (got == 0) == (tamper == "none")
 
 
 class TestScalarCheck:
