@@ -30,7 +30,6 @@ __all__ = [
     "HlaGenerators",
     "hla_cartesian",
     "direct_sum_generators",
-    "direct_sum_cartesian",
 ]
 
 
@@ -134,7 +133,7 @@ def direct_sum_generators(blocks: Sequence[BlockLabel]) -> HlaGenerators:
     )
 
 
-def direct_sum_cartesian(blocks: Sequence[BlockLabel]) -> tuple[Sparse, ...]:
+def hla_cartesian(blocks: Sequence[BlockLabel]) -> tuple[Sparse, ...]:
     """Cartesian generators (Jx, Jy, Jz, Kx, Ky, Kz) of the direct sum of the blocks."""
     g = direct_sum_generators(blocks)
     jx = (g.jplus + g.jminus) / 2
@@ -142,8 +141,3 @@ def direct_sum_cartesian(blocks: Sequence[BlockLabel]) -> tuple[Sparse, ...]:
     kx = (g.kplus + g.kminus) / 2
     ky = -0.5j * (g.kplus - g.kminus)
     return jx, jy, g.jz, kx, ky, g.kz
-
-
-def hla_cartesian(block: BlockLabel) -> tuple[Sparse, ...]:
-    """Cartesian generators (Jx, Jy, Jz, Kx, Ky, Kz) for one block."""
-    return direct_sum_cartesian((block,))

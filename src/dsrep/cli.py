@@ -23,14 +23,11 @@ from .io import (
     DocumentError,
     backbone_from_doc,
     generators_from_doc,
-    generators_to_array_doc,
+    generators_to_doc,
     load_json,
     save_json,
     write_json,
 )
-# `perfbench/spans.py` still patches `generators_to_doc` here; delete the
-# import with that entry at the next change to the benchmark.
-from .io import generators_to_doc  # noqa: F401
 from .representation import Algebra, CanonicalSpec, Family, assemble_canonical
 from .solver import Verdict, solve_and_verify
 from .tables import all_tables
@@ -75,7 +72,7 @@ def _cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = generators_to_array_doc(gens)
+    doc = generators_to_doc(gens)
     if args.out:
         try:
             save_json(doc, args.out)

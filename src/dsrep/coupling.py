@@ -50,7 +50,7 @@ __all__ = [
     "compatibility",
     "t_sign_relation",
     "z_linear",
-    "edge_ladders",
+    "u_blocks",
     "cartesian_from_ladders",
 ]
 
@@ -108,7 +108,7 @@ def z_linear(case: PairCase, label: BlockLabel) -> tuple[int, int]:
     return coef_a, coef_b
 
 
-def edge_ladders(
+def u_blocks(
     blocks: Sequence[BlockLabel],
     pairs: Sequence[tuple[int, int]],
     scales: Sequence[float],
@@ -165,11 +165,6 @@ def edge_ladders(
         ladder(+1, -1, -s_b),
         ladder(-1, +1, -s_a),
     )
-
-
-# `perfbench/spans.py` still patches this name; delete it with that entry
-# at the next change to the benchmark.
-u_blocks = edge_ladders
 
 
 def cartesian_from_ladders(

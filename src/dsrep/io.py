@@ -38,17 +38,17 @@ The schemas above are shown spread out; `save_json` and `generate`
 write each document as one line of compact JSON.  Entries are listed in
 row-major order, each (row, col) at most once.
 
-`generate` writes `generators_to_array_doc`, whose four columns are the
-stored numpy arrays; `generators_to_doc` is the same document with each
-column made a list, for callers that want plain JSON values.
-`write_json` turns each array straight into text from tables kept for
-that one document, one column at a time: a position from the texts of
-0..n-1, indexed by the column, and a float from `float.__repr__` of
-each distinct value, keyed by its bits (a document repeats a few
-closed-form values many times).  Arrays holding NaN or infinities, and
-everything else, go through the C encoder.  `load_json` parses each
-distinct number text once.  The text is what `json.dumps` writes for the
-list view, and the round trip stays bit-exact.
+`generators_to_doc` holds each matrix's four columns as the stored numpy
+arrays, so `write_json` and `save_json` write it; `json.dumps` does not
+take it.  `write_json` turns each array straight into text from tables
+kept for that one document, one column at a time: a position from the
+texts of 0..n-1, indexed by the column, and a float from
+`float.__repr__` of each distinct value, keyed by its bits (a document
+repeats a few closed-form values many times).  Arrays holding NaN or
+infinities, and everything else, go through the C encoder.  `load_json`
+parses each distinct number text once.  The text is what `json.dumps`
+writes for the document with each column made a list, and the round
+trip stays bit-exact.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "DocumentError",
     "backbone_to_doc",
     "backbone_from_doc",
-    "generators_to_array_doc",
     "generators_to_doc",
     "generators_from_doc",
     "load_json",
@@ -193,7 +192,7 @@ def _matrix_columns(m: Sparse) -> dict[str, np.ndarray]:
     return columns
 
 
-def generators_to_array_doc(g: GeneratorSet) -> dict:
+def generators_to_doc(g: GeneratorSet) -> dict:
     """The generator document of g, each matrix column a numpy array, as
     `write_json` writes it without making Python number lists."""
     t_entries = []
@@ -211,16 +210,6 @@ def generators_to_array_doc(g: GeneratorSet) -> dict:
             for name, m in g.matrices().items()
         ],
     }
-
-
-def generators_to_doc(g: GeneratorSet) -> dict:
-    """The generator document of g as plain JSON values: the array document
-    with each column made a list."""
-    doc = generators_to_array_doc(g)
-    for matrix in doc["generators"]:
-        for key in matrix.keys() & {"row", "col", "re", "im"}:
-            matrix[key] = matrix[key].tolist()
-    return doc
 
 
 Columns = tuple[Sequence, Sequence, Optional[Sequence], Optional[Sequence]]

@@ -304,25 +304,36 @@ class _Plan(NamedTuple):
     starts: Optional[np.ndarray]
 
 
-def _plan(n: int, sums: int, products, pairs, singles, stack) -> _Plan:
+def _expansions(products, pairs) -> list[list[int]]:
+    """The products of a reduction by their rank in their expansion:
+    entry r lists the r-th product of each expansion that has more than r,
+    expansions shared by more products first.
+
+    pairs[p], where given, is (pattern of a, pattern of b) of the (t, c, a,
+    b) product p, as `_pattern_numbers` numbers them, and the products of
+    one sum with one pair share an expansion; without pairs each product
+    is its own.
+    """
+    if not products:
+        return []
+    if pairs is None:
+        return [list(range(len(products)))]
+    shared: dict[tuple, list[int]] = {}
+    for p, ((t, *_), pair) in enumerate(zip(products, pairs)):
+        shared.setdefault((t, *pair), []).append(p)
+    expansions = sorted(shared.values(), key=len, reverse=True)
+    return [[e[r] for e in expansions if len(e) > r] for r in range(len(expansions[0]))]
+
+
+def _plan(n: int, sums: int, products, members, singles, stack) -> _Plan:
     """The `_Plan` of `sums` sums of n x n matrices, entry (i, j) of sum t
     under the key t * n^2 + i * n + j.
 
     Sum t adds c * (a @ b) over its (t, c, a, b) products and c * m, or
     c * dagger(m) where adjoint is true, over its (t, c, m, adjoint)
-    singles.  pairs[p], where given, is (pattern of a, pattern of b) of
-    product p, as `_pattern_numbers` numbers them, and the products of one
-    sum with one pair share an expansion; without pairs each product is
-    its own.  `stack` is `_stack` of the products.
+    singles.  `members` is `_expansions` of the products, and `stack` is
+    `_stack` of them.
     """
-    # members[r]: the r-th product of each expansion that has more than r
-    members = [list(range(len(products)))] if products else []
-    if pairs is not None and products:
-        shared: dict[tuple, list[int]] = {}
-        for p, ((t, *_), pair) in enumerate(zip(products, pairs)):
-            shared.setdefault((t, *pair), []).append(p)
-        expansions = sorted(shared.values(), key=len, reverse=True)
-        members = [[e[r] for e in expansions if len(e) > r] for r in range(len(expansions[0]))]
     keys = []
     per = where = np.zeros(0, dtype=np.intp)
     layers: list[int] = []
@@ -443,12 +454,13 @@ def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse"
         ).astype(np.intp)
         run = (np.cumsum(per_row) - 1) // PRODUCT_TERMS
         bounds = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), n]
+    members = _expansions(products, pairs)
     pieces = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = products
         if hi - lo < n:
             rows = [(0, c, _row_slice(a, lo, hi), b) for _, c, a, b in products]
-        keys, sums = _apply(_plan(n, 1, rows, pairs, (), stack), rows, (), stack)
+        keys, sums = _apply(_plan(n, 1, rows, members, (), stack), rows, (), stack)
         keep = sums != 0
         pieces.append((keys[keep], sums[keep]))
     return Sparse(n, *map(np.concatenate, zip(*pieces)), reduced=True)
@@ -516,13 +528,13 @@ def residual_norms(n: int, relations) -> list[float]:
         singles = [(t, c, m, adj) for t, r in enumerate(group) for c, m, adj in relations[r][1]]
         stack = _stack(products)
         if patterns is None:
-            plan = _plan(n, len(group), products, None, singles, stack)
+            plan = _plan(n, len(group), products, _expansions(products, None), singles, stack)
         else:
-            shared = [pair for r in group for pair in pairs[r]]
             signature = [patterns[r] for r in group]
             if signature != held:
                 plan = None  # one plan at a time
-                plan, held = _plan(n, len(group), products, shared, singles, stack), signature
+                members = _expansions(products, [pair for r in group for pair in pairs[r]])
+                plan, held = _plan(n, len(group), products, members, singles, stack), signature
         keys, sums = _apply(plan, products, singles, stack)
         bounds = np.searchsorted(keys, np.arange(len(group) + 1) * (n * n))
         filled = np.flatnonzero(bounds[:-1] < bounds[1:])

@@ -25,15 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockLabel, direct_sum_cartesian
-from .coupling import cartesian_from_ladders, compatibility, edge_ladders, t_sign_relation
+from .blocks import BlockLabel, hla_cartesian
+from .coupling import cartesian_from_ladders, compatibility, t_sign_relation, u_blocks
 from .numeric import Sparse
-
-# Not called here: the benchmark's spans (`perfbench/spans.py`) patch these
-# names in this module.  Delete them with those span entries at the next
-# change to the benchmark.
-from .blocks import hla_cartesian  # noqa: F401
-from .coupling import u_blocks  # noqa: F401
 
 __all__ = [
     "MAX_DIM",
@@ -323,9 +317,9 @@ def assemble(
     +-/-+ edges); a ValueError names the first edge that breaks it.
 
     Only the edge checks loop in Python.  J and K of every block come from
-    one array pass over the backbone (`blocks.direct_sum_cartesian`), the
+    one array pass over the backbone (`blocks.hla_cartesian`), the
     ladder rectangles of every directed edge from another
-    (`coupling.edge_ladders`), and the Cartesian V from one
+    (`coupling.u_blocks`), and the Cartesian V from one
     `cartesian_from_ladders`.
 
     The anti-de Sitter algebra is produced from the de Sitter matrices by
@@ -349,8 +343,8 @@ def assemble(
         pairs += [(i, j), (j, i)]
         scales += [t_ij, t_ji]
 
-    jx, jy, jz, kx, ky, kz = direct_sum_cartesian(backbone.blocks)
-    vt, vx, vy, vz = cartesian_from_ladders(*edge_ladders(backbone.blocks, pairs, scales))
+    jx, jy, jz, kx, ky, kz = hla_cartesian(backbone.blocks)
+    vt, vx, vy, vz = cartesian_from_ladders(*u_blocks(backbone.blocks, pairs, scales))
     if algebra is Algebra.ANTI_DE_SITTER:
         vx, vy, vz, vt = 1j * vx, 1j * vy, 1j * vz, 1j * vt
 

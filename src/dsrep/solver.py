@@ -59,7 +59,13 @@ from .representation import (
     assemble,
     classify_canonical_chain,
 )
-from .verify import CR_TOLERANCE, check_all_crs, check_hermiticity, worst_residual
+from .verify import (
+    CR_TOLERANCE,
+    HERMITICITY_TOLERANCE,
+    check_all_crs,
+    check_hermiticity,
+    worst_residual,
+)
 
 __all__ = [
     "MAX_GAUGE_PATTERNS",
@@ -436,10 +442,11 @@ def solve_and_verify(
             backward = system.required_sign[e] * forward
             t_map[e] = (forward, backward)
         gens = assemble(g, t_map, algebra)
-        residual = worst_residual(
-            [*check_all_crs(gens).values(), *check_hermiticity(gens).values()]
-        )
-        if not residual < CR_TOLERANCE:  # written so that NaN fails
+        crs = worst_residual(check_all_crs(gens).values())
+        hermiticity = worst_residual(check_hermiticity(gens).values())
+        # written so that NaN fails
+        if not (crs < CR_TOLERANCE and hermiticity < HERMITICITY_TOLERANCE):
+            residual = worst_residual((crs, hermiticity))
             if math.isnan(best_residual) or residual < best_residual:
                 best_residual = residual
             continue

@@ -63,8 +63,8 @@ __all__ = [
 
 _CYCLIC = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
 
-# Residual bounds: commutation relations (also the solver's bound for
-# both checks), Hermiticity, Jz against its block labels, and the
+# Residual bounds: commutation relations and Hermiticity (each also the
+# solver's bound for that check), Jz against its block labels, and the
 # distance from a multiple of the identity at which C1 and C2 count as
 # scalar (also, relative to max(1, |closed form|), the distance from
 # their closed forms).

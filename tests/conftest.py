@@ -29,10 +29,13 @@
   `dense_generator_set` makes a `GeneratorSet` of them, for couplings that
   break the Hermiticity sign rule `assemble` enforces.
 - `Rectangles` and `dense_rectangles`: the eight coupling rectangles of
-  one compatible pair, dense, from `dsrep.coupling.edge_ladders`.
+  one compatible pair, dense, from `dsrep.coupling.u_blocks`.
 - `swapped`, `reversed_backbone` and `block_offsets`: a label with A and
   B exchanged, a backbone with its blocks in reverse order, and the
   offsets of a generator set's blocks.
+- `listed_doc`: `generators_to_doc` with each column made a list, the
+  plain JSON values whose `json.dumps` text is what `write_json` must
+  write, and the in-memory list input of the loader.
 - `format1_doc`: the entry-list generator document (format 1) that
   `generate` wrote before the columnar format 2, still read by `verify`.
 - `fraction_solve`: Gauss-Jordan elimination over Fractions on dense
@@ -42,8 +45,8 @@
   which skips the sums where no key repeats.
 - `gelfand_tsetlin_backbone` and `gelfand_tsetlin_generators`: cyclic
   so(5) backbones and the generators the solver finds for them.
-- `benchmark_boundaries`: the (name, home, callers, count) spans
-  `perfbench/spans.py` patches into dsrep.
+- `benchmark_spans` and `benchmark_boundaries`: `perfbench/spans.py`,
+  and the (name, home, callers, count) spans it patches into dsrep.
 """
 
 import functools
@@ -55,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dsrep.blocks import BlockLabel, hla_cartesian
-from dsrep.coupling import compatibility, edge_ladders
+from dsrep.coupling import compatibility, u_blocks
 from dsrep.io import generators_to_doc
 from dsrep.numeric import RationalSolution, Sparse
 from dsrep.representation import (
@@ -78,8 +81,8 @@ def coupling_null_space_dim(p: BlockLabel, q: BlockLabel, tol: float = 1e-8) -> 
     [Ji, Vj] = i eps Vk, [Ji, Vt] = 0, [Ki, Vj] = -i Vt delta_ij,
     [Ki, Vt] = -i Vi, and counts its null space by SVD.
     """
-    jp = [m.to_dense() for m in hla_cartesian(p)]
-    jq = [m.to_dense() for m in hla_cartesian(q)]
+    jp = [m.to_dense() for m in hla_cartesian((p,))]
+    jq = [m.to_dense() for m in hla_cartesian((q,))]
     m, n = p.dim, q.dim
     size = m * n
     eye_m = np.eye(m)
@@ -568,7 +571,7 @@ class Rectangles(NamedTuple):
 
 
 def dense_rectangles(p: BlockLabel, q: BlockLabel) -> Rectangles:
-    """The rectangles of `edge_ladders` on the two blocks at scale 1, once in
+    """The rectangles of `u_blocks` on the two blocks at scale 1, once in
     each direction, dense.
 
     Each stored entry is written as it is (`Sparse.to_dense` reduces, which
@@ -578,7 +581,7 @@ def dense_rectangles(p: BlockLabel, q: BlockLabel) -> Rectangles:
 
     def directed(rows: BlockLabel, cols: BlockLabel) -> list[np.ndarray]:
         out = []
-        for m in edge_ladders((rows, cols), ((0, 1),), (1.0,)):
+        for m in u_blocks((rows, cols), ((0, 1),), (1.0,)):
             row, col = np.divmod(m.keys, m.n)
             dense = np.zeros((rows.dim, cols.dim), dtype=complex)
             dense[row, col - rows.dim] = m.vals
@@ -609,8 +612,18 @@ def block_offsets(gens: GeneratorSet) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The entry-list generator document
+# Generator documents as plain JSON values
 # ---------------------------------------------------------------------------
+
+
+def listed_doc(g) -> dict:
+    """The generator document of g as plain JSON values: `generators_to_doc`
+    with each matrix column made a list."""
+    doc = generators_to_doc(g)
+    for matrix in doc["generators"]:
+        for key in matrix.keys() & {"row", "col", "re", "im"}:
+            matrix[key] = matrix[key].tolist()
+    return doc
 
 
 def _entry_list(m: Sparse) -> list[list]:
@@ -740,10 +753,15 @@ def gelfand_tsetlin_generators(weight, algebra):
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def benchmark_boundaries() -> tuple:
-    """`BOUNDARIES` of `perfbench/spans.py`, which is read and executed in
-    memory, so nothing is written under `perfbench/`."""
+def benchmark_spans() -> ModuleType:
+    """`perfbench/spans.py`, read and executed in memory, so nothing is
+    written under `perfbench/`."""
     module = ModuleType("perfbench_spans")
     module.__file__ = str(SPANS)
     exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
-    return module.BOUNDARIES
+    return module
+
+
+def benchmark_boundaries() -> tuple:
+    """`BOUNDARIES` of `perfbench/spans.py`."""
+    return benchmark_spans().BOUNDARIES

@@ -151,13 +151,13 @@ class TestCommutationRelations:
 
     def test_boost_rotation_cross_relation(self):
         # [Kx, Ky] = -i Jz checked against an independently built Jz
-        jx, jy, jz, kx, ky, kz = hla_cartesian(L(2, 0))
+        jx, jy, jz, kx, ky, kz = hla_cartesian((L(2, 0),))
         assert max_abs(commutator(kx, ky) + 1j * jz) < 1e-12
 
 
 @pytest.mark.parametrize("block", SMALL_BLOCKS, ids=str)
 def test_hermiticity_pattern(block):
-    jx, jy, jz, kx, ky, kz = hla_cartesian(block)
+    jx, jy, jz, kx, ky, kz = hla_cartesian((block,))
     for m in (jx, jy, jz):
         assert max_abs(dagger(m) - m) < 1e-12
     for m in (kx, ky, kz):
@@ -171,8 +171,8 @@ def test_label_swap_negates_boosts(block):
     perm = np.zeros((block.dim, block.dim))
     for idx, (a, b) in enumerate(block_grid(block)):
         perm[flat_index(mirror, b, a), idx] = 1.0
-    direct = [m.to_dense() for m in hla_cartesian(block)]
-    other = [m.to_dense() for m in hla_cartesian(mirror)]
+    direct = [m.to_dense() for m in hla_cartesian((block,))]
+    other = [m.to_dense() for m in hla_cartesian((mirror,))]
     for name, (m_block, m_swapped) in enumerate(zip(direct, other)):
         sign = 1.0 if name < 3 else -1.0  # J components first, then K
         assert max_abs(perm @ m_block @ perm.T - sign * m_swapped) < 1e-13

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import format1_doc, gelfand_tsetlin_generators
+from conftest import format1_doc, gelfand_tsetlin_generators, listed_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,6 @@ from dsrep.io import (
     backbone_from_doc,
     backbone_to_doc,
     generators_from_doc,
-    generators_to_array_doc,
     generators_to_doc,
     load_json,
     save_json,
@@ -276,7 +275,7 @@ class TestGenerate:
 
 class TestWrittenBytes:
     """`generate` and `save_json` write a generator document's arrays as
-    the bytes json.dumps writes for its list view, `generators_to_doc`."""
+    the bytes json.dumps writes for its list view, `listed_doc`."""
 
     @pytest.mark.parametrize("algebra", ["ds", "ads"])
     @pytest.mark.parametrize("family", ["a", "b"])
@@ -284,7 +283,7 @@ class TestWrittenBytes:
         path = tmp_path / "rep.json"
         for n in range(2, 13):
             gens = assemble_canonical(CanonicalSpec(Family(family), n), Algebra(algebra))
-            want = json.dumps(generators_to_doc(gens), separators=(",", ":")) + "\n"
+            want = json.dumps(listed_doc(gens), separators=(",", ":")) + "\n"
             assert main(["generate", family, str(n), "--algebra", algebra, "--out", str(path)]) == 0
             capsys.readouterr()
             assert path.read_text(encoding="utf-8") == want, n
@@ -299,14 +298,14 @@ class TestWrittenBytes:
     def test_solver_built_sets(self, tmp_path, weight, algebra):
         gens = gelfand_tsetlin_generators(weight, algebra)
         path = tmp_path / "rep.json"
-        save_json(generators_to_array_doc(gens), path)
-        want = json.dumps(generators_to_doc(gens), separators=(",", ":")) + "\n"
+        save_json(generators_to_doc(gens), path)
+        want = json.dumps(listed_doc(gens), separators=(",", ":")) + "\n"
         assert path.read_text(encoding="utf-8") == want
 
     def test_negative_zero_parts(self):
         # a3's Ky holds -0.0 imaginary parts, each written as -0.0
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
-        ky = next(m for m in generators_to_array_doc(gens)["generators"] if m["name"] == "Ky")
+        ky = next(m for m in generators_to_doc(gens)["generators"] if m["name"] == "Ky")
         assert np.signbit(ky["im"][ky["im"] == 0]).any()
         handle = io.StringIO()
         write_json(ky, handle)
@@ -327,9 +326,9 @@ class TestWrittenBytes:
         getattr(vals, "real" if part == "re" else "imag")[1] = value
         broken = dataclasses.replace(gens, jx=Sparse(gens.dim, gens.jx.keys, vals))
         path = tmp_path / "rep.json"
-        save_json(generators_to_array_doc(broken), path)
+        save_json(generators_to_doc(broken), path)
         text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(generators_to_doc(broken), separators=(",", ":")) + "\n"
+        assert text == json.dumps(listed_doc(broken), separators=(",", ":")) + "\n"
         assert spelling in text
         # never float.__repr__'s spelling
         assert not re.search(r"[\[,]-?(nan|inf)[,\]]", text)
@@ -342,7 +341,7 @@ class TestWrittenBytes:
         # type A N=20, dim 2870: the whole document's text is over ten times
         # its largest column's, so a writer that joins it fails the bound
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 20))
-        doc = generators_to_array_doc(gens)
+        doc = generators_to_doc(gens)
         largest = max(
             len(json.dumps(value.tolist(), separators=(",", ":")))
             for matrix in doc["generators"]
@@ -767,7 +766,7 @@ class TestEntryListing:
             assert np.array_equal(got.keys, m.keys), name
             assert got.vals.tobytes() == m.vals.tobytes(), name
         # and the writer lists them in row-major order again
-        assert generators_to_doc(loaded) == generators_to_doc(gens)
+        assert listed_doc(loaded) == listed_doc(gens)
 
 
 class TestFormats:
@@ -786,7 +785,7 @@ class TestFormats:
     def test_format1_twin_verifies_identically(self, tmp_path, capsys, make):
         gens = make()
         outputs = []
-        for doc in (format1_doc(gens), generators_to_doc(gens)):
+        for doc in (format1_doc(gens), listed_doc(gens)):
             path = tmp_path / "rep.json"
             save_json(doc, path)
             assert main(["verify", str(path), "--format", "json"]) == 0
@@ -1001,7 +1000,7 @@ def _base_documents():
             (Family.TYPE_A, 2, Algebra.DE_SITTER),
             (Family.TYPE_B, 3, Algebra.ANTI_DE_SITTER),
         )
-        for write in (generators_to_doc, format1_doc)
+        for write in (listed_doc, format1_doc)
     ]
     docs += [("validate", load_json(path)) for path in sorted(FIXTURES.glob("*.json"))]
     return docs

@@ -10,6 +10,7 @@ from conftest import (
     block_offsets,
     dense_assemble,
     gelfand_tsetlin_generators,
+    listed_doc,
     reversed_backbone,
     stored_bytes,
 )
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import PairCase, t_sign_relation
-from dsrep.io import generators_from_doc, generators_to_doc
+from dsrep.io import generators_from_doc
 from dsrep.numeric import max_abs
 from dsrep.representation import (
     GENERATOR_NAMES,
@@ -477,7 +478,7 @@ class TestMemory:
         try:
             gens = assemble(backbone, t)
             assemble_peak = tracemalloc.get_traced_memory()[1]
-            doc = generators_to_doc(gens)
+            doc = listed_doc(gens)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             loaded = generators_from_doc(doc)

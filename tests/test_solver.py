@@ -260,6 +260,26 @@ class TestNonFiniteResidual:
         assert "best residual nan" in out.witness.message
 
 
+class TestResidualBounds:
+    """Each check's residuals are held to that check's bound, the one
+    `verify` reports: 1e-11 for Hermiticity, 1e-10 for the relations."""
+
+    @pytest.mark.parametrize(
+        "check,verdict",
+        [("check_hermiticity", Verdict.INVALID), ("check_all_crs", Verdict.VALID)],
+    )
+    def test_residual_between_the_two_bounds(self, monkeypatch, check, verdict):
+        import dsrep.solver as solver
+
+        real = getattr(solver, check)
+        monkeypatch.setattr(solver, check, lambda gens: {**real(gens), "Vt": 5e-11})
+        out = solve_and_verify(canonical_backbone(CanonicalSpec(Family.TYPE_A, 3)))
+        assert out.verdict is verdict
+        if verdict is Verdict.INVALID:
+            assert out.witness.kind is WitnessKind.CR_FAILURE
+            assert "best residual 5.000e-11" in out.witness.message
+
+
 class TestCyclicStructures:
     """The smallest cycle carries a representation outside the chain family."""
 
