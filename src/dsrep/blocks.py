@@ -11,14 +11,16 @@ space of the implied direct product of a spin-A and a spin-B irrep.  The
 double index (a, b) is flattened A-major: a varies slowest, both indices
 descending, so flat = (A - a)(2B + 1) + (B - b).  A direct sum of
 blocks puts each block's grid after those of the blocks before it, and
-its generators are built for all blocks at once.
+its generators are built for all blocks at once: `hla_cartesian` builds
+the ladders J+-, K+- and their Cartesian form in one pass, and
+`jz_diagonal` is the one formula for Jz, which `verify.check_jz` reads too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +29,9 @@ from .numeric import Sparse
 __all__ = [
     "BlockLabel",
     "concatenated_grid",
-    "HlaGenerators",
+    "twice_grid",
+    "jz_diagonal",
     "hla_cartesian",
-    "direct_sum_generators",
 ]
 
 
@@ -80,41 +82,39 @@ def concatenated_grid(
     return owner, local, twice_a[owner] - 2 * (local // width), twice_b[owner] - 2 * (local % width)
 
 
-class HlaGenerators(NamedTuple):
-    jplus: Sparse
-    jminus: Sparse
-    jz: Sparse
-    kplus: Sparse
-    kminus: Sparse
-    kz: Sparse
-
-
-def direct_sum_generators(blocks: Sequence[BlockLabel]) -> HlaGenerators:
-    """Ladder-form generators J+-, Jz, K+-, Kz of the direct sum of the blocks.
-
-    Each block sits on the diagonal at the sum of the dims before it, and
-    every block is built in the same array pass over the concatenated
-    grid.  Entrywise: J+ raises a or b by one with the spin-A / spin-B
-    raising coefficients, i K+ is the same with the B term negated, Jz is
-    diagonal a + b and i Kz diagonal a - b.  K matrices come out
-    anti-Hermitian.  Each is a `Sparse` of its entries (zeros on the
-    diagonals included).
-    """
+def twice_grid(blocks: Sequence[BlockLabel]) -> tuple[np.ndarray, ...]:
+    """(2A, 2B, 2a, 2b) at every position of the blocks' grids, one after another:
+    the twice-labels of its block and its own twice-indices."""
     twice_a = np.array([block.twice_a for block in blocks], dtype=np.intp)
     twice_b = np.array([block.twice_b for block in blocks], dtype=np.intp)
     owner, _, a2, b2 = concatenated_grid(twice_a, twice_b)
-    n = owner.size
+    return twice_a[owner], twice_b[owner], a2, b2
+
+
+def jz_diagonal(a2: np.ndarray, b2: np.ndarray) -> Sparse:
+    """Jz = diag(a + b), from the twice-indices of every position (`twice_grid`)."""
+    n = a2.size
+    return Sparse(n, np.arange(n) * (n + 1), (a2 / 2.0 + b2 / 2.0).astype(complex))
+
+
+def hla_cartesian(blocks: Sequence[BlockLabel]) -> tuple[Sparse, ...]:
+    """Cartesian generators (Jx, Jy, Jz, Kx, Ky, Kz) of the direct sum of the blocks.
+
+    Every block is built in one array pass over the concatenated grid.
+    Entrywise, J+ raises a or b by one with the spin-A / spin-B raising
+    coefficients, i K+ is the same with the B term negated, Jz is diagonal
+    a + b and i Kz diagonal a - b; then Jx = (J+ + J-)/2, Jy = -i (J+ - J-)/2,
+    and K likewise, anti-Hermitian.  Diagonal zeros are stored entries.
+    """
+    spin_a, spin_b, a2, b2 = twice_grid(blocks)
+    n = a2.size
     cols = np.arange(n)
-    diagonal = cols * (n + 1)
-    jz = Sparse(n, diagonal, (a2 / 2.0 + b2 / 2.0).astype(complex))
-    kz = Sparse(n, diagonal, -1j * (a2 / 2.0 - b2 / 2.0))
+    jz = jz_diagonal(a2, b2)
+    kz = Sparse(n, jz.keys, -1j * (a2 / 2.0 - b2 / 2.0))
 
     # A move of a shifts the flat index by the row width, a move of b by one.
     keys, j_vals, k_vals = ({1: [], -1: []} for _ in range(3))  # by step
-    for spin2, index2, stride, k_unit in (
-        (twice_a[owner], a2, twice_b[owner] + 1, -1j),
-        (twice_b[owner], b2, 1, 1j),
-    ):
+    for spin2, index2, stride, k_unit in ((spin_a, a2, spin_b + 1, -1j), (spin_b, b2, 1, 1j)):
         for step in (1, -1):
             # (J - m)(J + m + 1) raising, (J + m)(J - m + 1) lowering, in
             # twice-values an integer product divided by 4
@@ -125,19 +125,9 @@ def direct_sum_generators(blocks: Sequence[BlockLabel]) -> HlaGenerators:
             j_vals[step].append(coeff.astype(complex))
             k_vals[step].append(k_unit * coeff)
 
-    def ladder(vals: dict, step: int) -> Sparse:
-        return Sparse(n, np.concatenate(keys[step]), np.concatenate(vals[step]))
+    def cartesian(vals: dict) -> tuple[Sparse, Sparse]:
+        plus, minus = (Sparse(n, np.concatenate(keys[s]), np.concatenate(vals[s])) for s in (1, -1))
+        return (plus + minus) / 2, -0.5j * (plus - minus)
 
-    return HlaGenerators(
-        ladder(j_vals, 1), ladder(j_vals, -1), jz, ladder(k_vals, 1), ladder(k_vals, -1), kz
-    )
-
-
-def hla_cartesian(blocks: Sequence[BlockLabel]) -> tuple[Sparse, ...]:
-    """Cartesian generators (Jx, Jy, Jz, Kx, Ky, Kz) of the direct sum of the blocks."""
-    g = direct_sum_generators(blocks)
-    jx = (g.jplus + g.jminus) / 2
-    jy = -0.5j * (g.jplus - g.jminus)
-    kx = (g.kplus + g.kminus) / 2
-    ky = -0.5j * (g.kplus - g.kminus)
-    return jx, jy, g.jz, kx, ky, g.kz
+    (jx, jy), (kx, ky) = cartesian(j_vals), cartesian(k_vals)
+    return jx, jy, jz, kx, ky, kz

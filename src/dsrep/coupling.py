@@ -3,7 +3,9 @@
 Two blocks P and Q can carry a non-zero displacement-generator block
 between them only when their labels differ by exactly one half in both A
 and B.  The pair then falls into one of four cases written "++", "+-",
-"-+", "--" according to the signs in A_P = A_Q + S_A/2, B_P = B_Q + S_B/2.
+"-+", "--" according to the signs in A_P = A_Q + S_A/2, B_P = B_Q + S_B/2;
+a case is held as its sign pair (S_A, S_B), two ints of +-1, both here
+and in the arrays `u_blocks` reads.
 
 For a compatible pair the off-diagonal blocks of the four displacement
 generators are fixed up to two scalars t_PQ, t_QP: this module builds the
@@ -37,7 +39,6 @@ consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,7 +47,6 @@ from .blocks import BlockLabel, concatenated_grid
 from .numeric import Sparse
 
 __all__ = [
-    "PairCase",
     "compatibility",
     "t_sign_relation",
     "z_linear",
@@ -55,43 +55,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class PairCase:
-    """Signs (S_A, S_B) of the half-shifts from Q to P."""
-
-    s_a: int
-    s_b: int
-
-    def __post_init__(self):
-        if self.s_a not in (1, -1) or self.s_b not in (1, -1):
-            raise ValueError(f"case signs must be +-1, got ({self.s_a}, {self.s_b})")
-
-    @property
-    def label(self) -> str:
-        return ("+" if self.s_a > 0 else "-") + ("+" if self.s_b > 0 else "-")
-
-    def reversed(self) -> "PairCase":
-        return PairCase(-self.s_a, -self.s_b)
-
-    def __str__(self) -> str:
-        return self.label
+def compatibility(p: BlockLabel, q: BlockLabel) -> Optional[tuple[int, int]]:
+    """The pair case (S_A, S_B) when |A_P - A_Q| = |B_P - B_Q| = 1/2, else None."""
+    s_a, s_b = p.twice_a - q.twice_a, p.twice_b - q.twice_b
+    return (s_a, s_b) if abs(s_a) == abs(s_b) == 1 else None
 
 
-def compatibility(p: BlockLabel, q: BlockLabel) -> Optional[PairCase]:
-    """The pair case when |A_P - A_Q| = |B_P - B_Q| = 1/2, else None."""
-    da = p.twice_a - q.twice_a
-    db = p.twice_b - q.twice_b
-    if abs(da) != 1 or abs(db) != 1:
-        return None
-    return PairCase(da, db)
-
-
-def t_sign_relation(case: PairCase) -> int:
+def t_sign_relation(case: tuple[int, int]) -> int:
     """Sign s in t_PQ = s * t_QP demanded by Hermiticity: -1 for ++/--, +1 for +-/-+."""
-    return -case.s_a * case.s_b
+    return -case[0] * case[1]
 
 
-def z_linear(case: PairCase, label: BlockLabel) -> tuple[int, int]:
+def z_linear(case: tuple[int, int], label: BlockLabel) -> tuple[int, int]:
     """(coef_a, coef_b) of Z_IJ = coef_a * a_I + coef_b * b_I (factor 4
     included), for block I with `label` coupled via `case`.
 
@@ -103,8 +78,9 @@ def z_linear(case: PairCase, label: BlockLabel) -> tuple[int, int]:
 
     all even integers, written from the twice-values 2 A_I and 2 B_I.
     """
-    coef_a = 2 * label.twice_b if case.s_b > 0 else -2 * (label.twice_b + 2)
-    coef_b = 2 * label.twice_a if case.s_a > 0 else -2 * (label.twice_a + 2)
+    s_a, s_b = case
+    coef_a = 2 * label.twice_b if s_b > 0 else -2 * (label.twice_b + 2)
+    coef_b = 2 * label.twice_a if s_a > 0 else -2 * (label.twice_a + 2)
     return coef_a, coef_b
 
 

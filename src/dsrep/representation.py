@@ -66,10 +66,10 @@ class CanonicalSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(
-                f"a backbone needs at least two blocks, got N={self.n}"
-            )
+        if type(self.n) is not int:
+            raise TypeError(f"the block count N must be an int, got {self.n!r}")
+        if self.n < 2:
+            raise ValueError(f"a backbone needs at least two blocks, got N={self.n}")
 
 
 Edge = tuple[int, int]
@@ -336,9 +336,10 @@ def assemble(
         t_ji = tmap[(j, i)]
         expected = t_sign_relation(case) * t_ij
         if not math.isclose(t_ji, expected, rel_tol=1e-12, abs_tol=1e-300):
+            signs = "".join("+" if s > 0 else "-" for s in case)
             raise ValueError(
                 f"couplings on edge ({i}, {j}) violate the Hermiticity sign "
-                f"rule for case {case}: t_ji={t_ji}, expected {expected}"
+                f"rule for case {signs}: t_ji={t_ji}, expected {expected}"
             )
         pairs += [(i, j), (j, i)]
         scales += [t_ij, t_ji]

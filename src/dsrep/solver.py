@@ -255,9 +255,9 @@ def build_onbd_system(g: BackboneGraph) -> OnBdSystem:
     rows = [[0] * len(edges) for _ in range(2 * g.nblocks)]
     signs: dict[tuple[int, int], int] = {}
     for col, (i, j) in enumerate(edges):
-        case = compatibility(g.blocks[i], g.blocks[j])
-        signs[(i, j)] = t_sign_relation(case)
-        for block, seen in ((i, case), (j, case.reversed())):
+        s_a, s_b = compatibility(g.blocks[i], g.blocks[j])
+        signs[(i, j)] = t_sign_relation((s_a, s_b))
+        for block, seen in ((i, (s_a, s_b)), (j, (-s_a, -s_b))):
             label = g.blocks[block]
             coef_a, coef_b = z_linear(seen, label)
             # An index that cannot vary imposes no coefficient condition.

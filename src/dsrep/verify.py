@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .blocks import concatenated_grid
+from .blocks import jz_diagonal, twice_grid
 from .numeric import Sparse, max_abs, product_sum, residual_norms
 # `perfbench/spans.py` still patches `commutator` here; delete the import
 # with that entry at the next change to the benchmark.
@@ -151,13 +151,8 @@ def check_jz(g: GeneratorSet) -> float:
     relations are homogeneous, so they cannot tell a representation from
     a rescaled or zeroed one; this check can.
     """
-    blocks = g.backbone.blocks
-    _, _, a2, b2 = concatenated_grid(
-        np.array([block.twice_a for block in blocks], dtype=np.intp),
-        np.array([block.twice_b for block in blocks], dtype=np.intp),
-    )
-    n = a2.size
-    return max_abs(g.jz - Sparse(n, np.arange(n) * (n + 1), (a2 / 2.0 + b2 / 2.0).astype(complex)))
+    _, _, a2, b2 = twice_grid(g.backbone.blocks)
+    return max_abs(g.jz - jz_diagonal(a2, b2))
 
 
 # ---------------------------------------------------------------------------

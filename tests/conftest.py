@@ -20,9 +20,10 @@
   index at a time; `dagger` and `sparse_from_dense`: the conjugate
   transpose and the non-zeros of a matrix.
 - `loop_hla_generators` and `loop_directed_rectangles`: the block
-  generators and coupling rectangles built entry by entry in exact
+  ladders and coupling rectangles built entry by entry in exact
   Fraction arithmetic, the reference for the array kernels in
-  `dsrep.blocks` and `dsrep.coupling`.
+  `dsrep.blocks` and `dsrep.coupling`; `loop_hla_cartesian` combines
+  the ladders into the Cartesian J and K.
 - `dense_assemble`: the ten generators assembled into zero-filled dense
   dim x dim arrays from those loop oracles, the byte-exact reference for
   the non-zeros `dsrep.representation.assemble` stores.
@@ -33,6 +34,8 @@
 - `swapped`, `reversed_backbone` and `block_offsets`: a label with A and
   B exchanged, a backbone with its blocks in reverse order, and the
   offsets of a generator set's blocks.
+- `case_id`: a pair case `(S_A, S_B)` spelled "++", "+-", "-+" or "--",
+  for test ids.
 - `listed_doc`: `generators_to_doc` with each column made a list, the
   plain JSON values whose `json.dumps` text is what `write_json` must
   write, and the in-memory list input of the loader.
@@ -423,6 +426,11 @@ def stored_bytes(m: np.ndarray) -> bytes:
     return np.where(m != 0, m, 0).astype(complex).tobytes()
 
 
+def case_id(case: tuple[int, int]) -> str:
+    """The pair case (S_A, S_B) spelled "++", "+-", "-+" or "--"."""
+    return "".join("+" if s > 0 else "-" for s in case)
+
+
 def loop_hla_generators(block: BlockLabel):
     """(J+, J-, Jz, K+, K-, Kz) of one block, one grid position at a time."""
     grid = block_grid(block)
@@ -459,11 +467,20 @@ def loop_hla_generators(block: BlockLabel):
     return jplus, jminus, jz, kplus, kminus, kz
 
 
+def loop_hla_cartesian(block: BlockLabel):
+    """(Jx, Jy, Jz, Kx, Ky, Kz) of one block: the loop ladders combined by the
+    formulas of `blocks.hla_cartesian`, applied to whole dense arrays."""
+    jplus, jminus, jz, kplus, kminus, kz = loop_hla_generators(block)
+    return (
+        (jplus + jminus) / 2, -0.5j * (jplus - jminus), jz,
+        (kplus + kminus) / 2, -0.5j * (kplus - kminus), kz,
+    )
+
+
 def loop_directed_rectangles(p: BlockLabel, q: BlockLabel):
     """(uplus, uminus, wplus, wminus) with P rows and Q columns, one column at
     a time, each radicand an exact Fraction."""
-    case = compatibility(p, q)
-    s_a, s_b = case.s_a, case.s_b
+    s_a, s_b = compatibility(p, q)
     s_minus = -s_a * s_b
     a12, b12 = max(p.a, q.a), max(p.b, q.b)
     a_from_p, b_from_p = p.a > q.a, p.b > q.b
@@ -514,13 +531,8 @@ def dense_assemble(backbone: BackboneGraph, t, algebra: Algebra) -> dict[str, np
     names = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz")
     out = {name: np.zeros((dim, dim), dtype=complex) for name in names}
     for i, label in enumerate(backbone.blocks):
-        jplus, jminus, jz, kplus, kminus, kz = loop_hla_generators(label)
-        cartesian = (
-            (jplus + jminus) / 2, -0.5j * (jplus - jminus), jz,
-            (kplus + kminus) / 2, -0.5j * (kplus - kminus), kz,
-        )
         sl = slice(offsets[i], offsets[i + 1])
-        for name, block in zip(names, cartesian):
+        for name, block in zip(names, loop_hla_cartesian(label)):
             out[name][sl, sl] = block
 
     vplus, vminus, wplus, wminus = (np.zeros((dim, dim), dtype=complex) for _ in range(4))

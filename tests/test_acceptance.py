@@ -11,11 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import coupling_null_space_dim, dense_casimir1, dense_rectangles
+from conftest import case_id, coupling_null_space_dim, dense_casimir1, dense_rectangles
 
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
-    PairCase,
     compatibility,
     t_sign_relation,
 )
@@ -268,15 +267,15 @@ def test_criterion_8_validator_fixtures():
 
 
 def test_criterion_9_monotonic_path_property():
-    cases = [PairCase(sa, sb) for sa in (1, -1) for sb in (1, -1)]
+    cases = [(sa, sb) for sa in (1, -1) for sb in (1, -1)]
     exemptions = []
     checked = 0
     for case1, case2 in itertools.product(cases, repeat=2):
         for ka in range(0, 4):
             for kb in range(0, 4):
                 middle = (ka, kb)
-                first = (ka + case1.s_a, kb + case1.s_b)
-                last = (ka - case2.s_a, kb - case2.s_b)
+                first = (ka + case1[0], kb + case1[1])
+                last = (ka - case2[0], kb - case2[1])
                 if min(*first, *last) < 0:
                     continue
                 blocks = [L(*first), L(*middle), L(*last)]
@@ -293,7 +292,7 @@ def test_criterion_9_monotonic_path_property():
                 if case1 == case2:  # a monotonic path
                     assert vanishes, (case1, case2, middle)
                 elif vanishes:
-                    exemptions.append((case1.label, case2.label, middle))
+                    exemptions.append((case_id(case1), case_id(case2), middle))
     # the only non-monotonic vanishing instance is the duplicate-origin
     # geometry, where the obstruction has no states to act on
     assert exemptions == [("--", "++", (1, 1))]
@@ -311,7 +310,7 @@ def test_criterion_10_compatibility_rule():
             other = L(3 + da, 3 + db)
             case = compatibility(other, base)
             if abs(da) == 1 and abs(db) == 1:
-                assert case == PairCase(da, db)
+                assert case == (da, db)
             else:
                 assert case is None
                 with pytest.raises(ValueError):

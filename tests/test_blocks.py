@@ -8,13 +8,13 @@ from conftest import (
     block_grid,
     dagger,
     flat_index,
-    loop_hla_generators,
+    loop_hla_cartesian,
     stored_bytes,
     su2_generators,
     swapped,
 )
 
-from dsrep.blocks import BlockLabel, HlaGenerators, direct_sum_generators, hla_cartesian
+from dsrep.blocks import BlockLabel, hla_cartesian
 from dsrep.numeric import commutator, max_abs
 from dsrep.representation import BackboneGraph, assemble
 from dsrep.verify import check_all_crs, worst_residual
@@ -75,8 +75,8 @@ def test_grid_order_and_flat_index():
 
 
 def dense_generators(block):
-    """J+-, Jz, K+-, Kz of one block, each matrix dense."""
-    return HlaGenerators(*(m.to_dense() for m in direct_sum_generators((block,))))
+    """(Jx, Jy, Jz, Kx, Ky, Kz) of one block, each matrix dense."""
+    return [m.to_dense() for m in hla_cartesian((block,))]
 
 
 def test_generators_match_the_entry_loop_bit_for_bit():
@@ -86,12 +86,13 @@ def test_generators_match_the_entry_loop_bit_for_bit():
     for twice_a in range(14):
         for twice_b in range(14):
             block = L(twice_a, twice_b)
-            for got, want in zip(direct_sum_generators((block,)), loop_hla_generators(block)):
+            for got, want in zip(hla_cartesian((block,)), loop_hla_cartesian(block)):
                 assert got.to_dense().tobytes() == stored_bytes(want), block
 
 
 def test_trivial_block_all_zero():
-    gens = direct_sum_generators((L(0, 0),))
+    gens = hla_cartesian((L(0, 0),))
+    assert len(gens) == 6
     for m in gens:
         assert m.shape == (1, 1)
         assert max_abs(m) == 0.0
@@ -99,32 +100,33 @@ def test_trivial_block_all_zero():
 
 def test_jz_diagonal_values():
     # diagonal entries a + b under the fixed ordering of the four states
-    gens = dense_generators(L(1, 1))
-    assert np.allclose(np.diag(gens.jz), [1, 0, 0, -1])
+    _, _, jz, _, _, kz = dense_generators(L(1, 1))
+    assert np.allclose(np.diag(jz), [1, 0, 0, -1])
     # i Kz is diagonal a - b
-    assert np.allclose(np.diag(1j * gens.kz), [0, 1, -1, 0])
+    assert np.allclose(np.diag(1j * kz), [0, 1, -1, 0])
 
 
 def test_vector_block_spectrum():
-    gens = dense_generators(L(2, 0))
-    assert np.allclose(np.diag(gens.jz), [1, 0, -1])
-    assert max_abs(1j * gens.kz) == pytest.approx(1.0)
+    _, _, jz, _, _, kz = dense_generators(L(2, 0))
+    assert np.allclose(np.diag(jz), [1, 0, -1])
+    assert max_abs(1j * kz) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("block", SMALL_BLOCKS, ids=str)
 def test_matches_direct_product_route(block):
     """Entrywise construction must equal A x 1 + 1 x B built from spin irreps."""
-    gens = dense_generators(block)
+    jx, jy, jz, kx, ky, kz = dense_generators(block)
     ap, am, az = su2_generators(block.a)
     bp, bm, bz = su2_generators(block.b)
     ia = np.eye(block.twice_a + 1)
     ib = np.eye(block.twice_b + 1)
-    assert max_abs(gens.jplus - (np.kron(ap, ib) + np.kron(ia, bp))) < 1e-13
-    assert max_abs(gens.jminus - (np.kron(am, ib) + np.kron(ia, bm))) < 1e-13
-    assert max_abs(gens.jz - (np.kron(az, ib) + np.kron(ia, bz))) < 1e-13
-    assert max_abs(gens.kplus + 1j * (np.kron(ap, ib) - np.kron(ia, bp))) < 1e-13
-    assert max_abs(gens.kminus + 1j * (np.kron(am, ib) - np.kron(ia, bm))) < 1e-13
-    assert max_abs(gens.kz + 1j * (np.kron(az, ib) - np.kron(ia, bz))) < 1e-13
+    # the ladders J+- = Jx +- i Jy and K+- = Kx +- i Ky
+    assert max_abs(jx + 1j * jy - (np.kron(ap, ib) + np.kron(ia, bp))) < 1e-13
+    assert max_abs(jx - 1j * jy - (np.kron(am, ib) + np.kron(ia, bm))) < 1e-13
+    assert max_abs(jz - (np.kron(az, ib) + np.kron(ia, bz))) < 1e-13
+    assert max_abs(kx + 1j * ky + 1j * (np.kron(ap, ib) - np.kron(ia, bp))) < 1e-13
+    assert max_abs(kx - 1j * ky + 1j * (np.kron(am, ib) - np.kron(ia, bm))) < 1e-13
+    assert max_abs(kz + 1j * (np.kron(az, ib) - np.kron(ia, bz))) < 1e-13
 
 
 def lorentz_residual(block):

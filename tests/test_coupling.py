@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     Rectangles,
     block_grid,
+    case_id,
     coupling_null_space_dim,
     dagger,
     dense_generator_set,
@@ -17,7 +18,6 @@ from conftest import (
 
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
-    PairCase,
     compatibility,
     t_sign_relation,
     z_linear,
@@ -31,7 +31,7 @@ def L(twice_a, twice_b):
     return BlockLabel(twice_a=twice_a, twice_b=twice_b)
 
 
-ALL_CASES = [PairCase(sa, sb) for sa in (1, -1) for sb in (1, -1)]
+ALL_CASES = [(sa, sb) for sa in (1, -1) for sb in (1, -1)]
 
 
 def test_rectangles_match_the_entry_loop_bit_for_bit():
@@ -42,9 +42,9 @@ def test_rectangles_match_the_entry_loop_bit_for_bit():
         for twice_b in range(14):
             p = L(twice_a, twice_b)
             for case in ALL_CASES:
-                if twice_a - case.s_a < 0 or twice_b - case.s_b < 0:
+                if twice_a - case[0] < 0 or twice_b - case[1] < 0:
                     continue
-                q = L(twice_a - case.s_a, twice_b - case.s_b)
+                q = L(twice_a - case[0], twice_b - case[1])
                 want = loop_directed_rectangles(p, q) + loop_directed_rectangles(q, p)
                 for name, got, ref in zip(Rectangles._fields, dense_rectangles(p, q), want):
                     assert got.tobytes() == ref.tobytes(), (p, q, name)
@@ -54,8 +54,8 @@ def test_rectangles_match_the_entry_loop_bit_for_bit():
 
 def blocks_for_case(case, twice_a_q, twice_b_q):
     """(P, Q) pair realising the case with the given Q label, or None."""
-    ta = twice_a_q + case.s_a
-    tb = twice_b_q + case.s_b
+    ta = twice_a_q + case[0]
+    tb = twice_b_q + case[1]
     if ta < 0 or tb < 0:
         return None
     return L(ta, tb), L(twice_a_q, twice_b_q)
@@ -63,16 +63,24 @@ def blocks_for_case(case, twice_a_q, twice_b_q):
 
 class TestCompatibility:
     def test_half_shift_both(self):
-        assert compatibility(L(1, 0), L(0, 1)) == PairCase(1, -1)
+        assert compatibility(L(1, 0), L(0, 1)) == (1, -1)
 
     def test_whole_shift_rejected(self):
         assert compatibility(L(2, 2), L(2, 0)) is None
 
     def test_diagonal_shift(self):
-        assert compatibility(L(2, 2), L(1, 1)) == PairCase(1, 1)
+        assert compatibility(L(2, 2), L(1, 1)) == (1, 1)
 
     def test_equal_blocks(self):
         assert compatibility(L(1, 1), L(1, 1)) is None
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
+    def test_case_is_two_python_ints(self, case):
+        p, q = blocks_for_case(case, 2, 2)
+        got = compatibility(p, q)
+        assert type(got) is tuple and len(got) == 2
+        assert all(type(s) is int for s in got)
+        assert got == case
 
     def test_exhaustive_offsets(self):
         # a case comes back exactly for |dA| = |dB| = 1/2
@@ -82,31 +90,31 @@ class TestCompatibility:
                 other = L(3 + da, 3 + db)
                 got = compatibility(other, base)
                 if abs(da) == 1 and abs(db) == 1:
-                    assert got == PairCase(da, db)
+                    assert got == (da, db)
                 else:
                     assert got is None
 
 
 class TestSignRule:
     def test_values(self):
-        assert t_sign_relation(PairCase(1, 1)) == -1
-        assert t_sign_relation(PairCase(-1, -1)) == -1
-        assert t_sign_relation(PairCase(1, -1)) == 1
-        assert t_sign_relation(PairCase(-1, 1)) == 1
+        assert t_sign_relation((1, 1)) == -1
+        assert t_sign_relation((-1, -1)) == -1
+        assert t_sign_relation((1, -1)) == 1
+        assert t_sign_relation((-1, 1)) == 1
 
 
 class TestZLinear:
     def test_up_up(self):
-        assert z_linear(PairCase(1, 1), L(2, 2)) == (4, 4)
+        assert z_linear((1, 1), L(2, 2)) == (4, 4)
 
     def test_up_down(self):
-        assert z_linear(PairCase(1, -1), L(1, 0)) == (-4, 2)
+        assert z_linear((1, -1), L(1, 0)) == (-4, 2)
 
     def test_down_down(self):
-        assert z_linear(PairCase(-1, -1), L(0, 0)) == (-4, -4)
+        assert z_linear((-1, -1), L(0, 0)) == (-4, -4)
 
     def test_down_up(self):
-        assert z_linear(PairCase(-1, 1), L(2, 4)) == (8, -8)
+        assert z_linear((-1, 1), L(2, 4)) == (8, -8)
 
 
 class TestUBlocks:
@@ -141,12 +149,12 @@ class TestUBlocks:
     def test_dagger_pairing_mixed_case(self):
         # +- and -+ cases: dagger(U+_PQ) = +U-_QP, same for the W pair
         p, q = L(2, 0), L(1, 1)
-        assert compatibility(p, q) == PairCase(1, -1)
+        assert compatibility(p, q) == (1, -1)
         u = dense_rectangles(p, q)
         assert max_abs(dagger(u.uplus_pq) - u.uminus_qp) < 1e-13
         assert max_abs(dagger(u.wplus_pq) - u.wminus_qp) < 1e-13
 
-    @pytest.mark.parametrize("case", ALL_CASES, ids=str)
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
     def test_dagger_pairing_all_cases(self, case):
         made = blocks_for_case(case, 2, 2)
         p, q = made
@@ -157,7 +165,7 @@ class TestUBlocks:
         assert max_abs(dagger(u.wplus_pq) + sign * u.wminus_qp) < 1e-13
         assert max_abs(dagger(u.wminus_pq) + sign * u.wplus_qp) < 1e-13
 
-    @pytest.mark.parametrize("case", ALL_CASES, ids=str)
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
     def test_sparsity_pattern(self, case):
         made = blocks_for_case(case, 3, 2)
         if made is None:
@@ -187,7 +195,7 @@ def two_block_assembly(p, q, t_pq, t_qp, algebra=Algebra.DE_SITTER):
 class TestTwoBlockRelations:
     """The rotation/boost sector relations hold for arbitrary couplings."""
 
-    @pytest.mark.parametrize("case", ALL_CASES, ids=str)
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
     @pytest.mark.parametrize("t_pair", [(1.0, 1.0), (0.37, -1.91), (2.0, 0.0)])
     def test_lorentz_sector_any_t(self, case, t_pair):
         p, q = blocks_for_case(case, 2, 1)
@@ -198,7 +206,7 @@ class TestTwoBlockRelations:
                 continue  # displacement-displacement sector needs tuned t
             assert value < 1e-11, name
 
-    @pytest.mark.parametrize("case", ALL_CASES, ids=str)
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
     def test_vector_transformation_any_t(self, case):
         # [J, V] and [K, V] relations are t-independent
         p, q = blocks_for_case(case, 1, 2)
@@ -234,7 +242,7 @@ def _small_labels(limit_twice):
 
 
 class TestZAgainstMatrices:
-    @pytest.mark.parametrize("case", ALL_CASES, ids=str)
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
     def test_diagonal_commutator_matches_z(self, case):
         """i[Vx,Vy] on the first block equals coef_a a + coef_b b entrywise."""
         for ta, tb in _small_labels(3):
@@ -249,7 +257,7 @@ class TestZAgainstMatrices:
             expected = np.diag([float(coef_a * a + coef_b * b) for a, b in block_grid(p)])
             assert max_abs(top - expected) < 1e-11
 
-    @pytest.mark.parametrize("case", ALL_CASES, ids=str)
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
     def test_time_z_commutator_flips_a_term(self, case):
         """[Vt,Vz] on the first block is the same with the a-coefficient negated."""
         for ta, tb in _small_labels(3):

@@ -1,6 +1,7 @@
 """Canonical chains, coupling scalars, and full assembly."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     block_offsets,
+    case_id,
     dense_assemble,
     gelfand_tsetlin_generators,
     listed_doc,
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrep.blocks import BlockLabel
-from dsrep.coupling import PairCase, t_sign_relation
+from dsrep.coupling import t_sign_relation
 from dsrep.io import generators_from_doc
 from dsrep.numeric import max_abs
 from dsrep.representation import (
@@ -65,8 +67,13 @@ class TestCanonicalBackbones:
         ]
 
     def test_single_block_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least two blocks, got N=1"):
             CanonicalSpec(Family.TYPE_A, 1)
+
+    @pytest.mark.parametrize("n", [np.int64(5), True, 2.0], ids=repr)
+    def test_non_int_block_count_rejected(self, n):
+        with pytest.raises(TypeError, match=re.escape(f"must be an int, got {n!r}")):
+            CanonicalSpec(Family.TYPE_A, n)
 
     def test_first_ten_dimensions(self):
         dims = [canonical_dimension(spec) for _, spec in first_ten_specs()]
@@ -218,11 +225,11 @@ class TestAssembly:
             assemble(g, {(0, 1): (0.5, 0.5)})
 
     @pytest.mark.parametrize("form", ["edge pair", "ordered pairs"])
-    @pytest.mark.parametrize("case", [PairCase(sa, sb) for sa in (1, -1) for sb in (1, -1)],
-                             ids=str)
+    @pytest.mark.parametrize("case", [(sa, sb) for sa in (1, -1) for sb in (1, -1)],
+                             ids=case_id)
     def test_sign_rule_enforced(self, case, form):
         # P = Q + (S_A, S_B)/2 with Q = (1/2, 1/2); t_ji = s t_ij is required
-        backbone = BackboneGraph.make([L(1 + case.s_a, 1 + case.s_b), L(1, 1)], [(0, 1)])
+        backbone = BackboneGraph.make([L(1 + case[0], 1 + case[1]), L(1, 1)], [(0, 1)])
         s = t_sign_relation(case)
 
         def couplings(t_ji):
@@ -231,8 +238,10 @@ class TestAssembly:
             return {(0, 1): 0.5, (1, 0): t_ji}
 
         assert assemble(backbone, couplings(s * 0.5)).t == {(0, 1): 0.5, (1, 0): s * 0.5}
-        with pytest.raises(ValueError, match="sign rule"):
+        with pytest.raises(ValueError, match="sign rule") as raised:
             assemble(backbone, couplings(-s * 0.5))
+        # the message is the one place a case is spelled out
+        assert f"for case {case_id(case)}:" in str(raised.value)
 
     def test_missing_coupling_raises(self):
         backbone = canonical_backbone(CanonicalSpec(Family.TYPE_A, 3))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrep.blocks import BlockLabel
-from dsrep.coupling import PairCase, z_linear
+from dsrep.coupling import z_linear
 from dsrep.io import backbone_from_doc, load_json
 from dsrep.numeric import solve_rational_linear
 from dsrep.representation import (
@@ -154,7 +154,7 @@ class TestOnBdSystem:
         assert all(type(v) is int for v in system.rhs)
         for s_a, s_b in itertools.product((1, -1), repeat=2):
             for label in g.blocks:
-                coefs = z_linear(PairCase(s_a, s_b), label)
+                coefs = z_linear((s_a, s_b), label)
                 assert all(type(c) is int and c % 2 == 0 for c in coefs)
 
     @pytest.mark.parametrize("ref,spec", first_ten_specs())

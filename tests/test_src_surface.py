@@ -7,10 +7,12 @@ code and belongs in `tests/`.  Every name a module imports must be
 loaded in that module, except the package's re-exports and the names the
 benchmark patches there.  Every method of a class must be named by an
 attribute access in `src/dsrep` or in the benchmark.  The README's
-stable-API import block names exactly the package's `__all__`.
+stable-API import block names exactly the package's `__all__`, and every
+`module.name` the README names in backticks resolves.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -71,6 +73,28 @@ def test_readme_imports_the_stable_api():
     assert sorted(re.findall(r"\w+", block)) == sorted(dsrep.__all__)
 
 
+def test_readme_names_resolve():
+    """Every backticked `module.name` or `dsrep.module.name` in README.md whose
+    module is in `src/dsrep` names an attribute of that module, and a
+    trailing `.attr` names an attribute of that object."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {path.stem for path in SRC.glob("*.py")}
+    named, stale = [], []
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        match = re.fullmatch(r"(?:dsrep\.)?(\w+)\.(\w+)(?:\.(\w+))?(?:\(\))?", span)
+        if not match or match[1] not in modules:
+            continue
+        named.append(span)
+        module = importlib.import_module(f"dsrep.{match[1]}")
+        found = hasattr(module, match[2])
+        if found and match[3]:
+            found = hasattr(getattr(module, match[2]), match[3])
+        if not found:
+            stale.append(span)
+    assert named, "the pattern found no module names in README.md"
+    assert not stale, f"README.md names what src/dsrep does not define: {stale}"
+
+
 def _imported(tree: ast.Module) -> set[str]:
     """Names the module's imports bind, `from __future__` ones aside."""
     return {
@@ -114,8 +138,8 @@ def test_every_method_is_used():
     definition, or in `perfbench/`.
 
     The check goes by name alone, so a method that shares its name with a
-    used one passes unseen: a `BackboneGraph.reversed` would pass on the
-    strength of `PairCase.reversed`.
+    used one passes unseen: a `BackboneGraph.reduced` would pass on the
+    strength of `Sparse.reduced`.
     """
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     src_accesses = [node for tree in trees.values() for node in _attribute_accesses(tree)]
