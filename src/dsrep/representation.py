@@ -96,6 +96,9 @@ def _bounded(blocks: Iterable[BlockLabel]) -> Iterator[BlockLabel]:
 
 
 def _normalize_edge(edge: Sequence[int], nblocks: int) -> Edge:
+    for end in (edge[0], edge[1]):
+        if isinstance(end, bool) or not isinstance(end, (int, np.integer)):
+            raise TypeError(f"edge ends must be int block indices, got {end!r} in {edge!r}")
     i, j = int(edge[0]), int(edge[1])
     if i == j:
         raise ValueError(f"self-edge on block {i}")
@@ -238,7 +241,9 @@ class GeneratorSet:
     key, which is row-major order.  J and K are block-diagonal over the
     backbone; the four displacement generators have non-zero rectangles
     only on the backbone edges.  The coupling map t holds one scalar per
-    ordered block pair on an edge.
+    ordered block pair on an edge: t[(i, j)] is t_ij.  A set that
+    `assemble` builds has both directions of every edge and no other key;
+    one read from a document has the directions it lists.
     """
 
     backbone: BackboneGraph
@@ -284,37 +289,20 @@ class _DenseGenerators(Mapping):
         return len(self._matrices)
 
 
-def _as_pair_map(
-    backbone: BackboneGraph,
-    t: Mapping,
-) -> dict[tuple[int, int], float]:
-    """Normalise {edge: (t_ij, t_ji)} or {(i, j): value} input to ordered pairs."""
-    out: dict[tuple[int, int], float] = {}
-    for key, value in t.items():
-        i, j = int(key[0]), int(key[1])
-        if isinstance(value, (tuple, list)):
-            forward, backward = float(value[0]), float(value[1])
-            out[(i, j)] = forward
-            out[(j, i)] = backward
-        else:
-            out[(i, j)] = float(value)
-    for i, j in backbone.edges:
-        if (i, j) not in out or (j, i) not in out:
-            raise ValueError(f"missing coupling for edge ({i}, {j})")
-    return out
-
-
 def assemble(
     backbone: BackboneGraph,
-    t: Mapping,
+    t: Mapping[tuple[int, int], float],
     algebra: Algebra = Algebra.DE_SITTER,
 ) -> GeneratorSet:
     """Build the ten generator matrices for a backbone with given couplings.
 
-    t maps each edge (i, j) to the pair (t_ij, t_ji), or each ordered pair
-    to its scalar.  The two scalars of every edge must obey the
-    Hermiticity sign rule (t_ij = -t_ji on ++/-- edges, t_ij = +t_ji on
-    +-/-+ edges); a ValueError names the first edge that breaks it.
+    t maps both ordered pairs (i, j) and (j, i) of every backbone edge, and
+    nothing else, to a finite number: {(0, 1): t01, (1, 0): t10}.  The two
+    scalars of every edge must obey the Hermiticity sign rule (t_ij = -t_ji
+    on ++/-- edges, t_ij = +t_ji on +-/-+ edges).  A ValueError names the
+    first edge that has a direction missing, a non-finite coupling, joins
+    incompatible blocks or breaks the sign rule, or else a key that is not
+    a direction of a backbone edge.
 
     Only the edge checks loop in Python.  J and K of every block come from
     one array pass over the backbone (`blocks.hla_cartesian`), the
@@ -325,15 +313,22 @@ def assemble(
     The anti-de Sitter algebra is produced from the de Sitter matrices by
     multiplying all four displacement generators by i.
     """
-    tmap = _as_pair_map(backbone, t)
     pairs, scales = [], []  # both ordered pairs of every edge, with their couplings
     for i, j in sorted(backbone.edges):
         p, q = backbone.blocks[i], backbone.blocks[j]
+        if (i, j) not in t or (j, i) not in t:
+            raise ValueError(
+                f"missing coupling for edge ({i}, {j}): t needs one number under "
+                f"each of the keys ({i}, {j}) and ({j}, {i})"
+            )
+        t_ij, t_ji = float(t[(i, j)]), float(t[(j, i)])
         case = compatibility(p, q)
         if case is None:
             raise ValueError(f"edge ({i}, {j}) joins incompatible blocks {p}, {q}")
-        t_ij = tmap[(i, j)]
-        t_ji = tmap[(j, i)]
+        if not (math.isfinite(t_ij) and math.isfinite(t_ji)):
+            raise ValueError(
+                f"couplings on edge ({i}, {j}) are not finite: t_ij={t_ij}, t_ji={t_ji}"
+            )
         expected = t_sign_relation(case) * t_ij
         if not math.isclose(t_ji, expected, rel_tol=1e-12, abs_tol=1e-300):
             signs = "".join("+" if s > 0 else "-" for s in case)
@@ -343,6 +338,10 @@ def assemble(
             )
         pairs += [(i, j), (j, i)]
         scales += [t_ij, t_ji]
+    if len(t) > len(pairs):
+        directions = set(pairs)
+        stray = next(key for key in t if key not in directions)
+        raise ValueError(f"coupling key {stray!r} is not a direction of a backbone edge")
 
     jx, jy, jz, kx, ky, kz = hla_cartesian(backbone.blocks)
     vt, vx, vy, vz = cartesian_from_ladders(*u_blocks(backbone.blocks, pairs, scales))
@@ -352,7 +351,7 @@ def assemble(
     return GeneratorSet(
         backbone, algebra,
         *(m.reduced() for m in (jx, jy, jz, kx, ky, kz, vt, vx, vy, vz)),
-        t=dict(tmap),
+        t=dict(zip(pairs, scales)),
     )
 
 
@@ -361,8 +360,7 @@ def assemble_canonical(
 ) -> GeneratorSet:
     """Assemble one canonical chain with its canonical couplings."""
     backbone = canonical_backbone(spec)
-    t = {
-        (n - 1, n): canonical_t(spec, n)
-        for n in range(1, spec.n)
-    }
+    t = {}
+    for n in range(1, spec.n):
+        t[(n - 1, n)], t[(n, n - 1)] = canonical_t(spec, n)
     return assemble(backbone, t, algebra)

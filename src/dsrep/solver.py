@@ -437,10 +437,9 @@ def solve_and_verify(
     best_residual = math.nan
     for pattern in itertools.islice(patterns, MAX_GAUGE_PATTERNS if allow_noncanonical else 1):
         t_map = {}
-        for e, x in x_values.items():
-            forward = pattern[e] * math.sqrt(abs(float(x)))
-            backward = system.required_sign[e] * forward
-            t_map[e] = (forward, backward)
+        for (i, j), x in x_values.items():
+            t_map[(i, j)] = pattern[(i, j)] * math.sqrt(abs(float(x)))
+            t_map[(j, i)] = system.required_sign[(i, j)] * t_map[(i, j)]
         gens = assemble(g, t_map, algebra)
         crs = worst_residual(check_all_crs(gens).values())
         hermiticity = worst_residual(check_hermiticity(gens).values())

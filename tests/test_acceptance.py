@@ -280,9 +280,9 @@ def test_criterion_9_monotonic_path_property():
                     continue
                 blocks = [L(*first), L(*middle), L(*last)]
                 t = {}
-                for edge, case in (((0, 1), case1), ((1, 2), case2)):
-                    t[edge] = (1.0, t_sign_relation(case) * 1.0)
-                gens = assemble(BackboneGraph.make(blocks, t.keys()), t)
+                for (i, j), case in (((0, 1), case1), ((1, 2), case2)):
+                    t[(i, j)], t[(j, i)] = 1.0, t_sign_relation(case) * 1.0
+                gens = assemble(BackboneGraph.make(blocks, [(0, 1), (1, 2)]), t)
                 commutator_xy = (gens.vx @ gens.vy - gens.vy @ gens.vx).to_dense()
                 n_first = blocks[0].dim
                 n_middle = blocks[1].dim

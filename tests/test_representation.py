@@ -169,6 +169,24 @@ class TestBackboneGraph:
         with pytest.raises(ValueError):
             BackboneGraph.make([L(1, 0)], [(0, 1)])
 
+    def test_negative_edge_end_out_of_range(self):
+        with pytest.raises(ValueError, match=re.escape("edge (-1, 1) out of range")):
+            BackboneGraph.make([L(1, 0), L(0, 1)], [(-1, 1)])
+
+    @pytest.mark.parametrize(
+        "edge", [(0.7, 1.2), (0, 1.0), (True, False), (0, np.float64(1.0)), (np.bool_(0), 1)],
+        ids=repr,
+    )
+    def test_non_int_edge_end_rejected(self, edge):
+        end = next(x for x in edge if type(x) is not int)
+        with pytest.raises(TypeError, match=re.escape(f"got {end!r} in {edge!r}")):
+            BackboneGraph.make([L(1, 0), L(0, 1)], [edge])
+
+    def test_numpy_integer_edge_ends_accepted(self):
+        g = BackboneGraph.make([L(1, 0), L(0, 1)], [(np.int64(1), np.int32(0))])
+        assert g.edges == {(0, 1)}
+        assert [type(end) for end in next(iter(g.edges))] == [int, int]
+
     def test_duplicates_tracked(self):
         g = BackboneGraph.make([L(2, 2), L(2, 2), L(1, 1)], [(0, 2), (1, 2)])
         assert g.has_duplicates()
@@ -212,7 +230,7 @@ class TestAssembly:
     def test_zero_couplings_break_curvature_sector(self):
         spec = CanonicalSpec(Family.TYPE_A, 2)
         backbone = canonical_backbone(spec)
-        gens = assemble(backbone, {(0, 1): (0.0, 0.0)})
+        gens = assemble(backbone, {(0, 1): 0.0, (1, 0): 0.0})
         assert max_abs(gens.vx) == 0.0
         residuals = check_all_crs(gens)
         assert residuals["[Vx,Vy] = i Jz"] == pytest.approx(max_abs(gens.jz))
@@ -222,7 +240,7 @@ class TestAssembly:
     def test_incompatible_edge_raises(self):
         g = BackboneGraph.make([L(2, 0), L(0, 0)], [(0, 1)])
         with pytest.raises(ValueError, match="incompatible"):
-            assemble(g, {(0, 1): (0.5, 0.5)})
+            assemble(g, {(0, 1): 0.5, (1, 0): 0.5})
 
     @pytest.mark.parametrize("form", ["edge pair", "ordered pairs"])
     @pytest.mark.parametrize("case", [(sa, sb) for sa in (1, -1) for sb in (1, -1)],
@@ -231,22 +249,49 @@ class TestAssembly:
         # P = Q + (S_A, S_B)/2 with Q = (1/2, 1/2); t_ji = s t_ij is required
         backbone = BackboneGraph.make([L(1 + case[0], 1 + case[1]), L(1, 1)], [(0, 1)])
         s = t_sign_relation(case)
-
-        def couplings(t_ji):
-            if form == "edge pair":
-                return {(0, 1): (0.5, t_ji)}
-            return {(0, 1): 0.5, (1, 0): t_ji}
-
-        assert assemble(backbone, couplings(s * 0.5)).t == {(0, 1): 0.5, (1, 0): s * 0.5}
+        if form == "edge pair":
+            # the (t_ij, t_ji) form is refused whether or not its signs obey the rule
+            for t_ji in (s * 0.5, -s * 0.5):
+                with pytest.raises(ValueError, match="missing coupling"):
+                    assemble(backbone, {(0, 1): (0.5, t_ji)})
+        t = {(0, 1): 0.5, (1, 0): s * 0.5}
+        assert assemble(backbone, t).t == t
         with pytest.raises(ValueError, match="sign rule") as raised:
-            assemble(backbone, couplings(-s * 0.5))
+            assemble(backbone, {(0, 1): 0.5, (1, 0): -s * 0.5})
         # the message is the one place a case is spelled out
         assert f"for case {case_id(case)}:" in str(raised.value)
 
     def test_missing_coupling_raises(self):
         backbone = canonical_backbone(CanonicalSpec(Family.TYPE_A, 3))
         with pytest.raises(ValueError, match="missing"):
+            assemble(backbone, {(0, 1): 0.5, (1, 0): -0.5})
+
+    def test_pair_form_refused(self):
+        backbone = canonical_backbone(CanonicalSpec(Family.TYPE_A, 2))
+        with pytest.raises(ValueError, match=re.escape("the keys (0, 1) and (1, 0)")):
             assemble(backbone, {(0, 1): (0.5, -0.5)})
+
+    @pytest.mark.parametrize("key", [(5, 7), (0.9, 1.9), (1, 1)], ids=repr)
+    def test_key_naming_no_edge_refused(self, key):
+        backbone = canonical_backbone(CanonicalSpec(Family.TYPE_A, 2))
+        with pytest.raises(ValueError, match=re.escape(f"{key!r} is not a direction")):
+            assemble(backbone, {(0, 1): 0.5, (1, 0): -0.5, key: 3.0})
+
+    @pytest.mark.parametrize(
+        "t_ij,t_ji", [(math.inf, math.inf), (-math.inf, -math.inf), (math.nan, math.nan),
+                      (0.5, math.nan), (math.inf, 0.5)],
+    )
+    def test_non_finite_coupling_refused(self, t_ij, t_ji):
+        # a +- edge: t_ji = +t_ij, so equal infinities meet the sign rule
+        backbone = BackboneGraph.make([L(2, 0), L(1, 1)], [(0, 1)])
+        with pytest.raises(ValueError, match=re.escape("edge (0, 1) are not finite")):
+            assemble(backbone, {(0, 1): t_ij, (1, 0): t_ji})
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_canonical_couplings_name_both_directions_of_each_edge(self, algebra):
+        for _, spec in first_ten_specs():
+            gens = assemble_canonical(spec, algebra)
+            assert set(gens.t) == {(i, j) for e in gens.backbone.edges for i, j in (e, e[::-1])}
 
     @pytest.mark.parametrize("ref,spec", first_ten_specs())
     def test_block_diagonal_structure(self, ref, spec):
@@ -272,7 +317,7 @@ class TestAssembly:
         g = BackboneGraph.make(
             [L(0, 0), L(1, 1), L(1, 1), L(2, 2)], [(0, 1), (2, 3)]
         )
-        gens = assemble(g, {(0, 1): (0.5, -0.5), (2, 3): (0.5, -0.5)})
+        gens = assemble(g, {(0, 1): 0.5, (1, 0): -0.5, (2, 3): 0.5, (3, 2): -0.5})
         assert gens.dim == 1 + 4 + 4 + 9
 
 
@@ -316,13 +361,7 @@ class TestReversalEquivalence:
         backbone = gens.backbone
         reversed_chain = reversed_backbone(backbone)
         n = backbone.nblocks
-        t_rev = {}
-        for (i, j) in backbone.edges:
-            ri, rj = n - 1 - i, n - 1 - j
-            t_rev[(min(ri, rj), max(ri, rj))] = (
-                gens.t[(j, i)] if ri > rj else gens.t[(i, j)],
-                gens.t[(i, j)] if ri > rj else gens.t[(j, i)],
-            )
+        t_rev = {(n - 1 - i, n - 1 - j): value for (i, j), value in gens.t.items()}
         reversed_gens = assemble(reversed_chain, t_rev)
 
         offsets = block_offsets(gens)
@@ -442,6 +481,7 @@ def _assert_dense_bytes(backbone, t, algebra):
     """Every non-zero entry, signed zeros of its parts included, is what the
     dense assembly wrote; exact zeros are not stored."""
     gens = assemble(backbone, t, algebra)
+    assert gens.t == t
     want = dense_assemble(backbone, t, algebra)
     for name, m in gens.matrices().items():
         assert m.to_dense().tobytes() == stored_bytes(want[name]), name

@@ -187,6 +187,17 @@ class TestSolveAndVerify:
         assert max(check_all_crs(out.generators).values()) < 1e-10
         assert max(check_hermiticity(out.generators).values()) < 1e-10
 
+    @pytest.mark.parametrize(
+        "name", ["reducible_b4_plus_b6", "reducible_b5_plus_a2", "valid_duplicate_crossing",
+                 "valid_three_chain_crossing"],
+    )
+    def test_couplings_name_both_directions_of_each_edge(self, name):
+        g = load_fixture(name)
+        out = solve_and_verify(g)
+        assert out.verdict is Verdict.VALID
+        directions = {(i, j) for e in g.edges for i, j in (e, e[::-1])}
+        assert set(out.t_values) == set(out.generators.t) == directions
+
     def test_underdetermined_duplicate_origins(self):
         g = BackboneGraph.make([L(0, 0), L(1, 1), L(0, 0)], [(0, 1), (1, 2)])
         out = solve_and_verify(g)
@@ -333,7 +344,8 @@ class TestCyclicStructures:
         g = BackboneGraph.make(self.DIAMOND_BLOCKS, self.DIAMOND_EDGES)
         solve_and_verify(g)
         [t] = couplings
-        assert all(forward > 0 for forward, _ in t.values())
+        assert all(t[(i, j)] > 0 for i, j in g.edges)
+        assert len(t) == 2 * len(g.edges)
         couplings.clear()
         # one chord: the all-plus pattern fails, the second one verifies
         solve_and_verify(g, allow_noncanonical=True)

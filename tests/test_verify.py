@@ -33,6 +33,7 @@ import dsrep.verify
 from dsrep.blocks import hla_cartesian
 from dsrep.numeric import Sparse, commutator, max_abs
 from dsrep.representation import (
+    GENERATOR_NAMES,
     Algebra,
     BackboneGraph,
     CanonicalSpec,
@@ -89,7 +90,7 @@ class TestCommutators:
         spec = CanonicalSpec(Family.TYPE_A, 2)
         forward, backward = canonical_t(spec, 1)
         gens = assemble(
-            canonical_backbone(spec), {(0, 1): (2 * forward, 2 * backward)}
+            canonical_backbone(spec), {(0, 1): 2 * forward, (1, 0): 2 * backward}
         )
         residuals = check_all_crs(gens)
         # the displacement commutator lands at 4x its target, i.e. an
@@ -271,10 +272,9 @@ class TestIrreducibility:
         blocks = list(canonical_backbone(CanonicalSpec(Family.TYPE_B, 2)).blocks)
         blocks += list(canonical_backbone(CanonicalSpec(Family.TYPE_A, 2)).blocks)
         g = BackboneGraph.make(blocks, [(0, 1), (2, 3)])
-        t = {
-            (0, 1): canonical_t(CanonicalSpec(Family.TYPE_B, 2), 1),
-            (2, 3): canonical_t(CanonicalSpec(Family.TYPE_A, 2), 1),
-        }
+        t = {}
+        t[(0, 1)], t[(1, 0)] = canonical_t(CanonicalSpec(Family.TYPE_B, 2), 1)
+        t[(2, 3)], t[(3, 2)] = canonical_t(CanonicalSpec(Family.TYPE_A, 2), 1)
         gens = assemble(g, t)
         assert commutant_dimension(gens) == 2
 
@@ -393,7 +393,7 @@ class TestReport:
         spec = CanonicalSpec(Family.TYPE_A, 2)
         forward, backward = canonical_t(spec, 1)
         gens = assemble(
-            canonical_backbone(spec), {(0, 1): (2 * forward, 2 * backward)}
+            canonical_backbone(spec), {(0, 1): 2 * forward, (1, 0): 2 * backward}
         )
         report = build_report(gens)
         assert not report.passed
@@ -585,10 +585,9 @@ def chain_generators(family, n, algebra):
 
 
 def _rescaled(gens, factors):
-    t = {
-        (i, j): (f * gens.t[(i, j)], f * gens.t[(j, i)])
-        for (i, j), f in zip(sorted(gens.backbone.edges), factors)
-    }
+    t = {}
+    for (i, j), f in zip(sorted(gens.backbone.edges), factors):
+        t[(i, j)], t[(j, i)] = f * gens.t[(i, j)], f * gens.t[(j, i)]
     return assemble(gens.backbone, t, gens.algebra)
 
 
@@ -635,6 +634,34 @@ def generator_sets(draw):
         matrix[r, c] = draw(st.sampled_from([0.25, -1.0, 0.5j, 3.0]))
         return dataclasses.replace(gens, **{name.lower(): sparse_from_dense(matrix)}), True
     return gens, False
+
+
+@st.composite
+def tampered_chains(draw):
+    """A canonical chain (a2-a6, b2-b6, either algebra) with eps in
+    {1e-9, 1e-6, 1} x {+-1, +-i} added at one stored or one absent entry
+    of one generator."""
+    gens = chain_generators(
+        draw(st.sampled_from(list(Family))), draw(st.integers(2, 6)),
+        draw(st.sampled_from(list(Algebra))),
+    )
+    name = draw(st.sampled_from(GENERATOR_NAMES))
+    m = gens.matrices()[name]
+    if draw(st.booleans()):
+        key = m.keys[draw(st.integers(0, m.keys.size - 1))]
+    else:
+        absent = np.setdiff1d(np.arange(m.n * m.n), m.keys)
+        key = absent[draw(st.integers(0, absent.size - 1))]
+    eps = draw(st.sampled_from([1e-9, 1e-6, 1.0])) * draw(st.sampled_from([1, -1, 1j, -1j]))
+    tampered = Sparse(m.n, np.append(m.keys, key), np.append(m.vals, eps)).reduced()
+    return dataclasses.replace(gens, **{name.lower(): tampered})
+
+
+class TestTamper:
+    @settings(max_examples=200, deadline=None)
+    @given(tampered_chains())
+    def test_one_changed_entry_fails_the_report(self, gens):
+        assert not build_report(gens).passed
 
 
 def _close(got, want):
