@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Any, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -90,11 +91,12 @@ def _parse_twice(value: Any, context: str) -> int:
     """Twice a label written as an int or as a "p", "p/1" or "p/2" string."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return 2 * int(value)
-    if isinstance(value, str):
-        num, slash, den = value.strip().partition("/")
+    # ASCII digits only: int() would also read "1_0", "+1", " 2" and "١"
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", value.strip()) if isinstance(value, str) else None
+    if match:
         try:
-            numerator, denominator = int(num), int(den) if slash else 1
-        except ValueError:
+            numerator, denominator = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than int() reads
             denominator = None
         if denominator in (1, 2):
             return 2 * numerator // denominator

@@ -18,10 +18,11 @@ depends only on the key patterns of the factors, and a numeric half:
 gather, multiply and sum per slot.  In a sum of more than PRODUCT_TERMS
 terms, or a relation of more than half as many, the products whose left
 factors share a key pattern, and whose right factors do, are one
-expansion, and `residual_norms` reuses one plan for consecutive
-relations with the same patterns.  The summation order is then: the
+expansion, and `residual_norms` reuses one plan for relations with the
+same patterns in any product order.  The summation order is then: the
 products of one pattern pair are added term by term, in the order they
-are listed, and the terms of each key go in stable key order into one
+are listed (a relation's pattern pairs in the order of their pattern
+numbers), and the terms of each key go in stable key order into one
 ``add.reduceat`` (in smaller sums, every product is its own expansion).
 No plan outlives the call that made it.
 
@@ -248,9 +249,9 @@ def _pattern_numbers() -> Callable[["Sparse"], int]:
 # Terms one reduction sorts, unless one relation, or one row of a
 # `product_sum`, makes more: about 0.5 MB of working memory for each
 # product that shares an expansion (C1's largest expansion has four).
-# Smaller sums, and calls whose relations all make fewer than half as
-# many, do not look for shared patterns: one sort of every term, or of
-# several relations at once, costs less than finding them.
+# Smaller sums, and relations that make at most half as many, do not
+# look for shared patterns: one sort of every term, or of several
+# relations at once, costs less than finding them.
 PRODUCT_TERMS = 1 << 13
 
 
@@ -478,63 +479,47 @@ def residual_norms(n: int, relations) -> list[float]:
     products and of c * m, or c * dagger(m) where adjoint is true, over
     its (c, m, adjoint) singles.
 
-    Relations are summed together while their terms come to about
-    PRODUCT_TERMS, or one at a time where one makes more: a small
-    matrix's relations share one sort, a large one's take one each.  Each
-    group forms only its own terms, from the matrices it names.  Where
-    some relation makes more than PRODUCT_TERMS / 2 terms, the products of
-    each relation share expansions by key pattern, as in `product_sum`,
-    and relations whose factors have the same patterns in the same places
-    are taken one after another, from where the first of them stands; a
-    group whose relations have the patterns of the group before it reuses
-    that group's `_Plan`.  No other plan is kept.
+    Each relation's terms are counted alone.  A relation of more than
+    PRODUCT_TERMS / 2 terms takes a sort of its own: its products, taken
+    in the order of their (left, right) key patterns, share expansions by
+    pattern, as in `product_sum`, and relations with the same pattern
+    pairs and the same patterns of singles, in whatever order they list
+    their products, are taken one after another, from where the first of
+    them stands, on one `_Plan`.  Smaller relations are summed several to
+    a sort, in order, while their terms come to about PRODUCT_TERMS, each
+    product its own expansion.  Each sort forms only its own terms, from
+    the matrices it names.  No other plan is kept.
     """
     relations = list(relations)
-    made = [
-        _terms(n, products) + sum([m.keys.size for _, m, _ in singles])
-        for products, singles in relations
-    ]
-    order = range(len(relations))
-    pairs = patterns = None
-    if max(made, default=0) > PRODUCT_TERMS // 2:
-        # smaller relations are summed several to a sort, which costs
-        # less than finding their patterns
-        number = _pattern_numbers()
-        pairs = [[(number(a), number(b)) for _, a, b in products] for products, _ in relations]
-        patterns = [
-            (tuple(shared), tuple([(number(m), adjoint) for _, m, adjoint in singles]))
-            for shared, (_, singles) in zip(pairs, relations)
-        ]
-        first: dict[tuple, int] = {}
-        for r, pattern in enumerate(patterns):
-            first.setdefault(pattern, r)
-        order = sorted(order, key=lambda r: first[patterns[r]])
-        made = [
-            _terms(n, dict(zip(shared, products)).values()) + sum([m.keys.size for _, m, _ in singles])
-            for shared, (products, singles) in zip(pairs, relations)
-        ]
-    groups: list[list[int]] = []
+    number = _pattern_numbers()
+    large: dict[tuple, list[int]] = {}
+    packed: list[list[int]] = []
     size = 0
-    for r in order:
-        if not groups or size + made[r] > PRODUCT_TERMS:
-            groups.append([])
-            size = 0
-        groups[-1].append(r)
-        size += made[r]
+    for r, (products, singles) in enumerate(relations):
+        made = _terms(n, products) + sum([m.keys.size for _, m, _ in singles])
+        if made > PRODUCT_TERMS // 2:
+            ordered = sorted([((number(a), number(b)), p) for p, (_, a, b) in enumerate(products)])
+            relations[r] = ([products[p] for _, p in ordered], singles)
+            pairs = tuple([pair for pair, _ in ordered])
+            large.setdefault((pairs, tuple([(number(m), adj) for _, m, adj in singles])), []).append(r)
+        else:
+            # several to a sort costs less than finding their patterns
+            if not packed or size + made > PRODUCT_TERMS:
+                packed.append([])
+                size = 0
+            packed[-1].append(r)
+            size += made
     norms = [0.0] * len(relations)
     plan = held = None
-    for group in groups:
+    sorts = [(s, [r]) for s, alone in large.items() for r in alone] + [(None, g) for g in packed]
+    for signature, group in sorts:
         products = [(t, c, a, b) for t, r in enumerate(group) for c, a, b in relations[r][0]]
         singles = [(t, c, m, adj) for t, r in enumerate(group) for c, m, adj in relations[r][1]]
         stack = _stack(products)
-        if patterns is None:
-            plan = _plan(n, len(group), products, _expansions(products, None), singles, stack)
-        else:
-            signature = [patterns[r] for r in group]
-            if signature != held:
-                plan = None  # one plan at a time
-                members = _expansions(products, [pair for r in group for pair in pairs[r]])
-                plan, held = _plan(n, len(group), products, members, singles, stack), signature
+        if signature is None or signature != held:
+            plan = None  # one plan at a time
+            members = _expansions(products, None if signature is None else signature[0])
+            plan, held = _plan(n, len(group), products, members, singles, stack), signature
         keys, sums = _apply(plan, products, singles, stack)
         bounds = np.searchsorted(keys, np.arange(len(group) + 1) * (n * n))
         filled = np.flatnonzero(bounds[:-1] < bounds[1:])

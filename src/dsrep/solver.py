@@ -393,11 +393,14 @@ def solve_and_verify(
     paths = unique_nonmonotonic_paths(g)
     if paths:
         i, k, j = paths[0]
+        # a hub can make quadratically many; the witness keeps the first few
+        kept = tuple(paths[:8])
+        more = f" ({len(paths)} such paths, the first {len(kept)} kept)" if len(paths) > len(kept) else ""
         return invalid(
             WitnessKind.NONMONOTONIC_PATH,
             f"blocks {i}-{k}-{j} ({g.blocks[i]}-{g.blocks[k]}-{g.blocks[j]}) form "
-            "the only path between their endpoints and change direction",
-            tuple(paths),
+            f"the only path between their endpoints and change direction{more}",
+            kept,
         )
 
     system = build_onbd_system(g)

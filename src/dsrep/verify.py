@@ -13,17 +13,18 @@ rather than O(dim^3) and never forms a dense matrix: the Casimir
 matrices are returned as `Sparse`, and `scalar_check` reads their
 diagonal and off-diagonal entries directly.  The relations and the
 Hermiticity pattern are read from term tables and summed by
-`numeric.residual_norms`, several relations to one sort on a small
-representation and one relation to a sort on a large one.
+`numeric.residual_norms`: each large relation takes a sort of its own,
+and the small ones share sorts.
 
 The generators of a backbone have only four or five key patterns (Jx,
 Jy, Kx, Ky share one; Vx and Vy one; Vt and Vz one; Jz and Kz are
 diagonal), and the numeric kernel uses it: on a large representation,
 C1's ten squares are four or five expansions, the relations [Jx, Jy],
 [Kx, Ky], [Jx, Ky], [Vx, Vy] and [Vt, Vz] sort half as many terms, and
-relations with the same patterns reuse one sort.  `build_report` runs
-its numerics with numpy's floating-point warnings off: an overflow or
-inf - inf shows as an infinite or NaN residual in the report.
+relations with the same patterns, such as [Vy, Vz] and [Vz, Vx], reuse
+one plan.  `build_report` runs its numerics with numpy's floating-point
+warnings off: an overflow or inf - inf shows as an infinite or NaN
+residual in the report.
 """
 
 from __future__ import annotations

@@ -308,11 +308,7 @@ class TestSharedPatterns:
             ([(1.0, y, x), (2.0, x, y)], [(1.0, y, False)]),
             ([(1.0, y, y), (2.0, y, y)], [(1.0, y, False)]),
         ]
-        dense = [
-            max_abs(sum(c * a.to_dense() @ b.to_dense() for c, a, b in products)
-                    + sum(c * (m.to_dense().conj().T if adj else m.to_dense()) for c, m, adj in singles))
-            for products, singles in relations
-        ]
+        dense = self._dense_norms(relations)
         made = []
         planned = dsrep.numeric._plan
 
@@ -330,6 +326,82 @@ class TestSharedPatterns:
             alone = [residual_norms(9, [relation])[0] for relation in relations]
             assert together == alone
             assert together == pytest.approx(dense, rel=1e-13, abs=1e-13)
+
+    @staticmethod
+    def _dense_norms(relations):
+        return [
+            max_abs(sum(c * a.to_dense() @ b.to_dense() for c, a, b in products)
+                    + sum(c * (m.to_dense().conj().T if adj else m.to_dense()) for c, m, adj in singles))
+            for products, singles in relations
+        ]
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """(plans, numbered): the sums of each `_plan` call, and every matrix
+        given a pattern number, as `residual_norms` runs."""
+        plans, numbered = [], []
+        planned, numbers = dsrep.numeric._plan, dsrep.numeric._pattern_numbers
+
+        def plan(n, sums, *rest):
+            plans.append(sums)
+            return planned(n, sums, *rest)
+
+        def pattern_numbers():
+            number = numbers()
+
+            def recorded(m):
+                numbered.append(m)
+                return number(m)
+
+            return recorded
+
+        monkeypatch.setattr(dsrep.numeric, "_plan", plan)
+        monkeypatch.setattr(dsrep.numeric, "_pattern_numbers", pattern_numbers)
+        return plans, numbered
+
+    def test_small_relations_share_one_plan_and_no_patterns(self, monkeypatch):
+        # one relation of about 1500 terms, above half the budget, and four
+        # of about 60 that fit in one sort together
+        rng = np.random.default_rng(11)
+        dense_mask, sparse_mask = rng.random((12, 12)) < 0.6, np.eye(12, dtype=bool)
+        x, y = (_with_pattern(dense_mask, rng.normal(size=dense_mask.sum()) + 1j) for _ in range(2))
+        small = [_with_pattern(sparse_mask, rng.normal(size=12) - 1j) for _ in range(4)]
+        relations = [([(1.0, x, y), (-1.0, y, x)], [(0.5, x, True)])] + [
+            ([(1.0, a, b), (-1.0, b, a)], [(2.0, a, False)]) for a, b in zip(small, small[1:] + small[:1])
+        ]
+        monkeypatch.setattr(dsrep.numeric, "PRODUCT_TERMS", 1024)
+        plans, numbered = self._watch(monkeypatch)
+        together = residual_norms(12, relations)
+        assert sorted(plans) == [1, 4]
+        assert not any(m is s for m in numbered for s in small)
+        assert numbered
+        alone = [residual_norms(12, [relation])[0] for relation in relations]
+        assert together == alone
+        assert together == pytest.approx(self._dense_norms(relations), rel=1e-13, abs=1e-13)
+
+    def test_large_relations_share_a_plan_in_either_product_order(self, monkeypatch):
+        # [y, v] lists its pattern pairs in the opposite order to [x, u], as
+        # [Vz, Vx] does to [Vy, Vz]; integer values, so every order of
+        # summation gives the same bits
+        rng = np.random.default_rng(5)
+        p, q = rng.random((10, 10)) < 0.4, rng.random((10, 10)) < 0.4
+
+        def on(mask):
+            size = mask.sum()
+            return _with_pattern(mask, rng.integers(1, 4, size=size) + 1j * rng.integers(-3, 4, size=size))
+
+        x, y, u, v = on(p), on(p), on(q), on(q)
+        relations = [
+            ([(1.0, x, u), (-1.0, u, x)], [(-1j, y, False)]),
+            ([(1.0, v, y), (-1.0, y, v)], [(-1j, x, False)]),
+        ]
+        monkeypatch.setattr(dsrep.numeric, "PRODUCT_TERMS", 1)
+        plans, _ = self._watch(monkeypatch)
+        together = residual_norms(10, relations)
+        assert plans == [1]
+        alone = [residual_norms(10, [relation])[0] for relation in relations]
+        assert together == alone
+        assert together == pytest.approx(self._dense_norms(relations), rel=1e-13, abs=1e-13)
 
 
 class TestRationalSolve:

@@ -1,8 +1,12 @@
-"""The bytes the CLI prints stay the same: SHA-256 digests of `generate`
-and `validate` output, pinned in tests/golden/output_digests.json.
+"""The bytes the CLI prints stay the same: SHA-256 digests of `generate`,
+`validate` and `verify --format json` output, pinned in
+tests/golden/output_digests.json.
 
-`verify` is left out, since its residual digits follow the relation
-kernel's summation order, and `tables` is pinned whole by
+`verify`'s residual digits follow the relation kernel's summation order,
+so its digest covers every field but those: `cr_residuals` and
+`hermiticity_residuals` keep only their keys, and `jz_residual` only its
+name.  A change to the summation order then cannot move a verdict or a
+Casimir scalar unseen.  `tables` is pinned whole by
 tests/golden/tables.txt.  No fixture ends in a numeric relation failure,
 so no pinned `validate` output prints a residual.
 
@@ -15,6 +19,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from dsrep.cli import main
@@ -36,13 +41,33 @@ def _runs():
             yield f"validate {path.name} {fmt}", ["validate", str(path), "--format", fmt]
 
 
+def _stdout(argv) -> tuple[int, str]:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    return code, buffer.getvalue()
+
+
+def _verify_digest(document: Path) -> str:
+    """The digest of `verify --format json` on a document, with its exit
+    code, residual values left out."""
+    code, text = _stdout(["verify", str(document), "--format", "json"])
+    report = json.loads(text)
+    for field in ("cr_residuals", "hermiticity_residuals"):
+        report[field] = list(report[field])
+    del report["jz_residual"]
+    pinned = json.dumps({"exit": code, "report": report})
+    return hashlib.sha256(pinned.encode()).hexdigest()
+
+
 def _digests() -> dict[str, str]:
-    out = {}
-    for name, argv in _runs():
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            main(argv)
-        out[name] = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    out = {name: hashlib.sha256(_stdout(argv)[1].encode()).hexdigest() for name, argv in _runs()}
+    with tempfile.TemporaryDirectory() as scratch:
+        for family, n in CHAINS:
+            for algebra in ("ds", "ads"):
+                document = Path(scratch) / f"{family}{n}-{algebra}.json"
+                _stdout(["generate", family, str(n), "--algebra", algebra, "--out", str(document)])
+                out[f"verify {family}{n} {algebra} json"] = _verify_digest(document)
     return out
 
 

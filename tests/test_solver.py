@@ -115,6 +115,27 @@ class TestNonMonotonicPaths:
         g = BackboneGraph.make([L(1, 1), L(2, 2), L(1, 1)], [(0, 1), (1, 2)])
         assert unique_nonmonotonic_paths(g) != []
 
+    def test_witness_keeps_the_first_paths_of_a_two_class_star(self):
+        # a (1/2,1/2) hub with 50 (1,0) and 50 (0,0) leaves, dim 204: every
+        # pair of leaves but two (0,0) ones is a fatal path, 7450 in all
+        blocks = [L(1, 1)] + [L(2, 0)] * 50 + [L(0, 0)] * 50
+        g = BackboneGraph.make(blocks, [(0, leaf) for leaf in range(1, 101)])
+        paths = unique_nonmonotonic_paths(g)
+        assert len(paths) == 7450
+        witness = solve_and_verify(g).witness
+        assert witness.kind is WitnessKind.NONMONOTONIC_PATH
+        assert witness.data == tuple(paths[:8])
+        assert witness.message.endswith("(7450 such paths, the first 8 kept)")
+        i, k, j = paths[0]
+        assert witness.message.startswith(f"blocks {i}-{k}-{j} ")
+
+    def test_witness_lists_every_path_when_there_are_few(self):
+        # four fatal paths: all kept, the message as before
+        g = load_fixture("invalid_shared_crossing")
+        witness = solve_and_verify(g).witness
+        assert witness.data == tuple(unique_nonmonotonic_paths(g))
+        assert witness.message.endswith("change direction")
+
 
 class TestOnBdSystem:
     def test_two_rows_per_block(self):

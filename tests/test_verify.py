@@ -48,6 +48,9 @@ from dsrep.representation import (
 )
 from dsrep.solver import Verdict, solve_and_verify
 from dsrep.verify import (
+    C1_SCALAR_TOLERANCE,
+    C2_SCALAR_TOLERANCE,
+    JZ_TOLERANCE,
     build_report,
     casimir1_matrix,
     casimir2_matrix,
@@ -662,6 +665,55 @@ class TestTamper:
     @given(tampered_chains())
     def test_one_changed_entry_fails_the_report(self, gens):
         assert not build_report(gens).passed
+
+
+def _conjugated(gens, u):
+    """The set with every generator X replaced by u X u^dagger."""
+    return dataclasses.replace(gens, **{
+        name.lower(): sparse_from_dense(u @ m.to_dense() @ u.conj().T) for name, m in gens.matrices().items()
+    })
+
+
+def _random_unitary(rng, size):
+    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestBasisIndependence:
+    """A change of basis that keeps Jz diagonal keeps every verdict."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([(Family.TYPE_A, n) for n in (2, 3, 4)] + [(Family.TYPE_B, n) for n in (2, 3, 4, 5)]),
+        st.sampled_from(list(Algebra)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_unitaries_that_commute_with_jz_keep_the_report(self, chain, algebra, seed):
+        gens = chain_generators(*chain, algebra)
+        rng = np.random.default_rng(seed)
+        m = gens.jz.to_dense().diagonal().real
+        u = np.zeros((gens.dim, gens.dim), dtype=complex)
+        for value in np.unique(m):
+            space = np.flatnonzero(m == value)
+            u[np.ix_(space, space)] = _random_unitary(rng, space.size)
+        before, after = build_report(gens), build_report(_conjugated(gens, u))
+        assert before.passed and after.passed
+        assert after.failing_crs == after.failing_hermiticity == after.failing_invariants == []
+        for ours, theirs, tol in ((after.casimir1_scalar, before.casimir1_scalar, C1_SCALAR_TOLERANCE),
+                                  (after.casimir2_scalar, before.casimir2_scalar, C2_SCALAR_TOLERANCE)):
+            assert abs(ours - theirs) <= tol * max(1.0, abs(theirs))
+
+        # a rotation between two Jz eigenspaces, then the same u: Jz is off
+        # its labels' diagonal, and only check_jz can tell
+        i, j = rng.choice(np.flatnonzero(m != m[0])), rng.choice(np.flatnonzero(m == m[0]))
+        mix = np.eye(gens.dim, dtype=complex)
+        mix[np.ix_([i, j], [i, j])] = np.array([[1, -1], [1, 1]]) / math.sqrt(2)
+        mixed = _conjugated(gens, u @ mix)
+        assert check_jz(mixed) > JZ_TOLERANCE
+        report = build_report(mixed)
+        assert report.failing_invariants == ["Jz"]
+        assert report.failing_crs == report.failing_hermiticity == []
 
 
 def _close(got, want):
