@@ -1,4 +1,4 @@
-"""A complex-matrix kernel and an exact linear solve.
+"""A sparse-matrix kernel and an exact linear solve.
 
 Matrices are `Sparse`: each generator is held as its non-zeros from
 assembly to verdict, and a dense numpy ``complex128`` array is made only
@@ -21,10 +21,19 @@ factors share a key pattern, and whose right factors do, are one
 expansion, and `residual_norms` reuses one plan for relations with the
 same patterns in any product order.  The summation order is then: the
 products of one pattern pair are added term by term, in the order they
-are listed (a relation's pattern pairs in the order of their pattern
-numbers), and the terms of each key go in stable key order into one
-``add.reduceat`` (in smaller sums, every product is its own expansion).
-No plan outlives the call that made it.
+are listed (a relation's pattern pairs in an order fixed by its own
+patterns: fewer keys first, then by the keys), and the terms of each key
+go in stable key order into one ``add.reduceat`` (in smaller sums, every
+product is its own expansion).  No plan outlives the call that made it.
+
+The numeric half runs in the dtype of the values it is given.
+`Sparse.quarter_turn` writes a matrix that is i^q times a real one as q
+and that real part, which shares the matrix's key arrays; `verify` sums
+the relations and Hermiticity of such generators in ``float64``, at half
+the bytes and time a term.  Float and complex ``add.reduceat`` group a
+key's terms differently from five terms on, so such a residual can
+differ from the complex one in its last bits: the Casimirs, whose
+scalars are printed, stay complex.
 
 The exact linear solve eliminates over integers and forms a
 ``fractions.Fraction`` only for each final unknown.
@@ -83,7 +92,7 @@ class Sparse:
     evaluated on dense arrays.
     """
 
-    __slots__ = ("n", "keys", "vals", "_reduced", "_rows", "_split")
+    __slots__ = ("n", "keys", "vals", "_reduced", "_rows", "_split", "_turn")
     ndim = 2
     # numpy operators defer to this class instead of broadcasting over it
     __array_ufunc__ = None
@@ -95,6 +104,7 @@ class Sparse:
         self._reduced = reduced
         self._rows = None  # (start, count, cols, vals) of each row, as a right factor
         self._split = None  # (row * n, col) of each entry, as a left factor
+        self._turn = None  # `quarter_turn`, False where there is none
 
     @classmethod
     def zero(cls, n: int) -> "Sparse":
@@ -122,9 +132,10 @@ class Sparse:
 
     def _row_spans(self) -> tuple[np.ndarray, ...]:
         """(start, count, cols, vals) as a right factor: row r holds the
-        entries start[r] to start[r] + count[r] - 1 of cols and vals.  An
-        empty row spans one zero entry, kept after the stored ones, so that
-        a NaN or infinite left entry still reaches the product."""
+        entries start[r] to start[r] + count[r] - 1 of cols and of the
+        reduced vals followed by one zero (`_stack` appends it).  An empty
+        row spans that zero, so that a NaN or infinite left entry still
+        reaches the product."""
         if self._rows is None:
             m = self.reduced()
             count = np.bincount(m.keys // self.n, minlength=self.n)
@@ -132,7 +143,7 @@ class Sparse:
             empty = count == 0
             start[empty] = m.keys.size
             count[empty] = 1
-            self._rows = (start, count, np.append(m.keys % self.n, 0), np.append(m.vals, 0))
+            self._rows = (start, count, np.append(m.keys % self.n, 0), m.vals)
         return self._rows
 
     def _entry_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,6 +153,28 @@ class Sparse:
             col = m.keys % self.n
             m._split = (m.keys - col, col)
         return (*m._split, m.vals)
+
+    def quarter_turn(self) -> Optional[tuple[int, "Sparse"]]:
+        """(q, r) with this matrix equal to i^q times the real matrix r, q
+        0 or 1, or None.  There is one only where every entry is finite and
+        either every imaginary part is +-0 (q = 0, r the real parts) or
+        every real part is (q = 1, r the imaginary parts); a matrix of
+        zeros fits either q, and is given q = 0.  r is reduced, and shares
+        this matrix's keys, row spans and entry split: it holds only a view
+        of the values.  Kept, like the row spans.
+        """
+        if self._turn is None:
+            self._turn = False
+            m = self.reduced()
+            if np.isfinite(m.vals).all():
+                for q, part, other in ((0, m.vals.real, m.vals.imag), (1, m.vals.imag, m.vals.real)):
+                    if not other.any():
+                        real = Sparse(self.n, m.keys, part, reduced=True)
+                        real._rows = (*self._row_spans()[:3], part)
+                        real._split = m._entry_split()[:2]
+                        self._turn = (q, real)
+                        break
+        return self._turn or None
 
     def to_dense(self) -> np.ndarray:
         m = self.reduced()
@@ -229,21 +262,17 @@ def _sum_sorted(vals: np.ndarray, order: np.ndarray, starts: Optional[np.ndarray
     return vals if starts is None else np.add.reduceat(vals, starts)
 
 
-def _pattern_numbers() -> Callable[["Sparse"], int]:
-    """A lookup for one call: each matrix's number, the same for matrices
-    with equal reduced keys, in the order of first lookup, kept per matrix."""
-    seen: list[np.ndarray] = []
+def _pattern_keys() -> Callable[["Sparse"], tuple[int, bytes]]:
+    """A lookup for one call: each matrix's key pattern as (size, bytes of
+    the reduced keys), kept per matrix.  Equal patterns have equal keys,
+    and the keys order patterns by the patterns alone."""
 
     @functools.cache
-    def number(m: "Sparse") -> int:
+    def pattern(m: "Sparse") -> tuple[int, bytes]:
         keys = m.reduced().keys
-        for p, known in enumerate(seen):
-            if known.size == keys.size and (known == keys).all():
-                return p
-        seen.append(keys)
-        return len(seen) - 1
+        return keys.size, keys.tobytes()
 
-    return number
+    return pattern
 
 
 # Terms one reduction sorts, unless one relation, or one row of a
@@ -255,6 +284,9 @@ def _pattern_numbers() -> Callable[["Sparse"], int]:
 PRODUCT_TERMS = 1 << 13
 
 
+_ZERO = np.zeros(1)
+
+
 def _stack(products) -> tuple[list[int], tuple[np.ndarray, ...]]:
     """(offsets, spans): the `Sparse._row_spans` of the right factor of each
     (t, c, a, b) product, stacked in product order, those of product p from
@@ -263,9 +295,12 @@ def _stack(products) -> tuple[list[int], tuple[np.ndarray, ...]]:
     offsets = list(accumulate([right[2].size for right in rights], initial=0))
     if not rights:
         return offsets, ()
-    start, *rest = (np.concatenate(parts) for parts in zip(*rights))
+    start, count, cols, vals = zip(*rights)
+    start, count, cols = (np.concatenate(parts) for parts in (start, count, cols))
     start += np.repeat(offsets[:-1], products[0][3].n)
-    return offsets, (start, *rest)
+    # each right factor's values, then the zero its empty rows span
+    vals = np.concatenate([part for v in vals for part in (v, _ZERO)])
+    return offsets, (start, count, cols, vals)
 
 
 def _scaled(parts) -> np.ndarray:
@@ -311,7 +346,7 @@ def _expansions(products, pairs) -> list[list[int]]:
     expansions shared by more products first.
 
     pairs[p], where given, is (pattern of a, pattern of b) of the (t, c, a,
-    b) product p, as `_pattern_numbers` numbers them, and the products of
+    b) product p, as `_pattern_keys` gives them, and the products of
     one sum with one pair share an expansion; without pairs each product
     is its own.
     """
@@ -442,8 +477,8 @@ def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse"
     made = _terms(n, products)
     if made > PRODUCT_TERMS:
         # below that, one sort of every term costs less than sharing
-        number = _pattern_numbers()
-        pairs = [(number(a), number(b)) for *_, a, b in products]
+        pattern = _pattern_keys()
+        pairs = [(pattern(a), pattern(b)) for *_, a, b in products]
         firsts = [pairs.index(pair) for pair in dict.fromkeys(pairs)]
         made = _terms(n, [products[p] for p in firsts])
     stack = _, (_, count, _, _) = _stack(products)
@@ -491,17 +526,17 @@ def residual_norms(n: int, relations) -> list[float]:
     the matrices it names.  No other plan is kept.
     """
     relations = list(relations)
-    number = _pattern_numbers()
+    pattern = _pattern_keys()
     large: dict[tuple, list[int]] = {}
     packed: list[list[int]] = []
     size = 0
     for r, (products, singles) in enumerate(relations):
         made = _terms(n, products) + sum([m.keys.size for _, m, _ in singles])
         if made > PRODUCT_TERMS // 2:
-            ordered = sorted([((number(a), number(b)), p) for p, (_, a, b) in enumerate(products)])
+            ordered = sorted([((pattern(a), pattern(b)), p) for p, (_, a, b) in enumerate(products)])
             relations[r] = ([products[p] for _, p in ordered], singles)
             pairs = tuple([pair for pair, _ in ordered])
-            large.setdefault((pairs, tuple([(number(m), adj) for _, m, adj in singles])), []).append(r)
+            large.setdefault((pairs, tuple([(pattern(m), adj) for _, m, adj in singles])), []).append(r)
         else:
             # several to a sort costs less than finding their patterns
             if not packed or size + made > PRODUCT_TERMS:

@@ -16,6 +16,17 @@ Hermiticity pattern are read from term tables and summed by
 `numeric.residual_norms`: each large relation takes a sort of its own,
 and the small ones share sorts.
 
+In the standard angular-momentum basis every generator is i^q times a
+real matrix, with q fixed per generator and algebra (`quarter_turns`).
+Where a set's generators all have their q (`numeric.Sparse.quarter_turn`;
+a finite matrix of zeros has either), the relations and Hermiticity run
+on the real parts in ``float64``, from tables built once at import with
+each relation's coefficients divided by the phase its terms share; any
+other set (a rotated basis, a hand-written document, a non-finite entry)
+runs on the complex matrices.  The norms are the same either way, to
+rounding.  The Casimirs stay complex: their scalars are printed, and a
+float sum would move their last bits.
+
 The generators of a backbone have only four or five key patterns (Jx,
 Jy, Kx, Ky share one; Vx and Vy one; Vt and Vz one; Jz and Kz are
 diagonal), and the numeric kernel uses it: on a large representation,
@@ -84,15 +95,15 @@ def _v_sign(algebra: Algebra) -> float:
 
 
 def _cr_table(algebra: Algebra) -> tuple:
-    """(equation text, products, terms) of the 27 relations, in report
-    order: each residual is the sum of c * A @ B over its (c, A, B)
-    products and of c * X over its (c, X) terms, by generator name."""
+    """(equation text, products, singles) of the 27 relations, in report
+    order, by generator name: each residual is the sum of c * A @ B over
+    its (c, A, B) products and of c * X over its (c, X, False) singles."""
     s = _v_sign(algebra)
     sign = "" if s > 0 else "-"
     table = []
 
     def relation(text, a, b, *terms):
-        table.append((text, ((1.0, a, b), (-1.0, b, a)), terms))
+        table.append((text, ((1.0, a, b), (-1.0, b, a)), tuple((c, x, False) for c, x in terms)))
 
     for p, q, r in _CYCLIC:
         relation(f"[J{p},J{q}] = i J{r}", f"J{p}", f"J{q}", (-1j, f"J{r}"))
@@ -108,7 +119,88 @@ def _cr_table(algebra: Algebra) -> tuple:
     return tuple(table)
 
 
-_CR_TABLES = {algebra: _cr_table(algebra) for algebra in Algebra}
+def hermitian_signs(algebra: Algebra) -> dict[str, int]:
+    """+1 for generators required Hermitian, -1 for anti-Hermitian, in
+    report order; the V carry `_v_sign`, Vt its opposite."""
+    s = int(_v_sign(algebra))
+    return {"Jx": 1, "Jy": 1, "Jz": 1, "Kx": -1, "Ky": -1, "Kz": -1,
+            "Vt": -s, "Vx": s, "Vy": s, "Vz": s}
+
+
+def _hermiticity_table(algebra: Algebra) -> tuple:
+    """(generator name, products, singles) of dagger(X) -+ X, per the
+    required H/AH pattern, in the `_cr_table` form."""
+    return tuple(
+        (x, (), ((1.0, x, True), (-sign, x, False))) for x, sign in hermitian_signs(algebra).items()
+    )
+
+
+def quarter_turns(algebra: Algebra) -> dict[str, int]:
+    """The q with which each generator of the standard basis is i^q times
+    a real matrix: Jy, Kx, Kz and Vy are imaginary in de Sitter, and the
+    anti-de Sitter V, i times the de Sitter ones, swap kinds."""
+    turns = {"Jx": 0, "Jy": 1, "Jz": 0, "Kx": 1, "Ky": 0, "Kz": 1, "Vt": 0, "Vx": 0, "Vy": 1, "Vz": 0}
+    if algebra is Algebra.ANTI_DE_SITTER:
+        turns.update({v: 1 - turns[v] for v in ("Vt", "Vx", "Vy", "Vz")})
+    return turns
+
+
+def _real_table(table: tuple, turns: dict[str, int]) -> tuple:
+    """The table for the real parts of generators with these quarter
+    turns: each coefficient times its term's phase (i^q of a single,
+    conj(i^q) of an adjoint one, i^(qa + qb) of a product), divided by the
+    phase the relation's terms share, which leaves it real.  Residual
+    norms are unchanged, since the relation is that phase times the real one."""
+    out = []
+    for name, products, singles in table:
+        phased = [c * 1j ** (turns[a] + turns[b]) for c, a, b in products] + [
+            c * (1j ** turns[x]).conjugate() if adjoint else c * 1j ** turns[x] for c, x, adjoint in singles
+        ]
+        real = [c / phased[0] for c in phased]
+        assert all(c.imag == 0 for c in real), f"{name} has no one phase"
+        real = [c.real for c in real]
+        out.append((
+            name,
+            tuple((c, a, b) for c, (_, a, b) in zip(real, products)),
+            tuple((c, x, adjoint) for c, (_, x, adjoint) in zip(real[len(products):], singles)),
+        ))
+    return tuple(out)
+
+
+# algebra -> q of each generator, and (complex table, real table) of the
+# relations and of Hermiticity
+_TURNS = {algebra: quarter_turns(algebra) for algebra in Algebra}
+_CR_TABLES, _HERMITICITY_TABLES = (
+    {algebra: (make(algebra), _real_table(make(algebra), _TURNS[algebra])) for algebra in Algebra}
+    for make in (_cr_table, _hermiticity_table)
+)
+
+
+def _real_parts(g: GeneratorSet) -> Optional[dict[str, Sparse]]:
+    """Generator name -> its `Sparse.quarter_turn` real part, where every
+    generator has its `quarter_turns` q (a matrix of zeros has either);
+    otherwise None."""
+    turns = _TURNS[g.algebra]
+    parts = {}
+    for name, m in g.matrices().items():
+        turn = m.quarter_turn()
+        if turn is None or turn[0] != turns[name] and turn[1].vals.any():
+            return None
+        parts[name] = turn[1]
+    return parts
+
+
+def _residuals(g: GeneratorSet, tables: tuple) -> dict[str, float]:
+    """The residual norm of each relation of a (complex, real) table pair,
+    by name: the real table on the real parts where `_real_parts` finds
+    them, else the complex one on the generators."""
+    real = _real_parts(g)
+    table, m = (tables[1], real) if real else (tables[0], g.matrices())
+    residuals = residual_norms(g.dim, [
+        ([(c, m[a], m[b]) for c, a, b in products], [(c, m[x], adjoint) for c, x, adjoint in singles])
+        for _, products, singles in table
+    ])
+    return dict(zip((name for name, *_ in table), residuals))
 
 
 def check_all_crs(g: GeneratorSet) -> dict[str, float]:
@@ -118,31 +210,12 @@ def check_all_crs(g: GeneratorSet) -> dict[str, float]:
     algebra: [Vi, Vj] = +i eps Jk and [Vt, Vi] = +i Ki for de Sitter,
     both right-hand sides negated for anti-de Sitter.
     """
-    m = g.matrices()
-    table = _CR_TABLES[g.algebra]
-    residuals = residual_norms(g.dim, [
-        ([(c, m[a], m[b]) for c, a, b in products], [(c, m[x], False) for c, x in terms])
-        for _, products, terms in table
-    ])
-    return dict(zip((text for text, *_ in table), residuals))
-
-
-def hermitian_signs(algebra: Algebra) -> dict[str, int]:
-    """+1 for generators required Hermitian, -1 for anti-Hermitian; the V
-    carry `_v_sign`, Vt its opposite."""
-    s = int(_v_sign(algebra))
-    return {"Jx": 1, "Jy": 1, "Jz": 1, "Kx": -1, "Ky": -1, "Kz": -1,
-            "Vx": s, "Vy": s, "Vz": s, "Vt": -s}
+    return _residuals(g, _CR_TABLES[g.algebra])
 
 
 def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
     """max |dagger(X) -+ X| per generator, per the required H/AH pattern."""
-    signs = hermitian_signs(g.algebra)
-    m = g.matrices()
-    residuals = residual_norms(
-        g.dim, [((), ((1.0, m[x], True), (-signs[x], m[x], False))) for x in m]
-    )
-    return dict(zip(m, residuals))
+    return _residuals(g, _HERMITICITY_TABLES[g.algebra])
 
 
 def check_jz(g: GeneratorSet) -> float:

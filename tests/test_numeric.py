@@ -338,25 +338,25 @@ class TestSharedPatterns:
     @staticmethod
     def _watch(monkeypatch):
         """(plans, numbered): the sums of each `_plan` call, and every matrix
-        given a pattern number, as `residual_norms` runs."""
+        given a pattern key, as `residual_norms` runs."""
         plans, numbered = [], []
-        planned, numbers = dsrep.numeric._plan, dsrep.numeric._pattern_numbers
+        planned, patterns = dsrep.numeric._plan, dsrep.numeric._pattern_keys
 
         def plan(n, sums, *rest):
             plans.append(sums)
             return planned(n, sums, *rest)
 
-        def pattern_numbers():
-            number = numbers()
+        def pattern_keys():
+            pattern = patterns()
 
             def recorded(m):
                 numbered.append(m)
-                return number(m)
+                return pattern(m)
 
             return recorded
 
         monkeypatch.setattr(dsrep.numeric, "_plan", plan)
-        monkeypatch.setattr(dsrep.numeric, "_pattern_numbers", pattern_numbers)
+        monkeypatch.setattr(dsrep.numeric, "_pattern_keys", pattern_keys)
         return plans, numbered
 
     def test_small_relations_share_one_plan_and_no_patterns(self, monkeypatch):
@@ -402,6 +402,92 @@ class TestSharedPatterns:
         alone = [residual_norms(10, [relation])[0] for relation in relations]
         assert together == alone
         assert together == pytest.approx(self._dense_norms(relations), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_relations_sum_alike_alone_or_together(self, seed, monkeypatch):
+        # as above, with values whose sums round: [v, y] must order its
+        # pattern pairs by the patterns alone, and so keep its bits, whether
+        # or not [x, u] comes first and meets pattern p before q
+        rng = np.random.default_rng(seed)
+        p, q = rng.random((10, 10)) < 0.4, rng.random((10, 10)) < 0.4
+
+        def on(mask):
+            return _with_pattern(mask, rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum()))
+
+        x, y, u, v = on(p), on(p), on(q), on(q)
+        relations = [
+            ([(1.0, x, u), (-1.0, u, x)], [(-1j, y, False)]),
+            ([(1.0, v, y), (-1.0, y, v)], [(-1j, x, False)]),
+        ]
+        monkeypatch.setattr(dsrep.numeric, "PRODUCT_TERMS", 1)
+        plans, _ = self._watch(monkeypatch)
+        together = residual_norms(10, relations)
+        assert plans == [1]
+        for relation in (relations, relations[::-1]):
+            assert [residual_norms(10, [r])[0] for r in relation] == residual_norms(10, relation)
+        assert together == pytest.approx(self._dense_norms(relations), rel=1e-13, abs=1e-13)
+
+
+class TestQuarterTurn:
+    """`Sparse.quarter_turn`: a matrix as i^q times a real one."""
+
+    @staticmethod
+    def _matrix(vals):
+        return Sparse(3, np.arange(len(vals), dtype=np.intp) * 2, np.array(vals, dtype=complex), reduced=True)
+
+    @pytest.mark.parametrize("vals,q,real", [
+        ([1.5, -2.0, complex(3.0, -0.0)], 0, [1.5, -2.0, 3.0]),
+        ([2j, complex(-0.0, -1.0), 0.5j], 1, [2.0, -1.0, 0.5]),
+        ([complex(0.0, -0.0), -0.0], 0, [0.0, -0.0]),
+        ([], 0, []),
+    ], ids=["real", "imaginary", "zeros", "empty"])
+    def test_phase_pure_matrices(self, vals, q, real):
+        m = self._matrix(vals)
+        turn = m.quarter_turn()
+        assert turn[0] == q and turn[1].vals.dtype == np.float64
+        assert turn[1].vals.tobytes() == np.array(real, dtype=float).tobytes()
+        assert np.array_equal(1j ** q * turn[1].to_dense(), m.to_dense())
+        assert m.quarter_turn() is turn  # kept
+
+    @pytest.mark.parametrize("vals", [
+        [1.0, 1j], [complex(1, 1)], [1.0, math.nan], [1j, complex(0, math.inf)], [complex(math.nan, 0)],
+    ], ids=["mixed", "both-parts", "nan", "inf", "nan-real-part"])
+    def test_mixed_or_non_finite_matrices_have_none(self, vals):
+        m = self._matrix(vals)
+        assert m.quarter_turn() is None
+        assert m.quarter_turn() is None
+
+    def test_real_part_shares_the_key_arrays(self):
+        m = sparse_from_dense(np.array([[0, 2j, 0], [-1j, 0, 0.5j], [0, 0, 3j]]))
+        _, real = m.quarter_turn()
+        assert real.keys is m.keys and real.reduced() is real
+        for ours, theirs in zip(real._row_spans()[:3], m._row_spans()[:3]):
+            assert ours is theirs
+        for ours, theirs in zip(real._entry_split()[:2], m._entry_split()[:2]):
+            assert ours is theirs
+        assert np.shares_memory(real.vals, m.vals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 1), st.integers(0, 1), st.sampled_from([1, 7, 1 << 13]), st.integers(0, 2**32 - 1))
+    def test_real_parts_give_the_residual(self, qa, qb, run_terms, seed):
+        # [a, b] - c = i^(qa + qb) ([ra, rb] - rc) for c of the same turn,
+        # whatever the kernel's runs
+        rng = np.random.default_rng(seed)
+
+        def drawn(q):
+            return (1j ** q) * np.where(rng.random((5, 5)) < 0.5, rng.normal(size=(5, 5)), 0)
+
+        a, b, c = drawn(qa), drawn(qb), drawn(qa + qb)
+        (ta, ra), (tb, rb), (tc, rc) = (sparse_from_dense(m).quarter_turn() for m in (a, b, c))
+        assert (ta, tb, tc) == (qa, qb, (qa + qb) % 2) or not (ra.keys.size and rb.keys.size and rc.keys.size)
+        sign = (1j ** (qa + qb)).real or (1j ** (qa + qb)).imag  # c = sign i^(qa + qb) rc
+        saved = dsrep.numeric.PRODUCT_TERMS
+        dsrep.numeric.PRODUCT_TERMS = run_terms
+        try:
+            ours = residual_norms(5, [([(1.0, ra, rb), (-1.0, rb, ra)], [(-sign, rc, False)])])[0]
+        finally:
+            dsrep.numeric.PRODUCT_TERMS = saved
+        assert ours == pytest.approx(max_abs(a @ b - b @ a - c), rel=1e-14, abs=1e-14)
 
 
 class TestRationalSolve:

@@ -50,6 +50,8 @@ from dsrep.solver import Verdict, solve_and_verify
 from dsrep.verify import (
     C1_SCALAR_TOLERANCE,
     C2_SCALAR_TOLERANCE,
+    CR_TOLERANCE,
+    HERMITICITY_TOLERANCE,
     JZ_TOLERANCE,
     build_report,
     casimir1_matrix,
@@ -420,6 +422,19 @@ class TestMemory:
         assert report.passed and report.casimir1_scalar == pytest.approx(-418.0)
         assert peak < dense_bytes / 10
 
+    def test_relation_check_peak(self):
+        # type A N=20, dim 2870: the relations run on the generators' real
+        # parts, 8 bytes a term where a complex term takes 16
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 20))
+        tracemalloc.start()
+        try:
+            residuals = check_all_crs(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(residuals.values()) < 1e-10
+        assert peak < 10.5e6
+
 
 def _direct_sum(*specs):
     """The backbone of the canonical chains side by side, unconnected."""
@@ -500,8 +515,9 @@ class TestSharedPlans:
         assert _close(crs["[Kx,Ky] = -i Jz"], max_abs(gens.jz))
 
     def test_no_state_outlives_a_call(self):
-        # a first call keeps only each generator's row spans and entry
-        # split; beyond those, a second call needs as much memory again.
+        # a first call keeps only each generator's row spans, entry split
+        # and quarter turn (its real part, which shares the first two);
+        # beyond those, a second call needs as much memory again.
         # Type B, N = 13 is used nowhere else, so no earlier call has seen
         # its patterns.
         for f in (check_all_crs, build_report, check_hermiticity, casimir1_matrix):
@@ -668,9 +684,17 @@ class TestTamper:
 
 
 def _conjugated(gens, u):
-    """The set with every generator X replaced by u X u^dagger."""
+    """The set with every generator X replaced by u X u^dagger.  A real u
+    acts on the real and imaginary parts apart, so a real or imaginary X
+    stays so."""
+
+    def conjugated(x):
+        if np.isrealobj(u):
+            return u @ x.real @ u.T + 1j * (u @ x.imag @ u.T)
+        return u @ x @ u.conj().T
+
     return dataclasses.replace(gens, **{
-        name.lower(): sparse_from_dense(u @ m.to_dense() @ u.conj().T) for name, m in gens.matrices().items()
+        name.lower(): sparse_from_dense(conjugated(m.to_dense())) for name, m in gens.matrices().items()
     })
 
 
@@ -680,24 +704,60 @@ def _random_unitary(rng, size):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestBasisIndependence:
-    """A change of basis that keeps Jz diagonal keeps every verdict."""
+def _random_orthogonal(rng, size):
+    q, r = np.linalg.qr(rng.normal(size=(size, size)))
+    return q * np.sign(np.diag(r))
 
-    @settings(max_examples=20, deadline=None)
+
+def _kernel_dtypes(monkeypatch) -> set:
+    """The kinds ("f", "c") of the matrices `verify` hands to
+    `residual_norms` from now on."""
+    kinds = set()
+    kernel = dsrep.verify.residual_norms
+
+    def recorded(n, relations):
+        relations = list(relations)
+        for products, singles in relations:
+            kinds.update(m.vals.dtype.kind for _, a, b in products for m in (a, b))
+            kinds.update(m.vals.dtype.kind for _, m, _ in singles)
+        return kernel(n, relations)
+
+    monkeypatch.setattr(dsrep.verify, "residual_norms", recorded)
+    return kinds
+
+
+class TestBasisIndependence:
+    """A change of basis that keeps Jz diagonal keeps every verdict.  A
+    real orthogonal one keeps every generator real or imaginary, so the
+    relations run on real parts, now dense within blocks; a unitary one
+    makes them complex."""
+
+    @settings(max_examples=24, deadline=None)
     @given(
-        st.sampled_from([(Family.TYPE_A, n) for n in (2, 3, 4)] + [(Family.TYPE_B, n) for n in (2, 3, 4, 5)]),
+        st.sampled_from(
+            [(Family.TYPE_A, n) for n in (2, 3, 4)] + [(Family.TYPE_B, n) for n in (2, 3, 4, 5)]
+            + [(3, 1), (4, 2)]  # twice (m1, m2): the solver's (3/2, 1/2) and (2, 1)
+        ),
         st.sampled_from(list(Algebra)),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    def test_unitaries_that_commute_with_jz_keep_the_report(self, chain, algebra, seed):
-        gens = chain_generators(*chain, algebra)
+    def test_unitaries_that_commute_with_jz_keep_the_report(self, source, algebra, real, seed):
+        if isinstance(source[0], Family):
+            gens = chain_generators(*source, algebra)
+        else:
+            gens = gelfand_tsetlin_generators(source, algebra)
         rng = np.random.default_rng(seed)
         m = gens.jz.to_dense().diagonal().real
-        u = np.zeros((gens.dim, gens.dim), dtype=complex)
+        u = np.zeros((gens.dim, gens.dim), dtype=float if real else complex)
         for value in np.unique(m):
             space = np.flatnonzero(m == value)
-            u[np.ix_(space, space)] = _random_unitary(rng, space.size)
-        before, after = build_report(gens), build_report(_conjugated(gens, u))
+            u[np.ix_(space, space)] = (_random_orthogonal if real else _random_unitary)(rng, space.size)
+        before = build_report(gens)
+        with pytest.MonkeyPatch.context() as patch:
+            kinds = _kernel_dtypes(patch)
+            after = build_report(_conjugated(gens, u))
+        assert kinds == ({"f"} if real else {"c"})
         assert before.passed and after.passed
         assert after.failing_crs == after.failing_hermiticity == after.failing_invariants == []
         for ours, theirs, tol in ((after.casimir1_scalar, before.casimir1_scalar, C1_SCALAR_TOLERANCE),
@@ -707,13 +767,101 @@ class TestBasisIndependence:
         # a rotation between two Jz eigenspaces, then the same u: Jz is off
         # its labels' diagonal, and only check_jz can tell
         i, j = rng.choice(np.flatnonzero(m != m[0])), rng.choice(np.flatnonzero(m == m[0]))
-        mix = np.eye(gens.dim, dtype=complex)
+        mix = np.eye(gens.dim, dtype=u.dtype)
         mix[np.ix_([i, j], [i, j])] = np.array([[1, -1], [1, 1]]) / math.sqrt(2)
         mixed = _conjugated(gens, u @ mix)
         assert check_jz(mixed) > JZ_TOLERANCE
         report = build_report(mixed)
         assert report.failing_invariants == ["Jz"]
         assert report.failing_crs == report.failing_hermiticity == []
+
+
+# twice (m1, m2) of the so(5) weights the gauge-search benchmark solves,
+# (3/2, 1/2) to (11/2, 7/2), dims 16-616
+GAUGE_WEIGHTS = [(3, 1), (4, 2), (5, 1), (5, 3), (6, 2), (7, 1), (7, 3), (9, 3), (9, 5), (11, 5), (11, 7)]
+STANDARD_SETS = [
+    pytest.param((family, n, algebra), id=f"{family.value}{n}-{algebra.value}")
+    for algebra in Algebra for family in Family for n in range(2, 13)
+] + [pytest.param(weight, id=f"gt{weight[0]}-{weight[1]}") for weight in GAUGE_WEIGHTS]
+
+
+def _standard_set(source):
+    if len(source) == 3:
+        return chain_generators(*source)
+    return gelfand_tsetlin_generators(source, Algebra.DE_SITTER)
+
+
+def _residuals(gens):
+    return {**check_all_crs(gens), **check_hermiticity(gens)}
+
+
+def _dense_residuals(gens):
+    return {**dense_crs(gens), **dense_hermiticity(gens)}
+
+
+class TestRealParts:
+    """Where every generator is i^q times a real matrix with its algebra's
+    standard q, the relations and Hermiticity run on the real parts; any
+    other set runs on the complex matrices.  Either way the residuals are
+    those of the dense formulas, and so are the verdicts.  Both sides are
+    rounding noise summed in different orders (the dense side by BLAS), so
+    they agree to 1e-14, not bit for bit; they differ by up to 3.8e-15 at
+    a10 on the complex path too."""
+
+    @pytest.mark.parametrize("source", STANDARD_SETS)
+    def test_standard_sets_run_on_real_parts(self, source, monkeypatch):
+        gens = _standard_set(source)
+        turns = dsrep.verify.quarter_turns(gens.algebra)
+        assert {name: m.quarter_turn()[0] for name, m in gens.matrices().items()} == turns
+        kinds = _kernel_dtypes(monkeypatch)
+        ours = _residuals(gens)
+        assert kinds == {"f"}
+        monkeypatch.setattr(dsrep.verify, "_real_parts", lambda g: None)
+        assert ours.keys() == _residuals(gens).keys()
+        assert ours == pytest.approx(_residuals(gens), rel=0, abs=1e-14)
+        assert kinds == {"f", "c"}
+        if gens.dim <= 400:  # the dense products take seconds beyond
+            assert ours == pytest.approx(_dense_residuals(gens), rel=0, abs=1e-14)
+
+    @staticmethod
+    def _failing(residuals):
+        return sorted(
+            name for name, r in residuals.items()
+            if not r < (HERMITICITY_TOLERANCE if name in GENERATOR_NAMES else CR_TOLERANCE)
+        )
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_a_generator_with_the_other_turn_runs_complex(self, algebra, monkeypatch):
+        # i Jx is imaginary where Jx is real: phase-pure, the wrong q
+        gens = chain_generators(Family.TYPE_B, 4, algebra)
+        turned = dataclasses.replace(gens, jx=1j * gens.jx)
+        assert turned.jx.quarter_turn()[0] == 1
+        kinds = _kernel_dtypes(monkeypatch)
+        ours = _residuals(turned)
+        assert kinds == {"c"}
+        assert ours == pytest.approx(_dense_residuals(turned), rel=0, abs=1e-14)
+        assert "Jx" in self._failing(ours) and "[Jx,Jy] = i Jz" in self._failing(ours)
+        assert self._failing(ours) == self._failing(_dense_residuals(turned))
+        report = build_report(turned)
+        assert sorted(report.failing_crs + report.failing_hermiticity) == self._failing(ours)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries_run_complex(self, bad, monkeypatch):
+        gens = chain_generators(Family.TYPE_A, 4, Algebra.DE_SITTER)
+        vals = gens.vx.vals.copy()
+        vals[3] = bad
+        broken = dataclasses.replace(gens, vx=Sparse(gens.dim, gens.vx.keys, vals, reduced=True))
+        assert broken.vx.quarter_turn() is None
+        kinds = _kernel_dtypes(monkeypatch)
+        with np.errstate(all="ignore"):
+            ours = _residuals(broken)
+        assert kinds == {"c"}
+        naming = sorted(name for name in ours if "Vx" in name)
+        assert self._failing(ours) == naming
+        assert not any(math.isfinite(ours[name]) for name in naming)
+        if math.isnan(bad):
+            assert all(math.isnan(ours[name]) for name in naming)
+        assert not build_report(broken).passed
 
 
 def _close(got, want):
