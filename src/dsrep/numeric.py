@@ -25,6 +25,9 @@ are listed (a relation's pattern pairs in an order fixed by its own
 patterns: fewer keys first, then by the keys), and the terms of each key
 go in stable key order into one ``add.reduceat`` (in smaller sums, every
 product is its own expansion).  No plan outlives the call that made it.
+A relation whose products make more than RELATION_TERMS terms is summed
+as a `product_sum`, a run of rows at a time, so that dense factors cannot
+make its memory grow as dim^3.
 
 The numeric half runs in the dtype of the values it is given.
 `Sparse.quarter_turn` writes a matrix that is i^q times a real one as q
@@ -282,6 +285,11 @@ def _pattern_keys() -> Callable[["Sparse"], tuple[int, bytes]]:
 # look for shared patterns: one sort of every term, or of several
 # relations at once, costs less than finding them.
 PRODUCT_TERMS = 1 << 13
+# Terms past which one relation of `residual_norms` is summed by
+# `product_sum`, whose row runs bound the memory, and not in one sort of
+# its own: about 30 bytes a term.  Fixed at import, whatever
+# PRODUCT_TERMS is set to later.
+RELATION_TERMS = 16 * PRODUCT_TERMS
 
 
 _ZERO = np.zeros(1)
@@ -451,6 +459,17 @@ def _terms(n: int, products) -> int:
     return sum([a.keys.size * (b.keys.size // n + 1) for *_, a, b in products])
 
 
+def _past_relation_terms(products, widest) -> bool:
+    """Whether the (..., a, b) products, each expanded alone, make more than
+    RELATION_TERMS terms.  Each entry of a makes as many as its column's
+    row of b spans, at most widest(b), b's widest row: most products are
+    decided by that bound before the exact count."""
+    if sum([a.keys.size * widest(b) for *_, a, b in products]) <= RELATION_TERMS:
+        return False
+    exact = sum([int(b._row_spans()[1][a._entry_split()[1]].sum()) for *_, a, b in products])
+    return exact > RELATION_TERMS
+
+
 def product_sum(terms: Sequence[tuple[complex, "Sparse", "Sparse"]]) -> "Sparse":
     """The sum of c * (a @ b) over the (c, a, b) terms, reduced.
 
@@ -514,24 +533,38 @@ def residual_norms(n: int, relations) -> list[float]:
     products and of c * m, or c * dagger(m) where adjoint is true, over
     its (c, m, adjoint) singles.
 
-    Each relation's terms are counted alone.  A relation of more than
-    PRODUCT_TERMS / 2 terms takes a sort of its own: its products, taken
-    in the order of their (left, right) key patterns, share expansions by
-    pattern, as in `product_sum`, and relations with the same pattern
-    pairs and the same patterns of singles, in whatever order they list
-    their products, are taken one after another, from where the first of
-    them stands, on one `_Plan`.  Smaller relations are summed several to
-    a sort, in order, while their terms come to about PRODUCT_TERMS, each
-    product its own expansion.  Each sort forms only its own terms, from
-    the matrices it names.  No other plan is kept.
+    Each relation's terms are counted alone.  A relation whose products
+    make more than RELATION_TERMS terms is summed as `product_sum` of its
+    products plus its singles, a run of rows at a time, so that its memory
+    stays bounded however dense its factors are.  Any other relation of
+    more than PRODUCT_TERMS / 2 terms takes a sort of its own: its
+    products, taken in the order of their (left, right) key patterns,
+    share expansions by pattern, as in `product_sum`, and relations with
+    the same pattern pairs and the same patterns of singles, in whatever
+    order they list their products, are taken one after another, from
+    where the first of them stands, on one `_Plan`.  Smaller relations are
+    summed several to a sort, in order, while their terms come to about
+    PRODUCT_TERMS, each product its own expansion.  Each sort forms only
+    its own terms, from the matrices it names.  No other plan is kept.
     """
     relations = list(relations)
     pattern = _pattern_keys()
+    widest = functools.cache(lambda b: int(b._row_spans()[1].max(initial=1)))
     large: dict[tuple, list[int]] = {}
     packed: list[list[int]] = []
     size = 0
+    norms = [0.0] * len(relations)
     for r, (products, singles) in enumerate(relations):
-        made = _terms(n, products) + sum([m.keys.size for _, m, _ in singles])
+        made = _terms(n, products)
+        # `_terms` counts each left entry at least once, and none makes more than n
+        if made * n > RELATION_TERMS and _past_relation_terms(products, widest):
+            total = product_sum(products)
+            for c, m, adjoint in singles:
+                m = m.reduced()
+                total = total + c * (Sparse(n, _transposed_keys(m), m.vals.conj()) if adjoint else m)
+            norms[r] = max_abs(total)
+            continue
+        made += sum([m.keys.size for _, m, _ in singles])
         if made > PRODUCT_TERMS // 2:
             ordered = sorted([((pattern(a), pattern(b)), p) for p, (_, a, b) in enumerate(products)])
             relations[r] = ([products[p] for _, p in ordered], singles)
@@ -544,7 +577,6 @@ def residual_norms(n: int, relations) -> list[float]:
                 size = 0
             packed[-1].append(r)
             size += made
-    norms = [0.0] * len(relations)
     plan = held = None
     sorts = [(s, [r]) for s, alone in large.items() for r in alone] + [(None, g) for g in packed]
     for signature, group in sorts:

@@ -37,12 +37,12 @@ __all__ = [
     "BackboneGraph",
     "canonical_backbone",
     "canonical_dimension",
-    "canonical_t",
     "canonical_t_squared",
     "first_ten_specs",
     "classify_canonical_chain",
     "GENERATOR_NAMES",
     "GeneratorSet",
+    "couplings_from_products",
     "assemble",
     "assemble_canonical",
 ]
@@ -186,20 +186,6 @@ def canonical_t_squared(spec: CanonicalSpec, edge_index: int) -> Fraction:
     return Fraction((2 * nn - n + 1) * n, 4 * (nn - n) * (nn - n + 1))
 
 
-def canonical_t(spec: CanonicalSpec, edge_index: int) -> tuple[float, float]:
-    """(t forward, t backward) for edge n of the canonical chain.
-
-    Type B chains carry (1/2, 1/2) on every edge.  Type A chains carry
-    (t, -t) with t the positive square root of `canonical_t_squared`;
-    individual signs are a gauge choice, fixed here as forward-positive.
-    """
-    t_sq = canonical_t_squared(spec, edge_index)
-    if spec.family is Family.TYPE_B:
-        return 0.5, 0.5
-    t = math.sqrt(float(t_sq))
-    return t, -t
-
-
 def first_ten_specs() -> list[tuple[int, CanonicalSpec]]:
     """The ten lowest-dimensional canonical chains, numbered by ascending dimension."""
     specs = [CanonicalSpec(fam, n) for n in range(2, 7) for fam in (Family.TYPE_A, Family.TYPE_B)]
@@ -289,6 +275,24 @@ class _DenseGenerators(Mapping):
         return len(self._matrices)
 
 
+def couplings_from_products(
+    backbone: BackboneGraph,
+    products: Mapping[Edge, Fraction],
+    signs: Optional[Mapping[Edge, int]] = None,
+) -> dict[Edge, float]:
+    """The coupling map `assemble` takes, from the edge products x_e = t_ij t_ji.
+
+    Edge e = (i, j) gets t_ij = s_e sqrt(|x_e|), with s_e = signs[e] (+1
+    where absent), and t_ji = -t_ij on ++/-- edges, +t_ij on +-/-+ edges.
+    """
+    t = {}
+    for (i, j), x in products.items():
+        p, q = backbone.blocks[i], backbone.blocks[j]
+        t[(i, j)] = (signs or {}).get((i, j), 1) * math.sqrt(abs(float(x)))
+        t[(j, i)] = t_sign_relation(compatibility(p, q)) * t[(i, j)]
+    return t
+
+
 def assemble(
     backbone: BackboneGraph,
     t: Mapping[tuple[int, int], float],
@@ -358,9 +362,7 @@ def assemble(
 def assemble_canonical(
     spec: CanonicalSpec, algebra: Algebra = Algebra.DE_SITTER
 ) -> GeneratorSet:
-    """Assemble one canonical chain with its canonical couplings."""
+    """Assemble one canonical chain with its canonical couplings, forward ones positive."""
     backbone = canonical_backbone(spec)
-    t = {}
-    for n in range(1, spec.n):
-        t[(n - 1, n)], t[(n, n - 1)] = canonical_t(spec, n)
-    return assemble(backbone, t, algebra)
+    products = {(n - 1, n): canonical_t_squared(spec, n) for n in range(1, spec.n)}
+    return assemble(backbone, couplings_from_products(backbone, products), algebra)

@@ -58,6 +58,7 @@ from .representation import (
     GeneratorSet,
     assemble,
     classify_canonical_chain,
+    couplings_from_products,
 )
 from .verify import (
     CR_TOLERANCE,
@@ -274,14 +275,11 @@ def build_onbd_system(g: BackboneGraph) -> OnBdSystem:
 # ---------------------------------------------------------------------------
 
 
-def _forest(
-    g: BackboneGraph,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """(components, tree, chords) from one union-find pass over the sorted edges.
+def _forest(g: BackboneGraph) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """(components, chords) from one union-find pass over the sorted edges.
 
     Components are listed by their first block, each with sorted indices;
-    an edge that joins two blocks already connected is a chord, any other
-    a tree edge.
+    an edge that joins two blocks already connected is a chord.
     """
     parent = list(range(g.nblocks))
 
@@ -291,18 +289,17 @@ def _forest(
             x = parent[x]
         return x
 
-    tree, chords = [], []
+    chords = []
     for e in sorted(g.edges):
         ra, rb = find(e[0]), find(e[1])
         if ra == rb:
             chords.append(e)
         else:
             parent[ra] = rb
-            tree.append(e)
     members: dict[int, list[int]] = {}
     for i in range(g.nblocks):
         members.setdefault(find(i), []).append(i)
-    return [tuple(m) for m in members.values()], tree, chords
+    return [tuple(m) for m in members.values()], chords
 
 
 def _classify_component(g: BackboneGraph, indices: tuple[int, ...]) -> Component:
@@ -354,16 +351,15 @@ MAX_GAUGE_PATTERNS = 1 << 10
 def _gauge_patterns(g: BackboneGraph) -> Iterator[dict[tuple[int, int], int]]:
     """Chord-sign assignments covering all inequivalent coupling gauges.
 
-    On a forest every sign assignment is gauge-equivalent, so one pattern
-    suffices; each independent cycle contributes a chord whose sign is
-    physical and must be searched.  Patterns are yielded one at a time,
-    all-plus first, in `itertools.product` order over the chords.
+    On a forest every sign assignment is gauge-equivalent, so one pattern,
+    the empty one, suffices; each independent cycle contributes a chord
+    whose sign is physical and must be searched.  Tree edges are left out:
+    `couplings_from_products` gives them sign +1.  Patterns are yielded one
+    at a time, all-plus first, in `itertools.product` order over the chords.
     """
-    _, tree, chords = _forest(g)
+    chords = _forest(g)[1]
     for signs in itertools.product((1, -1), repeat=len(chords)):
-        pattern = {e: 1 for e in tree}
-        pattern.update(zip(chords, signs))
-        yield pattern
+        yield dict(zip(chords, signs))
 
 
 def solve_and_verify(
@@ -439,11 +435,7 @@ def solve_and_verify(
     patterns = _gauge_patterns(g)
     best_residual = math.nan
     for pattern in itertools.islice(patterns, MAX_GAUGE_PATTERNS if allow_noncanonical else 1):
-        t_map = {}
-        for (i, j), x in x_values.items():
-            t_map[(i, j)] = pattern[(i, j)] * math.sqrt(abs(float(x)))
-            t_map[(j, i)] = system.required_sign[(i, j)] * t_map[(i, j)]
-        gens = assemble(g, t_map, algebra)
+        gens = assemble(g, couplings_from_products(g, x_values, pattern), algebra)
         crs = worst_residual(check_all_crs(gens).values())
         hermiticity = worst_residual(check_hermiticity(gens).values())
         # written so that NaN fails

@@ -29,7 +29,6 @@ from dsrep.representation import (
     assemble_canonical,
     canonical_backbone,
     canonical_dimension,
-    canonical_t,
     first_ten_specs,
 )
 from dsrep.solver import Verdict, solve_and_verify
@@ -100,14 +99,14 @@ def test_criterion_2_coupling_coefficients():
         ],
     }
     for ref, spec in TEN:
-        if spec.family is Family.TYPE_A:
-            for n in range(1, spec.n):
-                forward, backward = canonical_t(spec, n)
+        t = assemble_canonical(spec).t
+        for n in range(1, spec.n):
+            forward, backward = t[(n - 1, n)], t[(n, n - 1)]
+            if spec.family is Family.TYPE_A:
                 assert forward == pytest.approx(expected[ref][n - 1], abs=1e-12)
                 assert backward == -forward
-        else:
-            for n in range(1, spec.n):
-                assert canonical_t(spec, n) == (0.5, 0.5)
+            else:
+                assert (forward, backward) == (0.5, 0.5)
     note("2 PASS: coupling coefficients match the closed forms to 1e-12")
 
 

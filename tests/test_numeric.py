@@ -428,6 +428,53 @@ class TestSharedPatterns:
         assert together == pytest.approx(self._dense_norms(relations), rel=1e-13, abs=1e-13)
 
 
+class TestRelationBound:
+    """A relation whose products make more than RELATION_TERMS terms is a
+    `product_sum` of them plus its singles."""
+
+    @staticmethod
+    def _routed(monkeypatch, limit, n, relations):
+        """(norms, routed): `residual_norms` with RELATION_TERMS at limit, and
+        the products of each `product_sum` call it made."""
+        routed, summed = [], dsrep.numeric.product_sum
+
+        def recorded(products):
+            routed.append(products)
+            return summed(products)
+
+        monkeypatch.setattr(dsrep.numeric, "RELATION_TERMS", limit)
+        monkeypatch.setattr(dsrep.numeric, "product_sum", recorded)
+        return residual_norms(n, relations), routed
+
+    def test_terms_are_counted_exactly(self, monkeypatch):
+        # ten left entries in column 0 meet the one dense row of the right
+        # factor, ten in column 1 meet one entry: 10 * 20 + 10 terms, where
+        # `_terms` guesses 40 and the widest row allows 400
+        n = 20
+        left, right = np.zeros((n, n)), np.eye(n)
+        left[:10, 0] = left[10:, 1] = right[0] = 1
+        a, b = sparse_from_dense(left), sparse_from_dense(right)
+        relations = [([(1.0, a, b)], [])]
+        assert dsrep.numeric._terms(n, relations[0][0]) == 2 * n
+        for limit, routed in ((210, []), (209, [[(1.0, a, b)]])):
+            norms, seen = self._routed(monkeypatch, limit, n, relations)
+            assert seen == routed
+            assert norms == [1.0]
+
+    def test_routed_relations_match_dense(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a, b = (sparse_from_dense(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+                for _ in range(2))
+        relations = [
+            ([(1.0, a, b), (-1.0, b, a)], [(-1j, a, False), (2.0, b, True)]),
+            ([(0.5, b, b)], []),
+            ([], [(1.0, a, True), (-1.0, a, False)]),
+        ]
+        norms, routed = self._routed(monkeypatch, 1, 12, relations)
+        assert len(routed) == 2
+        assert norms == pytest.approx(TestSharedPatterns._dense_norms(relations), rel=1e-13)
+
+
 class TestQuarterTurn:
     """`Sparse.quarter_turn`: a matrix as i^q times a real one."""
 

@@ -34,9 +34,9 @@ from dsrep.representation import (
     assemble_canonical,
     canonical_backbone,
     canonical_dimension,
-    canonical_t,
     canonical_t_squared,
     classify_canonical_chain,
+    couplings_from_products,
     first_ten_specs,
 )
 from dsrep.verify import check_all_crs
@@ -121,22 +121,28 @@ class TestCanonicalBackbones:
         assert classify_canonical_chain(blocks) == want
 
 
+def _canonical_t(spec, n):
+    """(t forward, t backward) on edge n (1-based) of an assembled canonical chain."""
+    t = assemble_canonical(spec).t
+    return t[(n - 1, n)], t[(n, n - 1)]
+
+
 class TestCanonicalCouplings:
     def test_mixed_chains_are_one_half(self):
         for n in range(2, 8):
             spec = CanonicalSpec(Family.TYPE_B, n)
             for edge in range(1, n):
-                assert canonical_t(spec, edge) == (0.5, 0.5)
+                assert _canonical_t(spec, edge) == (0.5, 0.5)
 
     def test_two_block_diagonal_chain(self):
-        t12, t21 = canonical_t(CanonicalSpec(Family.TYPE_A, 2), 1)
+        t12, t21 = _canonical_t(CanonicalSpec(Family.TYPE_A, 2), 1)
         assert t12 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
         assert t21 == -t12
 
     def test_three_block_diagonal_chain(self):
         spec = CanonicalSpec(Family.TYPE_A, 3)
-        assert canonical_t(spec, 1)[0] == pytest.approx(0.5, abs=1e-15)
-        assert canonical_t(spec, 2)[0] == pytest.approx(math.sqrt(5) / 2, abs=1e-15)
+        assert _canonical_t(spec, 1)[0] == pytest.approx(0.5, abs=1e-15)
+        assert _canonical_t(spec, 2)[0] == pytest.approx(math.sqrt(5) / 2, abs=1e-15)
 
     def test_exact_products(self):
         # -t(n) t(n)_reverse as exact rationals for the diagonal family
@@ -148,16 +154,28 @@ class TestCanonicalCouplings:
                     4 * (n_blocks - n) * (n_blocks - n + 1),
                 )
                 assert canonical_t_squared(spec, n) == expected
-                forward, backward = canonical_t(spec, n)
+                forward, backward = _canonical_t(spec, n)
                 assert forward * backward == pytest.approx(
                     -float(expected), rel=1e-14
                 )
 
+    def test_couplings_from_products(self):
+        # ++ edges take t_ji = -t_ij, +- edges t_ji = +t_ij; a sign flips t_ij
+        g = canonical_backbone(CanonicalSpec(Family.TYPE_A, 3))
+        t = couplings_from_products(g, {(0, 1): Fraction(-1, 4), (1, 2): Fraction(-5, 4)}, {(1, 2): -1})
+        assert list(t.items()) == [
+            ((0, 1), 0.5), ((1, 0), -0.5), ((1, 2), -math.sqrt(1.25)), ((2, 1), math.sqrt(1.25))
+        ]
+        g = canonical_backbone(CanonicalSpec(Family.TYPE_B, 2))
+        assert couplings_from_products(g, {(0, 1): Fraction(1, 4)}, {(0, 1): -1}) == {
+            (0, 1): -0.5, (1, 0): -0.5
+        }
+
     def test_edge_index_out_of_range(self):
         with pytest.raises(ValueError):
-            canonical_t(CanonicalSpec(Family.TYPE_A, 3), 3)
+            canonical_t_squared(CanonicalSpec(Family.TYPE_A, 3), 3)
         with pytest.raises(ValueError):
-            canonical_t(CanonicalSpec(Family.TYPE_B, 3), 0)
+            canonical_t_squared(CanonicalSpec(Family.TYPE_B, 3), 0)
 
 
 class TestBackboneGraph:
@@ -414,10 +432,7 @@ GT_WEIGHTS = [(3, 1), (4, 2), (5, 3)]
 
 def _canonical_pairs(spec, offset=0):
     """Couplings of a canonical chain per ordered block pair, indices shifted."""
-    t = {}
-    for n in range(1, spec.n):
-        t[(offset + n - 1, offset + n)], t[(offset + n, offset + n - 1)] = canonical_t(spec, n)
-    return t
+    return {(i + offset, j + offset): t for (i, j), t in assemble_canonical(spec).t.items()}
 
 
 # blocks that stand alone beside the chains of a sum: dim-1 and

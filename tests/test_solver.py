@@ -16,8 +16,10 @@ from dsrep.representation import (
     BackboneGraph,
     CanonicalSpec,
     Family,
+    assemble,
     canonical_backbone,
     canonical_t_squared,
+    couplings_from_products,
     first_ten_specs,
 )
 from dsrep.solver import (
@@ -351,6 +353,19 @@ class TestCyclicStructures:
         [component] = out.components
         assert component.family is None
 
+    def test_flipped_chord_gives_the_solvers_set(self):
+        # union-find over the sorted edges (0, 1), (0, 3), (1, 2), (2, 3)
+        # makes (2, 3) the one chord
+        g = BackboneGraph.make(self.DIAMOND_BLOCKS, self.DIAMOND_EDGES)
+        out = solve_and_verify(g, allow_noncanonical=True)
+        flipped = assemble(g, couplings_from_products(g, out.x_values, {(2, 3): -1}))
+        assert flipped.t == out.t_values
+        for name, m in flipped.matrices().items():
+            want = out.generators.matrices()[name]
+            assert m.to_dense().tobytes() == want.to_dense().tobytes(), name
+        all_plus = assemble(g, couplings_from_products(g, out.x_values))
+        assert max(check_all_crs(all_plus).values()) > 1e-3
+
     def test_default_mode_assembles_only_the_fixed_gauge(self, monkeypatch):
         import dsrep.solver as solver
 
@@ -399,9 +414,8 @@ class TestGaugePatterns:
         edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
         patterns = solver._gauge_patterns(BackboneGraph.make([L(0, 0)] * 5, edges))
         assert iter(patterns) is patterns
-        tree = {(0, 1): 1, (0, 2): 1, (2, 3): 1, (2, 4): 1}
         assert list(patterns) == [
-            {**tree, (1, 2): s12, (3, 4): s34}
+            {(1, 2): s12, (3, 4): s34}
             for s12, s34 in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         ]
 
@@ -409,7 +423,7 @@ class TestGaugePatterns:
         import dsrep.solver as solver
 
         g = canonical_backbone(CanonicalSpec(Family.TYPE_A, 4))
-        assert list(solver._gauge_patterns(g)) == [{(0, 1): 1, (1, 2): 1, (2, 3): 1}]
+        assert list(solver._gauge_patterns(g)) == [{}]
 
 
 class TestDecompose:

@@ -42,8 +42,8 @@ from dsrep.representation import (
     assemble_canonical,
     canonical_backbone,
     canonical_dimension,
-    canonical_t,
     canonical_t_squared,
+    couplings_from_products,
     first_ten_specs,
 )
 from dsrep.solver import Verdict, solve_and_verify
@@ -93,10 +93,8 @@ class TestCommutators:
 
     def test_doubled_coupling_fails_by_factor_four(self):
         spec = CanonicalSpec(Family.TYPE_A, 2)
-        forward, backward = canonical_t(spec, 1)
-        gens = assemble(
-            canonical_backbone(spec), {(0, 1): 2 * forward, (1, 0): 2 * backward}
-        )
+        t = assemble_canonical(spec).t
+        gens = assemble(canonical_backbone(spec), {e: 2 * t[e] for e in t})
         residuals = check_all_crs(gens)
         # the displacement commutator lands at 4x its target, i.e. an
         # excess of 3 max|Jz|, while the vector-transformation sector
@@ -277,10 +275,11 @@ class TestIrreducibility:
         blocks = list(canonical_backbone(CanonicalSpec(Family.TYPE_B, 2)).blocks)
         blocks += list(canonical_backbone(CanonicalSpec(Family.TYPE_A, 2)).blocks)
         g = BackboneGraph.make(blocks, [(0, 1), (2, 3)])
-        t = {}
-        t[(0, 1)], t[(1, 0)] = canonical_t(CanonicalSpec(Family.TYPE_B, 2), 1)
-        t[(2, 3)], t[(3, 2)] = canonical_t(CanonicalSpec(Family.TYPE_A, 2), 1)
-        gens = assemble(g, t)
+        products = {
+            (0, 1): canonical_t_squared(CanonicalSpec(Family.TYPE_B, 2), 1),
+            (2, 3): canonical_t_squared(CanonicalSpec(Family.TYPE_A, 2), 1),
+        }
+        gens = assemble(g, couplings_from_products(g, products))
         assert commutant_dimension(gens) == 2
 
 
@@ -396,10 +395,8 @@ class TestReport:
 
     def test_tampered_report_fails_and_names_relation(self):
         spec = CanonicalSpec(Family.TYPE_A, 2)
-        forward, backward = canonical_t(spec, 1)
-        gens = assemble(
-            canonical_backbone(spec), {(0, 1): 2 * forward, (1, 0): 2 * backward}
-        )
+        t = assemble_canonical(spec).t
+        gens = assemble(canonical_backbone(spec), {e: 2 * t[e] for e in t})
         report = build_report(gens)
         assert not report.passed
         assert any(name.startswith("[Vx,Vy]") for name in report.failing_crs)
@@ -434,6 +431,41 @@ class TestMemory:
             tracemalloc.stop()
         assert max(residuals.values()) < 1e-10
         assert peak < 10.5e6
+
+    @staticmethod
+    def _peak(f, gens):
+        tracemalloc.start()
+        try:
+            out = f(gens)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_rotated_chain_peaks(self):
+        # a8 (dim 204) conjugated by a unitary that commutes with Jz: every
+        # generator is dense within its Jz eigenspaces, 68,055 entries in
+        # all, and some relations make over RELATION_TERMS terms
+        gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 8))
+        u = _jz_commuting(gens, np.random.default_rng(8), real=False)
+        rotated = _conjugated(gens, u)
+        residuals, peak = self._peak(check_all_crs, rotated)
+        assert peak < 6e6
+        assert residuals == pytest.approx(dense_crs(rotated), rel=1e-12, abs=1e-12)
+        report, peak = self._peak(build_report, _conjugated(gens, u))
+        assert peak < 10e6
+        assert report.passed
+
+    def test_dense_random_set_peak(self):
+        # ten dense random complex matrices of dim 91: every relation makes
+        # 91^3 terms or more
+        rng = np.random.default_rng(91)
+        gens = dataclasses.replace(assemble_canonical(CanonicalSpec(Family.TYPE_A, 6)), **{
+            name.lower(): sparse_from_dense(rng.normal(size=(91, 91)) + 1j * rng.normal(size=(91, 91)))
+            for name in GENERATOR_NAMES
+        })
+        residuals, peak = self._peak(check_all_crs, gens)
+        assert peak < 6e6
+        assert residuals == pytest.approx(dense_crs(gens), rel=1e-12, abs=1e-12)
 
 
 def _direct_sum(*specs):
@@ -709,6 +741,17 @@ def _random_orthogonal(rng, size):
     return q * np.sign(np.diag(r))
 
 
+def _jz_commuting(gens, rng, real):
+    """A random orthogonal (real) or unitary u, block-diagonal over the
+    eigenspaces of the set's Jz."""
+    m = gens.jz.to_dense().diagonal().real
+    u = np.zeros((gens.dim, gens.dim), dtype=float if real else complex)
+    for value in np.unique(m):
+        space = np.flatnonzero(m == value)
+        u[np.ix_(space, space)] = (_random_orthogonal if real else _random_unitary)(rng, space.size)
+    return u
+
+
 def _kernel_dtypes(monkeypatch) -> set:
     """The kinds ("f", "c") of the matrices `verify` hands to
     `residual_norms` from now on."""
@@ -749,10 +792,7 @@ class TestBasisIndependence:
             gens = gelfand_tsetlin_generators(source, algebra)
         rng = np.random.default_rng(seed)
         m = gens.jz.to_dense().diagonal().real
-        u = np.zeros((gens.dim, gens.dim), dtype=float if real else complex)
-        for value in np.unique(m):
-            space = np.flatnonzero(m == value)
-            u[np.ix_(space, space)] = (_random_orthogonal if real else _random_unitary)(rng, space.size)
+        u = _jz_commuting(gens, rng, real)
         before = build_report(gens)
         with pytest.MonkeyPatch.context() as patch:
             kinds = _kernel_dtypes(patch)
