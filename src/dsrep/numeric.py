@@ -45,11 +45,12 @@ The exact linear solve eliminates over integers and forms a
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -629,12 +630,17 @@ class RationalSolution:
     dof: Optional[int]
 
 
-def _integer_row(row: Sequence, b) -> tuple[dict[int, int], int]:
+def _integer_row(row: Mapping[int, object], b, ncols: int) -> tuple[dict[int, int], int]:
     """One equation scaled to integers: ({column: coefficient}, right-hand side).
 
-    Ints, numpy integers and Fractions all carry a numerator and a
-    denominator; int() widens a numpy one, which would wrap at 64 bits."""
-    coeffs = {c: (int(v.numerator), int(v.denominator)) for c, v in enumerate(row) if v}
+    Rows of ints go through as they are.  Ints, numpy integers and
+    Fractions all carry a numerator and a denominator; int() widens a
+    numpy one, which would wrap at 64 bits."""
+    if row and not (0 <= min(row) and max(row) < ncols):
+        raise ValueError(f"a column index outside 0..{ncols - 1}: {sorted(row)}")
+    if type(b) is int and all(type(v) is int for v in row.values()):
+        return {c: v for c, v in row.items() if v}, b
+    coeffs = {c: (int(v.numerator), int(v.denominator)) for c, v in row.items() if v}
     b_num, b_den = int(b.numerator), int(b.denominator)
     scale = math.lcm(b_den, *(den for _, den in coeffs.values()))
     return {c: num * (scale // den) for c, (num, den) in coeffs.items()}, b_num * (scale // b_den)
@@ -659,33 +665,44 @@ def _eliminate(
 
 
 def solve_rational_linear(
-    matrix: Sequence[Sequence], rhs: Sequence
+    rows: Sequence[Mapping[int, object]], rhs: Sequence, ncols: int
 ) -> RationalSolution:
     """Exact elimination over the rationals; rank decisions are exact.
 
-    Entries may be ints, numpy integers or Fractions.  Each equation is
-    scaled to integers and kept as its non-zeros; elimination is
-    fraction-free, each row divided by the gcd of its entries, and a
-    Fraction is formed only for each final unknown.  Never raises on rank
-    defects: the returned status distinguishes unique / underdetermined /
-    inconsistent.
+    Each equation is a sparse row {column: coefficient} over the columns
+    0..ncols-1, its entries ints, numpy integers or Fractions; the rows
+    are eliminated in the order given.  Each equation is scaled to
+    integers; elimination is fraction-free, each row divided by the gcd of
+    its entries, and a Fraction is formed only for each final unknown.
+    Never raises on rank defects: the returned status distinguishes
+    unique / underdetermined / inconsistent.
     """
-    if len(matrix) != len(rhs):
-        raise ValueError(f"{len(matrix)} rows but {len(rhs)} right-hand sides")
-    ncols = len(matrix[0]) if matrix else 0
-    if any(len(row) != ncols for row in matrix):
-        raise ValueError("ragged coefficient matrix")
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
 
     # Echelon form, one equation at a time: each pivot row holds no column
-    # of an earlier pivot, so reducing by the pivots in order clears them all.
+    # of an earlier pivot, so reducing by the pivots in the order they were
+    # found clears them all; a heap of pivot ranks visits only the pivots
+    # the equation holds.
     pivots: dict[int, tuple[dict[int, int], int]] = {}
-    for row, b in zip(matrix, rhs):
-        coeffs, b = _integer_row(row, b)
-        for col, (pivot_row, pivot_b) in pivots.items():
-            if col in coeffs:
-                coeffs, b = _eliminate(coeffs, b, pivot_row, pivot_b, col)
+    rank: dict[int, int] = {}
+    for row, b in zip(rows, rhs):
+        coeffs, b = _integer_row(row, b, ncols)
+        due = [(rank[c], c) for c in coeffs if c in rank]
+        heapq.heapify(due)
+        while due:
+            col = heapq.heappop(due)[1]
+            if col not in coeffs:  # cancelled by an earlier pivot
+                continue
+            pivot_row, pivot_b = pivots[col]
+            for c in pivot_row:
+                if c in rank and c != col and c not in coeffs:
+                    heapq.heappush(due, (rank[c], c))
+            coeffs, b = _eliminate(coeffs, b, pivot_row, pivot_b, col)
         if coeffs:
-            pivots[min(coeffs)] = (coeffs, b)
+            col = min(coeffs)
+            rank[col] = len(pivots)
+            pivots[col] = (coeffs, b)
         elif b:
             return RationalSolution("inconsistent", None, None)
 

@@ -43,11 +43,12 @@ accept any structure whose assembled matrices verify.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .coupling import compatibility, t_sign_relation, z_linear
 from .numeric import solve_rational_linear
@@ -196,33 +197,111 @@ def structural_checks(g: BackboneGraph) -> Optional[Witness]:
 # ---------------------------------------------------------------------------
 
 
-def unique_nonmonotonic_paths(g: BackboneGraph) -> list[tuple[int, int, int]]:
-    """All fatal ordered paths I-K-J: non-monotonic and the only path I..J.
+# The fatal paths a witness lists; the rest are only counted.
+KEPT_PATHS = 8
 
-    Two copies of the origin block joined through (1/2, 1/2) are exempt:
-    the obstruction coefficient vanishes identically on a one-state
-    block, so such a path imposes no constraint (it is how a reducible
-    structure grows a second chain out of the origin).
+
+class FatalPaths(NamedTuple):
+    """The first fatal paths in (I, J) order, at most `KEPT_PATHS`, and their total."""
+
+    first: tuple[tuple[int, int, int], ...]
+    total: int
+
+
+def _shared_pairs(k, classes, fatal, nbrs, nbr_sets, labels) -> set[tuple[int, int]]:
+    """The ordered pairs (I, J) of K's fatal class pairs with a second common
+    neighbour.
+
+    Only blocks of two or more neighbours can share a second one.  Their
+    pairs are intersected one by one, or, when there are more pairs than
+    steps I-M out of them, found by walking I-M-J.
     """
-    neighbor_sets = {i: set(g.neighbors(i)) for i in range(g.nblocks)}
-    fatal = []
-    for i, j in itertools.permutations(range(g.nblocks), 2):
-        middles = sorted(neighbor_sets[i] & neighbor_sets[j])
-        if len(middles) != 1:
+    inner = {p: [i for i in members if len(nbrs[i]) > 1] for p, members in classes.items()}
+    pairs = sum(len(inner[p]) * len(inner[q]) for p, q in fatal)
+    if pairs <= sum(len(nbrs[i]) for members in inner.values() for i in members):
+        return {
+            (i, j)
+            for p, q in fatal
+            for i in inner[p]
+            for j in inner[q]
+            if i != j and len(nbr_sets[i] & nbr_sets[j]) > 1
+        }
+    fatal = set(fatal)
+    return {
+        (i, j)
+        for p in classes
+        for i in inner[p]
+        for m in nbrs[i]
+        if m != k and len(nbrs[m]) > 1
+        # J is among both m's and k's neighbours: walk the shorter list
+        for j in (nbrs[m] if len(nbrs[m]) <= len(nbrs[k]) else nbrs[k])
+        if j != i and (p, labels[j]) in fatal and j in nbr_sets[k] and j in nbr_sets[m]
+    }
+
+
+def _fatal_run(i, k, members, shared) -> Iterator[tuple[int, int]]:
+    """(J, K) for the fatal paths I-K-J to one class of K's neighbours, J ascending."""
+    return ((j, k) for j in members if j != i and (i, j) not in shared)
+
+
+def unique_nonmonotonic_paths(g: BackboneGraph) -> FatalPaths:
+    """Fatal ordered paths I-K-J: non-monotonic and the only path I..J.
+
+    A path varies monotonically in A and B exactly when both steps have
+    the same case, that is when J's label is 2K - I's, and exactly those
+    paths have an off-diagonal commutator block that vanishes
+    identically.  Two copies of the origin block are exempt too: the
+    obstruction coefficient vanishes identically on a one-state block, so
+    such a path imposes no constraint (it is how a reducible structure
+    grows a second chain out of the origin).
+
+    Both rules read only labels.  So around each middle block K the
+    compatible neighbours are grouped by label (at most four classes,
+    A +- 1/2 times B +- 1/2), the total is the sum of class-size products
+    over K's fatal class pairs less the pairs with a second common
+    neighbour, and only the first `KEPT_PATHS` paths in (I, J) order are
+    built.  The work is linear in the edges plus what finding the shared
+    pairs costs, to which leaves (blocks of one neighbour) add nothing.
+    """
+    labels = [(b.twice_a, b.twice_b) for b in g.blocks]
+    nbrs = [g.neighbors(i) for i in range(g.nblocks)]
+    nbr_sets = [set(n) for n in nbrs]
+    # middle block -> (its fatal class pairs, its classes, the shared pairs)
+    fatal_around = {}
+    total = 0
+    for k, (ka, kb) in enumerate(labels):
+        if len(nbrs[k]) < 2:
             continue
-        k = middles[0]
-        case1 = compatibility(g.blocks[i], g.blocks[k])
-        case2 = compatibility(g.blocks[k], g.blocks[j])
-        # The path varies monotonically in A and B exactly when both steps
-        # have the same case, and exactly those paths have an off-diagonal
-        # commutator block that vanishes identically.
-        if case1 is None or case2 is None or case1 == case2:
-            continue
-        origin = g.blocks[i].twice_a == 0 and g.blocks[i].twice_b == 0
-        if origin and g.blocks[i] == g.blocks[j]:
-            continue
-        fatal.append((i, k, j))
-    return fatal
+        classes: dict[tuple[int, int], list[int]] = {}
+        for i in nbrs[k]:
+            if abs(labels[i][0] - ka) == 1 == abs(labels[i][1] - kb):
+                classes.setdefault(labels[i], []).append(i)
+        # a monotone pair has q = 2k - p; two origins are exempt
+        fatal = [
+            (p, q)
+            for p in classes
+            for q in classes
+            if (p[0] + q[0] != 2 * ka or p[1] + q[1] != 2 * kb) and (p != q or any(p))
+        ]
+        count = sum(len(classes[p]) * (len(classes[q]) - (p == q)) for p, q in fatal)
+        if count:
+            shared = _shared_pairs(k, classes, fatal, nbrs, nbr_sets, labels)
+            if count > len(shared):
+                total += count - len(shared)
+                fatal_around[k] = (fatal, classes, shared)
+
+    first: list[tuple[int, int, int]] = []
+    for i in range(g.nblocks) if total else ():
+        runs = []
+        for k in nbrs[i]:
+            fatal, classes, shared = fatal_around.get(k, ((), {}, ()))
+            runs += [_fatal_run(i, k, classes[q], shared) for p, q in fatal if p == labels[i]]
+        # a J is fatal through at most one K, so the runs merge without repeats
+        for j, k in itertools.islice(heapq.merge(*runs), KEPT_PATHS - len(first)):
+            first.append((i, k, j))
+        if len(first) == KEPT_PATHS:
+            break
+    return FatalPaths(tuple(first), total)
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +313,31 @@ def unique_nonmonotonic_paths(g: BackboneGraph) -> list[tuple[int, int, int]]:
 class OnBdSystem:
     """The integer linear system for the edge products x_e = t_PQ t_QP.
 
-    Two rows per block (the coefficients of a_I and of b_I in the
-    block-diagonal commutator identity); a row is identically zero when
-    the corresponding index does not vary on that block, i.e. when
-    A_I = 0 or B_I = 0.  required_sign maps each edge to the sign x_e
-    must carry, per the Hermiticity rule on its case.
+    Two equations per block (the coefficients of a_I and of b_I in the
+    block-diagonal commutator identity), each a sparse row {column:
+    coefficient} over the columns of `edges`; a row is empty when the
+    corresponding index does not vary on that block, i.e. when A_I = 0
+    or B_I = 0.  Rows 2r and 2r + 1 belong to block `order[r]`: blocks go
+    from the largest A + B down, then from the largest A, then by index,
+    the order in which they are eliminated.  required_sign maps each edge
+    to the sign x_e must carry, per the Hermiticity rule on its case.
     """
 
     edges: tuple[tuple[int, int], ...]
-    rows: list[list[int]]
+    rows: list[dict[int, int]]
     rhs: list[int]
+    order: tuple[int, ...]
     required_sign: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
 def build_onbd_system(g: BackboneGraph) -> OnBdSystem:
     """Assemble the exact linear system; assumes structural checks passed.
 
-    Each edge writes its column of the rows of its two end blocks.
+    Each edge writes its column, at most four non-zeros, into the rows of
+    its two end blocks.
     """
     edges = tuple(sorted(g.edges))
-    rows = [[0] * len(edges) for _ in range(2 * g.nblocks)]
+    by_block: list[dict[int, int]] = [{} for _ in range(2 * g.nblocks)]
     signs: dict[tuple[int, int], int] = {}
     for col, (i, j) in enumerate(edges):
         s_a, s_b = compatibility(g.blocks[i], g.blocks[j])
@@ -262,12 +346,15 @@ def build_onbd_system(g: BackboneGraph) -> OnBdSystem:
             label = g.blocks[block]
             coef_a, coef_b = z_linear(seen, label)
             # An index that cannot vary imposes no coefficient condition.
-            if label.twice_a:
-                rows[2 * block][col] = coef_a
-            if label.twice_b:
-                rows[2 * block + 1][col] = coef_b
-    rhs = [-1 if twice else 0 for b in g.blocks for twice in (b.twice_a, b.twice_b)]
-    return OnBdSystem(edges=edges, rows=rows, rhs=rhs, required_sign=signs)
+            if label.twice_a and coef_a:
+                by_block[2 * block][col] = coef_a
+            if label.twice_b and coef_b:
+                by_block[2 * block + 1][col] = coef_b
+    top_down = sorted((-b.twice_a - b.twice_b, -b.twice_a, index) for index, b in enumerate(g.blocks))
+    order = tuple(index for *_, index in top_down)
+    rows = [by_block[2 * b + axis] for b in order for axis in (0, 1)]
+    rhs = [-1 if twice else 0 for b in order for twice in (g.blocks[b].twice_a, g.blocks[b].twice_b)]
+    return OnBdSystem(edges=edges, rows=rows, rhs=rhs, order=order, required_sign=signs)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +474,10 @@ def solve_and_verify(
         return SolverOutcome(Verdict.INVALID, witness, components)
 
     paths = unique_nonmonotonic_paths(g)
-    if paths:
-        i, k, j = paths[0]
-        # a hub can make quadratically many; the witness keeps the first few
-        kept = tuple(paths[:8])
-        more = f" ({len(paths)} such paths, the first {len(kept)} kept)" if len(paths) > len(kept) else ""
+    if paths.total:
+        i, k, j = paths.first[0]
+        kept = paths.first
+        more = f" ({paths.total} such paths, the first {len(kept)} kept)" if paths.total > len(kept) else ""
         return invalid(
             WitnessKind.NONMONOTONIC_PATH,
             f"blocks {i}-{k}-{j} ({g.blocks[i]}-{g.blocks[k]}-{g.blocks[j]}) form "
@@ -400,7 +486,7 @@ def solve_and_verify(
         )
 
     system = build_onbd_system(g)
-    solution = solve_rational_linear(system.rows, system.rhs)
+    solution = solve_rational_linear(system.rows, system.rhs, len(system.edges))
     if solution.status == "inconsistent":
         return invalid(
             WitnessKind.LINEAR_INCONSISTENT,

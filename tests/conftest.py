@@ -42,7 +42,14 @@
 - `format1_doc`: the entry-list generator document (format 1) that
   `generate` wrote before the columnar format 2, still read by `verify`.
 - `fraction_solve`: Gauss-Jordan elimination over Fractions on dense
-  rows, the reference for the integer solver `dsrep.numeric` ships.
+  rows, the reference for the integer solver `dsrep.numeric` ships;
+  `sparse_rows` and `dense_rows` turn dense rows into the {column:
+  coefficient} rows that solver takes, and back.
+- `permutation_paths`: the fatal three-block paths found by visiting
+  every ordered block pair, the reference for the label-class count of
+  `dsrep.solver.unique_nonmonotonic_paths`; `dense_onbd_rows`: the
+  solver's exact system written as dense rows, two per block in block
+  order, the reference for the sparse rows of `build_onbd_system`.
 - `argsort_reduced`: the entries of a `Sparse` reduced by one argsort and
   `np.add.reduceat` on every call, the reference for `Sparse.reduced()`,
   which skips the sums where no key repeats.
@@ -53,6 +60,7 @@
 """
 
 import functools
+import itertools
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
@@ -61,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dsrep.blocks import BlockLabel, hla_cartesian
-from dsrep.coupling import compatibility, u_blocks
+from dsrep.coupling import compatibility, u_blocks, z_linear
 from dsrep.io import generators_to_doc
 from dsrep.numeric import RationalSolution, Sparse
 from dsrep.representation import (
@@ -720,6 +728,61 @@ def fraction_solve(matrix, rhs) -> RationalSolution:
     for i, c in enumerate(pivot_cols):
         solution[c] = b[i] / rows[i][c]
     return RationalSolution("unique", solution, 0)
+
+
+def sparse_rows(matrix) -> list[dict]:
+    """Dense rows as {column: entry} rows of their non-zeros."""
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def dense_rows(rows, ncols: int) -> list[list]:
+    """{column: entry} rows written out densely, zeros as int 0."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# Backbone solver stages by direct enumeration
+# ---------------------------------------------------------------------------
+
+
+def permutation_paths(g: BackboneGraph) -> list[tuple[int, int, int]]:
+    """Every fatal ordered path I-K-J, visiting all ordered block pairs: K the
+    only common neighbour, the two steps of different cases, and not two
+    copies of the origin block."""
+    neighbor_sets = {i: set(g.neighbors(i)) for i in range(g.nblocks)}
+    fatal = []
+    for i, j in itertools.permutations(range(g.nblocks), 2):
+        middles = sorted(neighbor_sets[i] & neighbor_sets[j])
+        if len(middles) != 1:
+            continue
+        k = middles[0]
+        case1 = compatibility(g.blocks[i], g.blocks[k])
+        case2 = compatibility(g.blocks[k], g.blocks[j])
+        if case1 is None or case2 is None or case1 == case2:
+            continue
+        origin = g.blocks[i].twice_a == 0 and g.blocks[i].twice_b == 0
+        if origin and g.blocks[i] == g.blocks[j]:
+            continue
+        fatal.append((i, k, j))
+    return fatal
+
+
+def dense_onbd_rows(g: BackboneGraph) -> tuple[list[list[int]], list[int]]:
+    """(rows, rhs) of the exact system: a dense row per block and index,
+    rows 2I and 2I + 1 for block I, one column per sorted edge."""
+    edges = sorted(g.edges)
+    rows = [[0] * len(edges) for _ in range(2 * g.nblocks)]
+    for col, (i, j) in enumerate(edges):
+        s_a, s_b = compatibility(g.blocks[i], g.blocks[j])
+        for block, seen in ((i, (s_a, s_b)), (j, (-s_a, -s_b))):
+            label = g.blocks[block]
+            coef_a, coef_b = z_linear(seen, label)
+            if label.twice_a:
+                rows[2 * block][col] = coef_a
+            if label.twice_b:
+                rows[2 * block + 1][col] = coef_b
+    rhs = [-1 if twice else 0 for b in g.blocks for twice in (b.twice_a, b.twice_b)]
+    return rows, rhs
 
 
 # ---------------------------------------------------------------------------

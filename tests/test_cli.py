@@ -552,11 +552,13 @@ class TestMalformedDocuments:
             *({"blocks": [{"A": spelling, "B": 0}, {"A": "1/2", "B": "1/2"}, {"A": 0, "B": 1}],
                "edges": [[0, 1], [1, 2]]}
               for spelling in ("1_0", "\u0661", "\u0661/2", "+1", "1/ 2", "1" * 5000)),
+            {"blocks": B3_BLOCKS, "edges": [[0, 1], [1, 2], [0, 1]]},
+            {"blocks": B3_BLOCKS, "edges": [[0, 1], [1, 0], [1, 2]]},
         ],
         ids=[
             "string-edge-index", "float-edge-index", "boolean-label", "underscore-label",
             "arabic-indic-label", "arabic-indic-numerator", "plus-label", "inner-space-label",
-            "5000-digit-label",
+            "5000-digit-label", "edge-listed-twice", "edge-listed-twice-reversed",
         ],
     )
     def test_backbone(self, tmp_path, capsys, doc):
@@ -564,6 +566,33 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_repeated_edge_is_named(self, tmp_path, capsys):
+        path = tmp_path / "backbone.json"
+        path.write_text(json.dumps({"blocks": self.B3_BLOCKS, "edges": [[0, 1], [1, 2], [1, 0]]}))
+        assert main(["validate", str(path)]) == 2
+        assert "edge 2 [1, 0] repeats edge 0 [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["a", "b"])
+    def test_t_sign_rule(self, tmp_path, capsys, family):
+        # type A edges are ++/-- (reverse = -forward), type B ones +-/-+
+        sign = -1 if family == "a" else 1
+        path = tmp_path / "rep.json"
+        for forward, reverse, code in ((123, -7, 2), (123, sign * 123, 0), (123, None, 0)):
+            doc = _generated_doc(tmp_path, capsys, family=family)
+            doc["t"][0].update(forward=forward, reverse=reverse)
+            path.write_text(json.dumps(doc))
+            assert main(["verify", str(path)]) == code, (forward, reverse)
+            err = capsys.readouterr().err
+            assert ("t on edge [0, 1] breaks the Hermiticity sign rule" in err) == (code == 2)
+
+    def test_t_on_an_incompatible_edge_reads(self, tmp_path, capsys):
+        # (1,0) and (0,1) are not compatible: no sign rule to break
+        doc = _generated_doc(tmp_path, capsys, family="b")
+        doc["backbone"]["edges"].append([0, 2])
+        doc["t"].append({"edge": [0, 2], "forward": 1.0, "reverse": 5.0})
+        gens = generators_from_doc(doc)
+        assert (gens.t[(0, 2)], gens.t[(2, 0)]) == (1.0, 5.0)
 
     @pytest.mark.parametrize(
         "breakage,same_message",
@@ -590,6 +619,7 @@ class TestMalformedDocuments:
             (lambda doc: doc["t"].append(dict(doc["t"][0], edge=[0, 2])), True),
             (lambda doc: doc["t"].append(dict(doc["t"][0], edge=[0, 7])), True),
             (lambda doc: doc["t"].append(dict(doc["t"][0], edge=[1, 0])), True),
+            (lambda doc: doc["t"][0].update(forward=123, reverse=-7), True),
         ],
         ids=[
             "non-object-generator", "missing-rows", "short-t-edge",
@@ -599,6 +629,7 @@ class TestMalformedDocuments:
             "duplicate-position", "adjacent-duplicate-position", "duplicate-generator",
             "string-column-before-negative-row", "missing-positions",
             "t-edge-off-the-backbone", "t-edge-out-of-range", "t-edge-listed-twice",
+            "t-breaks-sign-rule",
         ],
     )
     def test_generator_document(self, tmp_path, capsys, breakage, same_message):

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import argsort_reduced, dagger, fraction_solve, sparse_from_dense
+from conftest import (
+    argsort_reduced,
+    dagger,
+    dense_rows,
+    fraction_solve,
+    sparse_from_dense,
+    sparse_rows,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -539,24 +546,24 @@ class TestQuarterTurn:
 
 class TestRationalSolve:
     def test_unique_1x1(self):
-        out = solve_rational_linear([[1]], [2])
+        out = solve_rational_linear([{0: 1}], [2], 1)
         assert out.status == "unique"
         assert out.solution == [Fraction(2)]
 
     def test_underdetermined(self):
-        out = solve_rational_linear([[1, 1]], [1])
+        out = solve_rational_linear([{0: 1, 1: 1}], [1], 2)
         assert out.status == "underdetermined"
         assert out.dof == 1
 
     def test_inconsistent(self):
-        out = solve_rational_linear([[1], [1]], [1, 2])
+        out = solve_rational_linear([{0: 1}, {0: 1}], [1, 2], 1)
         assert out.status == "inconsistent"
 
     def test_rank_decision_is_exact(self):
         # floats would misjudge the rank of this matrix
         third = Fraction(1, 3)
-        rows = [[third, third], [third + third, third + third]]
-        out = solve_rational_linear(rows, [1, 2])
+        rows = [{0: third, 1: third}, {0: third + third, 1: third + third}]
+        out = solve_rational_linear(rows, [1, 2], 2)
         assert out.status == "underdetermined"
 
     @settings(max_examples=50)
@@ -570,7 +577,7 @@ class TestRationalSolve:
     )
     def test_unique_solution_substitutes_back(self, rows, x_true):
         rhs = [sum(c * x for c, x in zip(row, x_true)) for row in rows]
-        out = solve_rational_linear(rows, rhs)
+        out = solve_rational_linear(sparse_rows(rows), rhs, 3)
         # constructed to be consistent; verify exactly whenever unique
         assert out.status in ("unique", "underdetermined")
         if out.status == "unique":
@@ -643,6 +650,41 @@ def linear_systems(draw):
     return rows, rhs, kind
 
 
+def _entry(draw, value):
+    """value as an int, a numpy integer or a Fraction, drawn; a
+    non-integral value stays a Fraction."""
+    value = Fraction(value)
+    if value.denominator != 1:
+        return value
+    return draw(st.sampled_from([int, np.int64, Fraction]))(int(value))
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, rhs, ncols): {column: entry} rows of a few non-zeros each.
+
+    Half are drawn at random, and are mostly unique or inconsistent when
+    tall and underdetermined when wide; half are `linear_systems` of a
+    drawn status with their zeros dropped.  Each entry is an int, a numpy
+    integer or a Fraction, drawn one by one.
+    """
+    if draw(st.booleans()):
+        dense, rhs, _ = draw(linear_systems())
+        ncols, rows = len(dense[0]), sparse_rows(dense)
+    else:
+        # at least one row, as the oracle reads the column count off it
+        ncols = draw(st.integers(0, 7))
+        rows = [
+            {c: draw(_NONZERO) for c in draw(st.sets(st.integers(0, ncols - 1), max_size=3))}
+            if ncols
+            else {}
+            for _ in range(draw(st.integers(1, 9)))
+        ]
+        rhs = [draw(_ANY) for _ in rows]
+    rows = [{c: _entry(draw, v) for c, v in row.items()} for row in rows]
+    return rows, [_entry(draw, b) for b in rhs], ncols
+
+
 class TestIntegerSolveAgainstFractionOracle:
     @settings(max_examples=150, deadline=None)
     @given(linear_systems())
@@ -650,7 +692,7 @@ class TestIntegerSolveAgainstFractionOracle:
         rows, rhs, kind = system
         want = fraction_solve(rows, rhs)
         assert want.status == kind
-        assert solve_rational_linear(rows, rhs) == want
+        assert solve_rational_linear(sparse_rows(rows), rhs, len(rows[0])) == want
 
     def test_numpy_integers_match_the_oracle(self):
         # Products of these entries pass 2**63, where numpy integers wrap.
@@ -658,16 +700,25 @@ class TestIntegerSolveAgainstFractionOracle:
         rhs = [1, 2]
         want = fraction_solve(rows, rhs)
         assert want.solution[0] == Fraction(-2999999997, 59999999996)
-        wide = [[np.int64(v) for v in row] for row in rows], [np.int64(b) for b in rhs]
-        assert solve_rational_linear(*wide) == want
+        wide = [{c: np.int64(v) for c, v in enumerate(row)} for row in rows], [np.int64(b) for b in rhs]
+        assert solve_rational_linear(*wide, 2) == want
 
     def test_empty_and_zero_column_systems(self):
-        assert solve_rational_linear([], []) == fraction_solve([], [])
-        assert solve_rational_linear([[]], [0]) == fraction_solve([[]], [0])
-        assert solve_rational_linear([[]], [1]).status == "inconsistent"
+        assert solve_rational_linear([], [], 0) == fraction_solve([], [])
+        assert solve_rational_linear([{}], [0], 0) == fraction_solve([[]], [0])
+        assert solve_rational_linear([{}], [1], 0).status == "inconsistent"
 
     def test_ragged_or_mismatched_input_raises(self):
+        # a column index outside 0..ncols-1, either side
         with pytest.raises(ValueError):
-            solve_rational_linear([[1, 2], [3]], [0, 0])
+            solve_rational_linear([{0: 1, 1: 2}, {2: 3}], [0, 0], 2)
         with pytest.raises(ValueError):
-            solve_rational_linear([[1]], [0, 0])
+            solve_rational_linear([{-1: 3}], [0], 2)
+        with pytest.raises(ValueError):
+            solve_rational_linear([{0: 1}], [0, 0], 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_systems())
+    def test_random_sparse_rows_match_the_oracle(self, system):
+        rows, rhs, ncols = system
+        assert solve_rational_linear(rows, rhs, ncols) == fraction_solve(dense_rows(rows, ncols), rhs)

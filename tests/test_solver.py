@@ -1,15 +1,24 @@
 """Backbone validation pipeline."""
 
 import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import (
+    dense_onbd_rows,
+    dense_rows,
+    fraction_solve,
+    gelfand_tsetlin_backbone,
+    permutation_paths,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrep.blocks import BlockLabel
-from dsrep.coupling import z_linear
+from dsrep.coupling import compatibility, z_linear
 from dsrep.io import backbone_from_doc, load_json
 from dsrep.numeric import solve_rational_linear
 from dsrep.representation import (
@@ -46,9 +55,39 @@ def L(twice_a, twice_b):
     return BlockLabel(twice_a=twice_a, twice_b=twice_b)
 
 
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
+
+
 def load_fixture(name):
     graph, _ = backbone_from_doc(load_json(FIXTURES / f"{name}.json"))
     return graph
+
+
+def compatibility_ok(blocks, i, j):
+    return compatibility(blocks[i], blocks[j]) is not None
+
+
+@st.composite
+def backbones(draw):
+    """Random backbones: small labels (so repeated), random compatible edges
+    (so cycles), a few incompatible ones, and a hub of leaves around one
+    block, some leaves joined on to other blocks."""
+    twice = st.integers(0, 3)
+    blocks = [L(*p) for p in draw(st.lists(st.tuples(twice, twice), min_size=2, max_size=10))]
+    hub = draw(st.integers(0, len(blocks) - 1))
+    edges = set()
+    for _ in range(draw(st.integers(0, 12))):
+        s_a, s_b = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        twice_a, twice_b = blocks[hub].twice_a + s_a, blocks[hub].twice_b + s_b
+        if min(twice_a, twice_b) >= 0:
+            blocks.append(L(twice_a, twice_b))
+            edges.add((hub, len(blocks) - 1))
+    pairs = list(itertools.combinations(range(len(blocks)), 2))
+    compatible = [p for p in pairs if compatibility_ok(blocks, *p)]
+    if compatible:
+        edges |= draw(st.sets(st.sampled_from(compatible), max_size=3 * len(blocks)))
+    edges |= draw(st.sets(st.sampled_from(pairs), max_size=2))
+    return BackboneGraph.make(blocks, edges)
 
 
 class TestStructuralChecks:
@@ -92,12 +131,12 @@ class TestNonMonotonicPaths:
     def test_kinked_path_is_fatal(self):
         # straight-then-up: (1,0) - (1/2,1/2) - (1,1)
         g = BackboneGraph.make([L(2, 0), L(1, 1), L(2, 2)], [(0, 1), (1, 2)])
-        paths = unique_nonmonotonic_paths(g)
+        paths = unique_nonmonotonic_paths(g).first
         assert (0, 1, 2) in paths and (2, 1, 0) in paths
 
     @pytest.mark.parametrize("ref,spec", first_ten_specs())
     def test_canonical_chains_have_none(self, ref, spec):
-        assert unique_nonmonotonic_paths(canonical_backbone(spec)) == []
+        assert unique_nonmonotonic_paths(canonical_backbone(spec)) == ((), 0)
 
     def test_duplicate_middle_makes_paths_non_unique(self):
         # both (1/2,1/2) copies sit between (1,0) and (0,1)
@@ -105,25 +144,26 @@ class TestNonMonotonicPaths:
             [L(2, 0), L(1, 1), L(1, 1), L(0, 2)],
             [(0, 1), (0, 2), (1, 3), (2, 3)],
         )
-        assert unique_nonmonotonic_paths(g) == []
+        assert unique_nonmonotonic_paths(g) == ((), 0)
 
     def test_duplicate_origin_exemption(self):
         # two origin copies joined through (1/2,1/2): the obstruction
         # vanishes identically on the one-state blocks
         g = BackboneGraph.make([L(0, 0), L(1, 1), L(0, 0)], [(0, 1), (1, 2)])
-        assert unique_nonmonotonic_paths(g) == []
+        assert unique_nonmonotonic_paths(g) == ((), 0)
 
     def test_duplicate_nonorigin_not_exempt(self):
         g = BackboneGraph.make([L(1, 1), L(2, 2), L(1, 1)], [(0, 1), (1, 2)])
-        assert unique_nonmonotonic_paths(g) != []
+        assert unique_nonmonotonic_paths(g).total > 0
 
     def test_witness_keeps_the_first_paths_of_a_two_class_star(self):
         # a (1/2,1/2) hub with 50 (1,0) and 50 (0,0) leaves, dim 204: every
         # pair of leaves but two (0,0) ones is a fatal path, 7450 in all
         blocks = [L(1, 1)] + [L(2, 0)] * 50 + [L(0, 0)] * 50
         g = BackboneGraph.make(blocks, [(0, leaf) for leaf in range(1, 101)])
-        paths = unique_nonmonotonic_paths(g)
+        paths = permutation_paths(g)
         assert len(paths) == 7450
+        assert unique_nonmonotonic_paths(g) == (tuple(paths[:8]), 7450)
         witness = solve_and_verify(g).witness
         assert witness.kind is WitnessKind.NONMONOTONIC_PATH
         assert witness.data == tuple(paths[:8])
@@ -135,8 +175,37 @@ class TestNonMonotonicPaths:
         # four fatal paths: all kept, the message as before
         g = load_fixture("invalid_shared_crossing")
         witness = solve_and_verify(g).witness
-        assert witness.data == tuple(unique_nonmonotonic_paths(g))
+        assert witness.data == tuple(permutation_paths(g))
+        assert unique_nonmonotonic_paths(g) == (witness.data, 4)
         assert witness.message.endswith("change direction")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_label_classes_match_the_pair_enumeration(self, data):
+        g = data.draw(backbones())
+        paths = permutation_paths(g)
+        assert unique_nonmonotonic_paths(g) == (tuple(paths[:8]), len(paths))
+
+    @pytest.mark.parametrize("leaves", [1, 2, 5])
+    def test_hub_of_branches_and_shared_hubs_match_the_pair_enumeration(self, leaves):
+        # a (1/2,1/2) hub whose (1,0) and (0,1) neighbours each go on to a
+        # (3/2,1/2) or (1/2,3/2), some shared; and two (1,1) hubs sharing
+        # (1/2,1/2) blocks, one of which also hangs off a (3/2,3/2)
+        blocks = [L(1, 1)] + [L(2, 0), L(0, 2)] * 6 + [L(3, 1), L(1, 3)] * leaves
+        edges = [(0, n) for n in range(1, 13)]
+        edges += [(n, 13 + (n + k) % (2 * leaves)) for n in range(1, 13) for k in range(2)
+                  if compatibility_ok(blocks, n, 13 + (n + k) % (2 * leaves))]
+        hubs = [L(2, 2), L(2, 2), L(3, 3)] + [L(1, 1)] * (3 * leaves)
+        hub_edges = [(h, 3 + n) for h in (0, 1) for n in range(3 * leaves)] + [(2, 3)]
+        for g in (BackboneGraph.make(blocks, edges), BackboneGraph.make(hubs, hub_edges)):
+            paths = permutation_paths(g)
+            assert unique_nonmonotonic_paths(g) == (tuple(paths[:8]), len(paths))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_match_the_pair_enumeration(self, name):
+        g = load_fixture(name)
+        paths = permutation_paths(g)
+        assert unique_nonmonotonic_paths(g) == (tuple(paths[:8]), len(paths))
 
 
 class TestOnBdSystem:
@@ -149,7 +218,7 @@ class TestOnBdSystem:
     def test_diagonal_two_block_product(self):
         g = canonical_backbone(CanonicalSpec(Family.TYPE_A, 2))
         system = build_onbd_system(g)
-        out = solve_rational_linear(system.rows, system.rhs)
+        out = solve_rational_linear(system.rows, system.rhs, len(system.edges))
         assert out.status == "unique"
         assert out.solution == [Fraction(-1, 2)]
         assert system.required_sign[(0, 1)] == -1
@@ -157,7 +226,7 @@ class TestOnBdSystem:
     def test_mixed_two_block_product(self):
         g = canonical_backbone(CanonicalSpec(Family.TYPE_B, 2))
         system = build_onbd_system(g)
-        out = solve_rational_linear(system.rows, system.rhs)
+        out = solve_rational_linear(system.rows, system.rhs, len(system.edges))
         assert out.solution == [Fraction(1, 4)]
         assert system.required_sign[(0, 1)] == 1
 
@@ -166,14 +235,14 @@ class TestOnBdSystem:
         # product, the bottom block's force another
         g = BackboneGraph.make([L(1, 1), L(2, 2)], [(0, 1)])
         system = build_onbd_system(g)
-        assert solve_rational_linear(system.rows, system.rhs).status == "inconsistent"
+        assert solve_rational_linear(system.rows, system.rhs, 1).status == "inconsistent"
 
     @pytest.mark.parametrize("name", ["valid_three_chain_crossing", "reducible_b4_plus_b6"])
     def test_system_and_coefficients_are_integers(self, name):
         g = load_fixture(name)
         system = build_onbd_system(g)
         assert 0 in system.rhs  # rows of an index that cannot vary, too
-        assert all(type(v) is int for row in system.rows for v in row)
+        assert all(type(v) is int for row in system.rows for v in row.values())
         assert all(type(v) is int for v in system.rhs)
         for s_a, s_b in itertools.product((1, -1), repeat=2):
             for label in g.blocks:
@@ -184,7 +253,7 @@ class TestOnBdSystem:
     def test_canonical_products_exact(self, ref, spec):
         g = canonical_backbone(spec)
         system = build_onbd_system(g)
-        out = solve_rational_linear(system.rows, system.rhs)
+        out = solve_rational_linear(system.rows, system.rhs, len(system.edges))
         assert out.status == "unique"
         for edge, value in zip(system.edges, out.solution):
             n = edge[0] + 1  # chain edges are (i, i+1)
@@ -192,6 +261,72 @@ class TestOnBdSystem:
             if spec.family is Family.TYPE_A:
                 expected = -expected
             assert value == expected
+
+    @pytest.mark.parametrize("weight", [(3, 1), (4, 2), (9, 5), (11, 7)])
+    def test_sparse_rows_are_the_dense_system_in_label_order(self, weight):
+        g = gelfand_tsetlin_backbone(*weight)
+        system = build_onbd_system(g)
+        assert list(system.order) == sorted(
+            range(g.nblocks), key=lambda b: (-g.blocks[b].twice_a - g.blocks[b].twice_b, -g.blocks[b].twice_a, b)
+        )
+        dense, rhs = dense_onbd_rows(g)
+        ncols = len(system.edges)
+        order = [2 * b + axis for b in system.order for axis in (0, 1)]
+        assert dense_rows(system.rows, ncols) == [dense[r] for r in order]
+        assert system.rhs == [rhs[r] for r in order]
+        assert max(sum(col in row for row in system.rows) for col in range(ncols)) <= 4
+        assert solve_rational_linear(system.rows, system.rhs, ncols) == fraction_solve(dense, rhs)
+
+
+def star(leaves):
+    """A (1/2,1/2) hub (block 0) joined to each of `leaves`, a list of labels."""
+    return BackboneGraph.make([L(1, 1)] + leaves, [(0, n) for n in range(1, len(leaves) + 1)])
+
+
+class TestBoundedEffort:
+    """Stages 2 and 3 on a hub of thousands of leaves, near dim 3000."""
+
+    def test_star_of_origins_is_underdetermined_fast(self):
+        # no fatal path; one free product per leaf but one
+        g = star([L(0, 0)] * 2996)
+        assert g.dim == 3000
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            outcome = solve_and_verify(g)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense system alone took 5994 x 2996 list cells
+        assert peak < 8 * 2**20
+        assert elapsed < 2.0
+        assert outcome.verdict is Verdict.UNDERDETERMINED
+        assert outcome.dof == 2995
+
+    def test_two_class_star_witness_is_fast_and_small(self):
+        # a (1,0) leaves and b (0,0) leaves: every ordered pair of leaves
+        # but two (0,0) ones is a fatal path, a(a - 1) + 2ab in all
+        a, b = 500, 1496
+        g = star([L(2, 0)] * a + [L(0, 0)] * b)
+        assert g.dim == 3000
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            paths = unique_nonmonotonic_paths(g)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.total == a * (a - 1) + 2 * a * b
+        assert paths.first == tuple((1, 0, j) for j in range(2, 10))
+        assert peak < 4 * 2**20
+        assert elapsed < 1.0
+        start = time.perf_counter()
+        witness = solve_and_verify(g).witness
+        assert time.perf_counter() - start < 2.0
+        assert witness.kind is WitnessKind.NONMONOTONIC_PATH
+        assert witness.data == paths.first
 
 
 class TestSolveAndVerify:
