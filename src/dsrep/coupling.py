@@ -39,6 +39,7 @@ consumes.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .numeric import Sparse
 __all__ = [
     "compatibility",
     "t_sign_relation",
+    "breaks_sign_rule",
     "z_linear",
     "u_blocks",
     "cartesian_from_ladders",
@@ -64,6 +66,15 @@ def compatibility(p: BlockLabel, q: BlockLabel) -> Optional[tuple[int, int]]:
 def t_sign_relation(case: tuple[int, int]) -> int:
     """Sign s in t_PQ = s * t_QP demanded by Hermiticity: -1 for ++/--, +1 for +-/-+."""
     return -case[0] * case[1]
+
+
+def breaks_sign_rule(case: tuple[int, int], t_ij: float, t_ji: float) -> Optional[float]:
+    """The reverse coupling Hermiticity expects, when t_ji is not it, else None.
+
+    The expected value is t_sign_relation(case) * t_ij, matched within a
+    relative 1e-12 (absolute 1e-300, so that zeros agree)."""
+    expected = t_sign_relation(case) * t_ij
+    return None if math.isclose(t_ji, expected, rel_tol=1e-12, abs_tol=1e-300) else expected
 
 
 def z_linear(case: tuple[int, int], label: BlockLabel) -> tuple[int, int]:

@@ -61,7 +61,7 @@ from typing import Any, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from .blocks import BlockLabel
-from .coupling import compatibility, t_sign_relation
+from .coupling import breaks_sign_rule, compatibility
 from .numeric import Sparse
 from .representation import GENERATOR_NAMES, Algebra, BackboneGraph, GeneratorSet
 
@@ -173,18 +173,19 @@ def backbone_from_doc(doc: Any) -> tuple[BackboneGraph, Algebra]:
     if not isinstance(raw_edges, list):
         raise DocumentError("'edges' must be a list of index pairs")
     edges = [_pair(pair, f"edge {pos}") for pos, pair in enumerate(raw_edges)]
-    first_listed: dict[tuple[int, int], int] = {}
-    for pos, (i, j) in enumerate(edges):
-        earlier = first_listed.setdefault((min(i, j), max(i, j)), pos)
-        if earlier != pos:
-            raise DocumentError(
-                f"edge {pos} {[i, j]} repeats edge {earlier} {list(edges[earlier])}"
-            )
     algebra = _parse_algebra(doc.get("algebra"))
     try:
         graph = BackboneGraph.make(blocks, edges)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
+    if len(graph.edges) < len(edges):  # an edge is listed twice: name the first repeat
+        first_listed: dict[tuple[int, int], int] = {}
+        for pos, (i, j) in enumerate(edges):
+            earlier = first_listed.setdefault((min(i, j), max(i, j)), pos)
+            if earlier != pos:
+                raise DocumentError(
+                    f"edge {pos} {[i, j]} repeats edge {earlier} {list(edges[earlier])}"
+                )
     return graph, algebra
 
 
@@ -352,9 +353,8 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
             t_map[(j, i)] = _finite(entry["reverse"], f"t reverse on edge {[i, j]}")
         case = compatibility(backbone.blocks[i], backbone.blocks[j])
         if (i, j) in t_map and (j, i) in t_map and case is not None:
-            # the rule and tolerance `assemble` holds couplings to
-            expected = t_sign_relation(case) * t_map[(i, j)]
-            if not math.isclose(t_map[(j, i)], expected, rel_tol=1e-12, abs_tol=1e-300):
+            expected = breaks_sign_rule(case, t_map[(i, j)], t_map[(j, i)])
+            if expected is not None:
                 raise DocumentError(
                     f"t on edge {[i, j]} breaks the Hermiticity sign rule: forward "
                     f"{t_map[(i, j)]}, reverse {t_map[(j, i)]}, expected reverse {expected}"

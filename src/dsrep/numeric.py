@@ -654,8 +654,11 @@ def _eliminate(
     a, f = pivot_row[col], row[col]
     out = {c: a * v for c, v in row.items()}
     for c, v in pivot_row.items():
-        out[c] = out[c] - f * v if c in out else -f * v
-    out = {c: v for c, v in out.items() if v}
+        w = out.get(c, 0) - f * v
+        if w:
+            out[c] = w
+        else:  # col, and any other column that cancels
+            del out[c]
     b = a * b - f * pivot_b
     g = math.gcd(b, *out.values())
     if g > 1:

@@ -26,7 +26,13 @@ from typing import Optional
 import numpy as np
 
 from .blocks import BlockLabel, hla_cartesian
-from .coupling import cartesian_from_ladders, compatibility, t_sign_relation, u_blocks
+from .coupling import (
+    breaks_sign_rule,
+    cartesian_from_ladders,
+    compatibility,
+    t_sign_relation,
+    u_blocks,
+)
 from .numeric import Sparse
 
 __all__ = [
@@ -333,8 +339,8 @@ def assemble(
             raise ValueError(
                 f"couplings on edge ({i}, {j}) are not finite: t_ij={t_ij}, t_ji={t_ji}"
             )
-        expected = t_sign_relation(case) * t_ij
-        if not math.isclose(t_ji, expected, rel_tol=1e-12, abs_tol=1e-300):
+        expected = breaks_sign_rule(case, t_ij, t_ji)
+        if expected is not None:
             signs = "".join("+" if s > 0 else "-" for s in case)
             raise ValueError(
                 f"couplings on edge ({i}, {j}) violate the Hermiticity sign "

@@ -43,7 +43,6 @@ accept any structure whose assembled matrices verify.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -208,40 +207,18 @@ class FatalPaths(NamedTuple):
     total: int
 
 
-def _shared_pairs(k, classes, fatal, nbrs, nbr_sets, labels) -> set[tuple[int, int]]:
-    """The ordered pairs (I, J) of K's fatal class pairs with a second common
-    neighbour.
+def _second_paths(i: int, k: int, nbrs, nbr_sets) -> set[int]:
+    """The neighbours J of K, other than I, that I also reaches through a
+    middle other than K.
 
-    Only blocks of two or more neighbours can share a second one.  Their
-    pairs are intersected one by one, or, when there are more pairs than
-    steps I-M out of them, found by walking I-M-J.
-    """
-    inner = {p: [i for i in members if len(nbrs[i]) > 1] for p, members in classes.items()}
-    pairs = sum(len(inner[p]) * len(inner[q]) for p, q in fatal)
-    if pairs <= sum(len(nbrs[i]) for members in inner.values() for i in members):
-        return {
-            (i, j)
-            for p, q in fatal
-            for i in inner[p]
-            for j in inner[q]
-            if i != j and len(nbr_sets[i] & nbr_sets[j]) > 1
-        }
-    fatal = set(fatal)
-    return {
-        (i, j)
-        for p in classes
-        for i in inner[p]
-        for m in nbrs[i]
-        if m != k and len(nbrs[m]) > 1
-        # J is among both m's and k's neighbours: walk the shorter list
-        for j in (nbrs[m] if len(nbrs[m]) <= len(nbrs[k]) else nbrs[k])
-        if j != i and (p, labels[j]) in fatal and j in nbr_sets[k] and j in nbr_sets[m]
-    }
-
-
-def _fatal_run(i, k, members, shared) -> Iterator[tuple[int, int]]:
-    """(J, K) for the fatal paths I-K-J to one class of K's neighbours, J ascending."""
-    return ((j, k) for j in members if j != i and (i, j) not in shared)
+    Each middle M adds the blocks it shares with K; a set intersection
+    walks the smaller of its two sets, so M costs min(deg M, deg K)."""
+    second = set()
+    for m in nbrs[i]:
+        if m != k:
+            second |= nbr_sets[m] & nbr_sets[k]
+    second.discard(i)
+    return second
 
 
 def unique_nonmonotonic_paths(g: BackboneGraph) -> FatalPaths:
@@ -257,16 +234,17 @@ def unique_nonmonotonic_paths(g: BackboneGraph) -> FatalPaths:
 
     Both rules read only labels.  So around each middle block K the
     compatible neighbours are grouped by label (at most four classes,
-    A +- 1/2 times B +- 1/2), the total is the sum of class-size products
-    over K's fatal class pairs less the pairs with a second common
-    neighbour, and only the first `KEPT_PATHS` paths in (I, J) order are
-    built.  The work is linear in the edges plus what finding the shared
-    pairs costs, to which leaves (blocks of one neighbour) add nothing.
+    A +- 1/2 times B +- 1/2), and the total is the sum of class-size
+    products over K's fatal class pairs less, for each I, the fatal
+    partners J it also reaches through another middle.  Those are found
+    by walking I-M-J and counted, not kept, so memory stays linear in the
+    edges; a leaf I (one neighbour) has no such walk.  Only the first
+    `KEPT_PATHS` paths in (I, J) order are built, each I's walks redone.
     """
     labels = [(b.twice_a, b.twice_b) for b in g.blocks]
     nbrs = [g.neighbors(i) for i in range(g.nblocks)]
     nbr_sets = [set(n) for n in nbrs]
-    # middle block -> (its fatal class pairs, its classes, the shared pairs)
+    # middle block -> {a neighbour's label: the neighbours fatal after it}
     fatal_around = {}
     total = 0
     for k, (ka, kb) in enumerate(labels):
@@ -276,29 +254,33 @@ def unique_nonmonotonic_paths(g: BackboneGraph) -> FatalPaths:
         for i in nbrs[k]:
             if abs(labels[i][0] - ka) == 1 == abs(labels[i][1] - kb):
                 classes.setdefault(labels[i], []).append(i)
-        # a monotone pair has q = 2k - p; two origins are exempt
-        fatal = [
-            (p, q)
-            for p in classes
-            for q in classes
-            if (p[0] + q[0] != 2 * ka or p[1] + q[1] != 2 * kb) and (p != q or any(p))
-        ]
-        count = sum(len(classes[p]) * (len(classes[q]) - (p == q)) for p, q in fatal)
+        partners: dict[tuple[int, int], set[int]] = {}
+        count = 0
+        for p, ps in classes.items():
+            for q, qs in classes.items():
+                # a monotone pair has q = 2k - p; two origins are exempt
+                if (p[0] + q[0] != 2 * ka or p[1] + q[1] != 2 * kb) and (p != q or any(p)):
+                    count += len(ps) * (len(qs) - (p == q))
+                    partners.setdefault(p, set()).update(qs)
+        if not count:
+            continue
+        for p, ends in partners.items():
+            for i in classes[p]:
+                count -= len(_second_paths(i, k, nbrs, nbr_sets) & ends)
         if count:
-            shared = _shared_pairs(k, classes, fatal, nbrs, nbr_sets, labels)
-            if count > len(shared):
-                total += count - len(shared)
-                fatal_around[k] = (fatal, classes, shared)
+            total += count
+            fatal_around[k] = partners
 
     first: list[tuple[int, int, int]] = []
     for i in range(g.nblocks) if total else ():
-        runs = []
+        found = []
         for k in nbrs[i]:
-            fatal, classes, shared = fatal_around.get(k, ((), {}, ()))
-            runs += [_fatal_run(i, k, classes[q], shared) for p, q in fatal if p == labels[i]]
-        # a J is fatal through at most one K, so the runs merge without repeats
-        for j, k in itertools.islice(heapq.merge(*runs), KEPT_PATHS - len(first)):
-            first.append((i, k, j))
+            fatal = k in fatal_around and fatal_around[k].get(labels[i])
+            if fatal:
+                second = _second_paths(i, k, nbrs, nbr_sets)
+                found += [(j, k) for j in fatal if j != i and j not in second]
+        # a J is fatal through at most one K, so no two (J, K) share a J
+        first += [(i, k, j) for j, k in sorted(found)[: KEPT_PATHS - len(first)]]
         if len(first) == KEPT_PATHS:
             break
     return FatalPaths(tuple(first), total)
@@ -317,16 +299,15 @@ class OnBdSystem:
     block-diagonal commutator identity), each a sparse row {column:
     coefficient} over the columns of `edges`; a row is empty when the
     corresponding index does not vary on that block, i.e. when A_I = 0
-    or B_I = 0.  Rows 2r and 2r + 1 belong to block `order[r]`: blocks go
-    from the largest A + B down, then from the largest A, then by index,
-    the order in which they are eliminated.  required_sign maps each edge
-    to the sign x_e must carry, per the Hermiticity rule on its case.
+    or B_I = 0.  A block's two rows are adjacent, and the blocks go from
+    the largest A + B down, then from the largest A, then by index, the
+    order in which they are eliminated.  required_sign maps each edge to
+    the sign x_e must carry, per the Hermiticity rule on its case.
     """
 
     edges: tuple[tuple[int, int], ...]
     rows: list[dict[int, int]]
     rhs: list[int]
-    order: tuple[int, ...]
     required_sign: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
@@ -351,10 +332,10 @@ def build_onbd_system(g: BackboneGraph) -> OnBdSystem:
             if label.twice_b and coef_b:
                 by_block[2 * block + 1][col] = coef_b
     top_down = sorted((-b.twice_a - b.twice_b, -b.twice_a, index) for index, b in enumerate(g.blocks))
-    order = tuple(index for *_, index in top_down)
+    order = [index for *_, index in top_down]
     rows = [by_block[2 * b + axis] for b in order for axis in (0, 1)]
     rhs = [-1 if twice else 0 for b in order for twice in (g.blocks[b].twice_a, g.blocks[b].twice_b)]
-    return OnBdSystem(edges=edges, rows=rows, rhs=rhs, order=order, required_sign=signs)
+    return OnBdSystem(edges=edges, rows=rows, rhs=rhs, required_sign=signs)
 
 
 # ---------------------------------------------------------------------------

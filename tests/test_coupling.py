@@ -18,6 +18,7 @@ from conftest import (
 
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
+    breaks_sign_rule,
     compatibility,
     t_sign_relation,
     z_linear,
@@ -101,6 +102,14 @@ class TestSignRule:
         assert t_sign_relation((-1, -1)) == -1
         assert t_sign_relation((1, -1)) == 1
         assert t_sign_relation((-1, 1)) == 1
+
+    def test_breaks_sign_rule_names_the_expected_reverse(self):
+        assert breaks_sign_rule((1, 1), 2.0, -2.0) is None
+        assert breaks_sign_rule((1, -1), 2.0, 2.0 * (1 + 1e-13)) is None
+        assert breaks_sign_rule((1, 1), 0.0, -0.0) is None
+        assert breaks_sign_rule((1, 1), 2.0, 2.0) == -2.0
+        assert breaks_sign_rule((-1, 1), 123.0, -7.0) == 123.0
+        assert breaks_sign_rule((1, -1), 2.0, 2.0 * (1 + 1e-11)) == 2.0
 
 
 class TestZLinear:

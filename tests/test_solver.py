@@ -266,12 +266,12 @@ class TestOnBdSystem:
     def test_sparse_rows_are_the_dense_system_in_label_order(self, weight):
         g = gelfand_tsetlin_backbone(*weight)
         system = build_onbd_system(g)
-        assert list(system.order) == sorted(
+        top_down = sorted(
             range(g.nblocks), key=lambda b: (-g.blocks[b].twice_a - g.blocks[b].twice_b, -g.blocks[b].twice_a, b)
         )
         dense, rhs = dense_onbd_rows(g)
         ncols = len(system.edges)
-        order = [2 * b + axis for b in system.order for axis in (0, 1)]
+        order = [2 * b + axis for b in top_down for axis in (0, 1)]
         assert dense_rows(system.rows, ncols) == [dense[r] for r in order]
         assert system.rhs == [rhs[r] for r in order]
         assert max(sum(col in row for row in system.rows) for col in range(ncols)) <= 4
@@ -327,6 +327,26 @@ class TestBoundedEffort:
         assert time.perf_counter() - start < 2.0
         assert witness.kind is WitnessKind.NONMONOTONIC_PATH
         assert witness.data == paths.first
+
+    def test_hubs_sharing_their_neighbours_count_shared_pairs_in_small_memory(self):
+        # two (1,1) hubs and a (0,0) hub, each joined to the same n
+        # (1/2,1/2) blocks: around every middle each fatal pair has a
+        # second path, n(n - 1) pairs around each hub
+        n = 745
+        g = BackboneGraph.make([L(2, 2), L(2, 2), L(0, 0)] + [L(1, 1)] * n,
+                               [(hub, 3 + m) for hub in range(3) for m in range(n)])
+        assert g.dim == 2999 and structural_checks(g) is None
+        start = time.perf_counter()
+        assert unique_nonmonotonic_paths(g) == ((), 0)
+        assert time.perf_counter() - start < 2.0
+        tracemalloc.start()
+        try:
+            unique_nonmonotonic_paths(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # keeping the shared pairs took about 90 MB
+        assert peak < 4 * 2**20
 
 
 class TestSolveAndVerify:
