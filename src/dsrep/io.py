@@ -10,14 +10,12 @@ Backbone document (input to `validate`, embedded in generator documents):
       "algebra": "ds" | "ads"                     # optional, default "ds"
     }
 
-Generator document (output of `generate`, input to `verify`), format 2:
+Generator document (output of `generate`, input to `verify`):
 
     {
       "format": 2,
       "algebra": "ds" | "ads",
       "backbone": {...backbone document...},
-      "t": [{"edge": [i, j], "forward": float, "reverse": float}, ...],
-                                                  # each a backbone edge, at most once
       "generators": [
         {"name": "Jx", "rows": n, "cols": n,
          "row": [...], "col": [...],              # positions of the stored entries
@@ -28,11 +26,12 @@ Generator document (output of `generate`, input to `verify`), format 2:
 
 Each matrix lists its non-zero entries as four columns of equal length.
 "re" or "im" is left out only when every part in it is +0.0 (a -0.0 part
-is written), and a missing one reads as +0.0 parts.  `verify` also reads
-format 1, the same document without "format" and with
-`"entries": [[row, col, re, im], ...]` in place of the four columns; its
-entries are transposed into the same columns, so one checker serves both.
-Any other "format" value is refused.
+is written), and a missing one reads as +0.0 parts.  `verify` checks
+every field above but the backbone's edges, which it reads only for
+their shape.  "format" must be 2, so the entry lists of early
+versions (format 1: no "format", and "entries" in place of the columns)
+are refused.  So is a "t" block of edge couplings: the matrices fix the
+couplings only up to gauge signs, and nothing compared the two.
 
 The schemas above are shown spread out; `save_json` and `generate`
 write each document as one line of compact JSON.  Entries are listed in
@@ -56,12 +55,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any, Iterator, Optional, Sequence, TextIO
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
 from .blocks import BlockLabel
-from .coupling import breaks_sign_rule, compatibility
 from .numeric import Sparse
 from .representation import GENERATOR_NAMES, Algebra, BackboneGraph, GeneratorSet
 
@@ -125,15 +123,6 @@ def _as_float(value: int | float) -> float:
         return float(value)
     except OverflowError:
         return math.inf
-
-
-def _finite(value: Any, context: str) -> float:
-    """A JSON number that is finite as a float; NaN and infinities are refused."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = _as_float(value)
-        if math.isfinite(number):
-            return number
-    raise DocumentError(f"{context} must be a finite number, got {value!r}")
 
 
 def _list(value: Any, context: str) -> list:
@@ -206,16 +195,10 @@ def _matrix_columns(m: Sparse) -> dict[str, np.ndarray]:
 def generators_to_doc(g: GeneratorSet) -> dict:
     """The generator document of g, each matrix column a numpy array, as
     `write_json` writes it without making Python number lists."""
-    t_entries = []
-    for i, j in sorted(g.backbone.edges):
-        t_entries.append(
-            {"edge": [i, j], "forward": g.t.get((i, j)), "reverse": g.t.get((j, i))}
-        )
     return {
         "format": 2,
         "algebra": g.algebra.value,
         "backbone": backbone_to_doc(g.backbone, g.algebra),
-        "t": t_entries,
         "generators": [
             {"name": name, "rows": m.n, "cols": m.n, **_matrix_columns(m)}
             for name, m in g.matrices().items()
@@ -223,48 +206,24 @@ def generators_to_doc(g: GeneratorSet) -> dict:
     }
 
 
-Columns = tuple[Sequence, Sequence, Optional[Sequence], Optional[Sequence]]
-
-
-def _entry_columns(entry: dict, name: str) -> Columns:
-    """The row, col, re and im columns of a format-1 matrix, transposed from
-    its [row, col, re, im] entries."""
-    if "entries" not in entry:
-        raise DocumentError(f"{name} needs 'entries'")
-    entries = _list(entry["entries"], f"{name} entries")
-    if not entries:
-        return [], [], [], []
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {4}:
-        bad = next(e for e in entries if type(e) is not list or len(e) != 4)
-        raise DocumentError(f"{name} entry {bad!r} must be [row, col, re, im]")
-    return tuple(zip(*entries))
-
-
-def _format2_columns(entry: dict, name: str) -> Columns:
-    """The row, col, re and im columns of a format-2 matrix; a missing re or
-    im column is None."""
-    if "row" not in entry or "col" not in entry:
-        raise DocumentError(f"{name} needs 'row' and 'col'")
-    columns = [
-        None if key not in entry else _list(entry[key], f"{name} {key!r}")
-        for key in ("row", "col", "re", "im")
-    ]
-    if len({len(column) for column in columns if column is not None}) > 1:
-        raise DocumentError(f"{name} columns 'row', 'col', 're' and 'im' differ in length")
-    return tuple(columns)
-
-
-def _matrix_from_columns(columns: Columns, name: str, dim: int) -> Sparse:
-    """The dim x dim matrix whose entries the columns list, as a reduced
-    `Sparse` (explicit zero entries dropped).  A re or im column of None
-    holds +0.0 parts.
+def _matrix_from_entry(entry: dict, name: str, dim: int) -> Sparse:
+    """The dim x dim matrix whose entries the row, col, re and im columns of
+    a generator entry list, as a reduced `Sparse` (explicit zero entries
+    dropped).  A missing re or im column holds +0.0 parts.
 
     The checks run once per column rather than once per entry: type()
     tests keep booleans out, positions are range-checked as index arrays
     (an integer beyond the index type is out of range), and values must
     be finite as floats.
     """
-    rows, cols, re, im = columns
+    if "row" not in entry or "col" not in entry:
+        raise DocumentError(f"{name} needs 'row' and 'col'")
+    rows, cols, re, im = (
+        None if key not in entry else _list(entry[key], f"{name} {key!r}")
+        for key in ("row", "col", "re", "im")
+    )
+    if len({len(column) for column in (rows, cols, re, im) if column is not None}) > 1:
+        raise DocumentError(f"{name} columns 'row', 'col', 're' and 'im' differ in length")
     if not rows:
         return Sparse.zero(dim)
     if set(map(type, rows)) | set(map(type, cols)) != {int}:
@@ -308,23 +267,19 @@ def _matrix_from_columns(columns: Columns, name: str, dim: int) -> Sparse:
     return Sparse(dim, keys, values).reduced()
 
 
-def _format_reader(doc: dict):
-    """The column reader for the document's format: 2 when "format" is 2,
-    1 (entry lists) when there is no "format" key."""
-    if "format" not in doc:
-        return _entry_columns
-    if type(doc["format"]) is int and doc["format"] == 2:
-        return _format2_columns
-    raise DocumentError(
-        f"unknown generator document format {doc['format']!r}: "
-        "'format' must be 2, or absent for entry lists"
-    )
-
-
 def generators_from_doc(doc: Any) -> GeneratorSet:
     if not isinstance(doc, dict):
         raise DocumentError("generator document must be a JSON object")
-    read_columns = _format_reader(doc)
+    if type(doc.get("format")) is not int or doc["format"] != 2:
+        raise DocumentError(
+            f"unknown generator document format {doc.get('format')!r}: 'format' "
+            "must be 2 (format 1, entry lists with no 'format', is no longer read)"
+        )
+    if "t" in doc:
+        raise DocumentError(
+            "generator document carries 't': edge couplings are not read, "
+            "since verify checks the matrices alone"
+        )
     algebra = _parse_algebra(doc.get("algebra"))
     if "backbone" not in doc:
         raise DocumentError("generator document missing 'backbone'")
@@ -334,31 +289,6 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
             f"the document's algebra is {algebra.value!r} but its backbone's is {named.value!r}"
         )
     dim = backbone.dim
-
-    t_map: dict[tuple[int, int], float] = {}
-    listed: set[tuple[int, int]] = set()
-    for entry in _list(doc.get("t", []), "'t'"):
-        if not isinstance(entry, dict) or "edge" not in entry:
-            raise DocumentError("each t entry needs an 'edge'")
-        i, j = _pair(entry["edge"], "t edge")
-        edge = (min(i, j), max(i, j))
-        if edge not in backbone.edges:
-            raise DocumentError(f"t edge {[i, j]} is not a backbone edge")
-        if edge in listed:
-            raise DocumentError(f"t edge {[i, j]} is listed twice")
-        listed.add(edge)
-        if entry.get("forward") is not None:
-            t_map[(i, j)] = _finite(entry["forward"], f"t forward on edge {[i, j]}")
-        if entry.get("reverse") is not None:
-            t_map[(j, i)] = _finite(entry["reverse"], f"t reverse on edge {[i, j]}")
-        case = compatibility(backbone.blocks[i], backbone.blocks[j])
-        if (i, j) in t_map and (j, i) in t_map and case is not None:
-            expected = breaks_sign_rule(case, t_map[(i, j)], t_map[(j, i)])
-            if expected is not None:
-                raise DocumentError(
-                    f"t on edge {[i, j]} breaks the Hermiticity sign rule: forward "
-                    f"{t_map[(i, j)]}, reverse {t_map[(j, i)]}, expected reverse {expected}"
-                )
 
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list):
@@ -379,14 +309,12 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
             raise DocumentError(
                 f"{name} is {rows}x{cols} but the backbone implies {dim}x{dim}"
             )
-        matrices[name] = _matrix_from_columns(read_columns(entry, name), name, dim)
+        matrices[name] = _matrix_from_entry(entry, name, dim)
     missing = [n for n in GENERATOR_NAMES if n not in matrices]
     if missing:
         raise DocumentError(f"generator document missing matrices: {missing}")
 
-    return GeneratorSet(
-        backbone, algebra, *(matrices[n] for n in GENERATOR_NAMES), t=t_map
-    )
+    return GeneratorSet(backbone, algebra, *(matrices[n] for n in GENERATOR_NAMES))
 
 
 class _ParsedFloats(dict):

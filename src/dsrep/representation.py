@@ -227,15 +227,14 @@ GENERATOR_NAMES = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vt", "Vx", "Vy", "Vz")
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The ten generator matrices, held as their non-zeros, plus their provenance.
+    """The ten generator matrices, held as their non-zeros, on a backbone.
 
     Each generator is a reduced `Sparse`: its non-zero entries, sorted by
     key, which is row-major order.  J and K are block-diagonal over the
     backbone; the four displacement generators have non-zero rectangles
-    only on the backbone edges.  The coupling map t holds one scalar per
-    ordered block pair on an edge: t[(i, j)] is t_ij.  A set that
-    `assemble` builds has both directions of every edge and no other key;
-    one read from a document has the directions it lists.
+    only on the backbone edges.  The edge couplings that built them are
+    not kept: the matrices fix them only up to gauge signs, and every
+    check reads the matrices.
     """
 
     backbone: BackboneGraph
@@ -250,7 +249,6 @@ class GeneratorSet:
     vx: Sparse
     vy: Sparse
     vz: Sparse
-    t: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -359,9 +357,7 @@ def assemble(
         vx, vy, vz, vt = 1j * vx, 1j * vy, 1j * vz, 1j * vt
 
     return GeneratorSet(
-        backbone, algebra,
-        *(m.reduced() for m in (jx, jy, jz, kx, ky, kz, vt, vx, vy, vz)),
-        t=dict(zip(pairs, scales)),
+        backbone, algebra, *(m.reduced() for m in (jx, jy, jz, kx, ky, kz, vt, vx, vy, vz))
     )
 
 

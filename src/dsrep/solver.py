@@ -123,7 +123,11 @@ class Component:
     n: int
 
     def describe(self, g: BackboneGraph) -> str:
-        chain = " + ".join(str(g.blocks[i]) for i in self.indices)
+        """The component's family and its first `KEPT_PATHS` block labels."""
+        labels = [str(g.blocks[i]) for i in self.indices[:KEPT_PATHS]]
+        if len(self.indices) > KEPT_PATHS:
+            labels.append(f"... ({len(self.indices)} blocks)")
+        chain = " + ".join(labels)
         if self.family is None:
             return f"non-canonical [{chain}]"
         return f"type {self.family.value.upper()} N={self.n} [{chain}]"
@@ -196,7 +200,8 @@ def structural_checks(g: BackboneGraph) -> Optional[Witness]:
 # ---------------------------------------------------------------------------
 
 
-# The fatal paths a witness lists; the rest are only counted.
+# The fatal paths a witness lists, and the block labels a component's
+# description lists; the rest are only counted.
 KEPT_PATHS = 8
 
 
@@ -502,7 +507,8 @@ def solve_and_verify(
     patterns = _gauge_patterns(g)
     best_residual = math.nan
     for pattern in itertools.islice(patterns, MAX_GAUGE_PATTERNS if allow_noncanonical else 1):
-        gens = assemble(g, couplings_from_products(g, x_values, pattern), algebra)
+        t_values = couplings_from_products(g, x_values, pattern)
+        gens = assemble(g, t_values, algebra)
         crs = worst_residual(check_all_crs(gens).values())
         hermiticity = worst_residual(check_hermiticity(gens).values())
         # written so that NaN fails
@@ -525,7 +531,7 @@ def solve_and_verify(
             Verdict.VALID,
             None,
             components,
-            t_values=dict(gens.t),
+            t_values=t_values,
             x_values=x_values,
             generators=gens,
         )

@@ -31,6 +31,9 @@
   break the Hermiticity sign rule `assemble` enforces.
 - `Rectangles` and `dense_rectangles`: the eight coupling rectangles of
   one compatible pair, dense, from `dsrep.coupling.u_blocks`.
+- `canonical_couplings`: the couplings `assemble_canonical` builds a
+  chain from, one per ordered block pair; a `GeneratorSet` keeps only
+  the matrices.
 - `swapped`, `reversed_backbone` and `block_offsets`: a label with A and
   B exchanged, a backbone with its blocks in reverse order, and the
   offsets of a generator set's blocks.
@@ -39,8 +42,6 @@
 - `listed_doc`: `generators_to_doc` with each column made a list, the
   plain JSON values whose `json.dumps` text is what `write_json` must
   write, and the in-memory list input of the loader.
-- `format1_doc`: the entry-list generator document (format 1) that
-  `generate` wrote before the columnar format 2, still read by `verify`.
 - `fraction_solve`: Gauss-Jordan elimination over Fractions on dense
   rows, the reference for the integer solver `dsrep.numeric` ships;
   `sparse_rows` and `dense_rows` turn dense rows into the {column:
@@ -53,8 +54,9 @@
 - `argsort_reduced`: the entries of a `Sparse` reduced by one argsort and
   `np.add.reduceat` on every call, the reference for `Sparse.reduced()`,
   which skips the sums where no key repeats.
-- `gelfand_tsetlin_backbone` and `gelfand_tsetlin_generators`: cyclic
-  so(5) backbones and the generators the solver finds for them.
+- `gelfand_tsetlin_backbone`, `gelfand_tsetlin_outcome` and
+  `gelfand_tsetlin_generators`: cyclic so(5) backbones, and the valid
+  outcome and the generators the solver finds for them.
 - `benchmark_spans` and `benchmark_boundaries`: `perfbench/spans.py`,
   and the (name, home, callers, count) spans it patches into dsrep.
 """
@@ -75,8 +77,12 @@ from dsrep.numeric import RationalSolution, Sparse
 from dsrep.representation import (
     Algebra,
     BackboneGraph,
+    CanonicalSpec,
     GeneratorSet,
     assemble_canonical,
+    canonical_backbone,
+    canonical_t_squared,
+    couplings_from_products,
     first_ten_specs,
 )
 from dsrep.solver import Verdict, solve_and_verify
@@ -568,8 +574,7 @@ def dense_generator_set(
     that need not obey the Hermiticity sign rule."""
     dense = dense_assemble(backbone, t, algebra)
     return GeneratorSet(
-        backbone, algebra, **{name.lower(): sparse_from_dense(m) for name, m in dense.items()},
-        t=dict(t),
+        backbone, algebra, **{name.lower(): sparse_from_dense(m) for name, m in dense.items()}
     )
 
 
@@ -611,6 +616,12 @@ def dense_rectangles(p: BlockLabel, q: BlockLabel) -> Rectangles:
     return Rectangles(*directed(p, q), *directed(q, p))
 
 
+def canonical_couplings(spec: CanonicalSpec) -> dict[tuple[int, int], float]:
+    """The couplings `assemble_canonical(spec)` passes to `assemble`."""
+    products = {(n - 1, n): canonical_t_squared(spec, n) for n in range(1, spec.n)}
+    return couplings_from_products(canonical_backbone(spec), products)
+
+
 def swapped(label: BlockLabel) -> BlockLabel:
     """The label with A and B exchanged."""
     return BlockLabel(twice_a=label.twice_b, twice_b=label.twice_a)
@@ -643,26 +654,6 @@ def listed_doc(g) -> dict:
     for matrix in doc["generators"]:
         for key in matrix.keys() & {"row", "col", "re", "im"}:
             matrix[key] = matrix[key].tolist()
-    return doc
-
-
-def _entry_list(m: Sparse) -> list[list]:
-    """[row, col, re, im] of each stored entry, in row-major (key) order."""
-    m = m.reduced()
-    rows, cols = np.divmod(m.keys, m.n)
-    columns = (rows.tolist(), cols.tolist(), m.vals.real.tolist(), m.vals.imag.tolist())
-    return list(map(list, zip(*columns)))
-
-
-def format1_doc(g) -> dict:
-    """The format-1 generator document of a generator set: no "format" key,
-    and each matrix's stored entries as a list of [row, col, re, im]."""
-    doc = generators_to_doc(g)
-    del doc["format"]
-    doc["generators"] = [
-        {"name": name, "rows": g.dim, "cols": g.dim, "entries": _entry_list(m)}
-        for name, m in g.matrices().items()
-    ]
     return doc
 
 
@@ -812,13 +803,19 @@ def gelfand_tsetlin_backbone(twice_m1: int, twice_m2: int) -> BackboneGraph:
 
 
 @functools.lru_cache(maxsize=None)
-def gelfand_tsetlin_generators(weight, algebra):
-    """The generators `solve_and_verify` finds for twice-weight (2 m1, 2 m2)."""
+def gelfand_tsetlin_outcome(weight, algebra):
+    """The valid outcome of `solve_and_verify` for twice-weight (2 m1, 2 m2),
+    with its couplings and generators."""
     outcome = solve_and_verify(
         gelfand_tsetlin_backbone(*weight), algebra, allow_noncanonical=True
     )
     assert outcome.verdict is Verdict.VALID, weight
-    return outcome.generators
+    return outcome
+
+
+def gelfand_tsetlin_generators(weight, algebra):
+    """The generators `solve_and_verify` finds for twice-weight (2 m1, 2 m2)."""
+    return gelfand_tsetlin_outcome(weight, algebra).generators
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import case_id, coupling_null_space_dim, dense_casimir1, dense_rectangles
+from conftest import (
+    canonical_couplings,
+    case_id,
+    coupling_null_space_dim,
+    dense_casimir1,
+    dense_rectangles,
+)
 
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import (
@@ -99,7 +105,7 @@ def test_criterion_2_coupling_coefficients():
         ],
     }
     for ref, spec in TEN:
-        t = assemble_canonical(spec).t
+        t = canonical_couplings(spec)
         for n in range(1, spec.n):
             forward, backward = t[(n - 1, n)], t[(n, n - 1)]
             if spec.family is Family.TYPE_A:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import format1_doc, gelfand_tsetlin_generators, listed_doc
+from conftest import canonical_couplings, gelfand_tsetlin_generators, listed_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,7 +115,6 @@ class TestDocumentRoundTrip:
         path = tmp_path / "rep.json"
         save_json(generators_to_doc(gens), path)
         loaded = generators_from_doc(load_json(path))
-        assert loaded.t == gens.t
         for name, m in gens.generators().items():
             got = loaded.generators()[name]
             assert np.array_equal(m, got), name
@@ -463,17 +462,19 @@ class TestVerify:
         assert "error" in capsys.readouterr().err
 
 
-FORMATS = (1, 2)
+# the generator document formats `verify` reads
+FORMATS = (2,)
 _FIELDS = ("row", "col", "re", "im")
 
 
 def _generated_doc(tmp_path, capsys, family="a", n="3", fmt=2, algebra="ds"):
-    """The document `generate` writes (format 2), or its format-1 twin."""
+    """The document `generate` writes, which must be of format fmt."""
     path = tmp_path / "rep.json"
     assert main(["generate", family, n, "--algebra", algebra, "--out", str(path)]) == 0
     capsys.readouterr()
     doc = load_json(path)
-    return doc if fmt == 2 else format1_doc(generators_from_doc(doc))
+    assert doc["format"] == fmt
+    return doc
 
 
 def _gen(doc, name):
@@ -481,60 +482,46 @@ def _gen(doc, name):
 
 
 def _entries(gen) -> list[list]:
-    """A matrix's [row, col, re, im] entries, in either format."""
-    if "entries" in gen:
-        return gen["entries"]
+    """A matrix's [row, col, re, im] entries."""
     size = len(gen["row"])
     return [list(e) for e in zip(*(gen.get(f, [0.0] * size) for f in _FIELDS))]
 
 
 def _set_entries(gen, entries) -> None:
-    """Write [row, col, re, im] entries into a matrix in its own format."""
-    if "entries" in gen:
-        gen["entries"] = entries
-    else:
-        for index, field in enumerate(_FIELDS):
-            gen[field] = [e[index] for e in entries]
+    """Write [row, col, re, im] entries into a matrix's columns."""
+    for index, field in enumerate(_FIELDS):
+        gen[field] = [e[index] for e in entries]
 
 
 def _set_entry(doc, name, value, field="re", index=0):
-    """Set one part of one entry; a format-2 re or im column left out as
-    all +0.0 is written out first."""
+    """Set one part of one entry; a re or im column left out as all +0.0
+    is written out first."""
     gen = _gen(doc, name)
-    if "entries" in gen:
-        gen["entries"][index][_FIELDS.index(field)] = value
-    else:
-        gen.setdefault(field, [0.0] * len(gen["row"]))[index] = value
+    gen.setdefault(field, [0.0] * len(gen["row"]))[index] = value
 
 
 def _repeat_first_entry(doc, name, at=None):
     gen = _gen(doc, name)
-    columns = [gen["entries"]] if "entries" in gen else [gen[f] for f in _FIELDS if f in gen]
-    for column in columns:
-        first = column[0]
-        copy = list(first) if isinstance(first, list) else first
-        column.insert(len(column) if at is None else at, copy)
-
-
-def _shorten_first_entry(doc, name):
-    """Format 1: a three-item entry.  Format 2: a value column one short."""
-    gen = _gen(doc, name)
-    if "entries" in gen:
-        gen["entries"][0] = gen["entries"][0][:3]
-    else:
-        gen["re"].pop()
+    for column in (gen[f] for f in _FIELDS if f in gen):
+        column.insert(len(column) if at is None else at, column[0])
 
 
 def _emptied(gen) -> dict:
-    """A copy of a matrix entry with no stored entries, in its own format."""
-    if "entries" in gen:
-        return dict(gen, entries=[])
+    """A copy of a matrix entry with no stored entries."""
     return {key: ([] if key in _FIELDS else value) for key, value in gen.items()}
 
 
-def _drop_positions(doc, name):
-    gen = _gen(doc, name)
-    gen.pop("entries" if "entries" in gen else "row")
+def _as_entry_lists(doc):
+    """Each matrix's columns replaced by a format-1 "entries" list."""
+    for gen in doc["generators"]:
+        gen["entries"] = _entries(gen)
+        for field in _FIELDS:
+            gen.pop(field, None)
+
+
+def _with_t(doc, *entries):
+    """The document with a "t" block of the given entries."""
+    doc["t"] = list(entries)
 
 
 class TestMalformedDocuments:
@@ -575,51 +562,50 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize("family", ["a", "b"])
     def test_t_sign_rule(self, tmp_path, capsys, family):
-        # type A edges are ++/-- (reverse = -forward), type B ones +-/-+
+        # a "t" block is refused whatever the sign rule says of it: type A
+        # edges are ++/-- (reverse = -forward), type B ones +-/-+, and the
+        # block that generate once wrote is refused like one that breaks it
         sign = -1 if family == "a" else 1
+        t = canonical_couplings(CanonicalSpec(Family(family), 3))
+        written = [{"edge": [i, j], "forward": t[(i, j)], "reverse": t[(j, i)]}
+                   for i, j in ((0, 1), (1, 2))]
+        pairs = [[{"edge": [0, 1], "forward": 123, "reverse": r}] for r in (-7, sign * 123, None)]
         path = tmp_path / "rep.json"
-        for forward, reverse, code in ((123, -7, 2), (123, sign * 123, 0), (123, None, 0)):
+        for block in pairs + [written, [], None]:
             doc = _generated_doc(tmp_path, capsys, family=family)
-            doc["t"][0].update(forward=forward, reverse=reverse)
+            doc["t"] = block
             path.write_text(json.dumps(doc))
-            assert main(["verify", str(path)]) == code, (forward, reverse)
+            assert main(["verify", str(path)]) == 2, block
             err = capsys.readouterr().err
-            assert ("t on edge [0, 1] breaks the Hermiticity sign rule" in err) == (code == 2)
-
-    def test_t_on_an_incompatible_edge_reads(self, tmp_path, capsys):
-        # (1,0) and (0,1) are not compatible: no sign rule to break
-        doc = _generated_doc(tmp_path, capsys, family="b")
-        doc["backbone"]["edges"].append([0, 2])
-        doc["t"].append({"edge": [0, 2], "forward": 1.0, "reverse": 5.0})
-        gens = generators_from_doc(doc)
-        assert (gens.t[(0, 2)], gens.t[(2, 0)]) == (1.0, 5.0)
+            assert err.startswith("error: generator document carries 't'"), block
 
     @pytest.mark.parametrize(
-        "breakage,same_message",
+        "breakage",
         [
-            (lambda doc: doc["generators"].__setitem__(0, 5), True),
-            (lambda doc: doc["generators"][0].pop("rows"), True),
-            (lambda doc: doc["t"][0].__setitem__("edge", [0]), True),
-            (lambda doc: _set_entry(doc, "Vx", float("nan")), True),
-            (lambda doc: _set_entry(doc, "Kz", float("inf")), True),
-            (lambda doc: doc["t"][0].__setitem__("forward", float("nan")), True),
-            (lambda doc: _set_entry(doc, "Jz", 10**30, field="row"), True),
-            (lambda doc: _set_entry(doc, "Vy", 10**400, field="im"), True),
-            (lambda doc: _set_entry(doc, "Jx", -1, field="col"), True),
-            (lambda doc: _set_entry(doc, "Kx", True), True),
-            (lambda doc: _set_entry(doc, "Vt", False, field="row"), True),
-            (lambda doc: _shorten_first_entry(doc, "Vz"), False),
-            (lambda doc: _set_entry(doc, "Ky", "0.5"), True),
-            (lambda doc: _repeat_first_entry(doc, "Jy"), True),
-            (lambda doc: _repeat_first_entry(doc, "Jy", at=1), True),
-            (lambda doc: doc["generators"].insert(0, _emptied(doc["generators"][7])), True),
-            (lambda doc: (_set_entry(doc, "Jx", "x", field="col"),
-                          _set_entry(doc, "Jx", -1, field="row", index=1)), True),
-            (lambda doc: _drop_positions(doc, "Kx"), False),
-            (lambda doc: doc["t"].append(dict(doc["t"][0], edge=[0, 2])), True),
-            (lambda doc: doc["t"].append(dict(doc["t"][0], edge=[0, 7])), True),
-            (lambda doc: doc["t"].append(dict(doc["t"][0], edge=[1, 0])), True),
-            (lambda doc: doc["t"][0].update(forward=123, reverse=-7), True),
+            lambda doc: doc["generators"].__setitem__(0, 5),
+            lambda doc: doc["generators"][0].pop("rows"),
+            lambda doc: _with_t(doc, {"edge": [0], "forward": 0.5, "reverse": -0.5}),
+            lambda doc: _set_entry(doc, "Vx", float("nan")),
+            lambda doc: _set_entry(doc, "Kz", float("inf")),
+            lambda doc: _with_t(doc, {"edge": [0, 1], "forward": float("nan")}),
+            lambda doc: _set_entry(doc, "Jz", 10**30, field="row"),
+            lambda doc: _set_entry(doc, "Vy", 10**400, field="im"),
+            lambda doc: _set_entry(doc, "Jx", -1, field="col"),
+            lambda doc: _set_entry(doc, "Kx", True),
+            lambda doc: _set_entry(doc, "Vt", False, field="row"),
+            lambda doc: _gen(doc, "Vz")["re"].pop(),
+            lambda doc: _set_entry(doc, "Ky", "0.5"),
+            lambda doc: _repeat_first_entry(doc, "Jy"),
+            lambda doc: _repeat_first_entry(doc, "Jy", at=1),
+            lambda doc: doc["generators"].insert(0, _emptied(doc["generators"][7])),
+            lambda doc: (_set_entry(doc, "Jx", "x", field="col"),
+                         _set_entry(doc, "Jx", -1, field="row", index=1)),
+            lambda doc: _gen(doc, "Kx").pop("row"),
+            lambda doc: _with_t(doc, {"edge": [0, 2], "forward": 1.0, "reverse": 5.0}),
+            lambda doc: _with_t(doc, {"edge": [0, 7], "forward": 1.0, "reverse": -1.0}),
+            lambda doc: _with_t(doc, *[{"edge": e, "forward": 1.0, "reverse": -1.0}
+                                       for e in ([0, 1], [1, 0])]),
+            lambda doc: _with_t(doc, {"edge": [0, 1], "forward": 123, "reverse": -7}),
         ],
         ids=[
             "non-object-generator", "missing-rows", "short-t-edge",
@@ -632,51 +618,64 @@ class TestMalformedDocuments:
             "t-breaks-sign-rule",
         ],
     )
-    def test_generator_document(self, tmp_path, capsys, breakage, same_message):
-        # each case in both formats; where the breakage is one both formats
-        # can hold, the shared column checker gives the same message
-        errors = []
-        for fmt in FORMATS:
-            doc = _generated_doc(tmp_path, capsys, fmt=fmt)
-            breakage(doc)
-            path = tmp_path / "broken.json"
-            path.write_text(json.dumps(doc))  # writes NaN and Infinity tokens
-            assert main(["verify", str(path)]) == 2, fmt
+    def test_generator_document(self, tmp_path, capsys, breakage):
+        doc = _generated_doc(tmp_path, capsys)
+        breakage(doc)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))  # writes NaN and Infinity tokens
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "PASS" not in captured.out
+        with pytest.raises(DocumentError):
+            generators_from_doc(load_json(path))
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            lambda doc: doc.pop("format"),
+            lambda doc: (doc.pop("format"), _as_entry_lists(doc)),
+            _as_entry_lists,
+        ],
+        ids=["no-format", "format-1", "entry-lists-marked-format-2"],
+    )
+    def test_format1_document_is_refused(self, tmp_path, capsys, breakage):
+        # format 1, which early versions wrote: no "format", and each
+        # matrix's entries as one [row, col, re, im] list
+        doc = _generated_doc(tmp_path, capsys, family="b")
+        breakage(doc)
+        path = tmp_path / "format1.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ("pretty", "json"):
+            assert main(["verify", str(path), "--format", fmt]) == 2
             captured = capsys.readouterr()
-            assert captured.err.startswith("error:"), fmt
-            assert "PASS" not in captured.out
-            with pytest.raises(DocumentError):
-                generators_from_doc(load_json(path))
-            errors.append(captured.err)
-        if same_message:
-            assert errors[0] == errors[1]
+            assert captured.err.startswith("error:") and "Traceback" not in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize("top", ["ds", "ads"])
     def test_generator_document_naming_two_algebras(self, tmp_path, capsys, top):
         # generated in one algebra, with the other named at the top level
         # or in the backbone: neither reading of the document is the right one
         other = {"ds": "ads", "ads": "ds"}[top]
-        for fmt in FORMATS:
-            doc = _generated_doc(tmp_path, capsys, family="b", fmt=fmt, algebra=top)
-            doc["backbone"]["algebra"] = other
-            path = tmp_path / "two_algebras.json"
-            path.write_text(json.dumps(doc))
-            assert main(["verify", str(path)]) == 2, fmt
-            captured = capsys.readouterr()
-            assert captured.err == (
-                f"error: the document's algebra is {top!r} but its backbone's is {other!r}\n"
-            ), fmt
-            assert captured.out == ""
+        doc = _generated_doc(tmp_path, capsys, family="b", algebra=top)
+        doc["backbone"]["algebra"] = other
+        path = tmp_path / "two_algebras.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: the document's algebra is {top!r} but its backbone's is {other!r}\n"
+        )
+        assert captured.out == ""
 
     def test_backbone_without_algebra_takes_the_documents(self, tmp_path, capsys):
-        for fmt in FORMATS:
-            doc = _generated_doc(tmp_path, capsys, family="b", fmt=fmt, algebra="ads")
-            del doc["backbone"]["algebra"]
-            path = tmp_path / "one_algebra.json"
-            path.write_text(json.dumps(doc))
-            assert main(["verify", str(path), "--format", "json"]) == 0, fmt
-            report = json.loads(capsys.readouterr().out)
-            assert report["algebra"] == "ads" and report["passed"], fmt
+        doc = _generated_doc(tmp_path, capsys, family="b", algebra="ads")
+        del doc["backbone"]["algebra"]
+        path = tmp_path / "one_algebra.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["algebra"] == "ads" and report["passed"]
 
     @pytest.mark.parametrize(
         "breakage",
@@ -711,7 +710,8 @@ class TestMalformedDocuments:
         # one 61 x 61 block; neither document holds anything that would be
         # allocated at that size: a one-block backbone, no matrices
         backbone = {"blocks": [{"A": 30, "B": 30}], "edges": []}
-        for command, doc in (("validate", backbone), ("verify", {"backbone": backbone})):
+        verify_doc = {"format": 2, "backbone": backbone}
+        for command, doc in (("validate", backbone), ("verify", verify_doc)):
             path = tmp_path / f"{command}.json"
             path.write_text(json.dumps(doc))
             assert main([command, str(path)]) == 2
@@ -719,18 +719,17 @@ class TestMalformedDocuments:
 
     def test_float_text_past_the_float_range(self, tmp_path, capsys):
         # 1e400 reads as an infinity, which no entry may hold
-        for fmt in FORMATS:
-            doc = _generated_doc(tmp_path, capsys, fmt=fmt)
-            _set_entry(doc, "Vy", 1234.5625, field="im")
-            text = json.dumps(doc)
-            assert text.count("1234.5625") == 1
-            path = tmp_path / "overflow.json"
-            path.write_text(text.replace("1234.5625", "1e400"))
-            assert main(["verify", str(path)]) == 2, fmt
-            captured = capsys.readouterr()
-            assert captured.err.startswith("error: Vy ") and "PASS" not in captured.out
-            with pytest.raises(DocumentError):
-                generators_from_doc(load_json(path))
+        doc = _generated_doc(tmp_path, capsys)
+        _set_entry(doc, "Vy", 1234.5625, field="im")
+        text = json.dumps(doc)
+        assert text.count("1234.5625") == 1
+        path = tmp_path / "overflow.json"
+        path.write_text(text.replace("1234.5625", "1e400"))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Vy ") and "PASS" not in captured.out
+        with pytest.raises(DocumentError):
+            generators_from_doc(load_json(path))
 
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -756,8 +755,7 @@ class TestMalformedDocuments:
 
 
 class TestEntryListing:
-    """Explicit zero entries and any entry order load as the written matrices,
-    in both formats."""
+    """Explicit zero entries and any entry order load as the written matrices."""
 
     @staticmethod
     def _verify_json(doc, path, capsys):
@@ -809,32 +807,7 @@ class TestEntryListing:
 
 
 class TestFormats:
-    """The columnar format 2 that `generate` writes and the entry-list
-    format 1 that `verify` still reads."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: assemble_canonical(CanonicalSpec(Family.TYPE_A, 4)),
-            lambda: assemble_canonical(CanonicalSpec(Family.TYPE_B, 5), Algebra.ANTI_DE_SITTER),
-            lambda: gelfand_tsetlin_generators((5, 3), Algebra.DE_SITTER),
-        ],
-        ids=["a4", "b5-ads", "so5-5/2-3/2"],
-    )
-    def test_format1_twin_verifies_identically(self, tmp_path, capsys, make):
-        gens = make()
-        outputs = []
-        for doc in (format1_doc(gens), listed_doc(gens)):
-            path = tmp_path / "rep.json"
-            save_json(doc, path)
-            assert main(["verify", str(path), "--format", "json"]) == 0
-            outputs.append(capsys.readouterr().out)
-            loaded = generators_from_doc(load_json(path))
-            for name, m in gens.matrices().items():
-                got = loaded.matrices()[name]
-                assert np.array_equal(got.keys, m.keys), name
-                assert got.vals.tobytes() == m.vals.tobytes(), name
-        assert outputs[0] == outputs[1]
+    """The columnar format 2 that `generate` writes and `verify` reads."""
 
     def test_parts_left_out_only_when_all_positive_zero(self):
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
@@ -860,7 +833,7 @@ class TestFormats:
         ]
         generators[0]["re"] = [1.5, -2.0]
         generators[1]["im"] = [-0.5, 3]
-        doc = {"format": 2, "backbone": backbone, "t": [], "generators": generators}
+        doc = {"format": 2, "backbone": backbone, "generators": generators}
         loaded = generators_from_doc(doc).matrices()
         assert loaded["Jx"].vals.tobytes() == np.array([1.5, -2.0], dtype=complex).tobytes()
         assert loaded["Jy"].vals.tobytes() == np.array([complex(0, -0.5), complex(0, 3)]).tobytes()
@@ -1034,12 +1007,11 @@ _JSON_VALUES = st.recursive(
 
 def _base_documents():
     docs = [
-        ("verify", write(assemble_canonical(CanonicalSpec(family, n), algebra)))
+        ("verify", listed_doc(assemble_canonical(CanonicalSpec(family, n), algebra)))
         for family, n, algebra in (
             (Family.TYPE_A, 2, Algebra.DE_SITTER),
             (Family.TYPE_B, 3, Algebra.ANTI_DE_SITTER),
         )
-        for write in (listed_doc, format1_doc)
     ]
     docs += [("validate", load_json(path)) for path in sorted(FIXTURES.glob("*.json"))]
     return docs
@@ -1091,6 +1063,50 @@ class TestFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzzed.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity tokens included
         assert main([command, str(path)]) in (0, 1, 2)
+
+
+def _leaf_tampers(doc):
+    """(path, value) of one tamper at each leaf of a JSON document: a number
+    plus one, a string replaced, a non-empty list emptied."""
+    for path in _paths(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        if isinstance(node, (int, float)):
+            yield path, node + 1
+        elif isinstance(node, str):
+            yield path, "0" if node == "1" else "1"
+        elif isinstance(node, list) and node:
+            yield path, []
+
+
+class TestEveryLeafChecked:
+    """No field of a generated document is left unchecked by `verify`: a
+    tamper at any leaf fails, save the backbone's edges.  `verify` never
+    compares those with the matrices, which in a basis rotated within the
+    Jz eigenspaces hold entries off every edge, so a tamper that leaves
+    the labels alone passes."""
+
+    EDGES_UNCHECKED = {
+        "a2-ds": {("backbone", "edges")},
+        "b3-ads": {("backbone", "edges"), ("backbone", "edges", 0, 1)},
+    }
+
+    @pytest.mark.parametrize("family,n,algebra", [("a", "2", "ds"), ("b", "3", "ads")],
+                             ids=["a2-ds", "b3-ads"])
+    def test_a_tamper_at_any_leaf_fails(self, tmp_path, capsys, family, n, algebra):
+        doc = _generated_doc(tmp_path, capsys, family, n, algebra=algebra)
+        path = tmp_path / "tampered.json"
+        passed, tampers = set(), 0
+        for leaf, value in _leaf_tampers(doc):
+            tampered = _mutate(json.loads(json.dumps(doc)), leaf, "replace", value)
+            path.write_text(json.dumps(tampered))
+            if main(["verify", str(path)]) == 0:
+                passed.add(leaf)
+            capsys.readouterr()
+            tampers += 1
+        assert tampers > 200
+        assert passed == self.EDGES_UNCHECKED[f"{family}{n}-{algebra}"]
 
 
 def _module_env() -> dict:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from conftest import (
     block_offsets,
+    canonical_couplings,
     case_id,
     dense_assemble,
-    gelfand_tsetlin_generators,
+    gelfand_tsetlin_outcome,
     listed_doc,
     reversed_backbone,
     stored_bytes,
@@ -123,7 +124,7 @@ class TestCanonicalBackbones:
 
 def _canonical_t(spec, n):
     """(t forward, t backward) on edge n (1-based) of an assembled canonical chain."""
-    t = assemble_canonical(spec).t
+    t = canonical_couplings(spec)
     return t[(n - 1, n)], t[(n, n - 1)]
 
 
@@ -273,7 +274,7 @@ class TestAssembly:
                 with pytest.raises(ValueError, match="missing coupling"):
                     assemble(backbone, {(0, 1): (0.5, t_ji)})
         t = {(0, 1): 0.5, (1, 0): s * 0.5}
-        assert assemble(backbone, t).t == t
+        _assert_dense_bytes(backbone, t, Algebra.DE_SITTER)
         with pytest.raises(ValueError, match="sign rule") as raised:
             assemble(backbone, {(0, 1): 0.5, (1, 0): -s * 0.5})
         # the message is the one place a case is spelled out
@@ -307,9 +308,14 @@ class TestAssembly:
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_canonical_couplings_name_both_directions_of_each_edge(self, algebra):
+        # the couplings assemble_canonical builds each chain from
         for _, spec in first_ten_specs():
-            gens = assemble_canonical(spec, algebra)
-            assert set(gens.t) == {(i, j) for e in gens.backbone.edges for i, j in (e, e[::-1])}
+            backbone, t = canonical_backbone(spec), canonical_couplings(spec)
+            assert set(t) == {(i, j) for e in backbone.edges for i, j in (e, e[::-1])}
+            rebuilt = assemble(backbone, t, algebra).matrices()
+            for name, m in assemble_canonical(spec, algebra).matrices().items():
+                assert np.array_equal(m.keys, rebuilt[name].keys), name
+                assert m.vals.tobytes() == rebuilt[name].vals.tobytes(), name
 
     @pytest.mark.parametrize("ref,spec", first_ten_specs())
     def test_block_diagonal_structure(self, ref, spec):
@@ -379,7 +385,8 @@ class TestReversalEquivalence:
         backbone = gens.backbone
         reversed_chain = reversed_backbone(backbone)
         n = backbone.nblocks
-        t_rev = {(n - 1 - i, n - 1 - j): value for (i, j), value in gens.t.items()}
+        t = canonical_couplings(spec)
+        t_rev = {(n - 1 - i, n - 1 - j): value for (i, j), value in t.items()}
         reversed_gens = assemble(reversed_chain, t_rev)
 
         offsets = block_offsets(gens)
@@ -415,7 +422,7 @@ class TestAntiDeSitter:
                 backbone=ads.backbone, algebra=Algebra.DE_SITTER,
                 jx=ads.jx, jy=ads.jy, jz=ads.jz,
                 kx=ads.kx, ky=ads.ky, kz=ads.kz,
-                vt=ads.vt, vx=ads.vx, vy=ads.vy, vz=ads.vz, t=ads.t,
+                vt=ads.vt, vx=ads.vx, vy=ads.vy, vz=ads.vz,
             )
         )
         assert ads_as_ds["[Vx,Vy] = i Jz"] > 0.1
@@ -432,7 +439,7 @@ GT_WEIGHTS = [(3, 1), (4, 2), (5, 3)]
 
 def _canonical_pairs(spec, offset=0):
     """Couplings of a canonical chain per ordered block pair, indices shifted."""
-    return {(i + offset, j + offset): t for (i, j), t in assemble_canonical(spec).t.items()}
+    return {(i + offset, j + offset): t for (i, j), t in canonical_couplings(spec).items()}
 
 
 # blocks that stand alone beside the chains of a sum: dim-1 and
@@ -464,8 +471,8 @@ def assembly_inputs(draw):
         spec = CanonicalSpec(draw(st.sampled_from(list(Family))), draw(st.integers(2, 6)))
         backbone, t = canonical_backbone(spec), _canonical_pairs(spec)
     elif kind == "so5":
-        gens = gelfand_tsetlin_generators(draw(st.sampled_from(GT_WEIGHTS)), algebra)
-        backbone, t = gens.backbone, dict(gens.t)
+        outcome = gelfand_tsetlin_outcome(draw(st.sampled_from(GT_WEIGHTS)), algebra)
+        backbone, t = outcome.generators.backbone, dict(outcome.t_values)
     elif kind == "block":
         label = L(draw(st.integers(0, 6)), draw(st.integers(0, 6)))
         backbone, t = BackboneGraph.make([label], []), {}
@@ -496,7 +503,6 @@ def _assert_dense_bytes(backbone, t, algebra):
     """Every non-zero entry, signed zeros of its parts included, is what the
     dense assembly wrote; exact zeros are not stored."""
     gens = assemble(backbone, t, algebra)
-    assert gens.t == t
     want = dense_assemble(backbone, t, algebra)
     for name, m in gens.matrices().items():
         assert m.to_dense().tobytes() == stored_bytes(want[name]), name

@@ -7,18 +7,21 @@ code and belongs in `tests/`.  Every name a module imports must be
 loaded in that module, except the package's re-exports and the names the
 benchmark patches there.  Every method of a class must be named by an
 attribute access in `src/dsrep` or in the benchmark.  The README's
-stable-API import block names exactly the package's `__all__`, and every
-`module.name` the README names in backticks resolves.
+stable-API import block names exactly the package's `__all__`, every
+`module.name` the README names in backticks resolves, and its generator
+document example is what `generate` writes.
 """
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
-from conftest import benchmark_boundaries
+from conftest import benchmark_boundaries, listed_doc
 
 import dsrep
+from dsrep.representation import CanonicalSpec, Family, assemble_canonical
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dsrep"
@@ -93,6 +96,22 @@ def test_readme_names_resolve():
             stale.append(span)
     assert named, "the pattern found no module names in README.md"
     assert not stale, f"README.md names what src/dsrep does not define: {stale}"
+
+
+def test_readme_generator_document_is_generated():
+    """The README's generator document example has exactly the top-level
+    keys `generators_to_doc` writes, in its order, and each field or matrix
+    it spells out is the one of type B N=2's document."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"^### Generator documents\n.*?^```json\n(.*?)^```", readme, re.M | re.S)
+    doc = listed_doc(assemble_canonical(CanonicalSpec(Family.TYPE_B, 2)))
+    assert re.findall(r'^  "(\w+)":', example, re.M) == list(doc)
+    fields = re.findall(r'^  "(\w+)": (.+?),?$', example, re.M)
+    spelled = {key: json.loads(value) for key, value in fields if value != "["}
+    assert spelled and spelled == {key: doc[key] for key in spelled}
+    matrices = [json.loads(line) for line in re.findall(r"^    (\{.+\}),?$", example, re.M)]
+    by_name = {m["name"]: m for m in doc["generators"]}
+    assert matrices and all(m == by_name[m["name"]] for m in matrices)
 
 
 def _imported(tree: ast.Module) -> set[str]:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     DEFAULT_C2_INTERPRETATION,
     block_offsets,
+    canonical_couplings,
     casimir2_interpretations,
     dense_casimir1,
     dense_casimir1_cartesian,
@@ -25,6 +26,7 @@ from conftest import (
     dense_hermiticity,
     dense_scalar_check,
     gelfand_tsetlin_generators,
+    gelfand_tsetlin_outcome,
     select_casimir2_interpretation,
     sparse_from_dense,
 )
@@ -93,7 +95,7 @@ class TestCommutators:
 
     def test_doubled_coupling_fails_by_factor_four(self):
         spec = CanonicalSpec(Family.TYPE_A, 2)
-        t = assemble_canonical(spec).t
+        t = canonical_couplings(spec)
         gens = assemble(canonical_backbone(spec), {e: 2 * t[e] for e in t})
         residuals = check_all_crs(gens)
         # the displacement commutator lands at 4x its target, i.e. an
@@ -119,7 +121,7 @@ class TestHermiticity:
             backbone=gens.backbone, algebra=Algebra.DE_SITTER,
             jx=gens.jx, jy=gens.jy, jz=gens.jz,
             kx=gens.kx, ky=gens.ky, kz=gens.kz,
-            vt=gens.vt, vx=gens.vx, vy=gens.vy, vz=gens.vz, t=gens.t,
+            vt=gens.vt, vx=gens.vx, vy=gens.vy, vz=gens.vz,
         )
         wrong = check_hermiticity(ds_view)
         assert wrong["Vx"] > 0.1 and wrong["Vt"] > 0.1
@@ -395,7 +397,7 @@ class TestReport:
 
     def test_tampered_report_fails_and_names_relation(self):
         spec = CanonicalSpec(Family.TYPE_A, 2)
-        t = assemble_canonical(spec).t
+        t = canonical_couplings(spec)
         gens = assemble(canonical_backbone(spec), {e: 2 * t[e] for e in t})
         report = build_report(gens)
         assert not report.passed
@@ -635,11 +637,12 @@ def chain_generators(family, n, algebra):
     return assemble_canonical(CanonicalSpec(family, n), algebra)
 
 
-def _rescaled(gens, factors):
-    t = {}
+def _rescaled(gens, t, factors):
+    """gens assembled again from its couplings t, each edge's scaled by a factor."""
+    scaled = {}
     for (i, j), f in zip(sorted(gens.backbone.edges), factors):
-        t[(i, j)], t[(j, i)] = f * gens.t[(i, j)], f * gens.t[(j, i)]
-    return assemble(gens.backbone, t, gens.algebra)
+        scaled[(i, j)], scaled[(j, i)] = f * t[(i, j)], f * t[(j, i)]
+    return assemble(gens.backbone, scaled, gens.algebra)
 
 
 def _off_pattern(gens, name):
@@ -665,18 +668,18 @@ def generator_sets(draw):
     Returns the set and whether it must fail."""
     algebra = draw(st.sampled_from(list(Algebra)))
     if draw(st.booleans()):
-        gens = chain_generators(
-            draw(st.sampled_from(list(Family))), draw(st.integers(2, 6)), algebra
-        )
+        spec = CanonicalSpec(draw(st.sampled_from(list(Family))), draw(st.integers(2, 6)))
+        gens, t = chain_generators(spec.family, spec.n, algebra), canonical_couplings(spec)
     else:
-        gens = gelfand_tsetlin_generators(draw(st.sampled_from(GT_WEIGHTS)), algebra)
+        outcome = gelfand_tsetlin_outcome(draw(st.sampled_from(GT_WEIGHTS)), algebra)
+        gens, t = outcome.generators, outcome.t_values
     change = draw(st.sampled_from(["none", "rescale", "stray"]))
     if change == "rescale":
         factors = draw(st.lists(
             st.floats(0.5, 2.0), min_size=len(gens.backbone.edges),
             max_size=len(gens.backbone.edges),
         ))
-        return _rescaled(gens, factors), False
+        return _rescaled(gens, t, factors), False
     if change == "stray":
         name = draw(st.sampled_from(list(gens.generators())))
         spots = _off_pattern(gens, name)
