@@ -2,7 +2,7 @@
 
 Two schemas, both plain JSON:
 
-Backbone document (input to `validate`, embedded in generator documents):
+Backbone document (input to `validate`):
 
     {
       "blocks": [{"A": "1/2", "B": 0}, ...],     # half-integers as "p/2" strings or ints
@@ -13,11 +13,11 @@ Backbone document (input to `validate`, embedded in generator documents):
 Generator document (output of `generate`, input to `verify`):
 
     {
-      "format": 2,
+      "format": 3,
       "algebra": "ds" | "ads",
-      "backbone": {...backbone document...},
+      "blocks": [{"A": "1/2", "B": "0"}, ...],   # the labels of the diagonal blocks, in order
       "generators": [
-        {"name": "Jx", "rows": n, "cols": n,
+        {"name": "Jx",
          "row": [...], "col": [...],              # positions of the stored entries
          "re": [...], "im": [...]},               # their real and imaginary parts
         ...
@@ -26,12 +26,12 @@ Generator document (output of `generate`, input to `verify`):
 
 Each matrix lists its non-zero entries as four columns of equal length.
 "re" or "im" is left out only when every part in it is +0.0 (a -0.0 part
-is written), and a missing one reads as +0.0 parts.  `verify` checks
-every field above but the backbone's edges, which it reads only for
-their shape.  "format" must be 2, so the entry lists of early
-versions (format 1: no "format", and "entries" in place of the columns)
-are refused.  So is a "t" block of edge couplings: the matrices fix the
-couplings only up to gauge signs, and nothing compared the two.
+is written), and a missing one reads as +0.0 parts.  The four top-level
+keys are required, "format" must be 3, and the dimension of every
+matrix is that of the blocks.  A generator document holds no edges: the
+V rectangles say which blocks are joined, so `verify` checks every field
+it has.  In both schemas an object, whether the document, a block or a
+matrix, holds only the keys shown; any other key is refused by name.
 
 The schemas above are shown spread out; `save_json` and `generate`
 write each document as one line of compact JSON.  Entries are listed in
@@ -61,11 +61,16 @@ import numpy as np
 
 from .blocks import BlockLabel
 from .numeric import Sparse
-from .representation import GENERATOR_NAMES, Algebra, BackboneGraph, GeneratorSet
+from .representation import (
+    GENERATOR_NAMES,
+    Algebra,
+    BackboneGraph,
+    GeneratorSet,
+    bounded_blocks,
+)
 
 __all__ = [
     "DocumentError",
-    "backbone_to_doc",
     "backbone_from_doc",
     "generators_to_doc",
     "generators_from_doc",
@@ -79,11 +84,24 @@ class DocumentError(ValueError):
 
 
 def _parse_algebra(value: Any) -> Algebra:
-    if value in (None, "ds"):
-        return Algebra.DE_SITTER
-    if value == "ads":
-        return Algebra.ANTI_DE_SITTER
-    raise DocumentError(f"algebra must be 'ds' or 'ads', got {value!r}")
+    if value not in ("ds", "ads"):
+        raise DocumentError(f"algebra must be 'ds' or 'ads', got {value!r}")
+    return Algebra(value)
+
+
+# the keys each object of the two schemas may hold
+_BACKBONE_KEYS = frozenset(("blocks", "edges", "algebra"))
+_BLOCK_KEYS = frozenset(("A", "B"))
+_GENERATOR_DOC_KEYS = frozenset(("format", "algebra", "blocks", "generators"))
+_COLUMNS = ("row", "col", "re", "im")
+_MATRIX_KEYS = frozenset(("name", *_COLUMNS))
+
+
+def _known_keys(obj: dict, known: frozenset[str], context: str) -> None:
+    """Refuse a key of obj that its schema does not name."""
+    if not obj.keys() <= known:
+        stray = next(key for key in obj if key not in known)
+        raise DocumentError(f"{context} has unknown key {stray!r}; it may hold {sorted(known)}")
 
 
 def _parse_twice(value: Any, context: str) -> int:
@@ -104,17 +122,11 @@ def _parse_twice(value: Any, context: str) -> int:
     )
 
 
-def _index(value: Any, context: str) -> int:
-    """A JSON integer used as an index or a size; floats and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{context} must be an integer, got {value!r}")
-    return value
-
-
 def _pair(value: Any, context: str) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise DocumentError(f"{context} must be a pair of block indices, got {value!r}")
-    return _index(value[0], context), _index(value[1], context)
+    """Two JSON integers; floats and booleans are refused."""
+    if isinstance(value, list) and len(value) == 2 and type(value[0]) is type(value[1]) is int:
+        return value[0], value[1]
+    raise DocumentError(f"{context} must be a pair of block indices, got {value!r}")
 
 
 def _as_float(value: int | float) -> float:
@@ -131,51 +143,44 @@ def _list(value: Any, context: str) -> list:
     return value
 
 
-def backbone_to_doc(g: BackboneGraph, algebra: Algebra = Algebra.DE_SITTER) -> dict:
-    return {
-        "blocks": [{"A": str(b.a), "B": str(b.b)} for b in g.blocks],
-        "edges": [list(e) for e in sorted(g.edges)],
-        "algebra": algebra.value,
-    }
+def _blocks(raw: Any) -> tuple[BlockLabel, ...]:
+    """The block labels of a document's "blocks" list, at most MAX_DIM
+    dimensions in all."""
+    if not isinstance(raw, list) or not raw:
+        raise DocumentError("'blocks' must be a non-empty list")
+    labels = []
+    for pos, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "A" not in entry or "B" not in entry:
+            raise DocumentError(f"block {pos} must be an object with 'A' and 'B'")
+        _known_keys(entry, _BLOCK_KEYS, f"block {pos}")
+        twice_a = _parse_twice(entry["A"], f"block {pos} A")
+        twice_b = _parse_twice(entry["B"], f"block {pos} B")
+        try:
+            labels.append(BlockLabel(twice_a=twice_a, twice_b=twice_b))
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from exc
+    try:
+        return bounded_blocks(labels)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def backbone_from_doc(doc: Any) -> tuple[BackboneGraph, Algebra]:
     if not isinstance(doc, dict):
         raise DocumentError("backbone document must be a JSON object")
-    try:
-        raw_blocks = doc["blocks"]
-    except KeyError:
-        raise DocumentError("backbone document missing 'blocks'") from None
-    if not isinstance(raw_blocks, list) or not raw_blocks:
-        raise DocumentError("'blocks' must be a non-empty list")
-    blocks = []
-    for pos, entry in enumerate(raw_blocks):
-        if not isinstance(entry, dict) or "A" not in entry or "B" not in entry:
-            raise DocumentError(f"block {pos} must be an object with 'A' and 'B'")
-        twice_a = _parse_twice(entry["A"], f"block {pos} A")
-        twice_b = _parse_twice(entry["B"], f"block {pos} B")
-        try:
-            blocks.append(BlockLabel(twice_a=twice_a, twice_b=twice_b))
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
+    _known_keys(doc, _BACKBONE_KEYS, "backbone document")
+    if "blocks" not in doc:
+        raise DocumentError("backbone document missing 'blocks'")
+    blocks = _blocks(doc["blocks"])
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise DocumentError("'edges' must be a list of index pairs")
     edges = [_pair(pair, f"edge {pos}") for pos, pair in enumerate(raw_edges)]
-    algebra = _parse_algebra(doc.get("algebra"))
+    algebra = _parse_algebra(doc.get("algebra", "ds"))
     try:
-        graph = BackboneGraph.make(blocks, edges)
+        return BackboneGraph.make(blocks, edges), algebra
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    if len(graph.edges) < len(edges):  # an edge is listed twice: name the first repeat
-        first_listed: dict[tuple[int, int], int] = {}
-        for pos, (i, j) in enumerate(edges):
-            earlier = first_listed.setdefault((min(i, j), max(i, j)), pos)
-            if earlier != pos:
-                raise DocumentError(
-                    f"edge {pos} {[i, j]} repeats edge {earlier} {list(edges[earlier])}"
-                )
-    return graph, algebra
 
 
 def _matrix_columns(m: Sparse) -> dict[str, np.ndarray]:
@@ -196,13 +201,10 @@ def generators_to_doc(g: GeneratorSet) -> dict:
     """The generator document of g, each matrix column a numpy array, as
     `write_json` writes it without making Python number lists."""
     return {
-        "format": 2,
+        "format": 3,
         "algebra": g.algebra.value,
-        "backbone": backbone_to_doc(g.backbone, g.algebra),
-        "generators": [
-            {"name": name, "rows": m.n, "cols": m.n, **_matrix_columns(m)}
-            for name, m in g.matrices().items()
-        ],
+        "blocks": [{"A": str(b.a), "B": str(b.b)} for b in g.blocks],
+        "generators": [{"name": name, **_matrix_columns(m)} for name, m in g.matrices().items()],
     }
 
 
@@ -220,7 +222,7 @@ def _matrix_from_entry(entry: dict, name: str, dim: int) -> Sparse:
         raise DocumentError(f"{name} needs 'row' and 'col'")
     rows, cols, re, im = (
         None if key not in entry else _list(entry[key], f"{name} {key!r}")
-        for key in ("row", "col", "re", "im")
+        for key in _COLUMNS
     )
     if len({len(column) for column in (rows, cols, re, im) if column is not None}) > 1:
         raise DocumentError(f"{name} columns 'row', 'col', 're' and 'im' differ in length")
@@ -270,29 +272,19 @@ def _matrix_from_entry(entry: dict, name: str, dim: int) -> Sparse:
 def generators_from_doc(doc: Any) -> GeneratorSet:
     if not isinstance(doc, dict):
         raise DocumentError("generator document must be a JSON object")
-    if type(doc.get("format")) is not int or doc["format"] != 2:
+    if type(doc.get("format")) is not int or doc["format"] != 3:
         raise DocumentError(
-            f"unknown generator document format {doc.get('format')!r}: 'format' "
-            "must be 2 (format 1, entry lists with no 'format', is no longer read)"
+            f"unknown generator document format {doc.get('format')!r}: 'format' must be 3"
         )
-    if "t" in doc:
-        raise DocumentError(
-            "generator document carries 't': edge couplings are not read, "
-            "since verify checks the matrices alone"
-        )
-    algebra = _parse_algebra(doc.get("algebra"))
-    if "backbone" not in doc:
-        raise DocumentError("generator document missing 'backbone'")
-    backbone, named = backbone_from_doc(doc["backbone"])
-    if doc["backbone"].get("algebra") is not None and named is not algebra:
-        raise DocumentError(
-            f"the document's algebra is {algebra.value!r} but its backbone's is {named.value!r}"
-        )
-    dim = backbone.dim
+    _known_keys(doc, _GENERATOR_DOC_KEYS, "generator document")
+    missing = sorted(_GENERATOR_DOC_KEYS - doc.keys())
+    if missing:
+        raise DocumentError(f"generator document missing {missing}")
+    algebra = _parse_algebra(doc["algebra"])
+    blocks = _blocks(doc["blocks"])
+    dim = sum(b.dim for b in blocks)
 
-    raw_gens = doc.get("generators")
-    if not isinstance(raw_gens, list):
-        raise DocumentError("generator document missing 'generators' list")
+    raw_gens = _list(doc["generators"], "'generators'")
     matrices: dict[str, Sparse] = {}
     for pos, entry in enumerate(raw_gens):
         if not isinstance(entry, dict):
@@ -302,19 +294,13 @@ def generators_from_doc(doc: Any) -> GeneratorSet:
             raise DocumentError(f"unknown generator name {name!r}")
         if name in matrices:
             raise DocumentError(f"generator {name} is listed twice")
-        if "rows" not in entry or "cols" not in entry:
-            raise DocumentError(f"{name} needs 'rows' and 'cols'")
-        rows, cols = _index(entry["rows"], f"{name} rows"), _index(entry["cols"], f"{name} cols")
-        if rows != dim or cols != dim:
-            raise DocumentError(
-                f"{name} is {rows}x{cols} but the backbone implies {dim}x{dim}"
-            )
+        _known_keys(entry, _MATRIX_KEYS, name)
         matrices[name] = _matrix_from_entry(entry, name, dim)
     missing = [n for n in GENERATOR_NAMES if n not in matrices]
     if missing:
         raise DocumentError(f"generator document missing matrices: {missing}")
 
-    return GeneratorSet(backbone, algebra, *(matrices[n] for n in GENERATOR_NAMES))
+    return GeneratorSet(blocks, algebra, *(matrices[n] for n in GENERATOR_NAMES))
 
 
 class _ParsedFloats(dict):

@@ -37,6 +37,7 @@ from .numeric import Sparse
 
 __all__ = [
     "MAX_DIM",
+    "bounded_blocks",
     "Family",
     "Algebra",
     "CanonicalSpec",
@@ -88,9 +89,9 @@ Edge = tuple[int, int]
 MAX_DIM = 3000
 
 
-def _bounded(blocks: Iterable[BlockLabel]) -> Iterator[BlockLabel]:
+def bounded_blocks(blocks: Iterable[BlockLabel]) -> tuple[BlockLabel, ...]:
     """The blocks, refused as soon as their dimensions add up past MAX_DIM."""
-    dim = 0
+    out, dim = [], 0
     for block in blocks:
         dim += block.dim
         if dim > MAX_DIM:
@@ -98,7 +99,8 @@ def _bounded(blocks: Iterable[BlockLabel]) -> Iterator[BlockLabel]:
                 f"the blocks add up to more than {MAX_DIM} dimensions, "
                 "the largest representation assembled here"
             )
-        yield block
+        out.append(block)
+    return tuple(out)
 
 
 def _normalize_edge(edge: Sequence[int], nblocks: int) -> Edge:
@@ -122,9 +124,16 @@ class BackboneGraph:
 
     @classmethod
     def make(cls, blocks: Iterable[BlockLabel], edges: Iterable[Sequence[int]]) -> "BackboneGraph":
-        blocks = tuple(_bounded(blocks))
-        normalized = frozenset(_normalize_edge(e, len(blocks)) for e in edges)
-        return cls(blocks, normalized)
+        """The backbone of the blocks and edges; a ValueError refuses a bad
+        edge, an edge listed twice in either direction, or blocks past MAX_DIM."""
+        blocks, edges = bounded_blocks(blocks), list(edges)
+        first: dict[Edge, int] = {}  # each edge: where it is first listed
+        for pos, edge in enumerate(edges):
+            earlier = first.setdefault(_normalize_edge(edge, len(blocks)), pos)
+            if earlier != pos:
+                listed = [list(map(int, e)) for e in (edge, edges[earlier])]
+                raise ValueError(f"edge {pos} {listed[0]} repeats edge {earlier} {listed[1]}")
+        return cls(blocks, frozenset(first))
 
     @property
     def nblocks(self) -> int:
@@ -150,9 +159,6 @@ class BackboneGraph:
 
     def label_multiplicities(self) -> dict[BlockLabel, int]:
         return Counter(self.blocks)
-
-    def has_duplicates(self) -> bool:
-        return any(c > 1 for c in self.label_multiplicities().values())
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +233,19 @@ GENERATOR_NAMES = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vt", "Vx", "Vy", "Vz")
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The ten generator matrices, held as their non-zeros, on a backbone.
+    """The ten generator matrices, held as their non-zeros, with the block
+    labels of their diagonal blocks in order.
 
     Each generator is a reduced `Sparse`: its non-zero entries, sorted by
     key, which is row-major order.  J and K are block-diagonal over the
-    backbone; the four displacement generators have non-zero rectangles
-    only on the backbone edges.  The edge couplings that built them are
-    not kept: the matrices fix them only up to gauge signs, and every
-    check reads the matrices.
+    blocks; the four displacement generators have non-zero rectangles
+    only on the backbone edges.  Neither the edges nor the couplings that
+    built the matrices are kept: the V rectangles say which blocks are
+    joined, the matrices fix the couplings only up to gauge signs, and
+    every check reads the matrices and the labels.
     """
 
-    backbone: BackboneGraph
+    blocks: tuple[BlockLabel, ...]
     algebra: Algebra
     jx: Sparse
     jy: Sparse
@@ -357,7 +365,7 @@ def assemble(
         vx, vy, vz, vt = 1j * vx, 1j * vy, 1j * vz, 1j * vt
 
     return GeneratorSet(
-        backbone, algebra, *(m.reduced() for m in (jx, jy, jz, kx, ky, kz, vt, vx, vy, vz))
+        backbone.blocks, algebra, *(m.reduced() for m in (jx, jy, jz, kx, ky, kz, vt, vx, vy, vz))
     )
 
 

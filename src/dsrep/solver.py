@@ -120,7 +120,10 @@ class Component:
 
     indices: tuple[int, ...]
     family: Optional[Family]
-    n: int
+
+    @property
+    def n(self) -> int:
+        return len(self.indices)
 
     def describe(self, g: BackboneGraph) -> str:
         """The component's family and its first `KEPT_PATHS` block labels."""
@@ -376,24 +379,21 @@ def _forest(g: BackboneGraph) -> tuple[list[tuple[int, ...]], list[tuple[int, in
 
 
 def _classify_component(g: BackboneGraph, indices: tuple[int, ...]) -> Component:
-    n = len(indices)
-    if n == 1:
-        return Component(indices, None, 1)
     nbrs = {i: g.neighbors(i) for i in indices}
     ends = [i for i in indices if len(nbrs[i]) == 1]
     if len(ends) != 2 or any(len(nbrs[i]) > 2 for i in indices):
-        return Component(indices, None, n)
+        return Component(indices, None)
     # A connected component with two ends and no degree above two is a
     # path: walk it from one end, each step leaving by the other neighbour.
     order = [ends[0], nbrs[ends[0]][0]]
-    while len(order) < n:
+    while len(order) < len(indices):
         order.append(next(m for m in nbrs[order[-1]] if m != order[-2]))
     # On canonical labels, a path through every block with only compatible
     # steps is monotone, so its family is that of its labels.
     if any(compatibility(g.blocks[p], g.blocks[q]) is None for p, q in zip(order, order[1:])):
-        return Component(tuple(order), None, n)
+        return Component(tuple(order), None)
     spec = classify_canonical_chain([g.blocks[i] for i in order])
-    return Component(tuple(order), None if spec is None else spec.family, n)
+    return Component(tuple(order), None if spec is None else spec.family)
 
 
 def decompose(g: BackboneGraph) -> list[Component]:

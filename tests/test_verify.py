@@ -25,6 +25,7 @@ from conftest import (
     dense_generator_set,
     dense_hermiticity,
     dense_scalar_check,
+    gelfand_tsetlin_backbone,
     gelfand_tsetlin_generators,
     gelfand_tsetlin_outcome,
     select_casimir2_interpretation,
@@ -118,7 +119,7 @@ class TestHermiticity:
         assert residuals["Vx"] < 1e-12 and residuals["Vt"] < 1e-12
         # the same matrices against the de Sitter pattern must fail on V
         ds_view = type(gens)(
-            backbone=gens.backbone, algebra=Algebra.DE_SITTER,
+            blocks=gens.blocks, algebra=Algebra.DE_SITTER,
             jx=gens.jx, jy=gens.jy, jz=gens.jz,
             kx=gens.kx, ky=gens.ky, kz=gens.kz,
             vt=gens.vt, vx=gens.vx, vy=gens.vy, vz=gens.vz,
@@ -130,7 +131,7 @@ class TestHermiticity:
         # the (1, 0) rectangles of a ++ edge negated: t_10 = +t_01, where
         # the rule needs the minus
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 2))
-        first = gens.backbone.blocks[0].dim
+        first = gens.blocks[0].dim
 
         def flipped(m):
             below = m.keys // m.n >= first
@@ -245,7 +246,7 @@ class TestClosedForms:
 def test_canonical_backbones_are_duplicate_free():
     for _, spec in TEN:
         backbone = canonical_backbone(spec)
-        assert not backbone.has_duplicates()
+        assert max(backbone.label_multiplicities().values()) == 1
 
 
 def commutant_dimension(gens, tol=1e-8):
@@ -306,7 +307,7 @@ class TestJz:
         elif tamper == "nan":
             vals[0] = math.nan
         gens = dataclasses.replace(gens, jz=Sparse(gens.dim, gens.jz.keys, vals))
-        want = max_abs(gens.jz - hla_cartesian(gens.backbone.blocks)[2])
+        want = max_abs(gens.jz - hla_cartesian(gens.blocks)[2])
         got = check_jz(gens)
         assert np.array([got]).tobytes() == np.array([want]).tobytes()
         assert (got == 0) == (tamper == "none")
@@ -388,7 +389,7 @@ class TestReport:
         # (m1, m2) = (15/2, 7/2): 40 blocks, dim 1560.  A 40-block chain
         # would exceed MAX_DIM, so the canonical-chain test must not build one.
         gens = gelfand_tsetlin_generators((15, 7), Algebra.DE_SITTER)
-        assert (gens.backbone.nblocks, gens.dim) == (40, 1560)
+        assert (len(gens.blocks), gens.dim) == (40, 1560)
         report = build_report(gens)
         assert report.passed and report.p is None and report.q is None
         # the closed forms at (p, q) = (m1 + 1, m2 + 1) = (17/2, 9/2)
@@ -601,7 +602,7 @@ class TestNonFinite:
         # Type A's 1-dim (0, 0) block has an empty Jx row, so a NaN in a Vt
         # entry into that block meets no stored entry of Jx in Vt @ Jx.
         gens = assemble_canonical(CanonicalSpec(Family.TYPE_A, 3))
-        labels = [(b.twice_a, b.twice_b) for b in gens.backbone.blocks]
+        labels = [(b.twice_a, b.twice_b) for b in gens.blocks]
         col = block_offsets(gens)[labels.index((0, 0))]
         assert not (gens.jx.keys // gens.dim == col).any()
         vt = gens.generators()["Vt"]
@@ -637,25 +638,26 @@ def chain_generators(family, n, algebra):
     return assemble_canonical(CanonicalSpec(family, n), algebra)
 
 
-def _rescaled(gens, t, factors):
-    """gens assembled again from its couplings t, each edge's scaled by a factor."""
+def _rescaled(gens, backbone, t, factors):
+    """gens assembled again on its backbone from its couplings t, each
+    edge's scaled by a factor."""
     scaled = {}
-    for (i, j), f in zip(sorted(gens.backbone.edges), factors):
+    for (i, j), f in zip(sorted(backbone.edges), factors):
         scaled[(i, j)], scaled[(j, i)] = f * t[(i, j)], f * t[(j, i)]
-    return assemble(gens.backbone, scaled, gens.algebra)
+    return assemble(backbone, scaled, gens.algebra)
 
 
-def _off_pattern(gens, name):
-    """Off-diagonal positions outside the generator's block pattern: the
-    diagonal blocks for J and K, the edge rectangles for V."""
+def _off_pattern(gens, backbone, name):
+    """Off-diagonal positions outside the generator's block pattern on its
+    backbone: the diagonal blocks for J and K, the edge rectangles for V."""
     offsets = block_offsets(gens)
-    owner = np.repeat(np.arange(gens.backbone.nblocks), np.diff(offsets))
+    owner = np.repeat(np.arange(backbone.nblocks), np.diff(offsets))
     same = owner[:, None] == owner[None, :]
     if name[0] in "JK":
         allowed = same
     else:
-        joined = np.zeros((gens.backbone.nblocks,) * 2, dtype=bool)
-        for i, j in gens.backbone.edges:
+        joined = np.zeros((backbone.nblocks,) * 2, dtype=bool)
+        for i, j in backbone.edges:
             joined[i, j] = joined[j, i] = True
         allowed = joined[owner[:, None], owner[None, :]]
     return np.argwhere(~allowed & ~np.eye(gens.dim, dtype=bool))
@@ -670,19 +672,21 @@ def generator_sets(draw):
     if draw(st.booleans()):
         spec = CanonicalSpec(draw(st.sampled_from(list(Family))), draw(st.integers(2, 6)))
         gens, t = chain_generators(spec.family, spec.n, algebra), canonical_couplings(spec)
+        backbone = canonical_backbone(spec)
     else:
-        outcome = gelfand_tsetlin_outcome(draw(st.sampled_from(GT_WEIGHTS)), algebra)
+        weight = draw(st.sampled_from(GT_WEIGHTS))
+        outcome = gelfand_tsetlin_outcome(weight, algebra)
         gens, t = outcome.generators, outcome.t_values
+        backbone = gelfand_tsetlin_backbone(*weight)
     change = draw(st.sampled_from(["none", "rescale", "stray"]))
     if change == "rescale":
         factors = draw(st.lists(
-            st.floats(0.5, 2.0), min_size=len(gens.backbone.edges),
-            max_size=len(gens.backbone.edges),
+            st.floats(0.5, 2.0), min_size=len(backbone.edges), max_size=len(backbone.edges),
         ))
-        return _rescaled(gens, t, factors), False
+        return _rescaled(gens, backbone, t, factors), False
     if change == "stray":
         name = draw(st.sampled_from(list(gens.generators())))
-        spots = _off_pattern(gens, name)
+        spots = _off_pattern(gens, backbone, name)
         r, c = spots[draw(st.integers(0, len(spots) - 1))]
         matrix = gens.generators()[name]
         matrix[r, c] = draw(st.sampled_from([0.25, -1.0, 0.5j, 3.0]))
